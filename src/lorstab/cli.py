@@ -6,7 +6,6 @@
 Exit codes: 0 success, 2 hypotheses-violated verdict, 3 construction or
 solver failure, 4 configuration error.  Reports and CSV tables are
 byte-stable for a fixed config and seed; wall times go to stdout only.
-LORSTAB_THREADS caps sweep/stencil parallelism without changing output.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .fem import SolverError
 from .harmonics import HarmonicField
 from .lorentz import KillingFieldSpec
-from .parallel import ordered_map
 from .report import fmt, render_run_report, write_checks_csv, write_sweep_csv
 from .stability import (
     DegenerateFieldError,
@@ -189,7 +187,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
         )
         return analyze(surface, cfg.r, tolerances)
 
-    reports = ordered_map(evaluate, values)
+    reports = [evaluate(value) for value in values]
     rows = []
     prev_gap = None
     orders = []

@@ -90,18 +90,36 @@ def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def validate_closed_oriented(faces: np.ndarray, nvertices: int) -> None:
     """Raise unless every undirected edge is shared by exactly two faces with
-    opposite directions (watertight, consistently oriented)."""
+    opposite directions (watertight, consistently oriented).
+
+    Directed edges (a, b), (b, c), (c, a) of each face are encoded as int64
+    keys a * nvertices + b and sorted once: an equal neighbour is a directed
+    edge used twice (inconsistent orientation), and a reverse key missing
+    from the sorted list is a boundary or non-manifold edge.  Each error
+    names the first offending edge in face order.
+    """
     if faces.size and (faces.min() < 0 or faces.max() >= nvertices):
         raise ValueError("face index out of range")
-    directed = set()
-    for a, b, c in faces:
-        for e in ((a, b), (b, c), (c, a)):
-            if e in directed:
-                raise ValueError(f"duplicated directed edge {e}: inconsistent orientation")
-            directed.add(tuple(int(x) for x in e))
-    for i, j in directed:
-        if (j, i) not in directed:
-            raise ValueError(f"boundary or non-manifold edge ({i}, {j}): mesh is not watertight")
+    corners = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    if not corners.size:
+        return
+    tails, heads = corners.ravel(), np.roll(corners, -1, axis=1).ravel()
+    keys = tails * nvertices + heads
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        e = int(repeats.min())
+        raise ValueError(
+            f"duplicated directed edge ({int(tails[e])}, {int(heads[e])}): inconsistent orientation"
+        )
+    # keys are distinct here, and so are their reverses
+    missing = np.flatnonzero(~np.isin(heads * nvertices + tails, keys, assume_unique=True))
+    if missing.size:
+        e = int(missing[0])
+        raise ValueError(
+            f"boundary or non-manifold edge ({int(tails[e])}, {int(heads[e])}): mesh is not watertight"
+        )
 
 
 def save_mesh(path: str | Path, mesh: TriangleMesh) -> None:

@@ -25,7 +25,6 @@ from .curvature import variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
 from .mesh import TriangleMesh
-from .parallel import ordered_map
 from .stability import jacobi_second_variation
 from .surfaces import GraphConstructionError, GraphSurface, build_graph, mdot
 
@@ -184,6 +183,18 @@ def r_area(surface: GraphSurface, r: int, c: float = 1.0) -> float:
 
 _BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
+# 4x4 Laplace expansion along columns 0-1: the minor of rows (i, j) meets the
+# complementary minor of rows (k, l) in columns 2-3 with sign (-1)^(i+j+1)
+_LAPLACE = (
+    (0, 1, 2, 3, 1.0), (0, 2, 1, 3, -1.0), (0, 3, 1, 2, 1.0),
+    (1, 2, 0, 3, 1.0), (1, 3, 0, 2, -1.0), (2, 3, 0, 1, 1.0),
+)
+
+
+def _minor(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Rows (i, j) minor of the column pair (a, b) on (4, M) arrays."""
+    return a[i] * b[j] - a[j] * b[i]
+
 
 def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> float:
     """Signed swept volume between the base and the flowed surface.
@@ -196,8 +207,16 @@ def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> fl
     [s0 - t, s0] for f = -1; the slab above s0 is the larger.
 
     Direct quadrature of the pullback of the ambient volume form over
-    base x [0, t]: edge-midpoint rule on faces, composite Simpson in time,
-    Gram determinants of the flow differential under the Lorentz metric.
+    base x [0, t]: edge-midpoint rule on faces, composite Simpson in time.
+    The element at each point is sign(det4) sqrt|det3|.  det4 is the
+    orientation determinant of (d1, d2, dt, phi) -- the two edge derivatives,
+    the time derivative and the flowed point -- by its 2x2-minor (Laplace)
+    expansion; det3 is the Lorentz Gram determinant of (d1, d2, dt) by
+    cofactors of its six inner products.  The t-independent data are built
+    once per call as contiguous (4, M) arrays, M = 3 points per face.  The
+    (dt, phi) minors are among them: dt = f ray, and (ray, phi) is a
+    hyperbolic rotation of (N, p) with determinant 1.  det3 = -det4^2 holds
+    only on the hyperquadric, which the quadrature points are not on.
     """
     if t == 0.0:
         return 0.0
@@ -205,22 +224,22 @@ def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> fl
         raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
     cache = variation.base.cache
     faces = cache.faces
-    f_vertex = variation.values()
+    pos = cache.vertices[faces].transpose(2, 0, 1)    # (4, F, 3)
+    nrm = cache.normal[faces].transpose(2, 0, 1)
+    amp = variation.values()[faces]                   # (F, 3)
 
-    pos = cache.vertices[faces]        # (F, 3, 4)
-    nrm = cache.normal[faces]
-    amp = f_vertex[faces]              # (F, 3)
+    # quadrature data, columns ordered by (face, point)
+    p = (pos @ _BARY.T).reshape(4, -1)
+    nv = (nrm @ _BARY.T).reshape(4, -1)
+    fq = (amp @ _BARY.T).ravel()
 
-    # barycentric quadrature data, flattened over (face, point)
-    p = np.einsum("bc,fci->fbi", _BARY, pos).reshape(-1, 4)
-    nv = np.einsum("bc,fci->fbi", _BARY, nrm).reshape(-1, 4)
-    fq = (_BARY @ amp.T).T.reshape(-1)
-    dp1 = (pos[:, 1] - pos[:, 0])[:, None, :].repeat(3, axis=1).reshape(-1, 4)
-    dp2 = (pos[:, 2] - pos[:, 0])[:, None, :].repeat(3, axis=1).reshape(-1, 4)
-    dn1 = (nrm[:, 1] - nrm[:, 0])[:, None, :].repeat(3, axis=1).reshape(-1, 4)
-    dn2 = (nrm[:, 2] - nrm[:, 0])[:, None, :].repeat(3, axis=1).reshape(-1, 4)
-    df1 = (amp[:, 1] - amp[:, 0])[:, None].repeat(3, axis=1).reshape(-1)
-    df2 = (amp[:, 2] - amp[:, 0])[:, None].repeat(3, axis=1).reshape(-1)
+    def edge(values, k):
+        return np.repeat(values[..., k] - values[..., 0], 3, axis=-1)
+
+    dp1, dp2, dn1, dn2 = edge(pos, 1), edge(pos, 2), edge(nrm, 1), edge(nrm, 2)
+    df1, df2 = edge(amp, 1), edge(amp, 2)
+    # signed minors of the columns (dt, phi), the same at every node
+    cofactor = [(i, j, sign * fq * _minor(nv, p, k, l)) for i, j, k, l, sign in _LAPLACE]
 
     if n_time % 2 == 1:
         n_time += 1
@@ -235,23 +254,18 @@ def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> fl
         tau = node * h_t
         ch = np.cosh(tau * fq)
         sh = np.sinh(tau * fq)
-        ray = sh[:, None] * p + ch[:, None] * nv          # d(flow point)/d(t f)
-        phi = ch[:, None] * p + sh[:, None] * nv
-        d1 = ch[:, None] * dp1 + sh[:, None] * dn1 + tau * df1[:, None] * ray
-        d2 = ch[:, None] * dp2 + sh[:, None] * dn2 + tau * df2[:, None] * ray
-        dt = fq[:, None] * ray
-        cols = np.stack([d1, d2, dt, phi], axis=2)        # (M, 4, 4)
-        sign = _ORIENTATION * np.sign(np.linalg.det(cols))
-        gram = np.empty((d1.shape[0], 3, 3))
-        for a, va in enumerate((d1, d2, dt)):
-            for b, vb in enumerate((d1, d2, dt)):
-                if b < a:
-                    gram[:, a, b] = gram[:, b, a]
-                else:
-                    gram[:, a, b] = mdot(va, vb)
-        det3 = np.linalg.det(gram)
+        ray = sh * p + ch * nv                            # d(flow point)/d(t f)
+        d1 = ch * dp1 + sh * dn1 + tau * df1 * ray
+        d2 = ch * dp2 + sh * dn2 + tau * df2 * ray
+        dt = fq * ray
+        det4 = sum(_minor(d1, d2, i, j) * cof for i, j, cof in cofactor)
+        g11, g12, g13 = mdot(d1.T, d1.T), mdot(d1.T, d2.T), mdot(d1.T, dt.T)
+        g22, g23, g33 = mdot(d2.T, d2.T), mdot(d2.T, dt.T), mdot(dt.T, dt.T)
+        det3 = (g11 * (g22 * g33 - g23 * g23)
+                - g12 * (g12 * g33 - g23 * g13)
+                + g13 * (g12 * g23 - g22 * g13))
         elem = np.sqrt(np.abs(det3))
-        total += w_t * float(np.sum(sign * elem)) / 6.0
+        total += w_t * float(np.sum(_ORIENTATION * np.sign(det4) * elem)) / 6.0
     return total
 
 
@@ -278,7 +292,7 @@ def functional_trace(
         snap = flow(variation, t)
         return r_area(snap, r, c), volume_balance(variation, t)
 
-    results = ordered_map(evaluate, t_nodes)
+    results = [evaluate(t) for t in t_nodes]
     areas = np.array([a for a, _ in results])
     volumes = np.array([v for _, v in results])
     jacobi = areas - lambda_lagrange * volumes
@@ -307,7 +321,7 @@ def verify_first_variation(
     """Central difference of the order-r area against its first-variation formula."""
     base = variation.base
     t_nodes = [-2.0 * h, -h, h, 2.0 * h]
-    areas = ordered_map(lambda t: r_area(flow(variation, t), r, c), t_nodes)
+    areas = [r_area(flow(variation, t), r, c) for t in t_nodes]
     fd = (areas[2] - areas[1]) / (2.0 * h)
     fd_wide = (areas[3] - areas[0]) / (4.0 * h)
 
@@ -332,7 +346,7 @@ def verify_sr_evolution(variation: NormalVariation, r: int, h: float = 1e-3) -> 
     """Per-vertex time derivative of the next elementary symmetric field
     against the weak evaluation of its evolution formula (ambient c = 1)."""
     base = variation.base
-    snaps = ordered_map(lambda t: flow(variation, t), [-h, h])
+    snaps = [flow(variation, t) for t in (-h, h)]
     s_minus = snaps[0].cache.sigma[:, r + 1]
     s_plus = snaps[1].cache.sigma[:, r + 1]
     lhs = (s_plus - s_minus) / (2.0 * h)
@@ -393,7 +407,7 @@ def verify_second_variation(
 def volume_derivative_check(variation: NormalVariation, h: float = 1e-3) -> VariationCheck:
     """Balance-of-volume derivative at t = 0 against the area integral of f."""
     base = variation.base
-    volumes = ordered_map(lambda t: volume_balance(variation, t), [-h, h])
+    volumes = [volume_balance(variation, t) for t in (-h, h)]
     fd = (volumes[1] - volumes[0]) / (2.0 * h)
     f = variation.values()
     rhs = float(np.sum(base.cache.weights * f))

@@ -10,10 +10,16 @@ from lorstab.harmonics import HarmonicField
 
 class TestAssembly:
     def test_matrices_symmetric(self, slice_mesh):
+        def symmetric(m):
+            delta = (m - m.T).tocoo()
+            return delta.nnz == 0 or np.abs(delta.data).max() <= 1e-12 * np.abs(m.data).max()
+
         pair = ls.assemble(slice_mesh(1.0, 3), 1)
         for m in (pair.stiffness, pair.mass):
-            delta = (m - m.T).tocoo()
-            assert np.abs(delta.data).max() if delta.nnz else 0.0 <= 1e-12 * np.abs(m.data).max()
+            assert symmetric(m)
+            skewed = m.tolil()
+            skewed[0, 1] += 1.0
+            assert not symmetric(skewed.tocsr())
 
     def test_constants_in_kernel(self, slice_mesh):
         for r in (0, 1):

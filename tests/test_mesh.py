@@ -1,9 +1,47 @@
 """Icosphere generation, mesh validation, and the text format."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorstab.mesh import TriangleMesh, icosphere, load_mesh, save_mesh, validate_closed_oriented
+from oracles import validate_closed_oriented_reference
+
+EDGE = re.compile(r"\((\d+), (\d+)\)")
+CATEGORIES = ("orientation", "watertight", "out of range")
+
+
+def outcome(validate, faces, nvertices):
+    """(category, message) of the error ``validate`` raises, or (None, None)."""
+    try:
+        validate(faces, nvertices)
+    except ValueError as err:
+        message = str(err)
+        return next(c for c in CATEGORIES if c in message), message
+    return None, None
+
+
+def corrupt(faces, nvertices, ops):
+    """Apply (kind, position, value) corruptions in order to a copy of faces."""
+    faces = faces.copy()
+    for kind, position, value in ops:
+        k = position % faces.shape[0]
+        if kind == "flip":
+            faces[k] = faces[k][::-1]
+        elif kind == "rotate":      # a cyclic shift keeps the mesh valid
+            faces[k] = np.roll(faces[k], 1)
+        elif kind == "drop":
+            faces = np.delete(faces, k, axis=0)
+        elif kind == "duplicate":
+            faces = np.insert(faces, k, faces[k], axis=0)
+        else:                       # "range": an index off either end
+            faces[k, value % 3] = -1 if value < 0 else nvertices + value
+        if not faces.shape[0]:
+            break
+    return faces
 
 
 class TestIcosphere:
@@ -54,6 +92,46 @@ class TestValidation:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             validate_closed_oriented(np.array([[0, 1, 99]]), 3)
+
+    def test_messages_name_edges_as_plain_ints(self):
+        pts, faces = icosphere(2)
+        flipped = faces.copy()
+        flipped[7] = flipped[7][::-1]
+        for bad, category in ((flipped, "orientation"), (faces[1:], "watertight")):
+            with pytest.raises(ValueError, match=category) as err:
+                validate_closed_oriented(bad, pts.shape[0])
+            found = EDGE.search(str(err.value))
+            assert found, str(err.value)
+            i, j = int(found[1]), int(found[2])
+            directed = [tuple(int(x) for x in e) for f in bad for e in zip(f, np.roll(f, -1))]
+            assert (i, j) in directed
+            if category == "orientation":
+                assert directed.count((i, j)) == 2
+            else:
+                assert (j, i) not in directed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["flip", "rotate", "drop", "duplicate", "range"]),
+                st.integers(0, 10**6),
+                st.integers(-3, 3),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_matches_set_based_oracle(self, level, ops):
+        pts, faces = icosphere(level)
+        nv = pts.shape[0]
+        bad = corrupt(faces, nv, ops)
+        got = outcome(validate_closed_oriented, bad, nv)
+        want = outcome(validate_closed_oriented_reference, bad, nv)
+        assert got[0] == want[0]
+        if got[0] in ("orientation", "out of range"):
+            # both name the first duplicated directed edge in face order
+            assert got[1] == want[1]
 
 
 class TestTextFormat:

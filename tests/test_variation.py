@@ -7,6 +7,7 @@ import lorstab as ls
 from lorstab.harmonics import HarmonicField
 from lorstab.surfaces import mdot
 from lorstab.variation import flow_rule_positions
+from oracles import volume_balance_reference
 
 CONST = HarmonicField(constant=1.0)
 Y10 = HarmonicField(terms=((1, 0, 1.0),))
@@ -106,6 +107,14 @@ class TestVolumeBalance:
     def test_zero_time(self, slice_mesh):
         var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
         assert ls.volume_balance(var, 0.0) == 0.0
+
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("amplitude", [CONST, Y10, Y20], ids=["const", "Y10", "Y20"])
+    def test_matches_determinant_oracle(self, slice_mesh, level, amplitude):
+        var = ls.NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
+        for t in (1e-3, -1e-3, 2e-2, -2e-2):
+            want = volume_balance_reference(var, t)
+            assert ls.volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_derivative_matches_area_integral(self, slice_mesh):
         var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
