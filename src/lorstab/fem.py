@@ -11,6 +11,14 @@ so that the constrained first eigenvalue is the minimum of (f'Kf)/(f'Mf)
 over mean-zero f, matching the Rayleigh quotient of the stability
 criterion after one integration by parts.  Constants are annihilated by K
 up to roundoff; they are deflated, never part of the reported spectrum.
+
+The spectrum is computed by ARPACK's shift-invert Lanczos (Lehoucq, Sorensen
+& Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero.  Each
+application of the inverse is one sparse LU solve with K + shift M followed
+by the mass-orthogonal projection onto mean-zero functions, so the constant
+mode is deflated exactly.  The LU factor is computed on the matrix permuted
+by the mesh's nested-dissection order, which ``assemble`` attaches to the
+operator pair, with no further column permutation.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .curvature import batched_newton
+from .mesh import nested_dissection
 from .surfaces import GraphSurface
 
 __all__ = [
@@ -52,6 +61,7 @@ class OperatorPair:
     r: int
     nvertices: int
     min_newton_eig: float   # smallest vertex eigenvalue of P_r (ellipticity bookkeeping)
+    order: np.ndarray       # fill-reducing vertex order for factorizations
 
     @property
     def elliptic(self) -> bool:
@@ -86,7 +96,8 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     Per face, P_r is the arithmetic mean of the three vertex matrices after
     projection onto the face frame (first-order transport); stiffness
     entries integrate <P_r grad phi_i, grad phi_j> with the constant
-    per-face gradients of the hat functions.
+    per-face gradients of the hat functions.  The nested-dissection order of
+    the mesh is memoized on the surface and shared by every order r.
     """
     if not 0 <= r <= surface.n - 1:
         raise ValueError(f"order r={r} out of range [0, {surface.n - 1}]")
@@ -116,7 +127,12 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     k = coo_matrix((k_local.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
     k = (k + k.T) / 2.0
 
-    pair = OperatorPair(stiffness=k, mass=cache.mass, r=r, nvertices=nv, min_newton_eig=min_eig)
+    if "order" not in surface._memo:
+        surface._memo["order"] = nested_dissection(cache.sphere_q, cache.faces)
+    pair = OperatorPair(
+        stiffness=k, mass=cache.mass, r=r, nvertices=nv, min_newton_eig=min_eig,
+        order=surface._memo["order"],
+    )
     surface._memo[key] = pair
     return pair
 
@@ -148,52 +164,72 @@ def smallest_eigenvalues_meanzero(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Bottom-k generalized eigenpairs on the mean-zero subspace.
 
-    Deflated shift-inverted subspace iteration with a direct sparse
-    factorization; deterministic for a fixed seed.  Returns (values,
-    vectors, iterations, residuals); vectors are mass-orthonormal and
-    mean-zero with a fixed sign convention.
+    ARPACK shift-invert Lanczos (``eigsh`` with ``sigma = -shift``, the k
+    eigenvalues nearest the shift) on the pencil (K, M).  The inverse
+    operator is one LU solve with K + shift M, factorized in the operator's
+    nested-dissection order with the NATURAL column order, followed by the
+    mass-orthogonal projection onto mean-zero functions; the start vector is
+    the projected standard normal vector of ``default_rng(seed)``, so runs
+    are deterministic.  ARPACK iterates to machine precision (``tol=0``) for
+    at most ``maxiter`` implicit restarts; each vector is then accepted only
+    if its ``weak_residual`` is below ``tol``.  If the spectrum reaches below
+    the shift window (an indefinite operator), the shift is widened by 100
+    and the solve repeated, up to four times.
+
+    Returns (values, vectors, iterations, residuals): values ascending,
+    vectors mass-orthonormal and mean-zero, each signed so that its entry of
+    largest magnitude is positive, and ``iterations`` the number of
+    shift-invert applications in the accepted solve.  When K is numerically
+    zero nothing is solved: the values are 0, every vector is the normalized
+    start vector, and ``iterations`` is 0.
     """
     kk = op.stiffness
     mm = op.mass
     nv = op.nvertices
     mass_column = np.asarray(mm.sum(axis=1)).ravel()
     total = float(mass_column.sum())
+    rng = np.random.default_rng(seed)
+    x0 = _project_meanzero(rng.standard_normal(nv), mass_column, total)
 
     kscale = float(np.abs(kk.data).max()) if kk.nnz else 0.0
     if kscale < 1e-14 * max(1.0, float(np.abs(mm.data).max())):
-        rng = np.random.default_rng(seed)
-        x = _project_meanzero(rng.standard_normal(nv), mass_column, total)
-        x /= np.sqrt(x @ (mm @ x))
-        return np.zeros(k), np.tile(x, (k, 1)).T, 0, np.zeros(k)
+        x0 /= np.sqrt(x0 @ (mm @ x0))
+        return np.zeros(k), np.tile(x0, (k, 1)).T, 0, np.zeros(k)
 
     lam_scale = float(np.abs(kk.diagonal()).max() / mass_column.min())
     shift = 1e-5 * lam_scale
-    rng = np.random.default_rng(seed)
-    # buffer past k so the block boundary clears eigenvalue multiplets
-    nb = min(nv - 1, k + max(2, (k + 1) // 2))
-    x = rng.standard_normal((nv, nb))
-
+    order = op.order
     for attempt in range(4):
-        lu = splu((kk + shift * mm).tocsc())
-        y = _project_meanzero(x, mass_column, total)
+        lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
         iterations = 0
-        values = np.zeros(nb)
-        residuals = np.full(k, np.inf)
-        for iterations in range(1, maxiter + 1):
-            y = lu.solve(mm @ y)
-            y = _project_meanzero(y, mass_column, total)
-            # mass-orthonormalize the block
-            c = y.T @ (mm @ y)
-            w, vecs = np.linalg.eigh(c)
-            w = np.maximum(w, 1e-300)
-            y = y @ (vecs / np.sqrt(w)) @ vecs.T
-            # Rayleigh-Ritz on the block
-            kp = y.T @ (kk @ y)
-            values, rot = np.linalg.eigh((kp + kp.T) / 2.0)
-            y = y @ rot
-            residuals = np.array([weak_residual(op, y[:, i], values[i]) for i in range(k)])
-            if residuals.max() < tol:
-                break
+
+        def shift_invert(b: np.ndarray) -> np.ndarray:
+            nonlocal iterations
+            iterations += 1
+            y = np.empty_like(b)
+            y[order] = lu.solve(b[order])
+            return _project_meanzero(y, mass_column, total)
+
+        try:
+            values, vectors = eigsh(
+                kk, k, M=mm, sigma=-shift, which="LM", v0=x0,
+                OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
+                tol=0, maxiter=maxiter,
+            )
+        except ArpackNoConvergence as err:
+            found = err.eigenvectors.shape[1]
+            residual = max(
+                (weak_residual(op, err.eigenvectors[:, i], err.eigenvalues[i]) for i in range(found)),
+                default=float("inf"),
+            )
+            raise SolverError(
+                f"eigensolver did not converge in {maxiter} restarts "
+                f"({found} of {k} eigenpairs found)",
+                residual=residual,
+            ) from None
+        rank = np.argsort(values)
+        values, vectors = values[rank], vectors[:, rank]
+        residuals = np.array([weak_residual(op, vectors[:, i], values[i]) for i in range(k)])
         if values.min() > -0.5 * shift:
             break
         shift *= 100.0   # spectrum reaches below the shift window; widen and retry
@@ -202,16 +238,13 @@ def smallest_eigenvalues_meanzero(
 
     if residuals.max() >= tol:
         raise SolverError(
-            f"eigensolver did not converge in {maxiter} iterations "
-            f"(residual {residuals.max():.3e})",
+            f"eigensolver residual {residuals.max():.3e} is not below tol = {tol:.3e} "
+            f"after {iterations} shift-invert applications",
             residual=float(residuals.max()),
         )
-    vectors = y[:, :k]
-    for i in range(k):
-        lead = np.argmax(np.abs(vectors[:, i]))
-        if vectors[lead, i] < 0:
-            vectors[:, i] = -vectors[:, i]
-    return values[:k], vectors, iterations, residuals
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(k)] < 0, -1.0, 1.0)
+    return values, vectors, iterations, residuals
 
 
 def first_eigenvalue_meanzero(
@@ -222,20 +255,17 @@ def first_eigenvalue_meanzero(
 ) -> EigenResult:
     """Constrained first eigenvalue: min of the Rayleigh quotient over
     mean-zero functions, with the constant kernel deflated."""
-    kscale = float(np.abs(op.stiffness.data).max()) if op.stiffness.nnz else 0.0
-    degenerate = kscale < 1e-14 * max(1.0, float(np.abs(op.mass.data).max()))
     values, vectors, iterations, residuals = smallest_eigenvalues_meanzero(
         op, k=1, tol=tol, maxiter=maxiter, seed=seed
     )
     lam = float(values[0])
-    vec = vectors[:, 0]
     scale = max(1.0, float(np.abs(op.stiffness.diagonal()).max() / op.lumped().min()))
     return EigenResult(
         lambda1=lam,
-        eigenfunction=vec,
+        eigenfunction=vectors[:, 0],
         iterations=iterations,
         residual=float(residuals[0]),
-        degenerate=degenerate,
+        degenerate=iterations == 0,
         indefinite=lam < -tol * scale,
     )
 

@@ -14,7 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["TriangleMesh", "icosphere", "validate_closed_oriented", "save_mesh", "load_mesh"]
+__all__ = [
+    "TriangleMesh",
+    "icosphere",
+    "nested_dissection",
+    "validate_closed_oriented",
+    "save_mesh",
+    "load_mesh",
+]
+
+_LEAF = 32   # largest part nested_dissection leaves unsplit
 
 
 @dataclass(frozen=True)
@@ -56,36 +65,84 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-sphere points (V, 3) and outward-oriented faces for 10*4^level + 2 vertices."""
+    """Unit-sphere points (V, 3) and outward-oriented faces for 10*4^level + 2 vertices.
+
+    Each subdivision splits every face (a, b, c) into (a, ab, ca), (b, bc, ab),
+    (c, ca, bc) and (ab, bc, ca), all faces at once.  An edge is keyed by
+    min * V + max of its ends; midpoints are appended in the order their edges
+    are first met along (a, b), (b, c), (c, a), face by face, and scaled by
+    1 / sqrt(m . m), so the points equal the one-face-at-a-time construction
+    bit for bit.
+    """
     if level < 0:
         raise ValueError("subdivision level must be nonnegative")
     pts, faces = _icosahedron()
-    points = [p for p in pts]
     for _ in range(level):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint.get(key)
-            if idx is None:
-                m = points[i] + points[j]
-                m /= np.linalg.norm(m)
-                idx = len(points)
-                points.append(m)
-                midpoint[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = np.array(new_faces, dtype=int)
-    pts = np.array(points)
+        nv = pts.shape[0]
+        tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+        keys = np.minimum(tails, heads) * np.int64(nv) + np.maximum(tails, heads)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        met = np.argsort(first)                  # edges in first-encounter order
+        number = np.empty_like(met)
+        number[met] = np.arange(nv, nv + met.size)
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        m = pts[tails[first[met]]] + pts[heads[first[met]]]
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        pts = np.concatenate([pts, m])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     # enforce outward orientation (positive triple product for a convex body)
     p0, p1, p2 = pts[faces[:, 0]], pts[faces[:, 1]], pts[faces[:, 2]]
     flip = np.einsum("fi,fi->f", np.cross(p1 - p0, p2 - p0), p0) < 0
     faces[flip] = faces[flip][:, ::-1]
     return pts, faces
+
+
+def nested_dissection(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order of the mesh vertices (George 1973).
+
+    Recursive median bisection: every part with more than ``_LEAF`` vertices
+    is split at the median of its widest coordinate axis, and the vertices of
+    the lower half that share an edge with the upper half become the
+    separator.  A separator is numbered after both halves it separates, so
+    the order is the post-order of the bisection tree.  All parts of one
+    level are split together.  Returns ``order``, a permutation of
+    ``range(V)``: vertex ``order[i]`` is eliminated i-th.
+    """
+    nv = points.shape[0]
+    tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    part = np.zeros(nv, dtype=np.int64)     # node of the tree at the current depth
+    depth = np.zeros(nv, dtype=np.int64)    # depth of the node holding the vertex
+    active = np.ones(nv, dtype=bool)        # not yet in a separator
+    height = 0
+    while True:
+        big = np.bincount(part[active], minlength=1 << height) > _LEAF
+        if not big.any():
+            break
+        split = np.flatnonzero(active & big[part])
+        split = split[np.argsort(part[split], kind="stable")]
+        starts = np.flatnonzero(np.diff(part[split], prepend=-1))
+        sizes = np.diff(starts, append=split.size)
+        extent = np.maximum.reduceat(points[split], starts) - np.minimum.reduceat(points[split], starts)
+        seg = np.repeat(np.arange(starts.size), sizes)
+        coord = points[split, np.argmax(extent, axis=1)[seg]]
+        split = split[np.lexsort((coord, seg))]
+        upper = np.zeros(nv, dtype=bool)
+        upper[split[np.arange(split.size) - starts[seg] >= sizes[seg] // 2]] = True
+        lower = np.zeros(nv, dtype=bool)
+        lower[split] = ~upper[split]
+        separator = np.concatenate(
+            [tails[lower[tails] & upper[heads]], heads[lower[heads] & upper[tails]]]
+        )
+        active[separator] = False
+        depth[active] = height + 1
+        part[active] = 2 * part[active] + upper[active]
+        height += 1
+    # post-order key: a node's path padded with ones to the full depth, then
+    # deeper nodes first, so a node follows the last leaf below it
+    below = height - depth
+    key = ((part << below) | ((1 << below) - 1)) * (height + 1) + below
+    return np.argsort(key, kind="stable")
 
 
 def validate_closed_oriented(faces: np.ndarray, nvertices: int) -> None:

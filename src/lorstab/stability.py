@@ -14,12 +14,18 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .curvature import batched_stability_constant
 from .fem import EigenResult, OperatorPair, assemble, first_eigenvalue_meanzero, weak_residual
 from .lorentz import ConformalFieldSpec, KillingFieldSpec
-from .surfaces import GraphSurface, ambient_field, mdot, support_function, tangential_gradient
+from .surfaces import (
+    GraphSurface,
+    _consistent_mass,
+    ambient_field,
+    mdot,
+    support_function,
+    tangential_gradient,
+)
 
 __all__ = [
     "Tolerances",
@@ -180,16 +186,8 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
 def weighted_mass_matrix(surface: GraphSurface, vertex_weights: np.ndarray):
     """Consistent mass matrix with a per-face weight (corner average)."""
     cache = surface.cache
-    faces = cache.faces
-    w_face = vertex_weights[faces].mean(axis=1) * cache.face_area
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    f = faces.shape[0]
-    rows = np.repeat(faces, 3, axis=1).reshape(f, 3, 3)
-    cols = np.tile(faces, (1, 3)).reshape(f, 3, 3)
-    vals = w_face[:, None, None] * local[None]
-    nv = cache.vertices.shape[0]
-    m = coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
-    return (m + m.T) / 2.0
+    face_weight = vertex_weights[cache.faces].mean(axis=1) * cache.face_area
+    return _consistent_mass(cache.faces, face_weight, cache.vertices.shape[0])
 
 
 def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -> QuadraticFormSample:

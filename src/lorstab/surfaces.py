@@ -233,14 +233,16 @@ def _face_geometry(vertices: np.ndarray, faces: np.ndarray):
     return area, face_frame, grad
 
 
-def _consistent_mass(faces: np.ndarray, area: np.ndarray, nv: int):
+def _consistent_mass(faces: np.ndarray, face_weight: np.ndarray, nv: int):
+    """P1 mass matrix with a constant weight per face: the face area for the
+    plain mass, area times a mean vertex weight for a weighted one."""
     from scipy.sparse import coo_matrix
 
     f = faces.shape[0]
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     rows = np.repeat(faces, 3, axis=1).reshape(f, 3, 3)
     cols = np.tile(faces, (1, 3)).reshape(f, 3, 3)
-    vals = area[:, None, None] * local[None]
+    vals = face_weight[:, None, None] * local[None]
     m = coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
     return (m + m.T) / 2.0
 

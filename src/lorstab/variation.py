@@ -207,9 +207,10 @@ def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> fl
     [s0 - t, s0] for f = -1; the slab above s0 is the larger.
 
     Direct quadrature of the pullback of the ambient volume form over
-    base x [0, t]: edge-midpoint rule on faces, composite Simpson in time.
-    The element at each point is sign(det4) sqrt|det3|.  det4 is the
-    orientation determinant of (d1, d2, dt, phi) -- the two edge derivatives,
+    base x [0, t]: edge-midpoint rule on faces, composite Simpson in time on
+    n_time intervals (at least 2; an odd count is rounded up).  The element
+    at each point is sign(det4) sqrt|det3|.  det4 is the orientation
+    determinant of (d1, d2, dt, phi) -- the two edge derivatives,
     the time derivative and the flowed point -- by its 2x2-minor (Laplace)
     expansion; det3 is the Lorentz Gram determinant of (d1, d2, dt) by
     cofactors of its six inner products.  The t-independent data are built
@@ -218,6 +219,8 @@ def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> fl
     hyperbolic rotation of (N, p) with determinant 1.  det3 = -det4^2 holds
     only on the hyperquadric, which the quadrature points are not on.
     """
+    if n_time < 2:
+        raise ValueError(f"n_time = {n_time} must be at least 2 (Simpson intervals in time)")
     if t == 0.0:
         return 0.0
     if abs(t) > variation.t_max:

@@ -6,7 +6,10 @@ method, so the tests can check the fast routine against them.
 """
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
+from lorstab.fem import SolverError, _project_meanzero, weak_residual
+from lorstab.mesh import _icosahedron
 from lorstab.surfaces import mdot
 from lorstab.variation import _BARY, _ORIENTATION, FlowError
 
@@ -86,3 +89,91 @@ def validate_closed_oriented_reference(faces, nvertices):
     for i, j in directed:
         if (j, i) not in directed:
             raise ValueError(f"boundary or non-manifold edge ({i}, {j}): mesh is not watertight")
+
+
+def icosphere_reference(level):
+    """Icosphere by one subdivision of one face at a time, with a dict of
+    edge midpoints numbered as they are first met."""
+    if level < 0:
+        raise ValueError("subdivision level must be nonnegative")
+    pts, faces = _icosahedron()
+    points = [p for p in pts]
+    for _ in range(level):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (i, j) if i < j else (j, i)
+            idx = midpoint.get(key)
+            if idx is None:
+                m = points[i] + points[j]
+                m /= np.linalg.norm(m)
+                idx = len(points)
+                points.append(m)
+                midpoint[key] = idx
+            return idx
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        faces = np.array(new_faces, dtype=int)
+    pts = np.array(points)
+    p0, p1, p2 = pts[faces[:, 0]], pts[faces[:, 1]], pts[faces[:, 2]]
+    flip = np.einsum("fi,fi->f", np.cross(p1 - p0, p2 - p0), p0) < 0
+    faces[flip] = faces[flip][:, ::-1]
+    return pts, faces
+
+
+def smallest_eigenvalues_reference(op, k=1, tol=1e-8, maxiter=500, seed=0):
+    """Bottom-k mean-zero eigenpairs by deflated shift-inverted subspace
+    iteration on a block of k plus a buffer, with Rayleigh-Ritz each step
+    and the COLAMD factorization of K + shift M."""
+    kk = op.stiffness
+    mm = op.mass
+    nv = op.nvertices
+    mass_column = np.asarray(mm.sum(axis=1)).ravel()
+    total = float(mass_column.sum())
+
+    lam_scale = float(np.abs(kk.diagonal()).max() / mass_column.min())
+    shift = 1e-5 * lam_scale
+    rng = np.random.default_rng(seed)
+    nb = min(nv - 1, k + max(2, (k + 1) // 2))
+    x = rng.standard_normal((nv, nb))
+
+    for attempt in range(4):
+        lu = splu((kk + shift * mm).tocsc())
+        y = _project_meanzero(x, mass_column, total)
+        iterations = 0
+        values = np.zeros(nb)
+        residuals = np.full(k, np.inf)
+        for iterations in range(1, maxiter + 1):
+            y = lu.solve(mm @ y)
+            y = _project_meanzero(y, mass_column, total)
+            c = y.T @ (mm @ y)
+            w, vecs = np.linalg.eigh(c)
+            w = np.maximum(w, 1e-300)
+            y = y @ (vecs / np.sqrt(w)) @ vecs.T
+            kp = y.T @ (kk @ y)
+            values, rot = np.linalg.eigh((kp + kp.T) / 2.0)
+            y = y @ rot
+            residuals = np.array([weak_residual(op, y[:, i], values[i]) for i in range(k)])
+            if residuals.max() < tol:
+                break
+        if values.min() > -0.5 * shift:
+            break
+        shift *= 100.0
+    else:
+        raise SolverError("could not bracket an indefinite spectrum", residual=float(residuals.max()))
+
+    if residuals.max() >= tol:
+        raise SolverError(
+            f"eigensolver did not converge in {maxiter} iterations "
+            f"(residual {residuals.max():.3e})",
+            residual=float(residuals.max()),
+        )
+    vectors = y[:, :k]
+    for i in range(k):
+        lead = np.argmax(np.abs(vectors[:, i]))
+        if vectors[lead, i] < 0:
+            vectors[:, i] = -vectors[:, i]
+    return values[:k], vectors, iterations, residuals

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import splu
 
 import lorstab as ls
 from lorstab.fem import dump_operator
 from lorstab.harmonics import HarmonicField
+from oracles import smallest_eigenvalues_reference
+
+GRAPH = ((2, 0, 0.05), (3, 1, 0.02))
 
 
 class TestAssembly:
@@ -63,6 +68,18 @@ class TestAssembly:
         with pytest.raises(ValueError):
             ls.assemble(slice_mesh(1.0, 3), 2)
 
+    def test_order_shared_and_reduces_fill(self, graph_mesh):
+        surf = graph_mesh(1.0, GRAPH, 5)
+        pair = ls.assemble(surf, 1)
+        assert ls.assemble(surf, 0).order is pair.order
+        kk, mm = pair.stiffness, pair.mass
+        shift = 1e-5 * np.abs(kk.diagonal()).max() / mm.sum(axis=1).min()   # the solver's
+        a = (kk + shift * mm).tocsc()
+        order = pair.order
+        colamd = splu(a)
+        nested = splu(a[order][:, order].tocsc(), permc_spec="NATURAL")
+        assert nested.L.nnz + nested.U.nnz <= 0.85 * (colamd.L.nnz + colamd.U.nnz)
+
 
 class TestEigenvalues:
     def test_laplace_baseline(self, slice_mesh):
@@ -105,6 +122,12 @@ class TestEigenvalues:
             ls.first_eigenvalue_meanzero(pair, maxiter=2, tol=1e-14)
         assert err.value.residual is not None
 
+    def test_restart_limit_raises(self, slice_mesh):
+        pair = ls.assemble(slice_mesh(1.0, 4), 0)
+        with pytest.raises(ls.SolverError, match="did not converge in 1 restarts") as err:
+            ls.first_eigenvalue_meanzero(pair, maxiter=1)
+        assert err.value.residual == np.inf   # no eigenpair converged
+
     def test_bottom_spectrum_multiplicities(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         pair = ls.assemble(surf, 1)
@@ -120,6 +143,53 @@ class TestEigenvalues:
         assert residuals.max() <= 1e-8
         gram = vectors.T @ (pair.mass @ vectors)
         assert gram == pytest.approx(np.eye(10), abs=1e-8)
+
+
+class TestSubspaceIterationOracle:
+    """The ARPACK solve against the earlier deflated subspace iteration."""
+
+    @staticmethod
+    def m_norm(pair, x):
+        return float(np.sqrt(x @ (pair.mass @ x)))
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_slice_matches_oracle(self, slice_mesh, r, level):
+        pair = ls.assemble(slice_mesh(1.0, level), r)
+        res = ls.first_eigenvalue_meanzero(pair)
+        values, vectors, _, _ = smallest_eigenvalues_reference(pair, k=3)
+        assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
+        # lambda1 is the l = 1 triplet on a slice: the eigenfunction is any
+        # unit vector of the oracle's three-dimensional eigenspace
+        inside = vectors @ (vectors.T @ (pair.mass @ res.eigenfunction))
+        assert self.m_norm(pair, res.eigenfunction - inside) <= 1e-6
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_graph_matches_oracle(self, graph_mesh, level):
+        pair = ls.assemble(graph_mesh(1.0, GRAPH, level), 1)
+        res = ls.first_eigenvalue_meanzero(pair)
+        values, vectors, _, _ = smallest_eigenvalues_reference(pair)
+        assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
+        f, g = res.eigenfunction, vectors[:, 0]
+        # both carry the sign convention: an entry of largest magnitude is positive
+        for x in (f, g):
+            assert x[np.argmax(np.abs(x))] > 0
+        # this eigenfunction is odd under a mesh symmetry, so |f| has tied
+        # maxima of opposite sign and the convention may pick either one
+        assert min(self.m_norm(pair, f - g), self.m_norm(pair, f + g)) <= 1e-6
+
+    def test_indefinite_bottom_matches_dense(self):
+        """At s0 = -1 the order-1 operator is negative semi-definite; its
+        bottom is found after the shift window is widened."""
+        pair = ls.assemble(ls.build_slice(2, -1.0).meshed(3), 1)
+        res = ls.first_eigenvalue_meanzero(pair)
+        kk, mm = pair.stiffness.toarray(), pair.mass.toarray()
+        basis = scipy.linalg.null_space(mm.sum(axis=1)[None, :])   # mean-zero functions
+        dense = scipy.linalg.eigh(basis.T @ kk @ basis, basis.T @ mm @ basis, eigvals_only=True)
+        assert dense[0] == pytest.approx(-360.4853, rel=1e-7)
+        assert res.lambda1 == pytest.approx(dense[0], rel=1e-10, abs=0)
+        assert res.indefinite and not res.degenerate
+        assert res.residual < 1e-8
 
 
 class TestWeakResidual:

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorstab.mesh import TriangleMesh, icosphere, load_mesh, save_mesh, validate_closed_oriented
-from oracles import validate_closed_oriented_reference
+from lorstab.mesh import (
+    TriangleMesh,
+    icosphere,
+    load_mesh,
+    nested_dissection,
+    save_mesh,
+    validate_closed_oriented,
+)
+from oracles import icosphere_reference, validate_closed_oriented_reference
 
 EDGE = re.compile(r"\((\d+), (\d+)\)")
 CATEGORIES = ("orientation", "watertight", "out of range")
@@ -74,6 +81,26 @@ class TestIcosphere:
     def test_negative_level(self):
         with pytest.raises(ValueError):
             icosphere(-1)
+
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_matches_one_face_at_a_time_oracle(self, level):
+        pts, faces = icosphere(level)
+        want_pts, want_faces = icosphere_reference(level)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(faces, want_faces)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("level", range(7))
+    def test_permutation(self, level):
+        pts, faces = icosphere(level)
+        order = nested_dissection(pts, faces)
+        assert np.array_equal(np.sort(order), np.arange(pts.shape[0]))
+
+    def test_deterministic(self):
+        pts, faces = icosphere(4)
+        assert np.array_equal(nested_dissection(pts, faces), nested_dissection(pts, faces))
 
 
 class TestValidation:

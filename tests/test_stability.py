@@ -5,7 +5,7 @@ import pytest
 
 import lorstab as ls
 from lorstab.harmonics import SphericalHarmonic, harmonic_basis
-from lorstab.stability import stability_field
+from lorstab.stability import stability_field, weighted_mass_matrix
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 BOOST = ls.KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=1.0)
@@ -107,6 +107,14 @@ class TestJacobiForm:
             for f in battery:
                 sample = ls.jacobi_second_variation(surf, r, f)
                 assert sample.value <= 1e-8 * sample.scale
+
+
+    def test_unit_weights_give_the_mass_matrix(self, graph_mesh):
+        surface = graph_mesh(1.0, ((2, 0, 0.05),), 3)
+        got = weighted_mass_matrix(surface, np.ones(surface.cache.vertices.shape[0]))
+        want = surface.cache.mass
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 class TestKillingCheck:

@@ -108,6 +108,13 @@ class TestVolumeBalance:
         var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
         assert ls.volume_balance(var, 0.0) == 0.0
 
+    def test_too_few_time_intervals_rejected(self, slice_mesh):
+        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
+        for n_time in (-1, 0, 1):
+            with pytest.raises(ValueError, match="n_time"):
+                ls.volume_balance(var, 0.02, n_time=n_time)
+        assert ls.volume_balance(var, 0.02, n_time=2) > 0
+
     @pytest.mark.parametrize("level", [3, 4])
     @pytest.mark.parametrize("amplitude", [CONST, Y10, Y20], ids=["const", "Y10", "Y20"])
     def test_matches_determinant_oracle(self, slice_mesh, level, amplitude):
