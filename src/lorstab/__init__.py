@@ -23,7 +23,6 @@ from .fem import (
     assemble,
     first_eigenvalue_meanzero,
     smallest_eigenvalues_meanzero,
-    strong_form_check,
     weak_residual,
 )
 from .harmonics import HarmonicField, SphericalHarmonic, harmonic_basis
@@ -59,7 +58,6 @@ from .surfaces import (
     build_graph,
     build_slice,
     shape_operator_at,
-    shape_operator_mesh_estimate,
     support_function,
     surface_from_mesh_file,
     tangential_gradient,

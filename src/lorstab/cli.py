@@ -103,25 +103,24 @@ def _variation_battery(surface: GraphSurface, config: ScenarioConfig) -> list[Va
     return checks
 
 
+def _tolerances(config: ScenarioConfig) -> Tolerances:
+    return Tolerances(gap=config.tol_gap, constancy=config.constancy_tolerance,
+                      solver=config.solver_tol, seed=config.seed)
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
     surface, extra = _build_surface(config)
-    tolerances = Tolerances(
-        gap=config.tol_gap,
-        constancy=config.constancy_tolerance,
-        solver=config.solver_tol,
-        seed=config.seed,
-    )
 
     stability_report = None
     scalar_checks: list[tuple[str, float]] = []
     variation_checks: list[VariationCheck] = []
 
     if "stability" in config.checks:
-        stability_report = analyze(surface, config.r, tolerances)
+        stability_report = analyze(surface, config.r, _tolerances(config))
     if "killing" in config.checks:
         spec = KillingFieldSpec(
             u=np.array(config.killing_u), v=config.killing_v_array, k=1.0
@@ -181,11 +180,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
     def evaluate(value: float):
         cfg = configure(value)
         surface, _ = _build_surface(cfg)
-        tolerances = Tolerances(
-            gap=cfg.tol_gap, constancy=cfg.constancy_tolerance,
-            solver=cfg.solver_tol, seed=cfg.seed,
-        )
-        return analyze(surface, cfg.r, tolerances)
+        return analyze(surface, cfg.r, _tolerances(cfg))
 
     reports = [evaluate(value) for value in values]
     rows = []

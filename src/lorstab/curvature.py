@@ -62,8 +62,7 @@ class ShapeSpectrum:
                 raise ValueError("shape operator matrix is not symmetric")
             object.__setattr__(self, "matrix", (m + m.T) / 2.0)
         if self.eigenvalues is not None and self.matrix is not None:
-            got = _charpoly(np.array(self.eigenvalues))
-            want = _charpoly(np.linalg.eigvalsh(self.matrix))
+            got, want = batched_elementary(np.stack([self.eigenvalues, np.linalg.eigvalsh(self.matrix)]))
             scale = np.maximum(1.0, np.abs(want))
             if float(np.abs(got - want).max() / scale.max()) > _CHARPOLY_RTOL:
                 raise ValueError("eigenvalue and matrix representations disagree")
@@ -100,39 +99,14 @@ class NewtonTransform:
     matrix: np.ndarray
 
 
-def _charpoly(values: np.ndarray) -> np.ndarray:
-    # coefficients (sigma_0..sigma_n) of prod (t + v_i), used only for the
-    # representation-consistency check
-    return np.array([elementary_symmetric(values, r) for r in range(len(values) + 1)])
-
-
 def elementary_symmetric(values, r: int) -> float:
-    """r-th elementary symmetric polynomial of ``values``.
-
-    Computed by the one-pass coefficient recurrence of prod_i (1 + v_i t)
-    (numerically stable; no subset enumeration).  sigma_0 = 1.
-    """
+    """r-th elementary symmetric polynomial of ``values``: ``batched_elementary``
+    on a one-row stack.  sigma_0 = 1."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if not 0 <= r <= n:
         raise ValueError(f"order r={r} out of range [0, {n}]")
-    coeff = np.zeros(r + 1)
-    coeff[0] = 1.0
-    top = 0
-    for v in values:
-        top = min(top + 1, r)
-        coeff[1 : top + 1] += v * coeff[0:top]
-    return float(coeff[r])
-
-
-def _elementary_all(values: np.ndarray) -> np.ndarray:
-    """sigma_0..sigma_n in one pass."""
-    n = values.size
-    coeff = np.zeros(n + 1)
-    coeff[0] = 1.0
-    for k, v in enumerate(values):
-        coeff[1 : k + 2] = coeff[1 : k + 2] + v * coeff[0 : k + 1]
-    return coeff
+    return float(batched_elementary(values.reshape(1, -1))[0, r])
 
 
 def curvature_table(shape: ShapeSpectrum) -> CurvatureTable:
@@ -142,14 +116,15 @@ def curvature_table(shape: ShapeSpectrum) -> CurvatureTable:
     the r-th elementary symmetric mean of the negated principal curvatures.
     """
     n = shape.n
-    s = _elementary_all(shape.values())
+    s = batched_elementary(shape.values()[None])[0]
     h = np.array([(-1.0) ** r * s[r] / comb(n, r) for r in range(n + 1)])
     b = tuple((n - r) * comb(n, r) for r in range(n + 1))
     return CurvatureTable(n=n, elementary=tuple(s), mean=tuple(h), trace_factor=b)
 
 
 def newton_transform(shape: ShapeSpectrum, r: int) -> NewtonTransform:
-    """r-th Newton transformation of the shape operator.
+    """r-th Newton transformation of the shape operator: ``batched_newton``
+    on a one-row stack.
 
     P_0 = I and P_r = (-1)^r sigma_r I + A P_{r-1}; shares eigenvectors with
     A, and P_n vanishes (Cayley-Hamilton).
@@ -157,16 +132,13 @@ def newton_transform(shape: ShapeSpectrum, r: int) -> NewtonTransform:
     n = shape.n
     if not 0 <= r <= n:
         raise ValueError(f"order r={r} out of range [0, {n}]")
-    a = shape.operator()
-    s = _elementary_all(np.linalg.eigvalsh(a))
-    p = np.eye(n)
-    for k in range(1, r + 1):
-        p = (-1.0) ** k * s[k] * np.eye(n) + a @ p
-    return NewtonTransform(r=r, matrix=(p + p.T) / 2.0)
+    a = shape.operator()[None]
+    p = batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r)
+    return NewtonTransform(r=r, matrix=p[0])
 
 
 def newton_traces(shape: ShapeSpectrum, r: int) -> tuple[float, float, float]:
-    """(tr P_r, tr A P_r, tr A^2 P_r), computed from the matrices.
+    """(tr P_r, tr A P_r, tr A^2 P_r): ``batched_newton_traces`` on a one-row stack.
 
     Contract: these equal the closed forms (-1)^r (n-r) sigma_r,
     (-1)^r (r+1) sigma_{r+1} and (-1)^r (sigma_1 sigma_{r+1}
@@ -175,10 +147,7 @@ def newton_traces(shape: ShapeSpectrum, r: int) -> tuple[float, float, float]:
     n = shape.n
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r={r} out of range [0, {n - 1}]")
-    a = shape.operator()
-    p = newton_transform(shape, r).matrix
-    ap = a @ p
-    return float(np.trace(p)), float(np.trace(ap)), float(np.trace(a @ ap))
+    return tuple(float(x) for x in batched_newton_traces(shape.operator()[None], r)[0])
 
 
 def stability_constant(shape: ShapeSpectrum, c: float, r: int) -> float:
@@ -204,20 +173,22 @@ def stability_constant_binomial(shape: ShapeSpectrum, c: float, r: int) -> float
     return float(out)
 
 
-def r_area_integrand(table: CurvatureTable, c: float, r: int) -> float:
-    """Integrand of the order-r area functional at one point.
+def r_area_integrand(sigma, c: float, r: int):
+    """Integrand of the order-r area functional.
 
+    ``sigma`` holds sigma_0..sigma_n along its last axis: one point, (n+1,),
+    or a stack, (V, n+1), giving one value or one per row.
     F_0 = 1, F_1 = -sigma_1, and
     F_r = (-1)^r sigma_r - c (n - r + 1) / (r - 1) * F_{r-2}.
     """
-    n = table.n
+    sigma = np.asarray(sigma, dtype=float)
+    n = sigma.shape[-1] - 1
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r={r} out of range [0, {n - 1}]")
-    s = table.elementary
-    f = [1.0, -s[1] if n >= 1 else 0.0]
+    f = [np.ones(sigma.shape[:-1]), -sigma[..., 1]]
     for k in range(2, r + 1):
-        f.append((-1.0) ** k * s[k] - c * (n - k + 1) / (k - 1) * f[k - 2])
-    return float(f[r])
+        f.append((-1.0) ** k * sigma[..., k] - c * (n - k + 1) / (k - 1) * f[k - 2])
+    return f[r]
 
 
 def variation_constant(n: int, c: float, r: int) -> float:
@@ -245,11 +216,15 @@ def variation_constant(n: int, c: float, r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched helpers used by the surface cache (same algebra, vectorized over
-# points; cross-checked against the scalar path in tests)
+# the kernels: sigma, P_r and the traces are computed here and only here, on
+# a stack of points; the pointwise functions above call them on a one-row stack
 
 def batched_elementary(eigs: np.ndarray) -> np.ndarray:
-    """sigma_0..sigma_n per row of an (V, n) eigenvalue array -> (V, n+1)."""
+    """sigma_0..sigma_n per row of an (V, n) eigenvalue array -> (V, n+1).
+
+    The one-pass coefficient recurrence of prod_i (1 + v_i t): numerically
+    stable, no subset enumeration.
+    """
     v, n = eigs.shape
     coeff = np.zeros((v, n + 1))
     coeff[:, 0] = 1.0
@@ -268,12 +243,19 @@ def batched_newton(a: np.ndarray, sigma: np.ndarray, r: int) -> np.ndarray:
     return (p + np.transpose(p, (0, 2, 1))) / 2.0
 
 
+def batched_newton_traces(a: np.ndarray, r: int) -> np.ndarray:
+    """(tr P_r, tr A P_r, tr A^2 P_r) per point for an (V, n, n) operator
+    stack -> (V, 3)."""
+    p = batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r)
+    a2 = np.einsum("vij,vjk->vik", a, a)
+    return np.stack([
+        np.trace(p, axis1=1, axis2=2),
+        np.einsum("vij,vji->v", a, p),
+        np.einsum("vij,vji->v", a2, p),
+    ], axis=1)
+
+
 def batched_stability_constant(a: np.ndarray, c: float, r: int) -> np.ndarray:
     """c*tr(P_r) - tr(A^2 P_r) per point for an (V, n, n) operator stack."""
-    eigs = np.linalg.eigvalsh(a)
-    sigma = batched_elementary(eigs)
-    p = batched_newton(a, sigma, r)
-    tr_p = np.trace(p, axis1=1, axis2=2)
-    a2 = np.einsum("vij,vjk->vik", a, a)
-    tr_a2p = np.einsum("vij,vji->v", a2, p)
-    return c * tr_p - tr_a2p
+    traces = batched_newton_traces(a, r)
+    return c * traces[:, 0] - traces[:, 2]

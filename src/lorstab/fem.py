@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .curvature import batched_newton
+from .lorentz import minkowski_metric
 from .mesh import nested_dissection
-from .surfaces import GraphSurface
+from .surfaces import GraphSurface, scatter_p1
 
 __all__ = [
     "OperatorPair",
@@ -41,8 +42,6 @@ __all__ = [
     "first_eigenvalue_meanzero",
     "smallest_eigenvalues_meanzero",
     "weak_residual",
-    "strong_form_check",
-    "dump_operator",
 ]
 
 
@@ -111,21 +110,15 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     p_vertex = newton_vertex_matrices(surface, r)
     min_eig = float(np.linalg.eigvalsh(p_vertex).min())
 
-    j = np.array([1.0, 1.0, 1.0, -1.0])
+    j = np.diag(minkowski_metric(4))
     frames = cache.frame * j[None, :, None]            # (V, 4, 2), metric applied
-    corner_frames = frames[cache.faces]                # (F, 3, 4, 2)
-    transport = np.einsum("fcia,fib->fcab", corner_frames, cache.face_frame)
-    p_corner = p_vertex[cache.faces]                   # (F, 3, 2, 2)
-    p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_corner, transport).mean(axis=1)
+    transport = np.einsum("fcia,fib->fcab", frames[cache.faces], cache.face_frame)
+    p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[cache.faces], transport).mean(axis=1)
     p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
 
     k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
-    f = cache.faces.shape[0]
-    rows = np.repeat(cache.faces, 3, axis=1).reshape(f, 3, 3)
-    cols = np.tile(cache.faces, (1, 3)).reshape(f, 3, 3)
     nv = cache.vertices.shape[0]
-    k = coo_matrix((k_local.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
-    k = (k + k.T) / 2.0
+    k = scatter_p1(cache.faces, k_local, nv)
 
     if "order" not in surface._memo:
         surface._memo["order"] = nested_dissection(cache.sphere_q, cache.faces)
@@ -268,65 +261,3 @@ def first_eigenvalue_meanzero(
         degenerate=iterations == 0,
         indefinite=lam < -tol * scale,
     )
-
-
-def strong_form_check(surface: GraphSurface, r: int, test_field, battery=None) -> float:
-    """Discrepancy between the analytic operator action on a slice and the
-    assembled weak form, over a battery of test functions.
-
-    ``test_field`` is a HarmonicField; only slices are supported, where the
-    operator action reduces to a known multiple of the Laplace-Beltrami
-    action on the fiber sphere.  Returns the max discrepancy relative to the
-    largest pairing magnitude in the battery.
-    """
-    if not surface.is_slice:
-        raise ValueError("analytic operator action is only closed-form on slices")
-    from math import comb
-
-    from .harmonics import HarmonicField
-
-    slice_surface = surface.as_slice()
-    cache = surface.cache
-    pair = assemble(surface, r)
-    factor = comb(surface.n - 1, r) * np.tanh(surface.s0) ** r
-    radius2 = np.cosh(surface.s0) ** 2
-
-    q = cache.sphere_q
-    f_vals = test_field.value(q)
-    lf = np.zeros_like(f_vals)
-    for l, m, a in test_field.terms:
-        from .harmonics import SphericalHarmonic
-
-        lf += -a * l * (l + 1) * SphericalHarmonic(l, m).value(q)
-    lf = factor * lf / radius2   # analytic action of the order-r operator
-
-    if battery is None:
-        battery = [HarmonicField(constant=1.0)] + [
-            HarmonicField(terms=((l, m, 1.0),)) for l in range(1, 4) for m in range(-l, l + 1)
-        ]
-    lhs = []
-    rhs = []
-    for g in battery:
-        g_vals = g.value(q)
-        lhs.append(float(np.sum(cache.weights * g_vals * lf)))
-        rhs.append(float(-(g_vals @ (pair.stiffness @ f_vals))))
-    lhs = np.array(lhs)
-    rhs = np.array(rhs)
-    kinf = float(np.abs(pair.stiffness.data).max()) if pair.stiffness.nnz else 0.0
-    floor = max(kinf * float(np.abs(f_vals).max()), 1e-30)
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), floor)
-    return float(np.abs(lhs - rhs).max() / scale)
-
-
-def dump_operator(op: OperatorPair, stem) -> None:
-    """Write both matrices in coordinate text format, sorted by (row, col)."""
-    from pathlib import Path
-
-    for name, mat in (("stiffness", op.stiffness), ("mass", op.mass)):
-        coo = mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [
-            f"{coo.row[i]} {coo.col[i]} {format(coo.data[i], '.17g')}"
-            for i in order
-        ]
-        Path(f"{stem}.{name}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -16,12 +16,14 @@ import numpy as np
 __all__ = [
     "minkowski_inner",
     "minkowski_metric",
+    "mdot",
     "DeSitterPoint",
     "GrwCoordinates",
     "ConformalFieldSpec",
     "KillingFieldSpec",
     "grw_embed",
     "grw_extract",
+    "ambient_field",
     "conformal_field",
     "killing_field",
     "normal_geodesic",
@@ -47,6 +49,12 @@ def minkowski_metric(dim: int) -> np.ndarray:
     j = np.eye(dim)
     j[-1, -1] = -1.0
     return j
+
+
+def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched Lorentz inner product along the last axis."""
+    prod = a * b
+    return prod[..., :-1].sum(axis=-1) - prod[..., -1]
 
 
 @dataclass(frozen=True)
@@ -118,21 +126,32 @@ def grw_extract(point: DeSitterPoint) -> GrwCoordinates:
     return GrwCoordinates(s=s, q=q / np.linalg.norm(q))
 
 
+def ambient_field(spec: ConformalFieldSpec | KillingFieldSpec, points: np.ndarray) -> np.ndarray:
+    """Field values at one point, (d,), or at a stack of points, (V, d).
+
+    Conformal: V(p) = a - <p,a> p.  Killing: W(p) = k (<u,p> v - <v,p> u).
+    Both are tangent to the hyperquadric.
+    """
+    if isinstance(spec, ConformalFieldSpec):
+        pa = mdot(points, spec.a)
+        return spec.a - pa[..., None] * points
+    up = mdot(points, spec.u)
+    vp = mdot(points, spec.v)
+    return spec.k * (up[..., None] * spec.v - vp[..., None] * spec.u)
+
+
 def conformal_field(spec: ConformalFieldSpec, point: DeSitterPoint) -> tuple[np.ndarray, float]:
     """Value of the closed conformal field and its conformal factor at a point.
 
     V(p) = a - <p,a> p is tangent to the hyperquadric; the factor is
     psi = -<p,a>  (so nabla_X V = psi X on the hyperquadric).
     """
-    p, a = point.p, spec.a
-    pa = minkowski_inner(p, a)
-    return a - pa * p, -pa
+    return ambient_field(spec, point.p), -float(mdot(point.p, spec.a))
 
 
 def killing_field(spec: KillingFieldSpec, point: DeSitterPoint) -> np.ndarray:
     """W(p) = k (<u,p> v - <v,p> u); always tangent to the hyperquadric."""
-    p = point.p
-    return spec.k * (minkowski_inner(spec.u, p) * spec.v - minkowski_inner(spec.v, p) * spec.u)
+    return ambient_field(spec, point.p)
 
 
 def normal_geodesic(point: DeSitterPoint, normal: np.ndarray, t: float) -> DeSitterPoint:

@@ -38,10 +38,6 @@ class TriangleMesh:
     def nvertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def nfaces(self) -> int:
-        return self.faces.shape[0]
-
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     r = (1.0 + np.sqrt(5.0)) / 2.0

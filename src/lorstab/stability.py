@@ -16,16 +16,9 @@ from math import comb
 import numpy as np
 
 from .curvature import batched_stability_constant
-from .fem import EigenResult, OperatorPair, assemble, first_eigenvalue_meanzero, weak_residual
-from .lorentz import ConformalFieldSpec, KillingFieldSpec
-from .surfaces import (
-    GraphSurface,
-    _consistent_mass,
-    ambient_field,
-    mdot,
-    support_function,
-    tangential_gradient,
-)
+from .fem import EigenResult, assemble, first_eigenvalue_meanzero, weak_residual
+from .lorentz import ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot
+from .surfaces import GraphSurface, _consistent_mass, support_function, tangential_gradient
 
 __all__ = [
     "Tolerances",
@@ -221,7 +214,7 @@ def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec,
                         solver_tol: float = 1e-8) -> float:
     """Weak eigen-defect of the Killing support function at the comparison constant."""
     eta = support_function(surface, spec)
-    field = ambient_field(surface, spec)
+    field = ambient_field(spec, surface.cache.vertices)
     field_scale = float(np.abs(field).max())
     if float(np.abs(eta).max()) <= 1e-10 * max(field_scale, 1e-30):
         raise DegenerateFieldError("Killing field is tangent everywhere; support function vanishes")
@@ -249,7 +242,7 @@ def conformal_identity_check(surface: GraphSurface, r: int, spec: ConformalField
     n_psi = -mdot(cache.normal, spec.a[None, :])
     h_r = cache.mean[:, r]
     h_next = cache.mean[:, r + 1]
-    v_field = ambient_field(surface, spec)
+    v_field = ambient_field(spec, p)
     grad_h = tangential_gradient(surface, h_next)
     v_grad = mdot(v_field, grad_h)
 

@@ -20,10 +20,13 @@ from math import comb, gamma, pi
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .curvature import ShapeSpectrum, batched_elementary, curvature_table
 from .harmonics import HarmonicField, harmonic_basis
-from .lorentz import ConformalFieldSpec, KillingFieldSpec, orthonormal_completion
+from .lorentz import (
+    ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, minkowski_metric, orthonormal_completion,
+)
 from .mesh import TriangleMesh, icosphere, load_mesh, validate_closed_oriented
 
 __all__ = [
@@ -34,12 +37,10 @@ __all__ = [
     "build_slice",
     "build_graph",
     "shape_operator_at",
-    "shape_operator_mesh_estimate",
     "support_function",
     "tangential_gradient",
     "surface_from_mesh_file",
-    "export_surface_mesh",
-    "mdot",
+    "scatter_p1",
     "sphere_area",
 ]
 
@@ -52,12 +53,6 @@ class GraphConstructionError(ValueError):
     def __init__(self, message: str, vertex: int | None = None):
         super().__init__(message)
         self.vertex = vertex
-
-
-def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Lorentz inner product along the last axis."""
-    prod = a * b
-    return prod[..., :-1].sum(axis=-1) - prod[..., -1]
 
 
 def sphere_area(n: int) -> float:
@@ -82,10 +77,6 @@ class SliceSurface:
     @property
     def umbilicity_factor(self) -> float:
         return -np.tanh(self.s0)
-
-    @property
-    def intrinsic_radius(self) -> float:
-        return float(np.cosh(self.s0))
 
     def shape_spectrum(self) -> ShapeSpectrum:
         return ShapeSpectrum(n=self.n, eigenvalues=(self.umbilicity_factor,) * self.n)
@@ -233,18 +224,21 @@ def _face_geometry(vertices: np.ndarray, faces: np.ndarray):
     return area, face_frame, grad
 
 
+def scatter_p1(faces: np.ndarray, local: np.ndarray, nv: int):
+    """Sum per-face (F, 3, 3) element matrices into a symmetrized (nv, nv) CSR
+    matrix: entry (a, b) of face f lands at (faces[f, a], faces[f, b])."""
+    f = faces.shape[0]
+    rows = np.repeat(faces, 3, axis=1).reshape(f, 3, 3)
+    cols = np.tile(faces, (1, 3)).reshape(f, 3, 3)
+    m = coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
+    return (m + m.T) / 2.0
+
+
 def _consistent_mass(faces: np.ndarray, face_weight: np.ndarray, nv: int):
     """P1 mass matrix with a constant weight per face: the face area for the
     plain mass, area times a mean vertex weight for a weighted one."""
-    from scipy.sparse import coo_matrix
-
-    f = faces.shape[0]
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    rows = np.repeat(faces, 3, axis=1).reshape(f, 3, 3)
-    cols = np.tile(faces, (1, 3)).reshape(f, 3, 3)
-    vals = face_weight[:, None, None] * local[None]
-    m = coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
-    return (m + m.T) / 2.0
+    return scatter_p1(faces, face_weight[:, None, None] * local[None], nv)
 
 
 def build_graph(
@@ -378,60 +372,9 @@ def shape_operator_at(surface: GraphSurface, vertex: int) -> ShapeSpectrum:
     return ShapeSpectrum(n=2, matrix=surface.cache.shape[vertex])
 
 
-def _vertex_adjacency(faces: np.ndarray, nv: int) -> list[np.ndarray]:
-    neigh: list[set[int]] = [set() for _ in range(nv)]
-    for a, b, c in faces:
-        neigh[a].update((b, c))
-        neigh[b].update((a, c))
-        neigh[c].update((a, b))
-    return [np.array(sorted(s), dtype=int) for s in neigh]
-
-
-def shape_operator_mesh_estimate(surface: GraphSurface) -> np.ndarray:
-    """Discrete second-fundamental-form fit per vertex, (V, 2, 2).
-
-    Independent of the analytic path: fits II(t, t) = 2 <N, p_j - p_i> over
-    the one-ring in the cached tangent frame.  Used to cross-check the
-    analytic shape operators.
-    """
-    cache = surface.cache
-    nv = cache.vertices.shape[0]
-    adjacency = _vertex_adjacency(cache.faces, nv)
-    j = np.array([1.0, 1.0, 1.0, -1.0])
-    out = np.empty((nv, 2, 2))
-    for i in range(nv):
-        delta = cache.vertices[adjacency[i]] - cache.vertices[i]
-        t = (delta * j) @ cache.frame[i]          # (k, 2) tangential components
-        rhs = 2.0 * mdot(delta, np.broadcast_to(cache.normal[i], delta.shape))
-        design = np.stack([t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2], axis=1)
-        coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        out[i] = [[coef[0], coef[1]], [coef[1], coef[2]]]
-    return out
-
-
 def support_function(surface: GraphSurface, spec: ConformalFieldSpec | KillingFieldSpec) -> np.ndarray:
     """Normal component of the ambient field along the surface, per vertex."""
-    cache = surface.cache
-    p = cache.vertices
-    if isinstance(spec, ConformalFieldSpec):
-        pa = mdot(p, spec.a[None, :])
-        field_values = spec.a[None, :] - pa[:, None] * p
-    else:
-        up = mdot(p, spec.u[None, :])
-        vp = mdot(p, spec.v[None, :])
-        field_values = spec.k * (up[:, None] * spec.v[None, :] - vp[:, None] * spec.u[None, :])
-    return mdot(field_values, cache.normal)
-
-
-def ambient_field(surface: GraphSurface, spec: ConformalFieldSpec | KillingFieldSpec) -> np.ndarray:
-    """Field values at the vertices, (V, 4)."""
-    p = surface.cache.vertices
-    if isinstance(spec, ConformalFieldSpec):
-        pa = mdot(p, spec.a[None, :])
-        return spec.a[None, :] - pa[:, None] * p
-    up = mdot(p, spec.u[None, :])
-    vp = mdot(p, spec.v[None, :])
-    return spec.k * (up[:, None] * spec.v[None, :] - vp[:, None] * spec.u[None, :])
+    return mdot(ambient_field(spec, surface.cache.vertices), surface.cache.normal)
 
 
 def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray:
@@ -450,7 +393,7 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
         np.add.at(acc, faces[:, corner], grad_face * w[:, None])
         np.add.at(wacc, faces[:, corner], w)
     acc /= wacc[:, None]
-    j = np.array([1.0, 1.0, 1.0, -1.0])
+    j = np.diag(minkowski_metric(4))
     comps = np.einsum("vi,via->va", acc * j, cache.frame)
     return np.einsum("via,va->vi", cache.frame, comps)
 
@@ -471,7 +414,7 @@ def surface_from_mesh_file(
     tri = load_mesh(path)
     axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
     frame_map = orthonormal_completion(axis)
-    j = np.diag([1.0, 1.0, 1.0, -1.0])
+    j = minkowski_metric(4)
     inv = j @ frame_map.T @ j
     can = tri.vertices @ inv.T
     norms = mdot(tri.vertices, tri.vertices)
@@ -498,9 +441,3 @@ def surface_from_mesh_file(
     )
     surf = build_graph(float(coef[0]), perturbations=terms, axis=axis, base=(q, tri.faces))
     return surf, residual
-
-
-def export_surface_mesh(path: str | Path, surface: GraphSurface) -> None:
-    from .mesh import save_mesh
-
-    save_mesh(path, surface.mesh)

@@ -21,12 +21,12 @@ from math import comb
 
 import numpy as np
 
-from .curvature import variation_constant
+from .curvature import r_area_integrand, variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
-from .mesh import TriangleMesh
+from .lorentz import mdot
 from .stability import jacobi_second_variation
-from .surfaces import GraphConstructionError, GraphSurface, build_graph, mdot
+from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
 __all__ = [
     "FlowError",
@@ -112,10 +112,6 @@ class FunctionalTrace:
     second_wide: float
 
     @property
-    def richardson_first(self) -> float:
-        return abs(self.first_central - self.first_wide) / 3.0
-
-    @property
     def richardson_second(self) -> float:
         return abs(self.second_central - self.second_wide) / 3.0
 
@@ -150,35 +146,9 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
     return snap
 
 
-def flow_rule_positions(variation: NormalVariation, t: float) -> np.ndarray:
-    """cosh(t f) p + sinh(t f) N from the base data; the flow must match it."""
-    cache = variation.base.cache
-    f = variation.values()
-    tf = t * f
-    return np.cosh(tf)[:, None] * cache.vertices + np.sinh(tf)[:, None] * cache.normal
-
-
-def _area_integrand(surface: GraphSurface, r: int, c: float) -> np.ndarray:
-    """F_r per vertex from the elementary symmetric fields."""
-    sigma = surface.cache.sigma
-    n = surface.n
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"order r={r} out of range [0, {n - 1}]")
-    f_prev2 = np.ones(sigma.shape[0])
-    if r == 0:
-        return f_prev2
-    f_prev = -sigma[:, 1]
-    if r == 1:
-        return f_prev
-    for k in range(2, r + 1):
-        f_cur = (-1.0) ** k * sigma[:, k] - c * (n - k + 1) / (k - 1) * f_prev2
-        f_prev2, f_prev = f_prev, f_cur
-    return f_prev
-
-
 def r_area(surface: GraphSurface, r: int, c: float = 1.0) -> float:
     """Order-r area functional: vertex quadrature of F_r against the area weights."""
-    return float(np.sum(surface.cache.weights * _area_integrand(surface, r, c)))
+    return float(np.sum(surface.cache.weights * r_area_integrand(surface.cache.sigma, c, r)))
 
 
 _BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])

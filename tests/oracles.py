@@ -1,16 +1,21 @@
 """Reference implementations kept as test oracles.
 
-Each function here is an earlier, plainer form of a library routine that was
-later rewritten for speed.  They compute the same quantity by the direct
-method, so the tests can check the fast routine against them.
+Most functions here are an earlier, plainer form of a library routine that
+was later rewritten for speed; they compute the same quantity by the direct
+method, so the tests can check the fast routine against them.  The last three
+are independent cross-checks of the pipeline's geometry and operators, built
+from the discrete mesh or a closed form rather than the analytic path.
 """
+
+from math import comb
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from lorstab.fem import SolverError, _project_meanzero, weak_residual
+from lorstab.fem import SolverError, _project_meanzero, assemble, weak_residual
+from lorstab.harmonics import HarmonicField, SphericalHarmonic
+from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _icosahedron
-from lorstab.surfaces import mdot
 from lorstab.variation import _BARY, _ORIENTATION, FlowError
 
 
@@ -177,3 +182,82 @@ def smallest_eigenvalues_reference(op, k=1, tol=1e-8, maxiter=500, seed=0):
         if vectors[lead, i] < 0:
             vectors[:, i] = -vectors[:, i]
     return values[:k], vectors, iterations, residuals
+
+
+def _vertex_adjacency(faces, nv):
+    neigh = [set() for _ in range(nv)]
+    for a, b, c in faces:
+        neigh[a].update((b, c))
+        neigh[b].update((a, c))
+        neigh[c].update((a, b))
+    return [np.array(sorted(s), dtype=int) for s in neigh]
+
+
+def shape_operator_mesh_estimate(surface):
+    """Discrete second-fundamental-form fit per vertex, (V, 2, 2).
+
+    Independent of the analytic path: fits II(t, t) = 2 <N, p_j - p_i> over
+    the one-ring in the cached tangent frame.  Used to cross-check the
+    analytic shape operators.
+    """
+    cache = surface.cache
+    nv = cache.vertices.shape[0]
+    adjacency = _vertex_adjacency(cache.faces, nv)
+    j = np.diag(minkowski_metric(4))
+    out = np.empty((nv, 2, 2))
+    for i in range(nv):
+        delta = cache.vertices[adjacency[i]] - cache.vertices[i]
+        t = (delta * j) @ cache.frame[i]          # (k, 2) tangential components
+        rhs = 2.0 * mdot(delta, np.broadcast_to(cache.normal[i], delta.shape))
+        design = np.stack([t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2], axis=1)
+        coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+        out[i] = [[coef[0], coef[1]], [coef[1], coef[2]]]
+    return out
+
+
+def strong_form_check(surface, r, test_field, battery=None):
+    """Discrepancy between the analytic operator action on a slice and the
+    assembled weak form, over a battery of test functions.
+
+    ``test_field`` is a HarmonicField; only slices are supported, where the
+    operator action reduces to a known multiple of the Laplace-Beltrami
+    action on the fiber sphere.  Returns the max discrepancy relative to the
+    largest pairing magnitude in the battery.
+    """
+    if not surface.is_slice:
+        raise ValueError("analytic operator action is only closed-form on slices")
+    cache = surface.cache
+    pair = assemble(surface, r)
+    factor = comb(surface.n - 1, r) * np.tanh(surface.s0) ** r
+    radius2 = np.cosh(surface.s0) ** 2
+
+    q = cache.sphere_q
+    f_vals = test_field.value(q)
+    lf = np.zeros_like(f_vals)
+    for l, m, a in test_field.terms:
+        lf += -a * l * (l + 1) * SphericalHarmonic(l, m).value(q)
+    lf = factor * lf / radius2   # analytic action of the order-r operator
+
+    if battery is None:
+        battery = [HarmonicField(constant=1.0)] + [
+            HarmonicField(terms=((l, m, 1.0),)) for l in range(1, 4) for m in range(-l, l + 1)
+        ]
+    lhs = []
+    rhs = []
+    for g in battery:
+        g_vals = g.value(q)
+        lhs.append(float(np.sum(cache.weights * g_vals * lf)))
+        rhs.append(float(-(g_vals @ (pair.stiffness @ f_vals))))
+    lhs = np.array(lhs)
+    rhs = np.array(rhs)
+    kinf = float(np.abs(pair.stiffness.data).max()) if pair.stiffness.nnz else 0.0
+    floor = max(kinf * float(np.abs(f_vals).max()), 1e-30)
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), floor)
+    return float(np.abs(lhs - rhs).max() / scale)
+
+
+def flow_rule_positions(variation, t):
+    """cosh(t f) p + sinh(t f) N from the base data; the flow must match it."""
+    cache = variation.base.cache
+    tf = t * variation.values()
+    return np.cosh(tf)[:, None] * cache.vertices + np.sinh(tf)[:, None] * cache.normal

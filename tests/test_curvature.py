@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorstab as ls
-from lorstab.curvature import batched_elementary, batched_newton, batched_stability_constant
+from lorstab.curvature import batched_elementary, batched_newton, batched_stability_constant, r_area_integrand
 
 from conftest import random_shape
 
@@ -204,16 +204,29 @@ class TestStabilityConstant:
 class TestAreaIntegrandAndVariationConstant:
     def test_low_orders(self):
         table = ls.curvature_table(ls.ShapeSpectrum(n=4, eigenvalues=(1.0, 2.0, -1.0, 0.5)))
-        assert ls.r_area_integrand(table, 1.0, 0) == 1.0
-        assert ls.r_area_integrand(table, 1.0, 1) == pytest.approx(-table.elementary[1])
+        assert ls.r_area_integrand(table.elementary, 1.0, 0) == 1.0
+        assert ls.r_area_integrand(table.elementary, 1.0, 1) == pytest.approx(-table.elementary[1])
 
     def test_second_order_example(self):
         # n=3, c=1, sigma_2 = 6: F_2 = sigma_2 - c (n-1) F_0
         shape = ls.ShapeSpectrum(n=3, eigenvalues=(1.0, 2.0, 0.8))
         table = ls.curvature_table(shape)
         s2 = table.elementary[2]
-        assert ls.r_area_integrand(table, 1.0, 2) == pytest.approx(s2 - 2.0)
+        assert ls.r_area_integrand(table.elementary, 1.0, 2) == pytest.approx(s2 - 2.0)
         assert s2 == pytest.approx(1 * 2 + 1 * 0.8 + 2 * 0.8)
+
+    def test_stack_matches_rows(self, rng):
+        # n = 4 reaches r = 3, so the F_{r-2} recurrence runs past r = 1
+        n = 4
+        sigma = batched_elementary(rng.uniform(-2.0, 2.0, size=(25, n)))
+        for c in (1.0, -0.5):
+            for r in range(n):
+                stack = r_area_integrand(sigma, c, r)
+                assert stack.shape == (25,)
+                rows = np.array([r_area_integrand(row, c, r) for row in sigma])
+                assert np.array_equal(stack, rows)
+        # F_3 = -sigma_3 - c (n - 2) / 2 * F_1 with F_1 = -sigma_1, n = 4, c = 1
+        assert r_area_integrand(sigma, 1.0, 3) == pytest.approx(sigma[:, 1] - sigma[:, 3], rel=1e-14)
 
     def test_variation_constant_values(self):
         assert ls.variation_constant(2, 1.0, 0) == 0.0
@@ -225,7 +238,7 @@ class TestAreaIntegrandAndVariationConstant:
     def test_range_errors(self):
         table = ls.curvature_table(ls.ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0)))
         with pytest.raises(ValueError):
-            ls.r_area_integrand(table, 1.0, 2)
+            ls.r_area_integrand(table.elementary, 1.0, 2)
         with pytest.raises(ValueError):
             ls.variation_constant(2, 1.0, 2)
 
@@ -250,16 +263,22 @@ class TestShapeSpectrumValidation:
 
 class TestBatchedHelpers:
     def test_batched_matches_scalar(self, rng):
-        shapes = [random_shape(rng, 2) for _ in range(40)]
-        stack = np.stack([s.matrix for s in shapes])
-        eigs = np.linalg.eigvalsh(stack)
-        sigma = batched_elementary(eigs)
-        for i, s in enumerate(shapes):
-            table = ls.curvature_table(s)
-            assert sigma[i] == pytest.approx(np.array(table.elementary), rel=1e-10, abs=1e-12)
-        for r in (0, 1):
-            p = batched_newton(stack, sigma, r)
-            lam = batched_stability_constant(stack, 1.0, r)
+        """The kernels on a stack against the independent oracles, row by row."""
+        for n in range(2, 7):
+            shapes = [random_shape(rng, n) for _ in range(12)]
+            stack = np.stack([s.matrix for s in shapes])
+            sigma = batched_elementary(np.linalg.eigvalsh(stack))
             for i, s in enumerate(shapes):
-                assert p[i] == pytest.approx(ls.newton_transform(s, r).matrix, rel=1e-10, abs=1e-12)
-                assert lam[i] == pytest.approx(ls.stability_constant(s, 1.0, r), rel=1e-10, abs=1e-10)
+                want = [sigma_bruteforce(s.values(), k) for k in range(n + 1)]
+                assert sigma[i] == pytest.approx(want, rel=1e-10, abs=1e-10)
+            for r in range(n + 1):
+                p = batched_newton(stack, sigma, r)
+                for i, s in enumerate(shapes):
+                    want = newton_bruteforce(s.matrix, r)
+                    assert np.abs(p[i] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+            for r in range(n):
+                for c in (1.0, -0.7):
+                    lam = batched_stability_constant(stack, c, r)
+                    for i, s in enumerate(shapes):
+                        want = ls.stability_constant_binomial(s, c, r)
+                        assert abs(lam[i] - want) <= 1e-10 * max(1.0, abs(lam[i]), abs(want))

