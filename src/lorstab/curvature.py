@@ -147,7 +147,8 @@ def newton_traces(shape: ShapeSpectrum, r: int) -> tuple[float, float, float]:
     n = shape.n
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r={r} out of range [0, {n - 1}]")
-    return tuple(float(x) for x in batched_newton_traces(shape.operator()[None], r)[0])
+    traces = batched_newton_traces(shape.operator()[None], newton_transform(shape, r).matrix[None])
+    return tuple(float(x) for x in traces[0])
 
 
 def stability_constant(shape: ShapeSpectrum, c: float, r: int) -> float:
@@ -239,23 +240,21 @@ def batched_newton(a: np.ndarray, sigma: np.ndarray, r: int) -> np.ndarray:
     eye = np.broadcast_to(np.eye(n), (v, n, n))
     p = np.array(eye)
     for k in range(1, r + 1):
-        p = (-1.0) ** k * sigma[:, k, None, None] * eye + np.einsum("vij,vjk->vik", a, p)
+        p = (-1.0) ** k * sigma[:, k, None, None] * eye + a @ p
     return (p + np.transpose(p, (0, 2, 1))) / 2.0
 
 
-def batched_newton_traces(a: np.ndarray, r: int) -> np.ndarray:
-    """(tr P_r, tr A P_r, tr A^2 P_r) per point for an (V, n, n) operator
-    stack -> (V, 3)."""
-    p = batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r)
-    a2 = np.einsum("vij,vjk->vik", a, a)
+def batched_newton_traces(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(tr P, tr A P, tr A^2 P) per point for an (V, n, n) operator stack and
+    its Newton transformations P (``batched_newton``) -> (V, 3)."""
     return np.stack([
         np.trace(p, axis1=1, axis2=2),
         np.einsum("vij,vji->v", a, p),
-        np.einsum("vij,vji->v", a2, p),
+        np.einsum("vij,vji->v", a @ a, p),
     ], axis=1)
 
 
 def batched_stability_constant(a: np.ndarray, c: float, r: int) -> np.ndarray:
     """c*tr(P_r) - tr(A^2 P_r) per point for an (V, n, n) operator stack."""
-    traces = batched_newton_traces(a, r)
+    traces = batched_newton_traces(a, batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r))
     return c * traces[:, 0] - traces[:, 2]

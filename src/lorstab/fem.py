@@ -10,15 +10,17 @@ symmetric forms on piecewise-linear mesh functions:
 so that the constrained first eigenvalue is the minimum of (f'Kf)/(f'Mf)
 over mean-zero f, matching the Rayleigh quotient of the stability
 criterion after one integration by parts.  Constants are annihilated by K
-up to roundoff; they are deflated, never part of the reported spectrum.
+up to roundoff and deflated.  Element matrices are 2x2 products per face,
+formed over blocks of faces so that no large temporary outlives assembly.
 
 The spectrum is computed by ARPACK's shift-invert Lanczos (Lehoucq, Sorensen
-& Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero.  Each
-application of the inverse is one sparse LU solve with K + shift M followed
-by the mass-orthogonal projection onto mean-zero functions, so the constant
-mode is deflated exactly.  The LU factor is computed on the matrix permuted
-by the mesh's nested-dissection order, which ``assemble`` attaches to the
-operator pair, with no further column permutation.
+& Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero, to a
+relative accuracy scaled from the solver tolerance.  Each application of the
+inverse is one sparse LU solve with K + shift M followed by the
+mass-orthogonal projection onto mean-zero functions, so the constant mode is
+deflated exactly.  The LU factor is computed on the matrix permuted by the
+mesh's nested-dissection order, which ``assemble`` attaches to the operator
+pair, with no further column permutation.
 """
 
 from __future__ import annotations
@@ -110,14 +112,21 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     p_vertex = newton_vertex_matrices(surface, r)
     min_eig = float(np.linalg.eigvalsh(p_vertex).min())
 
+    # per 4096 faces: T_c = E_c^T J F per corner, P = mean of T_c^T P_c T_c, area G^T P G
     j = np.diag(minkowski_metric(4))
     frames = cache.frame * j[None, :, None]            # (V, 4, 2), metric applied
-    transport = np.einsum("fcia,fib->fcab", frames[cache.faces], cache.face_frame)
-    p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[cache.faces], transport).mean(axis=1)
-    p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
-
-    k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
-    nv = cache.vertices.shape[0]
+    nv, nf = cache.vertices.shape[0], cache.faces.shape[0]
+    k_local = np.empty((nf, 3, 3))
+    for start in range(0, nf, 4096):
+        f = slice(start, start + 4096)
+        p_face = 0.0
+        for corner in range(3):
+            idx = cache.faces[f, corner]
+            t = frames[idx].transpose(0, 2, 1) @ cache.face_frame[f]
+            p_face = p_face + t.transpose(0, 2, 1) @ (p_vertex[idx] @ t)
+        p_face = (p_face + p_face.transpose(0, 2, 1)) / 6.0
+        g = cache.face_grad[f]
+        k_local[f] = cache.face_area[f, None, None] * (g.transpose(0, 2, 1) @ (p_face @ g))
     k = scatter_p1(cache.faces, k_local, nv)
 
     if "order" not in surface._memo:
@@ -163,11 +172,12 @@ def smallest_eigenvalues_meanzero(
     nested-dissection order with the NATURAL column order, followed by the
     mass-orthogonal projection onto mean-zero functions; the start vector is
     the projected standard normal vector of ``default_rng(seed)``, so runs
-    are deterministic.  ARPACK iterates to machine precision (``tol=0``) for
-    at most ``maxiter`` implicit restarts; each vector is then accepted only
-    if its ``weak_residual`` is below ``tol``.  If the spectrum reaches below
-    the shift window (an indefinite operator), the shift is widened by 100
-    and the solve repeated, up to four times.
+    are deterministic.  ARPACK stops at relative accuracy tol / (lam_scale +
+    shift), which K + shift M maps to a weak residual near ``tol`` (at 0 for
+    k > 1: an early stop can miss copies of a multiple eigenvalue), within
+    ``maxiter`` restarts; each vector is accepted only if its ``weak_residual``
+    is below ``tol``.  If the spectrum reaches below the shift window (an
+    indefinite operator), the shift is widened by 100, up to four times.
 
     Returns (values, vectors, iterations, residuals): values ascending,
     vectors mass-orthonormal and mean-zero, each signed so that its entry of
@@ -207,7 +217,7 @@ def smallest_eigenvalues_meanzero(
             values, vectors = eigsh(
                 kk, k, M=mm, sigma=-shift, which="LM", v0=x0,
                 OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
-                tol=0, maxiter=maxiter,
+                tol=tol / (lam_scale + shift) if k == 1 else 0.0, maxiter=maxiter,
             )
         except ArpackNoConvergence as err:
             found = err.eigenvectors.shape[1]

@@ -10,6 +10,8 @@ derivatives:
 
 Orthonormal on the unit sphere; m > 0 are the cos-type, m < 0 the sin-type
 sectors.  No Condon-Shortley phase.
+A field is evaluated per block of points as one monomial table times stacked
+coefficient rows (``_jet_rows``); the projections above then act on the sums.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ class _Poly:
             items = [((0, 0, 0), 0.0)]
         self.exps = np.array([e for e, _ in items], dtype=int)
         self.coeffs = np.array([c for _, c in items], dtype=float)
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        mono = np.prod(pts[:, None, :] ** self.exps[None, :, :], axis=2)
-        return mono @ self.coeffs
 
     def diff(self, axis: int) -> "_Poly":
         terms: dict[tuple[int, int, int], float] = {}
@@ -121,38 +118,22 @@ def _harmonic_poly(l: int, m: int) -> _Poly:
     return _Poly({e: float(c) * norm for e, c in terms.items()})
 
 
-@dataclass(frozen=True)
-class SphericalHarmonic:
-    """One orthonormal real harmonic Y_{l,m} with exact sphere derivatives."""
+_ROW, _COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])  # xx, xy, xz, yy, yz, zz
+_HESSIAN = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])                  # those six as a 3x3 form
 
-    l: int
-    m: int
 
-    @property
-    def poly(self) -> _Poly:
-        return _harmonic_poly(self.l, self.m)
-
-    def value(self, q: np.ndarray) -> np.ndarray:
-        return self.poly(q)
-
-    def sphere_gradient(self, q: np.ndarray) -> np.ndarray:
-        """Tangential gradient at unit points q, shape (V, 3)."""
-        q = np.atleast_2d(q)
-        grad = np.stack([self.poly.diff(axis)(q) for axis in range(3)], axis=1)
-        return grad - self.l * self.value(q)[:, None] * q
-
-    def sphere_hessian(self, q: np.ndarray) -> np.ndarray:
-        """Intrinsic Hessian as an ambient (V, 3, 3) form on tangent vectors."""
-        q = np.atleast_2d(q)
-        v = q.shape[0]
-        hess = np.empty((v, 3, 3))
-        for i in range(3):
-            di = self.poly.diff(i)
-            for j in range(i, 3):
-                hess[:, i, j] = hess[:, j, i] = di.diff(j)(q)
-        proj = np.eye(3)[None] - q[:, :, None] * q[:, None, :]
-        hess = np.einsum("vij,vjk,vkl->vil", proj, hess, proj)
-        return hess - self.l * self.value(q)[:, None, None] * proj
+@lru_cache(maxsize=None)
+def _jet_rows(l: int, m: int) -> dict[tuple[int, int, int], np.ndarray]:
+    """Monomial exponents -> coefficients (11,) of that monomial in R, l R,
+    dR/dx, dR/dy, dR/dz and the second derivatives xx, xy, xz, yy, yz, zz of Y_{l,m}."""
+    poly = _harmonic_poly(l, m)
+    first = [poly.diff(axis) for axis in range(3)]
+    polys = [poly, poly, *first, *(first[i].diff(j) for i, j in zip(_ROW, _COL))]
+    rows: dict[tuple[int, int, int], np.ndarray] = {}
+    for row, p in enumerate(polys):
+        for e, c in zip(p.exps.tolist(), p.coeffs):
+            rows.setdefault(tuple(e), np.zeros(11))[row] += c * (l if row == 1 else 1)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -186,26 +167,62 @@ class HarmonicField:
             terms=self.terms + tuple((l, m, factor * a) for l, m, a in other.terms),
         )
 
+    def _jets(self, q: np.ndarray, rows: list[int]):
+        """Yield (slice, points, jets): the listed ``_jet_rows`` over the terms, per 4096 points."""
+        table = {(0, 0, 0): np.zeros(11)}
+        for l, m, a in self.terms:
+            for e, row in _jet_rows(l, m).items():
+                table[e] = table.get(e, 0.0) + a * row
+        coeff = np.array(list(table.values()))[:, rows]
+        keep = coeff.any(axis=1)
+        exps, coeff = np.array(list(table))[keep], coeff[keep]
+        degree = int(exps.max(initial=0))
+        blocks = range(0, q.shape[0], 4096) if keep.any() else ()   # no jets: the sums stay 0
+        for start in blocks:
+            p = q[start : start + 4096]
+            powers = np.ones((3, p.shape[0], degree + 1))
+            powers[:, :, 1:] = p.T[:, :, None]
+            np.cumprod(powers, axis=2, out=powers)
+            mono = powers[0][:, exps[:, 0]] * powers[1][:, exps[:, 1]] * powers[2][:, exps[:, 2]]
+            yield slice(start, start + p.shape[0]), p, mono @ coeff
+
     def value(self, q: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(q)
         out = np.full(q.shape[0], self.constant)
-        for l, m, a in self.terms:
-            out += a * SphericalHarmonic(l, m).value(q)
+        for rows, _, jets in self._jets(q, [0]):
+            out[rows] += jets[:, 0]
         return out
 
     def sphere_gradient(self, q: np.ndarray) -> np.ndarray:
+        """Tangential gradient grad R - (sum a l R) q at unit points q, (V, 3)."""
         q = np.atleast_2d(q)
         out = np.zeros((q.shape[0], 3))
-        for l, m, a in self.terms:
-            out += a * SphericalHarmonic(l, m).sphere_gradient(q)
+        for rows, p, jets in self._jets(q, [1, 2, 3, 4]):
+            out[rows] = jets[:, 1:] - jets[:, :1] * p
         return out
 
     def sphere_hessian(self, q: np.ndarray) -> np.ndarray:
+        """Intrinsic Hessian P H P - (sum a l R) P, P = I - q q^T, as a (V, 3, 3) form:
+        H - w q^T - q w^T - (sum a l R) I with w = H q - (q^T H q + sum a l R) q / 2."""
         q = np.atleast_2d(q)
         out = np.zeros((q.shape[0], 3, 3))
-        for l, m, a in self.terms:
-            out += a * SphericalHarmonic(l, m).sphere_hessian(q)
+        for rows, p, jets in self._jets(q, [1, 5, 6, 7, 8, 9, 10]):
+            lr, upper = jets[:, :1], jets[:, 1:]
+            hq = (upper[:, _HESSIAN] @ p[:, :, None])[:, :, 0]
+            w = hq - 0.5 * (np.sum(hq * p, axis=1, keepdims=True) + lr) * p
+            upper = upper - w[:, _ROW] * p[:, _COL] - p[:, _ROW] * w[:, _COL] - lr * (_ROW == _COL)
+            out[rows] = upper[:, _HESSIAN]
         return out
+
+
+class SphericalHarmonic(HarmonicField):
+    """One orthonormal real harmonic Y_{l,m}: the one-term field."""
+
+    def __init__(self, l: int, m: int):
+        super().__init__(terms=((l, m, 1.0),))
+
+    l = property(lambda self: self.terms[0][0])
+    m = property(lambda self: self.terms[0][1])
 
 
 def harmonic_basis(l_max: int, l_min: int = 0) -> list[SphericalHarmonic]:

@@ -4,8 +4,8 @@ the second-variation quadratic form, and the field identity checks.
 The verdict is three-valued.  The eigenvalue criterion is an equivalence
 only under its hypotheses (positive constant next-order mean curvature,
 constant comparison field, surface on one side of the equator, conformal
-divergence nonvanishing), so hypothesis failure is reported as its own
-outcome rather than mapped to "unstable".
+divergence nonvanishing, P_r positive definite), so hypothesis failure is
+reported as its own outcome rather than mapped to "unstable".
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from math import comb
 
 import numpy as np
 
-from .curvature import batched_stability_constant
-from .fem import EigenResult, assemble, first_eigenvalue_meanzero, weak_residual
+from .curvature import batched_newton_traces
+from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
 from .lorentz import ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot
 from .surfaces import GraphSurface, _consistent_mass, support_function, tangential_gradient
 
@@ -89,10 +89,11 @@ class QuadraticFormSample:
 
 
 def stability_field(surface: GraphSurface, r: int, c: float = 1.0) -> np.ndarray:
-    """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r)."""
+    """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r), on the memoized P_r."""
     key = ("stability_field", r, c)
     if key not in surface._memo:
-        surface._memo[key] = batched_stability_constant(surface.cache.shape, c, r)
+        traces = batched_newton_traces(surface.cache.shape, newton_vertex_matrices(surface, r))
+        surface._memo[key] = c * traces[:, 0] - traces[:, 2]
     return surface._memo[key]
 
 
@@ -144,6 +145,7 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
         and lam_residual <= tolerances.constancy
         and chronology in ("future", "past")
         and psi_min_abs > _PSI_FLOOR
+        and pair.min_newton_eig > 0.0
     )
     if not hypotheses_ok:
         verdict = "hypotheses-violated"

@@ -149,11 +149,6 @@ class GraphSurface:
     def level(self) -> int | None:
         return self.mesh.level
 
-    def as_slice(self) -> SliceSurface:
-        if not self.is_slice:
-            raise ValueError("surface carries nonzero perturbations")
-        return SliceSurface(n=2, s0=self.s0, axis=self.axis)
-
 
 def _vertex_sphere_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent frames on the unit sphere from projected fixed
@@ -289,9 +284,10 @@ def build_graph(
     w1, w2 = _vertex_sphere_frames(q)
     u1 = np.einsum("vi,vi->v", g, w1)
     u2 = np.einsum("vi,vi->v", g, w2)
-    h11 = np.einsum("vi,vij,vj->v", w1, hs, w1)
-    h12 = np.einsum("vi,vij,vj->v", w1, hs, w2)
-    h22 = np.einsum("vi,vij,vj->v", w2, hs, w2)
+    h = np.empty((q.shape[0], 2, 2))                  # Hessian in the (w1, w2) frame
+    h[:, 0, 0] = np.einsum("vi,vij,vj->v", w1, hs, w1)
+    h[:, 0, 1] = h[:, 1, 0] = np.einsum("vi,vij,vj->v", w1, hs, w2)
+    h[:, 1, 1] = np.einsum("vi,vij,vj->v", w2, hs, w2)
 
     v = q.shape[0]
     alpha = phi / np.sqrt(margin)
@@ -309,27 +305,26 @@ def build_graph(
     g11m = phi * phi - u1 * u1
     g12m = -u1 * u2
     g22m = phi * phi - u2 * u2
-    b = np.empty((v, 2, 2))
-    b[:, 0, 0] = alpha * (-h11 - sinh_u * phi + 2.0 * tanh_u * u1 * u1)
-    b[:, 0, 1] = b[:, 1, 0] = alpha * (-h12 + 2.0 * tanh_u * u1 * u2)
-    b[:, 1, 1] = alpha * (-h22 - sinh_u * phi + 2.0 * tanh_u * u2 * u2)
+    b00 = alpha * (-h[:, 0, 0] - sinh_u * phi + 2.0 * tanh_u * u1 * u1)
+    b01 = alpha * (-h[:, 0, 1] + 2.0 * tanh_u * u1 * u2)
+    b11 = alpha * (-h[:, 1, 1] - sinh_u * phi + 2.0 * tanh_u * u2 * u2)
 
     l11 = np.sqrt(g11m)
     l21 = g12m / l11
     l22 = np.sqrt(g22m - l21 * l21)
-    # A = L^-1 B L^-T in the orthonormalized frame; E = [X1, X2] L^-T
-    inv_l = np.zeros((v, 2, 2))
-    inv_l[:, 0, 0] = 1.0 / l11
-    inv_l[:, 1, 0] = -l21 / (l11 * l22)
-    inv_l[:, 1, 1] = 1.0 / l22
-    shape = np.einsum("vab,vbc,vdc->vad", inv_l, b, inv_l)
-    shape = (shape + np.transpose(shape, (0, 2, 1))) / 2.0
-    frame_can = np.einsum("vib,vab->via", np.stack([x1, x2], axis=2), inv_l)
+    # A = L^-1 B L^-T in the orthonormalized frame and E = [X1, X2] L^-T,
+    # with L^-1 = [[i00, 0], [i10, i11]] lower triangular
+    i00, i10, i11 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+    shape = np.empty((v, 2, 2))
+    shape[:, 0, 0] = i00 * i00 * b00
+    shape[:, 0, 1] = shape[:, 1, 0] = i00 * (i10 * b00 + i11 * b01)
+    shape[:, 1, 1] = i10 * (i10 * b00 + i11 * b01) + i11 * (i10 * b01 + i11 * b11)
+    frame_can = np.stack([i00[:, None] * x1, i10[:, None] * x1 + i11[:, None] * x2], axis=2)
 
     # carry everything to ambient coordinates of the requested axis
     verts = verts_can @ frame_map.T
     normal = normal_can @ frame_map.T
-    frame = np.einsum("ij,vja->via", frame_map, frame_can)
+    frame = frame_map @ frame_can
 
     eigs = np.linalg.eigvalsh(shape)
     sigma = batched_elementary(eigs)

@@ -94,9 +94,6 @@ class VariationCheck:
     richardson: float = float("nan")
     max_error: float = float("nan")
 
-    def row(self) -> tuple:
-        return (self.check, self.h, self.level, self.lhs, self.rhs, self.rel_error)
-
 
 @dataclass(frozen=True)
 class FunctionalTrace:

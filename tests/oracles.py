@@ -12,11 +12,58 @@ from math import comb
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from lorstab.fem import SolverError, _project_meanzero, assemble, weak_residual
-from lorstab.harmonics import HarmonicField, SphericalHarmonic
+from lorstab.fem import SolverError, _project_meanzero, assemble, newton_vertex_matrices, weak_residual
+from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _icosahedron
+from lorstab.surfaces import scatter_p1
 from lorstab.variation import _BARY, _ORIENTATION, FlowError
+
+
+def _poly_values(poly, q):
+    """One polynomial at every point, from a (V, T, 3) array of powers."""
+    mono = np.prod(q[:, None, :] ** poly.exps[None, :, :], axis=2)
+    return mono @ poly.coeffs
+
+
+def harmonic_jets_reference(field, q):
+    """Value, tangential gradient and intrinsic Hessian of a HarmonicField,
+    summed term by term: each harmonic evaluates its own derivative
+    polynomials and is projected onto the tangent plane on its own."""
+    q = np.atleast_2d(q)
+    v = q.shape[0]
+    value = np.full(v, field.constant)
+    grad = np.zeros((v, 3))
+    hess = np.zeros((v, 3, 3))
+    proj = np.eye(3)[None] - q[:, :, None] * q[:, None, :]
+    for l, m, a in field.terms:
+        poly = _harmonic_poly(l, m)
+        y = _poly_values(poly, q)
+        value += a * y
+        g = np.stack([_poly_values(poly.diff(axis), q) for axis in range(3)], axis=1)
+        grad += a * (g - l * y[:, None] * q)
+        h = np.empty((v, 3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                h[:, i, j] = h[:, j, i] = _poly_values(poly.diff(i).diff(j), q)
+        h = np.einsum("vij,vjk,vkl->vil", proj, h, proj)
+        hess += a * (h - l * y[:, None, None] * proj)
+    return value, grad, hess
+
+
+def assemble_stiffness_reference(surface, r):
+    """Order-r stiffness matrix by three einsum contractions on (F, 3, 2, 2)
+    stacks: transport of each corner frame into the face frame, the corner
+    mean of T^T P_r T, and area * G^T P G."""
+    cache = surface.cache
+    p_vertex = newton_vertex_matrices(surface, r)
+    j = np.diag(minkowski_metric(4))
+    frames = cache.frame * j[None, :, None]
+    transport = np.einsum("fcia,fib->fcab", frames[cache.faces], cache.face_frame)
+    p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[cache.faces], transport).mean(axis=1)
+    p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
+    k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
+    return scatter_p1(cache.faces, k_local, cache.vertices.shape[0])
 
 
 def volume_balance_reference(variation, t, n_time=16):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 import lorstab as ls
 from lorstab.harmonics import HarmonicField
-from oracles import smallest_eigenvalues_reference, strong_form_check
+from lorstab.fem import OperatorPair
+from oracles import assemble_stiffness_reference, smallest_eigenvalues_reference, strong_form_check
 
 GRAPH = ((2, 0, 0.05), (3, 1, 0.02))
 
@@ -80,6 +82,18 @@ class TestAssembly:
         assert nested.L.nnz + nested.U.nnz <= 0.85 * (colamd.L.nnz + colamd.U.nnz)
 
 
+class TestAssemblyOracle:
+    """The per-corner assembly against the earlier einsum contractions."""
+
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_graph_matches_einsum_oracle(self, graph_mesh, r, level):
+        surf = graph_mesh(1.0, GRAPH, level)
+        got = ls.assemble(surf, r).stiffness
+        want = assemble_stiffness_reference(surf, r)
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+
+
 class TestEigenvalues:
     def test_laplace_baseline(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
@@ -121,11 +135,22 @@ class TestEigenvalues:
             ls.first_eigenvalue_meanzero(pair, maxiter=2, tol=1e-14)
         assert err.value.residual is not None
 
-    def test_restart_limit_raises(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 4), 0)
-        with pytest.raises(ls.SolverError, match="did not converge in 1 restarts") as err:
-            ls.first_eigenvalue_meanzero(pair, maxiter=1)
-        assert err.value.residual == np.inf   # no eigenpair converged
+    def test_restart_limit_raises(self):
+        # identity mass and K = Q diag(0, 1 + 1e-6 k) Q^T with a constant first
+        # column of Q: the mean-zero spectrum is too clustered for one restart
+        n = 400
+        basis = np.random.default_rng(0).standard_normal((n, n))
+        basis[:, 0] = 1.0
+        q, _ = np.linalg.qr(basis)
+        spectrum = np.concatenate([[0.0], 1.0 + 1e-6 * np.arange(1, n)])
+        pair = OperatorPair(
+            stiffness=csr_matrix((q * spectrum) @ q.T), mass=identity(n, format="csr"),
+            r=0, nvertices=n, min_newton_eig=1.0, order=np.arange(n),
+        )
+        for tol in (1e-12, 1e-8):
+            with pytest.raises(ls.SolverError, match="did not converge in 1 restarts") as err:
+                ls.first_eigenvalue_meanzero(pair, tol=tol, maxiter=1)
+            assert err.value.residual == np.inf   # no eigenpair converged
 
     def test_bottom_spectrum_multiplicities(self, slice_mesh):
         surf = slice_mesh(1.0, 5)

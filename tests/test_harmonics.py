@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorstab.harmonics import HarmonicField, SphericalHarmonic, harmonic_basis
+from lorstab.mesh import icosphere
+from oracles import harmonic_jets_reference
 
 
 def quadrature_grid(n_theta=48, n_phi=96):
@@ -120,3 +124,36 @@ class TestField:
     def test_invalid_term_rejected(self):
         with pytest.raises(ValueError):
             HarmonicField(terms=((1, 5, 1.0),))
+
+
+TERMS = st.integers(0, 6).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(-l, l), st.floats(-2.0, 2.0, allow_nan=False))
+)
+
+
+def assert_jets_match(field, q):
+    """Value, gradient and Hessian against the per-term oracle, relative to
+    the larger of the oracle's magnitude and the sum of |amplitudes|."""
+    want = harmonic_jets_reference(field, q)
+    got = (field.value(q), field.sphere_gradient(q), field.sphere_hessian(q))
+    amplitude = abs(field.constant) + sum(abs(a) for _, _, a in field.terms)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-13 * max(np.abs(w).max(), amplitude, 1e-300)
+
+
+class TestJetsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        constant=st.floats(-2.0, 2.0, allow_nan=False),
+        terms=st.lists(TERMS, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_fields_match_per_term(self, constant, terms, seed):
+        q = random_sphere_points(np.random.default_rng(seed), 40)
+        assert_jets_match(HarmonicField(constant=constant, terms=tuple(terms)), q)
+
+    def test_blocks_cover_a_large_point_set(self):
+        q, _ = icosphere(5)   # 10242 points: several evaluation blocks
+        field = HarmonicField(constant=1.0, terms=((2, 0, 0.05), (3, 1, 0.02), (6, -5, 0.3)))
+        assert_jets_match(field, q)

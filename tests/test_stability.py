@@ -36,6 +36,15 @@ class TestAnalyze:
         assert report.h_next_max < 0
         assert report.chronology == "past"
 
+    def test_past_slice_r1_violates_ellipticity(self):
+        # P_1 = -tanh(1) I is negative definite: the spectrum of L_1 is
+        # unbounded below, so its bottom decides nothing
+        report = ls.analyze(ls.build_slice(2, -1.0).meshed(3), 1)
+        assert report.verdict == "hypotheses-violated"
+        assert report.min_newton_eig == pytest.approx(-np.tanh(1.0), rel=1e-10)
+        assert report.h_next_min > 0 and report.chronology == "past"
+        assert report.h_next_residual < 1e-10 and report.lambda_residual < 1e-10
+
     def test_graph_violates_constancy(self, graph_mesh):
         report = ls.analyze(graph_mesh(1.0, ((2, 0, 0.05),), 4), 1)
         assert report.verdict == "hypotheses-violated"
