@@ -13,7 +13,6 @@ from .curvature import (
     newton_transform,
     r_area_integrand,
     stability_constant,
-    stability_constant_binomial,
     variation_constant,
 )
 from .fem import (

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .curvature import batched_newton
+from .curvature import batched_eigvalsh2, batched_newton
 from .lorentz import minkowski_metric
 from .mesh import nested_dissection
 from .surfaces import GraphSurface, scatter_p1
@@ -110,7 +110,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
         raise ValueError("surface mesh has no faces")
 
     p_vertex = newton_vertex_matrices(surface, r)
-    min_eig = float(np.linalg.eigvalsh(p_vertex).min())
+    min_eig = float(batched_eigvalsh2(p_vertex).min())
 
     # per 4096 faces: T_c = E_c^T J F per corner, P = mean of T_c^T P_c T_c, area G^T P G
     j = np.diag(minkowski_metric(4))

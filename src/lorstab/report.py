@@ -108,17 +108,18 @@ def render_run_report(
             lines.append(f"    lhs = {fmt(chk.lhs)}")
             lines.append(f"    rhs = {fmt(chk.rhs)}")
             lines.append(f"    rel_error = {fmt(chk.rel_error)}")
+            lines.append(f"    richardson = {fmt(chk.richardson)}")
+            lines.append(f"    max_error = {fmt(chk.max_error)}")
     return "\n".join(lines) + "\n"
 
 
 def write_checks_csv(path: str | Path, checks: list[VariationCheck]) -> None:
-    lines = ["check,h,level,lhs,rhs,rel_error"]
+    """One row per check; ``richardson`` and ``max_error`` are nan where the
+    check does not estimate them."""
+    lines = ["check,h,level,lhs,rhs,rel_error,richardson,max_error"]
     for chk in checks:
-        lines.append(
-            ",".join(
-                [chk.check, fmt(chk.h), fmt(chk.level), fmt(chk.lhs), fmt(chk.rhs), fmt(chk.rel_error)]
-            )
-        )
+        row = [chk.h, chk.level, chk.lhs, chk.rhs, chk.rel_error, chk.richardson, chk.max_error]
+        lines.append(",".join([chk.check] + [fmt(x) for x in row]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

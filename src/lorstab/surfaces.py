@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .curvature import ShapeSpectrum, batched_elementary, curvature_table
+from .curvature import ShapeSpectrum, batched_eigvalsh2, batched_elementary, curvature_table
 from .harmonics import HarmonicField, harmonic_basis
 from .lorentz import (
     ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, minkowski_metric, orthonormal_completion,
@@ -241,22 +241,27 @@ def build_graph(
     perturbations=(),
     level: int = 4,
     axis: np.ndarray | None = None,
-    base: tuple[np.ndarray, np.ndarray] | None = None,
+    base: tuple[np.ndarray, np.ndarray] | GraphSurface | None = None,
 ) -> GraphSurface:
     """Build the graph surface with height s0 + sum of harmonic perturbations.
 
     ``perturbations`` is a sequence of (l, m, amplitude).  The surface must be
     spacelike at every vertex; otherwise construction fails naming the worst
-    vertex.  ``base`` overrides the icosphere with explicit (points, faces).
+    vertex.  ``base`` overrides the icosphere: explicit (points, faces) are
+    validated first; a built GraphSurface lends its sphere directions, faces,
+    level and sphere frames (memoized on it), which need no validation.
     """
     height = HarmonicField(constant=float(s0), terms=tuple(perturbations))
     axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
     spec = ConformalFieldSpec(a=axis)
     frame_map = orthonormal_completion(axis)
 
+    reuse = isinstance(base, GraphSurface)
     if base is None:
         q, faces = icosphere(level)
         mesh_level = level
+    elif reuse:
+        q, faces, mesh_level = base.cache.sphere_q, base.cache.faces, base.level
     else:
         q, faces = base
         q = np.asarray(q, dtype=float)
@@ -281,7 +286,12 @@ def build_graph(
         )
     metric_ratio = float(np.max(phi * phi / margin))
 
-    w1, w2 = _vertex_sphere_frames(q)
+    if reuse:
+        if "sphere_frames" not in base._memo:
+            base._memo["sphere_frames"] = _vertex_sphere_frames(q)
+        w1, w2 = base._memo["sphere_frames"]
+    else:
+        w1, w2 = _vertex_sphere_frames(q)
     u1 = np.einsum("vi,vi->v", g, w1)
     u2 = np.einsum("vi,vi->v", g, w2)
     h = np.empty((q.shape[0], 2, 2))                  # Hessian in the (w1, w2) frame
@@ -326,7 +336,7 @@ def build_graph(
     normal = normal_can @ frame_map.T
     frame = frame_map @ frame_can
 
-    eigs = np.linalg.eigvalsh(shape)
+    eigs = batched_eigvalsh2(shape)
     sigma = batched_elementary(eigs)
     mean = sigma * np.array([1.0, -0.5, 1.0])[None, :]
 
@@ -380,13 +390,15 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
     fvals = values[faces]                                    # (F, 3)
     comp = np.einsum("fam,fm->fa", cache.face_grad, fvals)   # (F, 2) in the face frame
     grad_face = np.einsum("fia,fa->fi", cache.face_frame, comp)  # (F, 4)
+    # area-weighted sums over the faces at each vertex; the corner-major index
+    # adds in the order of three np.add.at passes, one per corner
     nv = values.shape[0]
-    acc = np.zeros((nv, 4))
-    wacc = np.zeros(nv)
+    idx = faces.T.ravel()
     w = cache.face_area
-    for corner in range(3):
-        np.add.at(acc, faces[:, corner], grad_face * w[:, None])
-        np.add.at(wacc, faces[:, corner], w)
+    weighted = grad_face * w[:, None]
+    wacc = np.bincount(idx, weights=np.tile(w, 3), minlength=nv)
+    acc = np.stack([np.bincount(idx, weights=np.tile(weighted[:, i], 3), minlength=nv)
+                    for i in range(4)], axis=1)
     acc /= wacc[:, None]
     j = np.diag(minkowski_metric(4))
     comps = np.einsum("vi,via->va", acc * j, cache.frame)

@@ -11,12 +11,18 @@ against the closed-form variation formulas evaluated by quadrature.
 
 The balance-of-volume oracle integrates the pulled-back ambient volume
 form directly (Gram determinants of the flow differential), so it is
-independent of the first-variation lemma it is used to check.
+independent of the first-variation lemma it is used to check.  Along a
+normal line the flowed point and its t-derivative span the same plane as
+(N, p), with ch = cosh(t f) and sh = sinh(t f) as the only t-dependence, so
+the orientation determinant is f times a quadratic form in (ch, sh) and the
+Gram determinant is f^2 times the determinant of a 3x3 matrix of such forms
+(see ``volume_balance``).  Their coefficient fields are built once per call,
+and a call may take all the times of a stencil at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -24,7 +30,6 @@ import numpy as np
 from .curvature import r_area_integrand, variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
-from .lorentz import mdot
 from .stability import jacobi_second_variation
 from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
@@ -85,6 +90,11 @@ class NormalVariation:
 
 @dataclass(frozen=True)
 class VariationCheck:
+    """One finite-difference check.  ``richardson`` is |fd - fd_wide| / 3,
+    the truncation estimate from the stencil of twice the step; ``max_error``
+    is the largest per-vertex error of a field check.  Each is nan where the
+    check does not compute it."""
+
     check: str
     h: float
     level: int | None
@@ -116,7 +126,9 @@ class FunctionalTrace:
 def flow(variation: NormalVariation, t: float) -> GraphSurface:
     """Snapshot of the flowed surface; exact within the analytic family.
 
-    The snapshot is the height graph u = s0 + t f over the base mesh.  It is
+    The snapshot is the height graph u = s0 + t f over the base mesh, whose
+    faces, level and sphere frames it reuses (``build_graph`` with the base
+    surface as ``base``; the faces are not validated again).  It is
     spacelike where |grad u| = |t grad f| < cosh(s0 + t f), checked at the
     vertices; where |t grad f| >= cosh(s0 + t f) at some vertex, FlowError is
     raised naming the vertex with the smallest margin cosh^2(u) - |grad u|^2.
@@ -129,26 +141,16 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
         return base
     height = base.height.plus(variation.amplitude, factor=t)
     try:
-        snap = build_graph(
-            height.constant,
-            perturbations=height.terms,
-            axis=base.axis.a,
-            base=(base.cache.sphere_q, base.cache.faces),
-        )
+        return build_graph(height.constant, perturbations=height.terms, axis=base.axis.a, base=base)
     except GraphConstructionError as err:
         raise FlowError(f"flow at t = {t:.6g} loses spacelikeness: {err}", t=t,
                         vertex=err.vertex) from err
-    if base.mesh.level is not None:
-        snap.mesh = replace(snap.mesh, level=base.mesh.level)
-    return snap
 
 
 def r_area(surface: GraphSurface, r: int, c: float = 1.0) -> float:
     """Order-r area functional: vertex quadrature of F_r against the area weights."""
     return float(np.sum(surface.cache.weights * r_area_integrand(surface.cache.sigma, c, r)))
 
-
-_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 # 4x4 Laplace expansion along columns 0-1: the minor of rows (i, j) meets the
 # complementary minor of rows (k, l) in columns 2-3 with sign (-1)^(i+j+1)
@@ -158,85 +160,121 @@ _LAPLACE = (
 )
 
 
-def _minor(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Rows (i, j) minor of the column pair (a, b) on (4, M) arrays."""
-    return a[i] * b[j] - a[j] * b[i]
+def _ldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lorentz inner product of two arrays of 4-vectors stored along axis 0."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
 
 
-def volume_balance(variation: NormalVariation, t: float, n_time: int = 16) -> float:
+def _det_np(a: np.ndarray, b: np.ndarray, cofactor) -> np.ndarray:
+    """det(a, b, N, p) for 4-vectors stored along axis 0, given the signed
+    complementary minors of (N, p)."""
+    return sum((a[i] * b[j] - a[j] * b[i]) * cof for i, j, cof in cofactor)
+
+
+def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.ndarray]:
+    """The t-independent data of ``volume_balance``: the amplitude f and a
+    (7, 3, M) array whose rows hold, for det(a1, a2, N, p) and the six Gram
+    entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2 at
+    each of the M = 3 F quadrature points (ordered by edge, then face)."""
+    cache = variation.base.cache
+    corners = cache.faces.T                           # (3, F)
+    pos = cache.vertices.T[:, corners]                # (4, 3, F) corner values
+    nrm = cache.normal.T[:, corners]
+    amp = variation.values()[corners]                 # (3, F)
+    # edge midpoints (v0 + v1)/2, (v1 + v2)/2, (v2 + v0)/2; the edge
+    # differences v1 - v0 and v2 - v0 are constant on a face
+    p = 0.5 * (pos + pos[:, [1, 2, 0]])
+    nv = 0.5 * (nrm + nrm[:, [1, 2, 0]])
+    fq = 0.5 * (amp + amp[[1, 2, 0]])
+    dp = [(pos[:, k] - pos[:, 0])[:, None] for k in (1, 2)]     # (4, 1, F)
+    dn = [(nrm[:, k] - nrm[:, 0])[:, None] for k in (1, 2)]
+    cofactor = [(i, j, sign * (nv[k] * p[l] - nv[l] * p[k])) for i, j, k, l, sign in _LAPLACE]
+
+    def gram(i, j):         # <a_i, a_j>
+        return _ldot(dp[i], dp[j]), _ldot(dp[i], dn[j]) + _ldot(dn[i], dp[j]), _ldot(dn[i], dn[j])
+
+    def gram_ray(i):        # <a_i, ray>
+        return _ldot(dp[i], nv), _ldot(dp[i], p) + _ldot(dn[i], nv), _ldot(dn[i], p)
+
+    rows = (
+        (_det_np(dp[0], dp[1], cofactor),
+         _det_np(dp[0], dn[1], cofactor) + _det_np(dn[0], dp[1], cofactor),
+         _det_np(dn[0], dn[1], cofactor)),
+        gram(0, 0), gram(0, 1), gram_ray(0), gram(1, 1), gram_ray(1),
+        (_ldot(nv, nv), 2.0 * _ldot(p, nv), _ldot(p, p)),
+    )
+    coef = np.empty((7, 3) + fq.shape)
+    for k, terms in enumerate(rows):
+        coef[k] = terms
+    return fq.ravel(), coef.reshape(7, 3, -1)
+
+
+def volume_balance(variation: NormalVariation, t, n_time: int = 16):
     """Signed swept volume between the base and the flowed surface.
 
-    Each point counts with the sign of t f(p), so a positive amplitude at
-    t > 0 gives a positive volume.  The flow depends on (f, t) only through
-    t f, so f -> -f gives the same value as t -> -t; the result is not odd in
-    f.  On the 2-slice at s0 with t > 0 it is the slab volume
+    ``t`` is one time or a sequence of times; a sequence gives an array with
+    one volume per time, each equal to the scalar call.  Each point counts
+    with the sign of t f(p), so a positive amplitude at t > 0 gives a
+    positive volume.  The flow depends on (f, t) only through t f, so
+    f -> -f gives the same value as t -> -t; the result is not odd in f.  On
+    the 2-slice at s0 with t > 0 it is the slab volume
     4 pi int cosh^2 s ds over [s0, s0 + t] for f = 1, and minus that over
     [s0 - t, s0] for f = -1; the slab above s0 is the larger.
 
     Direct quadrature of the pullback of the ambient volume form over
-    base x [0, t]: edge-midpoint rule on faces, composite Simpson in time on
-    n_time intervals (at least 2; an odd count is rounded up).  The element
-    at each point is sign(det4) sqrt|det3|.  det4 is the orientation
-    determinant of (d1, d2, dt, phi) -- the two edge derivatives,
-    the time derivative and the flowed point -- by its 2x2-minor (Laplace)
-    expansion; det3 is the Lorentz Gram determinant of (d1, d2, dt) by
-    cofactors of its six inner products.  The t-independent data are built
-    once per call as contiguous (4, M) arrays, M = 3 points per face.  The
-    (dt, phi) minors are among them: dt = f ray, and (ray, phi) is a
-    hyperbolic rotation of (N, p) with determinant 1.  det3 = -det4^2 holds
-    only on the hyperquadric, which the quadrature points are not on.
+    base x [0, t]: edge-midpoint rule on faces (M = 3 points per face),
+    composite Simpson in time on n_time intervals (at least 2; an odd count
+    is rounded up).  The element at each point is sign(det4) sqrt|det3|,
+    where det4 = det(d1, d2, dt, phi) orients the two edge derivatives, the
+    time derivative and the flowed point, and det3 is the Lorentz Gram
+    determinant of (d1, d2, dt).
+
+    Both reduce to scalar algebra in ch, sh = cosh, sinh(tau f).  With
+    phi = ch p + sh N, ray = sh p + ch N and a_k = ch dp_k + sh dn_k, the
+    edge derivatives are d_k = a_k + tau df_k ray and dt = f ray:
+      * det4: span(ray, phi) = span(N, p) with determinant 1, so the ray
+        terms of d_k drop out and
+        det4 = f (ch^2 D1 + ch sh D2 + sh^2 D3), where D1 = det(dp1, dp2, N, p),
+        D2 = det(dp1, dn2, N, p) + det(dn1, dp2, N, p), D3 = det(dn1, dn2, N, p);
+      * det3: subtracting multiples of dt leaves a_k, so
+        det3 = f^2 det Gram(a1, a2, ray), each Gram entry being
+        c0 ch^2 + c1 ch sh + c2 sh^2.
+    The element is then f sign(Q) sqrt|G| for the quadratic forms Q and G
+    above.  Their 21 coefficient fields do not depend on t; they are built
+    once per call and shared by all its times, so each Simpson node costs a
+    few dozen operations on (M,) arrays.  Nothing is kept between calls.
+    The identities are linear algebra and hold at the quadrature points,
+    which are not on the hyperquadric (there det3 = -det4^2 would hold).
     """
     if n_time < 2:
         raise ValueError(f"n_time = {n_time} must be at least 2 (Simpson intervals in time)")
-    if t == 0.0:
-        return 0.0
-    if abs(t) > variation.t_max:
-        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
-    cache = variation.base.cache
-    faces = cache.faces
-    pos = cache.vertices[faces].transpose(2, 0, 1)    # (4, F, 3)
-    nrm = cache.normal[faces].transpose(2, 0, 1)
-    amp = variation.values()[faces]                   # (F, 3)
-
-    # quadrature data, columns ordered by (face, point)
-    p = (pos @ _BARY.T).reshape(4, -1)
-    nv = (nrm @ _BARY.T).reshape(4, -1)
-    fq = (amp @ _BARY.T).ravel()
-
-    def edge(values, k):
-        return np.repeat(values[..., k] - values[..., 0], 3, axis=-1)
-
-    dp1, dp2, dn1, dn2 = edge(pos, 1), edge(pos, 2), edge(nrm, 1), edge(nrm, 2)
-    df1, df2 = edge(amp, 1), edge(amp, 2)
-    # signed minors of the columns (dt, phi), the same at every node
-    cofactor = [(i, j, sign * fq * _minor(nv, p, k, l)) for i, j, k, l, sign in _LAPLACE]
-
-    if n_time % 2 == 1:
-        n_time += 1
-    h_t = t / n_time
-    coeff = np.ones(n_time + 1)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    coeff *= h_t / 3.0
-
-    total = 0.0
-    for node, w_t in enumerate(coeff):
-        tau = node * h_t
-        ch = np.cosh(tau * fq)
-        sh = np.sinh(tau * fq)
-        ray = sh * p + ch * nv                            # d(flow point)/d(t f)
-        d1 = ch * dp1 + sh * dn1 + tau * df1 * ray
-        d2 = ch * dp2 + sh * dn2 + tau * df2 * ray
-        dt = fq * ray
-        det4 = sum(_minor(d1, d2, i, j) * cof for i, j, cof in cofactor)
-        g11, g12, g13 = mdot(d1.T, d1.T), mdot(d1.T, d2.T), mdot(d1.T, dt.T)
-        g22, g23, g33 = mdot(d2.T, d2.T), mdot(d2.T, dt.T), mdot(dt.T, dt.T)
-        det3 = (g11 * (g22 * g33 - g23 * g23)
-                - g12 * (g12 * g33 - g23 * g13)
-                + g13 * (g12 * g23 - g22 * g13))
-        elem = np.sqrt(np.abs(det3))
-        total += w_t * float(np.sum(_ORIENTATION * np.sign(det4) * elem)) / 6.0
-    return total
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    for tt in times:
+        if abs(tt) > variation.t_max:
+            raise FlowError(f"|t| = {abs(tt):.3g} exceeds t_max = {variation.t_max:.3g}", t=float(tt))
+    volumes = np.zeros(times.size)
+    nonzero = np.flatnonzero(times)
+    if nonzero.size:
+        fq, coef = _swept_volume_fields(variation)
+        n_time += n_time % 2
+        simpson = np.ones(n_time + 1)
+        simpson[1:-1:2] = 4.0
+        simpson[2:-1:2] = 2.0
+        for k in nonzero:
+            h_t = times[k] / n_time
+            total = 0.0
+            for node, w_t in enumerate(simpson * (h_t / 3.0)):
+                ch = np.cosh(node * h_t * fq)
+                sh = np.sinh(node * h_t * fq)
+                forms = coef[:, 0] * (ch * ch) + coef[:, 1] * (ch * sh) + coef[:, 2] * (sh * sh)
+                q, g11, g12, g13, g22, g23, g33 = forms
+                det3 = (g11 * (g22 * g33 - g23 * g23)
+                        - g12 * (g12 * g33 - g23 * g13)
+                        + g13 * (g12 * g23 - g22 * g13))
+                elem = fq * np.sign(q) * np.sqrt(np.abs(det3))
+                total += w_t * float(np.sum(_ORIENTATION * elem)) / 6.0
+            volumes[k] = total
+    return float(volumes[0]) if np.ndim(t) == 0 else volumes
 
 
 def functional_trace(
@@ -258,13 +296,8 @@ def functional_trace(
 
     t_nodes = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
 
-    def evaluate(t: float) -> tuple[float, float]:
-        snap = flow(variation, t)
-        return r_area(snap, r, c), volume_balance(variation, t)
-
-    results = [evaluate(t) for t in t_nodes]
-    areas = np.array([a for a, _ in results])
-    volumes = np.array([v for _, v in results])
+    areas = np.array([r_area(flow(variation, t), r, c) for t in t_nodes])
+    volumes = volume_balance(variation, t_nodes)
     jacobi = areas - lambda_lagrange * volumes
 
     first = (jacobi[3] - jacobi[1]) / (2.0 * h)
@@ -377,8 +410,8 @@ def verify_second_variation(
 def volume_derivative_check(variation: NormalVariation, h: float = 1e-3) -> VariationCheck:
     """Balance-of-volume derivative at t = 0 against the area integral of f."""
     base = variation.base
-    volumes = [volume_balance(variation, t) for t in (-h, h)]
-    fd = (volumes[1] - volumes[0]) / (2.0 * h)
+    volumes = volume_balance(variation, (-h, h))
+    fd = float(volumes[1] - volumes[0]) / (2.0 * h)
     f = variation.values()
     rhs = float(np.sum(base.cache.weights * f))
     scale = abs(rhs) + base.cache.area * float(np.abs(f).max())

@@ -2,9 +2,10 @@
 
 Most functions here are an earlier, plainer form of a library routine that
 was later rewritten for speed; they compute the same quantity by the direct
-method, so the tests can check the fast routine against them.  The last three
-are independent cross-checks of the pipeline's geometry and operators, built
-from the discrete mesh or a closed form rather than the analytic path.
+method, so the tests can check the fast routine against them.  The last five
+are independent cross-checks of the pipeline's geometry, operators and
+curvature algebra, built from the discrete mesh or a closed form rather than
+the analytic path.
 """
 
 from math import comb
@@ -12,12 +13,13 @@ from math import comb
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces, curvature_table
 from lorstab.fem import SolverError, _project_meanzero, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _icosahedron
 from lorstab.surfaces import scatter_p1
-from lorstab.variation import _BARY, _ORIENTATION, FlowError
+from lorstab.variation import _ORIENTATION, FlowError
 
 
 def _poly_values(poly, q):
@@ -64,6 +66,10 @@ def assemble_stiffness_reference(surface, r):
     p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
     k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
     return scatter_p1(cache.faces, k_local, cache.vertices.shape[0])
+
+
+# edge-midpoint quadrature rule: barycentric coordinates of the three points
+_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 
 def volume_balance_reference(variation, t, n_time=16):
@@ -124,6 +130,26 @@ def volume_balance_reference(variation, t, n_time=16):
         elem = np.sqrt(np.abs(det3))
         total += w_t * float(np.sum(sign * elem)) / 6.0
     return total
+
+
+def tangential_gradient_reference(surface, values):
+    """Vertex-averaged P1 surface gradient with ``np.add.at`` accumulation,
+    corner by corner."""
+    cache = surface.cache
+    faces = cache.faces
+    comp = np.einsum("fam,fm->fa", cache.face_grad, values[faces])
+    grad_face = np.einsum("fia,fa->fi", cache.face_frame, comp)
+    nv = values.shape[0]
+    acc = np.zeros((nv, 4))
+    wacc = np.zeros(nv)
+    w = cache.face_area
+    for corner in range(3):
+        np.add.at(acc, faces[:, corner], grad_face * w[:, None])
+        np.add.at(wacc, faces[:, corner], w)
+    acc /= wacc[:, None]
+    j = np.diag(minkowski_metric(4))
+    comps = np.einsum("vi,via->va", acc * j, cache.frame)
+    return np.einsum("via,va->vi", cache.frame, comps)
 
 
 def validate_closed_oriented_reference(faces, nvertices):
@@ -308,3 +334,27 @@ def flow_rule_positions(variation, t):
     cache = variation.base.cache
     tf = t * variation.values()
     return np.cosh(tf)[:, None] * cache.vertices + np.sinh(tf)[:, None] * cache.normal
+
+
+def stability_constant_binomial(shape, c, r):
+    """Companion closed form of ``stability_constant`` in mean curvatures.
+
+    c(n-r)C(n,r)H_r - n H_1 C(n,r+1) H_{r+1} + (r+2) C(n,r+2) H_{r+2},
+    with H past index n read as zero.  Must agree with the trace form.
+    """
+    n = shape.n
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"order r={r} out of range [0, {n - 1}]")
+    h = list(curvature_table(shape).mean) + [0.0, 0.0]
+    out = c * (n - r) * comb(n, r) * h[r]
+    out -= n * h[1] * comb(n, r + 1) * h[r + 1]
+    if r + 2 <= n:
+        out += (r + 2) * comb(n, r + 2) * h[r + 2]
+    return float(out)
+
+
+def batched_stability_constant(a, c, r):
+    """c*tr(P_r) - tr(A^2 P_r) per point for an (V, n, n) operator stack, by
+    the batched kernels from LAPACK eigenvalues."""
+    traces = batched_newton_traces(a, batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r))
+    return c * traces[:, 0] - traces[:, 2]

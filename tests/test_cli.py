@@ -58,6 +58,28 @@ class TestReport:
         first = (tmp_path / "a" / "report.txt").read_bytes()
         assert first == (tmp_path / "b" / "report.txt").read_bytes()
 
+    def test_variation_truncation_estimates_are_written(self, tmp_path):
+        assert run(tmp_path, SLICE + "checks = stability,variation\n") == 0
+        header, *rows = (tmp_path / "out" / "checks.csv").read_text(encoding="utf-8").splitlines()
+        assert header == "check,h,level,lhs,rhs,rel_error,richardson,max_error"
+        by_check = {}
+        for row in rows:
+            fields = row.split(",")
+            by_check.setdefault(fields[0], []).append(fields[-2:])
+        # first and second variation estimate truncation, the field check a maximum
+        for richardson, max_error in by_check["first_variation"] + by_check["second_variation"]:
+            assert float(richardson) >= 0.0 and max_error == "nan"
+        for richardson, max_error in by_check["sr_evolution"]:
+            assert richardson == "nan" and float(max_error) >= 0.0
+        assert by_check["volume_balance"] == [["nan", "nan"]] * 2
+        # the report's variation block carries the same two values after rel_error
+        lines = report_lines(tmp_path)
+        first = lines.index("  first_variation:")
+        assert lines[first + 4].startswith("    rel_error = ")
+        assert lines[first + 5] == f"    richardson = {rows[0].split(',')[6]}"
+        assert lines[first + 6] == "    max_error = nan"
+        assert sum(line.startswith("    max_error = ") for line in lines) == 8
+
     def test_level_and_seed_overrides_reach_the_report(self, tmp_path):
         assert run(tmp_path, SLICE, "--level", "4", "--seed", "11") == 0
         lines = report_lines(tmp_path)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorstab as ls
-from lorstab.curvature import batched_elementary, batched_newton, batched_stability_constant, r_area_integrand
+from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton, r_area_integrand
 
 from conftest import random_shape
+from oracles import batched_stability_constant, stability_constant_binomial
 
 
 def sigma_bruteforce(values, r):
@@ -197,7 +198,7 @@ class TestStabilityConstant:
             c = float(rng.uniform(-2, 2))
             for r in range(n):
                 trace = ls.stability_constant(shape, c, r)
-                binom = ls.stability_constant_binomial(shape, c, r)
+                binom = stability_constant_binomial(shape, c, r)
                 assert abs(trace - binom) <= 1e-10 * max(1.0, abs(trace), abs(binom))
 
 
@@ -262,6 +263,26 @@ class TestShapeSpectrumValidation:
 
 
 class TestBatchedHelpers:
+    def test_eigvalsh2_matches_lapack(self, rng):
+        stack = rng.normal(size=(2000, 2, 2)) * rng.uniform(1e-3, 1e3, size=(2000, 1, 1))
+        stack = stack + stack.transpose(0, 2, 1)
+        stack[:200, 0, 1] = stack[:200, 1, 0] = 0.0               # b = 0
+        stack[200:400, 1, 1] = stack[200:400, 0, 0]               # a = d
+        stack[400:500, 1, 1] = -stack[400:500, 0, 0]              # a + d = 0
+        stack[500:600, 0, 1] = stack[500:600, 1, 0] = 0.0         # a = d and b = 0
+        stack[500:600, 1, 1] = stack[500:600, 0, 0]
+        stack[600:700, 0, 1] = stack[600:700, 1, 0] = stack[600:700, 1, 0] * 1e-12
+        stack[700] = 0.0
+        got = batched_eigvalsh2(stack)
+        want = np.linalg.eigvalsh(stack)
+        assert (got[:, 0] <= got[:, 1]).all()
+        ulp = np.spacing(np.abs(want).max(axis=1))
+        assert (np.abs(got - want) <= 4 * ulp[:, None]).all()
+        # b = 0 leaves the diagonal itself, sorted
+        diag = np.sort(stack[:200, [0, 1], [0, 1]], axis=1)
+        assert np.array_equal(got[:200], diag)
+        assert np.array_equal(got[500:600], stack[500:600, [0, 0], [0, 0]])
+
     def test_batched_matches_scalar(self, rng):
         """The kernels on a stack against the independent oracles, row by row."""
         for n in range(2, 7):
@@ -280,5 +301,5 @@ class TestBatchedHelpers:
                 for c in (1.0, -0.7):
                     lam = batched_stability_constant(stack, c, r)
                     for i, s in enumerate(shapes):
-                        want = ls.stability_constant_binomial(s, c, r)
+                        want = stability_constant_binomial(s, c, r)
                         assert abs(lam[i] - want) <= 1e-10 * max(1.0, abs(lam[i]), abs(want))

@@ -8,7 +8,7 @@ from lorstab.harmonics import SphericalHarmonic
 from lorstab.lorentz import ambient_field
 from lorstab.mesh import save_mesh
 from lorstab.surfaces import mdot, sphere_area, surface_from_mesh_file
-from oracles import shape_operator_mesh_estimate
+from oracles import shape_operator_mesh_estimate, tangential_gradient_reference
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -176,6 +176,12 @@ class TestTangentialGradient:
         want = np.linalg.norm(h.sphere_gradient(q), axis=1) / np.cosh(1.0)
         mask = want > 0.1 * want.max()
         assert np.abs(got[mask] - want[mask]).max() / want.max() < 0.05
+
+    def test_matches_add_at_accumulation(self, graph_mesh):
+        surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
+        values = surf.cache.vertices[:, 0] * surf.cache.vertices[:, 3]
+        assert np.array_equal(ls.tangential_gradient(surf, values),
+                              tangential_gradient_reference(surf, values))
 
     def test_linear_chart_field_first_order(self):
         errs = []

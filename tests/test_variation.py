@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import lorstab as ls
+import lorstab.surfaces
 from lorstab.harmonics import HarmonicField
-from lorstab.surfaces import mdot
+from lorstab.surfaces import GeometryCache, mdot
 from oracles import flow_rule_positions, volume_balance_reference
 
 CONST = HarmonicField(constant=1.0)
+NEG_CONST = HarmonicField(constant=-1.0)
 Y10 = HarmonicField(terms=((1, 0, 1.0),))
 Y20 = HarmonicField(terms=((2, 0, 1.0),))
 
@@ -76,6 +78,37 @@ class TestFlow:
         snap = ls.flow(ls.NormalVariation(base=base, amplitude=mild), t)
         assert snap.cache.vertices.shape == base.cache.vertices.shape
 
+    def test_snapshot_equals_build_on_explicit_base(self, slice_mesh):
+        base = slice_mesh(1.0, 3)
+        var = ls.NormalVariation(base=base, amplitude=Y20)
+        t = 0.02
+        snap = ls.flow(var, t)
+        height = base.height.plus(Y20, factor=t)
+        want = ls.build_graph(height.constant, perturbations=height.terms, axis=base.axis.a,
+                              base=(base.cache.sphere_q, base.cache.faces))
+        for name in GeometryCache.__dataclass_fields__:
+            got, ref = getattr(snap.cache, name), getattr(want.cache, name)
+            if name == "mass":
+                assert (got != ref).nnz == 0
+            else:
+                assert np.array_equal(got, ref), name
+        assert snap.level == base.level == 3
+        assert want.level is None
+
+    def test_snapshots_skip_mesh_validation(self, slice_mesh, monkeypatch):
+        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        calls = []
+        real = lorstab.surfaces.validate_closed_oriented
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lorstab.surfaces, "validate_closed_oriented", counted)
+        for t in (-0.02, 0.01, 0.02):
+            ls.flow(var, t)
+        assert calls == []
+
     def test_graph_base_rejected(self, graph_mesh):
         with pytest.raises(ValueError, match="slice base"):
             ls.NormalVariation(base=graph_mesh(1.0, ((2, 0, 0.05),), 3), amplitude=CONST)
@@ -115,12 +148,27 @@ class TestVolumeBalance:
         assert ls.volume_balance(var, 0.02, n_time=2) > 0
 
     @pytest.mark.parametrize("level", [3, 4])
-    @pytest.mark.parametrize("amplitude", [CONST, Y10, Y20], ids=["const", "Y10", "Y20"])
+    @pytest.mark.parametrize("amplitude", [CONST, NEG_CONST, Y10, Y20], ids=["const", "-const", "Y10", "Y20"])
     def test_matches_determinant_oracle(self, slice_mesh, level, amplitude):
         var = ls.NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
-        for t in (1e-3, -1e-3, 2e-2, -2e-2):
+        for t in (1e-3, -1e-3, 2e-2, -2e-2, var.t_max, -var.t_max):
             want = volume_balance_reference(var, t)
             assert ls.volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_sequence_of_times_equals_scalar_calls(self, slice_mesh):
+        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        times = [-0.02, -0.01, 0.0, 0.01, 0.02]
+        got = ls.volume_balance(var, times)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        assert np.array_equal(got, [ls.volume_balance(var, t) for t in times])
+        assert got[2] == 0.0
+        assert isinstance(ls.volume_balance(var, 0.01), float)
+
+    def test_sequence_past_t_max_raises(self, slice_mesh):
+        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST, t_max=0.1)
+        with pytest.raises(ls.FlowError) as err:
+            ls.volume_balance(var, [0.05, -0.2])
+        assert err.value.t == -0.2
 
     def test_derivative_matches_area_integral(self, slice_mesh):
         var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
