@@ -39,7 +39,7 @@ from .lorentz import (
     minkowski_inner,
     normal_geodesic,
 )
-from .mesh import TriangleMesh, icosphere, load_mesh, save_mesh
+from .mesh import icosphere, load_mesh, save_mesh
 from .stability import (
     DegenerateFieldError,
     QuadraticFormSample,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, check_level, load_config
 from .fem import SolverError
 from .harmonics import HarmonicField
 from .lorentz import KillingFieldSpec
@@ -59,7 +59,7 @@ EXIT_CONFIG = 4
 
 def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str, object]]]:
     if config.n != 2:
-        raise ConfigError("meshed analysis requires n = 2 (the algebra layer alone covers other n)", key="n")
+        raise ConfigError("key 'n': meshed analysis requires n = 2 (other n: algebra layer only)", key="n")
     extra: list[tuple[str, object]] = []
     if config.scenario == "slice":
         surface = build_slice(config.n, config.s0, axis=config.axis_array).meshed(config.level)
@@ -80,7 +80,7 @@ def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str
 def _variation_battery(surface: GraphSurface, config: ScenarioConfig) -> list[VariationCheck]:
     if not surface.is_slice:
         raise ConfigError(
-            "variation checks need a slice scenario (normal flows of graphs "
+            "key 'checks': variation checks need a slice scenario (normal flows of graphs "
             "leave the analytic family)",
             key="checks",
         )
@@ -170,7 +170,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
         if param == "s0":
             return dataclasses.replace(config, s0=float(value))
         if param == "level":
-            return dataclasses.replace(config, level=int(value))
+            return dataclasses.replace(config, level=check_level(int(value)))
         first = config.perturbations[0]
         rest = config.perturbations[1:]
         return dataclasses.replace(
@@ -230,9 +230,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "run":
             if args.level is not None:
-                if args.level not in (3, 4, 5, 6):
-                    raise ConfigError(f"key 'level': expected one of (3, 4, 5, 6), got {args.level}", key="level")
-                config = dataclasses.replace(config, level=args.level)
+                config = dataclasses.replace(config, level=check_level(args.level))
             if args.seed is not None:
                 config = dataclasses.replace(config, seed=args.seed)
             return run_scenario(config, args.out)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "load_config", "check_level"]
 
 _SCENARIOS = ("slice", "graph", "mesh-file")
 _CHECKS = ("stability", "killing", "conformal", "variation")
@@ -167,9 +167,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not np.isfinite(amp):
             raise ConfigError("key 'perturbations': amplitudes must be finite", key="perturbations")
 
-    level = take_int("level", 5)
-    if level not in _LEVELS:
-        raise ConfigError(f"key 'level': expected one of {_LEVELS}, got {level}", key="level")
+    level = check_level(take_int("level", 5))
 
     checks_raw = pairs.get("checks", "stability")
     checks = tuple(c.strip() for c in checks_raw.split(",") if c.strip())
@@ -206,6 +204,12 @@ def parse_config(text: str) -> ScenarioConfig:
         fd_h=fd_h,
         seed=take_int("seed", 0),
     )
+
+
+def check_level(level: int) -> int:
+    if level not in _LEVELS:
+        raise ConfigError(f"key 'level': expected one of {_LEVELS}, got {level}", key="level")
+    return level
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

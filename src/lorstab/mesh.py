@@ -1,21 +1,22 @@
-"""Triangulated sphere meshes: icosphere generation, validation, text IO.
+"""Triangulated unit spheres: icosphere generation, validation, text IO.
 
-Meshes carry ambient coordinates (4 per vertex once embedded) plus, for
-surfaces built over the unit sphere, the underlying spherical directions.
-The icosphere ladder (subdivided icosahedron, levels 3..6 in practice) is
-the only generator; imported meshes just need to be watertight, oriented
-triangulations of the sphere.
+A ``SphereMesh`` holds the directions and faces surfaces are sampled over,
+and computes the sphere's tangent frames and nested-dissection order at most
+once for all surfaces on it.  The icosphere ladder (levels 3..6 in practice)
+is the only generator; imported meshes (ambient vertex coordinates in the
+text format) just need to be watertight, oriented sphere triangulations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "TriangleMesh",
+    "SphereMesh",
     "icosphere",
     "nested_dissection",
     "validate_closed_oriented",
@@ -24,19 +25,68 @@ __all__ = [
 ]
 
 _LEAF = 32   # largest part nested_dissection leaves unsplit
+_FRAME_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class TriangleMesh:
-    """Watertight oriented triangle mesh with ambient vertex coordinates."""
+@dataclass(frozen=True, eq=False)
+class SphereMesh:
+    """Unit directions ``q`` (V, 3) and outward-oriented ``faces`` (F, 3) of a
+    valid sphere triangulation (not checked here); ``level`` is the icosphere
+    depth, None for a mesh file.  It makes its arrays read-only, to be shared."""
 
-    vertices: np.ndarray          # (V, 4) ambient coordinates
-    faces: np.ndarray             # (F, 3) vertex indices, outward-oriented
-    level: int | None = None      # icosphere subdivision depth, if applicable
+    q: np.ndarray
+    faces: np.ndarray
+    level: int | None = None
+
+    def __post_init__(self):
+        self.q.flags.writeable = self.faces.flags.writeable = False
 
     @property
     def nvertices(self) -> int:
-        return self.vertices.shape[0]
+        return self.q.shape[0]
+
+    @cached_property
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal tangent frames (w1, w2) of the sphere at each direction."""
+        w1, w2 = _sphere_frames(self.q)
+        w1.flags.writeable = w2.flags.writeable = False
+        return w1, w2
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Fill-reducing elimination order of the vertices (``nested_dissection``)."""
+        order = nested_dissection(self.q, self.faces)
+        order.flags.writeable = False
+        return order
+
+
+def _sphere_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent frames on the unit sphere from projected fixed axis
+    pairs, falling back to the next pair near degeneracy.  Pair (i, j) is
+    degenerate only where |q_i| ~ 1 or q_k ~ 0 (k the third axis), so the pair
+    whose k has the largest |q_k| qualifies at every unit direction."""
+    v = q.shape[0]
+    w1 = np.zeros((v, 3))
+    w2 = np.zeros((v, 3))
+    done = np.zeros(v, dtype=bool)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        todo = ~done
+        cand1 = -q[todo, i : i + 1] * q[todo]
+        cand1[:, i] += 1.0
+        n1 = np.linalg.norm(cand1, axis=1)
+        cand2 = -q[todo, j : j + 1] * q[todo]
+        cand2[:, j] += 1.0
+        safe1 = n1 >= _FRAME_TOL
+        cand1[safe1] /= n1[safe1, None]
+        cand2 -= np.einsum("vi,vi->v", cand2, cand1)[:, None] * cand1
+        n2 = np.linalg.norm(cand2, axis=1)
+        ok = safe1 & (n2 >= _FRAME_TOL)
+        cand2[ok] /= n2[ok, None]
+        idx = np.flatnonzero(todo)[ok]
+        w1[idx] = cand1[ok]
+        w2[idx] = cand2[ok]
+        done[idx] = True
+    return w1, w2
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +225,15 @@ def validate_closed_oriented(faces: np.ndarray, nvertices: int) -> None:
         )
 
 
-def save_mesh(path: str | Path, mesh: TriangleMesh) -> None:
+def save_mesh(path: str | Path, vertices: np.ndarray, faces: np.ndarray) -> None:
     """Line-oriented text format: 'v x1 x2 x3 x4' then 'f i j k' (0-based)."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(format(x, ".17g") for x in v))
-    for f in mesh.faces:
-        lines.append(f"f {f[0]} {f[1]} {f[2]}")
+    lines = ["v " + " ".join(format(x, ".17g") for x in v) for v in vertices]
+    lines += [f"f {a} {b} {c}" for a, b, c in faces]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_mesh(path: str | Path) -> TriangleMesh:
+def load_mesh(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient vertices (V, 4) and validated faces (F, 3) of a ``save_mesh`` file."""
     verts: list[list[float]] = []
     faces: list[list[int]] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -203,7 +251,6 @@ def load_mesh(path: str | Path) -> TriangleMesh:
             faces.append([int(x) for x in rest])
         else:
             raise ValueError(f"{path}:{lineno}: unknown record '{tag}'")
-    vertices = np.array(verts, dtype=float)
     face_arr = np.array(faces, dtype=int)
     validate_closed_oriented(face_arr, len(verts))
-    return TriangleMesh(vertices=vertices, faces=face_arr, level=None)
+    return np.array(verts, dtype=float), face_arr

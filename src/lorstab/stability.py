@@ -138,7 +138,7 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
     chronology, ap = _chronology(surface)
     psi_min_abs = float(np.abs(ap).min())   # conformal factor is -<p, a>
 
-    tol_gap_eff = tolerances.gap_at_level(surface.level)
+    tol_gap_eff = tolerances.gap_at_level(surface.mesh.level)
     hypotheses_ok = (
         h_next.min() > 0.0
         and h_next_residual <= tolerances.constancy
@@ -156,7 +156,7 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
 
     return StabilityReport(
         r=r,
-        level=surface.level,
+        level=surface.mesh.level,
         h_next_mean=h_next_mean,
         h_next_min=float(h_next.min()),
         h_next_max=float(h_next.max()),
@@ -180,9 +180,9 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
 
 def weighted_mass_matrix(surface: GraphSurface, vertex_weights: np.ndarray):
     """Consistent mass matrix with a per-face weight (corner average)."""
-    cache = surface.cache
-    face_weight = vertex_weights[cache.faces].mean(axis=1) * cache.face_area
-    return _consistent_mass(cache.faces, face_weight, cache.vertices.shape[0])
+    cache, faces = surface.cache, surface.mesh.faces
+    face_weight = vertex_weights[faces].mean(axis=1) * cache.face_area
+    return _consistent_mass(faces, face_weight, cache.vertices.shape[0])
 
 
 def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -> QuadraticFormSample:

@@ -3,8 +3,9 @@
 Two families: totally umbilical slices of the warped chart (any dimension,
 fully closed-form) and height graphs over the unit 2-sphere (meshed).  For
 graphs the first and second fundamental data are computed analytically from
-the harmonic height expansion and sampled at mesh vertices; the mesh itself
-only carries integration and finite elements.
+the harmonic height expansion and sampled at the vertices of a shared
+``SphereMesh`` (by default one per icosphere level), which only carries
+integration and finite elements.
 
 Conventions fixed here and relied on everywhere else:
   * the unit normal N is future-pointing (its Lorentz product with the
@@ -16,6 +17,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, gamma, pi
 from pathlib import Path
 
@@ -27,7 +29,8 @@ from .harmonics import HarmonicField, harmonic_basis
 from .lorentz import (
     ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, minkowski_metric, orthonormal_completion,
 )
-from .mesh import TriangleMesh, icosphere, load_mesh, validate_closed_oriented
+# validate_closed_oriented stays bound for perfbench/tracer.py; load_mesh calls it
+from .mesh import SphereMesh, icosphere, load_mesh, validate_closed_oriented  # noqa: F401
 
 __all__ = [
     "GraphConstructionError",
@@ -43,8 +46,6 @@ __all__ = [
     "scatter_p1",
     "sphere_area",
 ]
-
-_FRAME_TOL = 1e-6
 
 
 class GraphConstructionError(ValueError):
@@ -106,7 +107,6 @@ class SliceSurface:
 class GeometryCache:
     """Per-vertex and per-face geometric data of a built graph surface."""
 
-    sphere_q: np.ndarray          # (V, 3) directions on the unit sphere
     vertices: np.ndarray          # (V, 4) ambient positions
     normal: np.ndarray            # (V, 4) future unit normals
     frame: np.ndarray             # (V, 4, 2) orthonormal tangent frames
@@ -116,7 +116,6 @@ class GeometryCache:
     mean: np.ndarray              # (V, 3) normalized mean curvatures
     weights: np.ndarray           # (V,) lumped area weights
     area: float
-    faces: np.ndarray             # (F, 3)
     face_area: np.ndarray         # (F,)
     face_frame: np.ndarray        # (F, 4, 2)
     face_grad: np.ndarray         # (F, 2, 3) hat-function gradients in the face frame
@@ -130,8 +129,7 @@ class GraphSurface:
 
     height: HarmonicField
     axis: ConformalFieldSpec
-    frame_map: np.ndarray         # Lorentz frame with the axis as time direction
-    mesh: TriangleMesh
+    mesh: SphereMesh
     cache: GeometryCache
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -144,44 +142,6 @@ class GraphSurface:
     @property
     def is_slice(self) -> bool:
         return not self.height.terms
-
-    @property
-    def level(self) -> int | None:
-        return self.mesh.level
-
-
-def _vertex_sphere_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent frames on the unit sphere from projected fixed
-    axis pairs, falling back to the next pair near degeneracy."""
-    v = q.shape[0]
-    w1 = np.zeros((v, 3))
-    w2 = np.zeros((v, 3))
-    done = np.zeros(v, dtype=bool)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        todo = ~done
-        if not todo.any():
-            break
-        cand1 = -q[todo, i : i + 1] * q[todo]
-        cand1[:, i] += 1.0
-        n1 = np.linalg.norm(cand1, axis=1)
-        cand2 = -q[todo, j : j + 1] * q[todo]
-        cand2[:, j] += 1.0
-        safe1 = n1 >= _FRAME_TOL
-        cand1[safe1] /= n1[safe1, None]
-        cand2 -= np.einsum("vi,vi->v", cand2, cand1)[:, None] * cand1
-        n2 = np.linalg.norm(cand2, axis=1)
-        ok = safe1 & (n2 >= _FRAME_TOL)
-        cand2[ok] /= n2[ok, None]
-        idx = np.flatnonzero(todo)[ok]
-        w1[idx] = cand1[ok]
-        w2[idx] = cand2[ok]
-        done[idx] = True
-    if not done.all():
-        raise GraphConstructionError(
-            f"degenerate tangent frame at vertex {int(np.flatnonzero(~done)[0])}",
-            vertex=int(np.flatnonzero(~done)[0]),
-        )
-    return w1, w2
 
 
 def _face_geometry(vertices: np.ndarray, faces: np.ndarray):
@@ -236,38 +196,32 @@ def _consistent_mass(faces: np.ndarray, face_weight: np.ndarray, nv: int):
     return scatter_p1(faces, face_weight[:, None, None] * local[None], nv)
 
 
+@cache
+def _icosphere_mesh(level: int) -> SphereMesh:
+    q, faces = icosphere(level)
+    return SphereMesh(q, faces, level)
+
+
 def build_graph(
     s0: float,
     perturbations=(),
     level: int = 4,
     axis: np.ndarray | None = None,
-    base: tuple[np.ndarray, np.ndarray] | GraphSurface | None = None,
+    mesh: SphereMesh | None = None,
 ) -> GraphSurface:
     """Build the graph surface with height s0 + sum of harmonic perturbations.
 
-    ``perturbations`` is a sequence of (l, m, amplitude).  The surface must be
-    spacelike at every vertex; otherwise construction fails naming the worst
-    vertex.  ``base`` overrides the icosphere: explicit (points, faces) are
-    validated first; a built GraphSurface lends its sphere directions, faces,
-    level and sphere frames (memoized on it), which need no validation.
+    ``perturbations`` is a sequence of (l, m, amplitude).  The surface is
+    sampled over ``mesh`` as given, without validation, or by default over
+    the process's shared icosphere of ``level``.  It must be spacelike at
+    every vertex; otherwise construction fails naming the worst vertex.
     """
     height = HarmonicField(constant=float(s0), terms=tuple(perturbations))
     axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
     spec = ConformalFieldSpec(a=axis)
     frame_map = orthonormal_completion(axis)
-
-    reuse = isinstance(base, GraphSurface)
-    if base is None:
-        q, faces = icosphere(level)
-        mesh_level = level
-    elif reuse:
-        q, faces, mesh_level = base.cache.sphere_q, base.cache.faces, base.level
-    else:
-        q, faces = base
-        q = np.asarray(q, dtype=float)
-        faces = np.asarray(faces, dtype=int)
-        validate_closed_oriented(faces, q.shape[0])
-        mesh_level = None
+    mesh = _icosphere_mesh(level) if mesh is None else mesh
+    q, faces = mesh.q, mesh.faces
 
     u = height.value(q)
     g = height.sphere_gradient(q)
@@ -286,12 +240,7 @@ def build_graph(
         )
     metric_ratio = float(np.max(phi * phi / margin))
 
-    if reuse:
-        if "sphere_frames" not in base._memo:
-            base._memo["sphere_frames"] = _vertex_sphere_frames(q)
-        w1, w2 = base._memo["sphere_frames"]
-    else:
-        w1, w2 = _vertex_sphere_frames(q)
+    w1, w2 = mesh.frames
     u1 = np.einsum("vi,vi->v", g, w1)
     u2 = np.einsum("vi,vi->v", g, w2)
     h = np.empty((q.shape[0], 2, 2))                  # Hessian in the (w1, w2) frame
@@ -345,7 +294,6 @@ def build_graph(
     weights = np.asarray(mass.sum(axis=1)).ravel()
 
     cache = GeometryCache(
-        sphere_q=q,
         vertices=verts,
         normal=normal,
         frame=frame,
@@ -355,15 +303,13 @@ def build_graph(
         mean=mean,
         weights=weights,
         area=float(weights.sum()),
-        faces=faces,
         face_area=face_area,
         face_frame=face_frame,
         face_grad=face_grad,
         mass=mass,
         metric_ratio=metric_ratio,
     )
-    tri = TriangleMesh(vertices=verts, faces=faces, level=mesh_level)
-    return GraphSurface(height=height, axis=spec, frame_map=frame_map, mesh=tri, cache=cache)
+    return GraphSurface(height=height, axis=spec, mesh=mesh, cache=cache)
 
 
 def build_slice(n: int, s0: float, axis: np.ndarray | None = None) -> SliceSurface:
@@ -386,7 +332,7 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
     """Piecewise-linear surface gradient of a vertex field, averaged onto
     vertices, as ambient tangent vectors (V, 4)."""
     cache = surface.cache
-    faces = cache.faces
+    faces = surface.mesh.faces
     fvals = values[faces]                                    # (F, 3)
     comp = np.einsum("fam,fm->fa", cache.face_grad, fvals)   # (F, 2) in the face frame
     grad_face = np.einsum("fia,fa->fi", cache.face_frame, comp)  # (F, 4)
@@ -418,13 +364,13 @@ def surface_from_mesh_file(
     connectivity) and the max fit residual.  Meshes that are not graphs in
     the family within ``fit_tol`` are rejected.
     """
-    tri = load_mesh(path)
+    vertices, faces = load_mesh(path)
     axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
     frame_map = orthonormal_completion(axis)
     j = minkowski_metric(4)
     inv = j @ frame_map.T @ j
-    can = tri.vertices @ inv.T
-    norms = mdot(tri.vertices, tri.vertices)
+    can = vertices @ inv.T
+    norms = mdot(vertices, vertices)
     if np.abs(norms - 1.0).max() > 1e-8:
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise GraphConstructionError(f"vertex {worst} is not on the unit hyperquadric", vertex=worst)
@@ -446,5 +392,5 @@ def surface_from_mesh_file(
     terms = tuple(
         (h.l, h.m, float(a)) for h, a in zip(basis, coef[1:]) if abs(a) > 1e-12
     )
-    surf = build_graph(float(coef[0]), perturbations=terms, axis=axis, base=(q, tri.faces))
+    surf = build_graph(float(coef[0]), perturbations=terms, axis=axis, mesh=SphereMesh(q, faces))
     return surf, residual

@@ -85,7 +85,7 @@ class NormalVariation:
             )
 
     def values(self) -> np.ndarray:
-        return self.amplitude.value(self.base.cache.sphere_q)
+        return self.amplitude.value(self.base.mesh.q)
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ class FunctionalTrace:
 def flow(variation: NormalVariation, t: float) -> GraphSurface:
     """Snapshot of the flowed surface; exact within the analytic family.
 
-    The snapshot is the height graph u = s0 + t f over the base mesh, whose
-    faces, level and sphere frames it reuses (``build_graph`` with the base
-    surface as ``base``; the faces are not validated again).  It is
+    The snapshot is the height graph u = s0 + t f built on the base's own
+    mesh object (``build_graph(..., mesh=base.mesh)``): it shares the base's
+    directions, faces, level, sphere frames and order.  It is
     spacelike where |grad u| = |t grad f| < cosh(s0 + t f), checked at the
     vertices; where |t grad f| >= cosh(s0 + t f) at some vertex, FlowError is
     raised naming the vertex with the smallest margin cosh^2(u) - |grad u|^2.
@@ -141,7 +141,7 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
         return base
     height = base.height.plus(variation.amplitude, factor=t)
     try:
-        return build_graph(height.constant, perturbations=height.terms, axis=base.axis.a, base=base)
+        return build_graph(height.constant, perturbations=height.terms, axis=base.axis.a, mesh=base.mesh)
     except GraphConstructionError as err:
         raise FlowError(f"flow at t = {t:.6g} loses spacelikeness: {err}", t=t,
                         vertex=err.vertex) from err
@@ -177,7 +177,7 @@ def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.nda
     entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2 at
     each of the M = 3 F quadrature points (ordered by edge, then face)."""
     cache = variation.base.cache
-    corners = cache.faces.T                           # (3, F)
+    corners = variation.base.mesh.faces.T             # (3, F)
     pos = cache.vertices.T[:, corners]                # (4, 3, F) corner values
     nrm = cache.normal.T[:, corners]
     amp = variation.values()[corners]                 # (3, F)

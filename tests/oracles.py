@@ -61,11 +61,12 @@ def assemble_stiffness_reference(surface, r):
     p_vertex = newton_vertex_matrices(surface, r)
     j = np.diag(minkowski_metric(4))
     frames = cache.frame * j[None, :, None]
-    transport = np.einsum("fcia,fib->fcab", frames[cache.faces], cache.face_frame)
-    p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[cache.faces], transport).mean(axis=1)
+    faces = surface.mesh.faces
+    transport = np.einsum("fcia,fib->fcab", frames[faces], cache.face_frame)
+    p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[faces], transport).mean(axis=1)
     p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
     k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
-    return scatter_p1(cache.faces, k_local, cache.vertices.shape[0])
+    return scatter_p1(faces, k_local, cache.vertices.shape[0])
 
 
 # edge-midpoint quadrature rule: barycentric coordinates of the three points
@@ -81,7 +82,7 @@ def volume_balance_reference(variation, t, n_time=16):
     if abs(t) > variation.t_max:
         raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
     cache = variation.base.cache
-    faces = cache.faces
+    faces = variation.base.mesh.faces
     f_vertex = variation.values()
 
     pos = cache.vertices[faces]        # (F, 3, 4)
@@ -136,7 +137,7 @@ def tangential_gradient_reference(surface, values):
     """Vertex-averaged P1 surface gradient with ``np.add.at`` accumulation,
     corner by corner."""
     cache = surface.cache
-    faces = cache.faces
+    faces = surface.mesh.faces
     comp = np.einsum("fam,fm->fa", cache.face_grad, values[faces])
     grad_face = np.einsum("fia,fa->fi", cache.face_frame, comp)
     nv = values.shape[0]
@@ -275,7 +276,7 @@ def shape_operator_mesh_estimate(surface):
     """
     cache = surface.cache
     nv = cache.vertices.shape[0]
-    adjacency = _vertex_adjacency(cache.faces, nv)
+    adjacency = _vertex_adjacency(surface.mesh.faces, nv)
     j = np.diag(minkowski_metric(4))
     out = np.empty((nv, 2, 2))
     for i in range(nv):
@@ -304,7 +305,7 @@ def strong_form_check(surface, r, test_field, battery=None):
     factor = comb(surface.n - 1, r) * np.tanh(surface.s0) ** r
     radius2 = np.cosh(surface.s0) ** 2
 
-    q = cache.sphere_q
+    q = surface.mesh.q
     f_vals = test_field.value(q)
     lf = np.zeros_like(f_vals)
     for l, m, a in test_field.terms:

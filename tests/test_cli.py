@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from lorstab.cli import main
-from lorstab.config import ConfigError, load_config
+from lorstab.cli import main, run_scenario
+from lorstab.config import ConfigError, load_config, parse_config
 
 SLICE = "scenario = slice\nr = 1\ns0 = 1\nlevel = 3\n"
 GRAPH = "scenario = graph\nr = 1\ns0 = 1\nperturbations = 2,0,0.05;3,1,0.02\nlevel = 3\n"
@@ -47,8 +47,69 @@ class TestExitCodes:
 
     def test_level_override_out_of_range_exits_four(self, tmp_path, capsys):
         assert run(tmp_path, SLICE, "--level", "7") == 4
-        assert "'level'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: key 'level': expected one of (3, 4, 5, 6), got 7\n"
         assert not (tmp_path / "out").exists()
+
+
+    def test_level_sweep_out_of_range_exits_four(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--param", "level", "--values", "3,2", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "config error: key 'level': expected one of (3, 4, 5, 6), got 2\n"
+        assert not (out / "sweep.csv").exists()
+
+
+MESH_FILE = "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n"
+NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
+
+# (key, config text): one rejected value per error site of parse_config,
+# _build_surface and _variation_battery
+CONFIG_ERRORS = {
+    "scenario-missing": ("scenario", "r = 1\ns0 = 1\n"),
+    "scenario-invalid": ("scenario", "scenario = cone\nr = 1\ns0 = 1\n"),
+    "r-missing": ("r", "scenario = slice\ns0 = 1\n"),
+    "r-not-integer": ("r", "scenario = slice\nr = 1.5\ns0 = 1\n"),
+    "r-out-of-range": ("r", "scenario = slice\nr = 2\ns0 = 1\n"),
+    "n-not-integer": ("n", SLICE + "n = two\n"),
+    "n-graph": ("n", GRAPH + "n = 3\n"),
+    "n-mesh-file": ("n", MESH_FILE + "n = 3\n"),
+    "n-meshed-slice": ("n", SLICE + "n = 3\nkilling_u = 1 0 0 0 0\n"),
+    "s0-missing": ("s0", "scenario = graph\nr = 1\n"),
+    "s0-not-number": ("s0", "scenario = slice\nr = 1\ns0 = high\n"),
+    "mesh_file-missing": ("mesh_file", "scenario = mesh-file\nr = 1\n"),
+    "axis-length": ("axis", SLICE + "axis = 0 0 1\n"),
+    "axis-parse": ("axis", SLICE + "axis = 0 0 0 one\n"),
+    "killing_u-length": ("killing_u", SLICE + "killing_u = 1 0 0\n"),
+    "killing_u-parse": ("killing_u", SLICE + "killing_u = 1 0 0 x\n"),
+    "killing_v-length": ("killing_v", SLICE + "killing_v = 0 0 0 1 0\n"),
+    "killing_v-parse": ("killing_v", SLICE + "killing_v = 0,0,0,y\n"),
+    "perturbations-not-triple": ("perturbations", SLICE + "perturbations = 2,0\n"),
+    "perturbations-parse": ("perturbations", SLICE + "perturbations = 2,x,0.1\n"),
+    "perturbations-not-finite": ("perturbations", SLICE + "perturbations = 2,0,inf\n"),
+    "level-out-of-range": ("level", NO_LEVEL + "level = 7\n"),
+    "level-not-integer": ("level", NO_LEVEL + "level = 4.5\n"),
+    "checks-unknown": ("checks", SLICE + "checks = stability,bogus\n"),
+    "checks-variation-on-graph": ("checks", GRAPH + "checks = variation\n"),
+    "fd_h-out-of-range": ("fd_h", SLICE + "fd_h = 0.01\n"),
+    "fd_h-not-number": ("fd_h", SLICE + "fd_h = small\n"),
+    "mesh_fit_lmax-not-integer": ("mesh_fit_lmax", SLICE + "mesh_fit_lmax = 6.0\n"),
+    "tol_gap-not-number": ("tol_gap", SLICE + "tol_gap = wide\n"),
+    "tol_const-not-number": ("tol_const", SLICE + "tol_const = 1e-6x\n"),
+    "solver_tol-not-number": ("solver_tol", SLICE + "solver_tol = tight\n"),
+    "seed-not-integer": ("seed", SLICE + "seed = 0x1\n"),
+    "duplicated-key": ("s0", SLICE + "s0 = 2\n"),
+    "unknown-key": ("bogus", SLICE + "bogus = 1\n"),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("key, text", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+    def test_error_names_its_key(self, tmp_path, key, text):
+        with pytest.raises(ConfigError) as err:
+            run_scenario(parse_config(text), tmp_path / "out")
+        assert err.value.key == key
+        assert f"'{key}'" in str(err.value)
 
 
 class TestReport:

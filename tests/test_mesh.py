@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorstab.mesh import (
-    TriangleMesh,
+    SphereMesh,
     icosphere,
     load_mesh,
     nested_dissection,
@@ -81,6 +81,13 @@ class TestIcosphere:
     def test_negative_level(self):
         with pytest.raises(ValueError):
             icosphere(-1)
+
+    def test_returns_fresh_writable_arrays(self):
+        # the validation property tests corrupt icosphere output in place
+        pts, faces = icosphere(2)
+        again, _ = icosphere(2)
+        assert pts.flags.writeable and faces.flags.writeable
+        assert not np.shares_memory(pts, again)
 
 
     @pytest.mark.parametrize("level", range(7))
@@ -165,12 +172,11 @@ class TestTextFormat:
     def test_roundtrip(self, tmp_path):
         pts, faces = icosphere(1)
         verts = np.column_stack([pts, np.linspace(-1, 1, pts.shape[0])])
-        mesh = TriangleMesh(vertices=verts, faces=faces, level=1)
         path = tmp_path / "m.mesh"
-        save_mesh(path, mesh)
-        back = load_mesh(path)
-        assert back.vertices == pytest.approx(mesh.vertices, abs=0)
-        assert (back.faces == mesh.faces).all()
+        save_mesh(path, verts, faces)
+        back_verts, back_faces = load_mesh(path)
+        assert back_verts == pytest.approx(verts, abs=0)
+        assert (back_faces == faces).all()
         first = path.read_text().splitlines()[0]
         assert first.startswith("v ") and len(first.split()) == 5
 
@@ -182,3 +188,39 @@ class TestTextFormat:
         path.write_text("x 1 2 3\n")
         with pytest.raises(ValueError, match="unknown record"):
             load_mesh(path)
+
+
+class TestSphereMesh:
+    def test_arrays_read_only(self):
+        pts, faces = icosphere(2)
+        mesh = SphereMesh(pts, faces, 2)
+        w1, _ = mesh.frames
+        for array in (mesh.q, mesh.faces, w1, mesh.order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_frames_and_order_computed_once(self):
+        pts, faces = icosphere(2)
+        mesh = SphereMesh(pts, faces, 2)
+        assert mesh.frames is mesh.frames
+        assert mesh.order is mesh.order
+        assert np.array_equal(mesh.order, nested_dissection(pts, faces))
+        assert mesh.nvertices == pts.shape[0]
+
+    @pytest.mark.parametrize("level", [0, 3, 6])
+    def test_frames_orthonormal_tangent(self, level):
+        pts, faces = icosphere(level)
+        w1, w2 = SphereMesh(pts, faces, level).frames
+        for a, b, want in ((w1, w1, 1.0), (w2, w2, 1.0), (w1, w2, 0.0), (w1, pts, 0.0), (w2, pts, 0.0)):
+            assert np.abs(np.einsum("vi,vi->v", a, b) - want).max() < 1e-13
+
+    def test_frames_at_axis_directions(self):
+        # every axis pair degenerates somewhere on the coordinate circles;
+        # the fallback still gives each unit direction a frame
+        q = np.concatenate([np.eye(3), -np.eye(3), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                                              [1.0, 0.0, 1.0]]) / np.sqrt(2.0)])
+        w1, w2 = SphereMesh(q, np.zeros((0, 3), dtype=int)).frames
+        assert np.abs(np.linalg.norm(w1, axis=1) - 1.0).max() < 1e-15
+        assert np.abs(np.linalg.norm(w2, axis=1) - 1.0).max() < 1e-15
+        assert np.abs(np.einsum("vi,vi->v", w1, q)).max() < 1e-15
+        assert np.abs(np.einsum("vi,vi->v", w2, q)).max() < 1e-15

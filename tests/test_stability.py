@@ -83,7 +83,7 @@ class TestJacobiForm:
 
     def test_higher_mode_negative(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        f = SphericalHarmonic(2, 0).value(surf.cache.sphere_q)
+        f = SphericalHarmonic(2, 0).value(surf.mesh.q)
         sample = ls.jacobi_second_variation(surf, 1, f)
         assert sample.value < 0
 
@@ -95,7 +95,7 @@ class TestJacobiForm:
 
     def test_mean_projection_recorded(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        f = 1.0 + SphericalHarmonic(2, 0).value(surf.cache.sphere_q)
+        f = 1.0 + SphericalHarmonic(2, 0).value(surf.mesh.q)
         sample = ls.jacobi_second_variation(surf, 1, f)
         assert sample.projected_mass_fraction > 0.1
         assert abs(np.sum(surf.cache.weights * sample.values)) < 1e-10 * surf.cache.area
@@ -108,7 +108,7 @@ class TestJacobiForm:
     def test_mean_zero_battery_nonpositive(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         rng = np.random.default_rng(0)
-        q = surf.cache.sphere_q
+        q = surf.mesh.q
         battery = [h.value(q) for h in harmonic_basis(4, l_min=1)]
         while len(battery) < 50:
             battery.append(rng.normal(size=q.shape[0]))

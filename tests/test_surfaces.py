@@ -142,7 +142,7 @@ class TestSupportFunction:
         surf = slice_mesh(1.0, 4)
         spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=2.0)
         eta = ls.support_function(surf, spec)
-        assert eta == pytest.approx(-2.0 * surf.cache.sphere_q[:, 0], abs=1e-12)
+        assert eta == pytest.approx(-2.0 * surf.mesh.q[:, 0], abs=1e-12)
         assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
 
     def test_spatial_rotation_is_tangent(self, slice_mesh):
@@ -169,7 +169,7 @@ class TestTangentialGradient:
 
     def test_degree_one_norm(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        q = surf.cache.sphere_q
+        q = surf.mesh.q
         h = SphericalHarmonic(1, 0)
         grad = ls.tangential_gradient(surf, h.value(q))
         got = np.sqrt(np.abs(mdot(grad, grad)))
@@ -187,7 +187,7 @@ class TestTangentialGradient:
         errs = []
         for level in (3, 4):
             surf = ls.build_slice(2, 1.0).meshed(level)
-            q = surf.cache.sphere_q
+            q = surf.mesh.q
             values = 2.0 + 3.0 * q[:, 0] - q[:, 1]
             grad = ls.tangential_gradient(surf, values)
             direction = np.array([3.0, -1.0, 0.0])
@@ -202,9 +202,11 @@ class TestMeshFileSurfaces:
     def test_roundtrip(self, tmp_path):
         surf = ls.build_graph(1.0, perturbations=((2, 0, 0.05), (3, 1, 0.01)), level=3)
         path = tmp_path / "surface.mesh"
-        save_mesh(path, surf.mesh)
+        save_mesh(path, surf.cache.vertices, surf.mesh.faces)
         back, residual = surface_from_mesh_file(path)
         assert residual < 1e-10
+        assert back.mesh.level is None and back.mesh is not surf.mesh
+        assert np.array_equal(back.mesh.faces, surf.mesh.faces)
         assert np.abs(back.cache.vertices - surf.cache.vertices).max() < 1e-10
         terms = dict(((l, m), a) for l, m, a in back.height.terms)
         assert terms[(2, 0)] == pytest.approx(0.05, abs=1e-10)
@@ -214,17 +216,44 @@ class TestMeshFileSurfaces:
     def test_out_of_family_rejected(self, tmp_path):
         surf = ls.build_graph(1.0, perturbations=((8, 3, 0.02),), level=3)
         path = tmp_path / "foreign.mesh"
-        save_mesh(path, surf.mesh)
+        save_mesh(path, surf.cache.vertices, surf.mesh.faces)
         with pytest.raises(ls.GraphConstructionError, match="harmonic height graph"):
             surface_from_mesh_file(path, fit_lmax=6)
 
     def test_off_quadric_rejected(self, tmp_path):
         surf = ls.build_graph(1.0, perturbations=(), level=3)
-        bad = surf.mesh.vertices.copy()
+        bad = surf.cache.vertices.copy()
         bad[5] *= 1.01
-        from lorstab.mesh import TriangleMesh
-
         path = tmp_path / "off.mesh"
-        save_mesh(path, TriangleMesh(vertices=bad, faces=surf.mesh.faces))
+        save_mesh(path, bad, surf.mesh.faces)
         with pytest.raises(ls.GraphConstructionError, match="hyperquadric"):
             surface_from_mesh_file(path)
+
+
+class TestSharedMesh:
+    def test_one_mesh_and_order_per_level(self):
+        tilted = np.array([0.0, 0.0, np.sinh(0.3), np.cosh(0.3)])
+        sl = ls.build_slice(2, 0.7).meshed(3)
+        graph = ls.build_graph(1.2, perturbations=((2, 0, 0.05),), level=3, axis=tilted)
+        assert graph.mesh is sl.mesh
+        assert sl.mesh.level == 3
+        assert ls.assemble(graph, 1).order is ls.assemble(sl, 0).order is sl.mesh.order
+        assert ls.build_graph(1.0, level=4).mesh is not sl.mesh
+
+    def test_shared_arrays_read_only(self):
+        surf = ls.build_graph(1.0, perturbations=((2, 0, 0.05),), level=3)
+        w1, _ = surf.mesh.frames
+        for array in (surf.mesh.q, surf.mesh.faces, w1, surf.mesh.order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+
+    def test_explicit_mesh_used_as_given(self):
+        sl = ls.build_slice(2, 1.0).meshed(3)
+        again = ls.build_graph(1.0, level=5, mesh=sl.mesh)
+        assert again.mesh is sl.mesh
+        assert np.array_equal(again.cache.vertices, sl.cache.vertices)
+
+    def test_no_mesh_data_in_memo(self, graph_mesh):
+        surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
+        ls.analyze(surf, 1)
+        assert all(key[0] in ("newton", "operator", "stability_field") for key in surf._memo)

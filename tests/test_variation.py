@@ -53,7 +53,7 @@ class TestFlow:
     def test_spacelike_loss_raises(self, slice_mesh):
         # the flowed slice is the graph u = s0 + t f, spacelike where |t grad f| < cosh(u)
         base = slice_mesh(1.0, 3)
-        q = base.cache.sphere_q
+        q = base.mesh.q
         t = 0.05
 
         def spacelike_data(amplitude):
@@ -78,22 +78,21 @@ class TestFlow:
         snap = ls.flow(ls.NormalVariation(base=base, amplitude=mild), t)
         assert snap.cache.vertices.shape == base.cache.vertices.shape
 
-    def test_snapshot_equals_build_on_explicit_base(self, slice_mesh):
+    def test_snapshot_equals_fresh_build_at_base_level(self, slice_mesh):
         base = slice_mesh(1.0, 3)
         var = ls.NormalVariation(base=base, amplitude=Y20)
         t = 0.02
         snap = ls.flow(var, t)
         height = base.height.plus(Y20, factor=t)
-        want = ls.build_graph(height.constant, perturbations=height.terms, axis=base.axis.a,
-                              base=(base.cache.sphere_q, base.cache.faces))
+        want = ls.build_graph(height.constant, perturbations=height.terms, level=3, axis=base.axis.a)
         for name in GeometryCache.__dataclass_fields__:
             got, ref = getattr(snap.cache, name), getattr(want.cache, name)
             if name == "mass":
                 assert (got != ref).nnz == 0
             else:
                 assert np.array_equal(got, ref), name
-        assert snap.level == base.level == 3
-        assert want.level is None
+        assert snap.mesh is base.mesh is want.mesh
+        assert snap.mesh.level == 3
 
     def test_snapshots_skip_mesh_validation(self, slice_mesh, monkeypatch):
         var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
