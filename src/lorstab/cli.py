@@ -70,9 +70,14 @@ def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str
         )
         extra.append(("metric_anisotropy", surface.cache.metric_ratio))
     else:
-        surface, residual = surface_from_mesh_file(
-            config.mesh_file, axis=config.axis_array, fit_lmax=config.mesh_fit_lmax
-        )
+        try:
+            surface, residual = surface_from_mesh_file(
+                config.mesh_file, axis=config.axis_array, fit_lmax=config.mesh_fit_lmax
+            )
+        except GraphConstructionError:
+            raise                       # a readable mesh the harmonic fit rejects
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"key 'mesh_file': {err}", key="mesh_file") from err
         extra.append(("mesh_fit_residual", residual))
     return surface, extra
 

@@ -101,7 +101,8 @@ def parse_config(text: str) -> ScenarioConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got '{line}'")
+            key = line.split()[0]
+            raise ConfigError(f"key '{key}': line {lineno}: expected 'key = value', got '{line}'", key=key)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()

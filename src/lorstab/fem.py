@@ -110,6 +110,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     if faces.size == 0:
         raise ValueError("surface mesh has no faces")
 
+    mass = cache.mass       # before the stiffness temporaries, which keeps peak RSS down
     p_vertex = newton_vertex_matrices(surface, r)
     min_eig = float(batched_eigvalsh2(p_vertex).min())
 
@@ -130,7 +131,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
         k_local[f] = cache.face_area[f, None, None] * (g.transpose(0, 2, 1) @ (p_face @ g))
     k = scatter_p1(faces, k_local, nv)
     pair = OperatorPair(
-        stiffness=k, mass=cache.mass, r=r, nvertices=nv, min_newton_eig=min_eig,
+        stiffness=k, mass=mass, r=r, nvertices=nv, min_newton_eig=min_eig,
         order=surface.mesh.order,
     )
     surface._memo[key] = pair

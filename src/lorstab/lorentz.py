@@ -17,6 +17,7 @@ __all__ = [
     "minkowski_inner",
     "minkowski_metric",
     "mdot",
+    "mdot_axis0",
     "DeSitterPoint",
     "GrwCoordinates",
     "ConformalFieldSpec",
@@ -55,6 +56,13 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched Lorentz inner product along the last axis."""
     prod = a * b
     return prod[..., :-1].sum(axis=-1) - prod[..., -1]
+
+
+def mdot_axis0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lorentz inner product of 4-vectors stored along axis 0, as (4, ...)
+    arrays: the values of ``mdot`` on the transposed arrays, several times
+    faster than ``mdot`` on (N, 4) rows."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,12 @@ def save_mesh(path: str | Path, vertices: np.ndarray, faces: np.ndarray) -> None
 
 
 def load_mesh(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient vertices (V, 4) and validated faces (F, 3) of a ``save_mesh`` file."""
+    """Ambient vertices (V, 4) and validated faces (F, 3) of a ``save_mesh`` file.
+
+    Every ValueError names the file: a malformed record with its line, a
+    file with no faces, an invalid triangulation with its first bad edge.
+    An unreadable file raises OSError.
+    """
     verts: list[list[float]] = []
     faces: list[list[int]] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -244,13 +249,22 @@ def load_mesh(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         if tag == "v":
             if len(rest) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 vertex coordinates")
-            verts.append([float(x) for x in rest])
+            record, kind = verts, float
         elif tag == "f":
             if len(rest) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 face indices")
-            faces.append([int(x) for x in rest])
+            record, kind = faces, int
         else:
             raise ValueError(f"{path}:{lineno}: unknown record '{tag}'")
+        try:
+            record.append([kind(x) for x in rest])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    if not faces:
+        raise ValueError(f"{path}: no face records")
     face_arr = np.array(faces, dtype=int)
-    validate_closed_oriented(face_arr, len(verts))
+    try:
+        validate_closed_oriented(face_arr, len(verts))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return np.array(verts, dtype=float), face_arr

@@ -17,7 +17,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from math import comb, gamma, pi
 from pathlib import Path
 
@@ -27,7 +27,8 @@ from scipy.sparse import coo_matrix
 from .curvature import ShapeSpectrum, batched_eigvalsh2, batched_elementary, curvature_table
 from .harmonics import HarmonicField, harmonic_basis
 from .lorentz import (
-    ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, minkowski_metric, orthonormal_completion,
+    ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, mdot_axis0, minkowski_metric,
+    orthonormal_completion,
 )
 # validate_closed_oriented stays bound for perfbench/tracer.py; load_mesh calls it
 from .mesh import SphereMesh, icosphere, load_mesh, validate_closed_oriented  # noqa: F401
@@ -105,7 +106,15 @@ class SliceSurface:
 
 @dataclass
 class GeometryCache:
-    """Per-vertex and per-face geometric data of a built graph surface."""
+    """Per-vertex and per-face geometric data of a built graph surface.
+
+    The fields are computed when the surface is built.  ``face_frame``,
+    ``face_grad`` and ``mass`` are computed from ``vertices`` and ``faces``
+    the first time they are read and kept from then on; the flow snapshots
+    of a variation read only ``sigma`` and ``weights``, and never pay for
+    them.  ``weights`` are the per-vertex sums of face_area / 3, which are
+    the row sums of ``mass`` up to rounding.
+    """
 
     vertices: np.ndarray          # (V, 4) ambient positions
     normal: np.ndarray            # (V, 4) future unit normals
@@ -117,10 +126,37 @@ class GeometryCache:
     weights: np.ndarray           # (V,) lumped area weights
     area: float
     face_area: np.ndarray         # (F,)
-    face_frame: np.ndarray        # (F, 4, 2)
-    face_grad: np.ndarray         # (F, 2, 3) hat-function gradients in the face frame
-    mass: "object"                # scipy csr, consistent mass matrix
+    faces: np.ndarray             # (F, 3) the mesh's faces
     metric_ratio: float           # max induced-metric anisotropy over vertices
+
+    @cached_property
+    def face_frame(self) -> np.ndarray:
+        """(F, 4, 2) Lorentz-orthonormal frames of the flat faces."""
+        e1, e2, g11, g12, g22 = _face_edges(self.vertices, self.faces)
+        f1 = e1 / np.sqrt(g11)[:, None]
+        t2 = e2 - (g12 / g11)[:, None] * e1
+        return np.stack([f1, t2 / _face_height(g11, g12, g22)[:, None]], axis=2)
+
+    @cached_property
+    def face_grad(self) -> np.ndarray:
+        """(F, 2, 3) hat-function gradients in ``face_frame``."""
+        _, _, g11, g12, g22 = _face_edges(self.vertices, self.faces)
+        # 2D vertex coordinates in the face frame: (0,0), (l1,0), (g12/l1, l2)
+        l1 = np.sqrt(g11)
+        x2, y2 = g12 / l1, _face_height(g11, g12, g22)
+        det2 = l1 * y2
+        grad = np.empty((self.faces.shape[0], 2, 3))
+        grad[:, 0, 1] = y2 / det2
+        grad[:, 1, 1] = -x2 / det2
+        grad[:, 0, 2] = 0.0
+        grad[:, 1, 2] = l1 / det2
+        grad[:, :, 0] = -grad[:, :, 1] - grad[:, :, 2]
+        return grad
+
+    @cached_property
+    def mass(self):
+        """Consistent P1 mass matrix (scipy CSR)."""
+        return _consistent_mass(self.faces, self.face_area, self.vertices.shape[0])
 
 
 @dataclass
@@ -144,39 +180,33 @@ class GraphSurface:
         return not self.height.terms
 
 
-def _face_geometry(vertices: np.ndarray, faces: np.ndarray):
-    """Lorentz edge data of flat faces: areas, orthonormal face frames,
-    and hat-function gradients expressed in those frames."""
-    p0 = vertices[faces[:, 0]]
-    e1 = vertices[faces[:, 1]] - p0
-    e2 = vertices[faces[:, 2]] - p0
-    g11 = mdot(e1, e1)
-    g12 = mdot(e1, e2)
-    g22 = mdot(e2, e2)
+def _face_edges(vertices: np.ndarray, faces: np.ndarray):
+    """Edge vectors e1 = v1 - v0, e2 = v2 - v0 of every face, as (F, 4)
+    arrays, and their Lorentz products g11, g12, g22.  ``np.take`` gathers
+    rows several times faster than fancy indexing, and ``mdot_axis0`` on the
+    transposed edges is several times faster than ``mdot``, with the same
+    values."""
+    p0 = np.take(vertices, faces[:, 0], axis=0)
+    e1 = np.take(vertices, faces[:, 1], axis=0) - p0
+    e2 = np.take(vertices, faces[:, 2], axis=0) - p0
+    return e1, e2, mdot_axis0(e1.T, e1.T), mdot_axis0(e1.T, e2.T), mdot_axis0(e2.T, e2.T)
+
+
+def _face_height(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray) -> np.ndarray:
+    """Length of e2 orthogonal to e1."""
+    return np.sqrt(g22 - g12 * g12 / g11)
+
+
+def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Areas of the flat faces; every face must have a spacelike induced metric."""
+    _, _, g11, g12, g22 = _face_edges(vertices, faces)
     det = g11 * g22 - g12 * g12
     if (g11 <= 0).any() or (det <= 0).any():
         worst = int(np.argmin(np.minimum(g11, det)))
         raise GraphConstructionError(
             f"face {worst} is not spacelike (degenerate induced metric)", vertex=int(faces[worst, 0])
         )
-    area = 0.5 * np.sqrt(det)
-    l1 = np.sqrt(g11)
-    f1 = e1 / l1[:, None]
-    t2 = e2 - (g12 / g11)[:, None] * e1
-    l2 = np.sqrt(g22 - g12 * g12 / g11)
-    f2 = t2 / l2[:, None]
-    # 2D vertex coordinates in the (f1, f2) frame: (0,0), (l1,0), (g12/l1, l2)
-    x1, y1 = l1, np.zeros_like(l1)
-    x2, y2 = g12 / l1, l2
-    det2 = x1 * y2 - x2 * y1
-    grad = np.empty((faces.shape[0], 2, 3))
-    grad[:, 0, 1] = y2 / det2
-    grad[:, 1, 1] = -x2 / det2
-    grad[:, 0, 2] = -y1 / det2
-    grad[:, 1, 2] = x1 / det2
-    grad[:, :, 0] = -grad[:, :, 1] - grad[:, :, 2]
-    face_frame = np.stack([f1, f2], axis=2)
-    return area, face_frame, grad
+    return 0.5 * np.sqrt(det)
 
 
 def scatter_p1(faces: np.ndarray, local: np.ndarray, nv: int):
@@ -289,9 +319,8 @@ def build_graph(
     sigma = batched_elementary(eigs)
     mean = sigma * np.array([1.0, -0.5, 1.0])[None, :]
 
-    face_area, face_frame, face_grad = _face_geometry(verts, faces)
-    mass = _consistent_mass(faces, face_area, v)
-    weights = np.asarray(mass.sum(axis=1)).ravel()
+    face_area = _face_areas(verts, faces)
+    weights = np.bincount(faces.ravel(), weights=np.repeat(face_area / 3.0, 3), minlength=v)
 
     cache = GeometryCache(
         vertices=verts,
@@ -304,9 +333,7 @@ def build_graph(
         weights=weights,
         area=float(weights.sum()),
         face_area=face_area,
-        face_frame=face_frame,
-        face_grad=face_grad,
-        mass=mass,
+        faces=faces,
         metric_ratio=metric_ratio,
     )
     return GraphSurface(height=height, axis=spec, mesh=mesh, cache=cache)

@@ -15,9 +15,11 @@ independent of the first-variation lemma it is used to check.  Along a
 normal line the flowed point and its t-derivative span the same plane as
 (N, p), with ch = cosh(t f) and sh = sinh(t f) as the only t-dependence, so
 the orientation determinant is f times a quadratic form in (ch, sh) and the
-Gram determinant is f^2 times the determinant of a 3x3 matrix of such forms
-(see ``volume_balance``).  Their coefficient fields are built once per call,
-and a call may take all the times of a stencil at once.
+Gram determinant is f^2 times the determinant of a 3x3 matrix of such forms.
+With T = tanh(t f) they are f ch^2 q(T) and f^2 ch^6 D(T) for a quadratic q
+and a degree-6 polynomial D (see ``volume_balance``).  Their coefficient
+fields are built once per call, and a call may take all the times of a
+stencil at once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .curvature import r_area_integrand, variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
+from .lorentz import mdot_axis0
 from .stability import jacobi_second_variation
 from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
@@ -160,11 +163,6 @@ _LAPLACE = (
 )
 
 
-def _ldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lorentz inner product of two arrays of 4-vectors stored along axis 0."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
-
-
 def _det_np(a: np.ndarray, b: np.ndarray, cofactor) -> np.ndarray:
     """det(a, b, N, p) for 4-vectors stored along axis 0, given the signed
     complementary minors of (N, p)."""
@@ -174,8 +172,9 @@ def _det_np(a: np.ndarray, b: np.ndarray, cofactor) -> np.ndarray:
 def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.ndarray]:
     """The t-independent data of ``volume_balance``: the amplitude f and a
     (7, 3, M) array whose rows hold, for det(a1, a2, N, p) and the six Gram
-    entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2 at
-    each of the M = 3 F quadrature points (ordered by edge, then face)."""
+    entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2 (so
+    also of 1, T and T^2 after division by ch^2) at each of the M = 3 F
+    quadrature points (ordered by edge, then face)."""
     cache = variation.base.cache
     corners = variation.base.mesh.faces.T             # (3, F)
     pos = cache.vertices.T[:, corners]                # (4, 3, F) corner values
@@ -190,23 +189,41 @@ def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.nda
     dn = [(nrm[:, k] - nrm[:, 0])[:, None] for k in (1, 2)]
     cofactor = [(i, j, sign * (nv[k] * p[l] - nv[l] * p[k])) for i, j, k, l, sign in _LAPLACE]
 
-    def gram(i, j):         # <a_i, a_j>
-        return _ldot(dp[i], dp[j]), _ldot(dp[i], dn[j]) + _ldot(dn[i], dp[j]), _ldot(dn[i], dn[j])
+    def form(u, v):         # <ch u0 + sh u1, ch v0 + sh v1> as coefficients of ch^2, ch sh, sh^2
+        (u0, u1), (v0, v1) = u, v
+        return mdot_axis0(u0, v0), mdot_axis0(u0, v1) + mdot_axis0(u1, v0), mdot_axis0(u1, v1)
 
-    def gram_ray(i):        # <a_i, ray>
-        return _ldot(dp[i], nv), _ldot(dp[i], p) + _ldot(dn[i], nv), _ldot(dn[i], p)
-
+    a1, a2, ray = (dp[0], dn[0]), (dp[1], dn[1]), (nv, p)
     rows = (
         (_det_np(dp[0], dp[1], cofactor),
          _det_np(dp[0], dn[1], cofactor) + _det_np(dn[0], dp[1], cofactor),
          _det_np(dn[0], dn[1], cofactor)),
-        gram(0, 0), gram(0, 1), gram_ray(0), gram(1, 1), gram_ray(1),
-        (_ldot(nv, nv), 2.0 * _ldot(p, nv), _ldot(p, p)),
+        form(a1, a1), form(a1, a2), form(a1, ray), form(a2, a2), form(a2, ray), form(ray, ray),
     )
     coef = np.empty((7, 3) + fq.shape)
     for k, terms in enumerate(rows):
         coef[k] = terms
     return fq.ravel(), coef.reshape(7, 3, -1)
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two polynomials whose coefficient fields, lowest degree
+    first, run along axis 0."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1,) + a.shape[1:])
+    for i, ai in enumerate(a):
+        out[i:i + b.shape[0]] += ai * b
+    return out
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomial of degree >= 1 with coefficient fields ``coef`` (lowest
+    degree first) at x, by Horner's rule in one buffer."""
+    acc = coef[-1] * x
+    for c in coef[-2:0:-1]:
+        acc += c
+        acc *= x
+    acc += coef[0]
+    return acc
 
 
 def volume_balance(variation: NormalVariation, t, n_time: int = 16):
@@ -239,12 +256,17 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
       * det3: subtracting multiples of dt leaves a_k, so
         det3 = f^2 det Gram(a1, a2, ray), each Gram entry being
         c0 ch^2 + c1 ch sh + c2 sh^2.
-    The element is then f sign(Q) sqrt|G| for the quadratic forms Q and G
-    above.  Their 21 coefficient fields do not depend on t; they are built
-    once per call and shared by all its times, so each Simpson node costs a
-    few dozen operations on (M,) arrays.  Nothing is kept between calls.
-    The identities are linear algebra and hold at the quadrature points,
-    which are not on the hyperquadric (there det3 = -det4^2 would hold).
+    Dividing each quadratic form by ch^2 leaves a quadratic polynomial in
+    T = tanh(tau f): det4 = f ch^2 q(T) and det3 = f^2 ch^6 D(T), where q
+    has the coefficients (D1, D2, D3) and D, the determinant of the 3x3
+    matrix of quadratics, has degree 6.  The element is therefore
+    f sign(q(T)) ch^3 sqrt|D(T)|.  The coefficient fields of q and D do not
+    depend on t; they are built once per call, by polynomial products, and
+    shared by all its times, so each Simpson node costs one tanh, one
+    cosh, two Horner passes and a signed square root on (M,) arrays.
+    Nothing is kept between calls.  The identities are linear algebra and
+    hold at the quadrature points, which are not on the hyperquadric
+    (there det3 = -det4^2 would hold).
     """
     if n_time < 2:
         raise ValueError(f"n_time = {n_time} must be at least 2 (Simpson intervals in time)")
@@ -256,6 +278,10 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
     nonzero = np.flatnonzero(times)
     if nonzero.size:
         fq, coef = _swept_volume_fields(variation)
+        q, g11, g12, g13, g22, g23, g33 = coef
+        det3 = (_polymul(g11, _polymul(g22, g33) - _polymul(g23, g23))
+                - _polymul(g12, _polymul(g12, g33) - _polymul(g23, g13))
+                + _polymul(g13, _polymul(g12, g23) - _polymul(g22, g13)))
         n_time += n_time % 2
         simpson = np.ones(n_time + 1)
         simpson[1:-1:2] = 4.0
@@ -264,15 +290,12 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
             h_t = times[k] / n_time
             total = 0.0
             for node, w_t in enumerate(simpson * (h_t / 3.0)):
-                ch = np.cosh(node * h_t * fq)
-                sh = np.sinh(node * h_t * fq)
-                forms = coef[:, 0] * (ch * ch) + coef[:, 1] * (ch * sh) + coef[:, 2] * (sh * sh)
-                q, g11, g12, g13, g22, g23, g33 = forms
-                det3 = (g11 * (g22 * g33 - g23 * g23)
-                        - g12 * (g12 * g33 - g23 * g13)
-                        + g13 * (g12 * g23 - g22 * g13))
-                elem = fq * np.sign(q) * np.sqrt(np.abs(det3))
-                total += w_t * float(np.sum(_ORIENTATION * elem)) / 6.0
+                x = node * h_t * fq
+                tanh = np.tanh(x)
+                ch = np.cosh(x)
+                root = np.sqrt(np.abs(_horner(det3, tanh)))
+                elem = np.copysign(root, _horner(q, tanh)) * (ch * ch * ch)
+                total += w_t * _ORIENTATION * float(fq @ elem) / 6.0
             volumes[k] = total
     return float(volumes[0]) if np.ndim(t) == 0 else volumes
 

@@ -19,7 +19,7 @@ from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _icosahedron
 from lorstab.surfaces import scatter_p1
-from lorstab.variation import _ORIENTATION, FlowError
+from lorstab.variation import _ORIENTATION, FlowError, _swept_volume_fields
 
 
 def _poly_values(poly, q):
@@ -130,6 +130,34 @@ def volume_balance_reference(variation, t, n_time=16):
         det3 = np.linalg.det(gram)
         elem = np.sqrt(np.abs(det3))
         total += w_t * float(np.sum(sign * elem)) / 6.0
+    return total
+
+
+def volume_balance_quadratic_reference(variation, t, n_time=16):
+    """Signed swept volume with the quadratic forms in (cosh, sinh) evaluated
+    at every Simpson node: the orientation form and the six Gram entries,
+    then the 3x3 Gram determinant by cofactors."""
+    if t == 0.0:
+        return 0.0
+    if abs(t) > variation.t_max:
+        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
+    fq, coef = _swept_volume_fields(variation)
+    n_time += n_time % 2
+    simpson = np.ones(n_time + 1)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    h_t = t / n_time
+    total = 0.0
+    for node, w_t in enumerate(simpson * (h_t / 3.0)):
+        ch = np.cosh(node * h_t * fq)
+        sh = np.sinh(node * h_t * fq)
+        forms = coef[:, 0] * (ch * ch) + coef[:, 1] * (ch * sh) + coef[:, 2] * (sh * sh)
+        q, g11, g12, g13, g22, g23, g33 = forms
+        det3 = (g11 * (g22 * g33 - g23 * g23)
+                - g12 * (g12 * g33 - g23 * g13)
+                + g13 * (g12 * g23 - g22 * g13))
+        elem = fq * np.sign(q) * np.sqrt(np.abs(det3))
+        total += w_t * float(np.sum(_ORIENTATION * elem)) / 6.0
     return total
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from lorstab.cli import main, run_scenario
 from lorstab.config import ConfigError, load_config, parse_config
+from lorstab.mesh import save_mesh
+from lorstab.surfaces import build_graph
 
 SLICE = "scenario = slice\nr = 1\ns0 = 1\nlevel = 3\n"
 GRAPH = "scenario = graph\nr = 1\ns0 = 1\nperturbations = 2,0,0.05;3,1,0.02\nlevel = 3\n"
@@ -100,6 +102,7 @@ CONFIG_ERRORS = {
     "seed-not-integer": ("seed", SLICE + "seed = 0x1\n"),
     "duplicated-key": ("s0", SLICE + "s0 = 2\n"),
     "unknown-key": ("bogus", SLICE + "bogus = 1\n"),
+    "line-without-equals": ("r", "scenario = slice\nr 1\ns0 = 1\n"),
 }
 
 
@@ -110,6 +113,58 @@ class TestConfigErrors:
             run_scenario(parse_config(text), tmp_path / "out")
         assert err.value.key == key
         assert f"'{key}'" in str(err.value)
+
+    def test_line_without_equals_names_its_first_word(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("scenario = slice\nr 1\ns0 = 1\n")
+        assert str(err.value) == "key 'r': line 2: expected 'key = value', got 'r 1'"
+
+
+def write_mesh(path, perturbations=((2, 0, 0.05),), drop_faces=0):
+    surf = build_graph(1.0, perturbations=perturbations, level=3)
+    save_mesh(path, surf.cache.vertices, surf.mesh.faces[drop_faces:])
+
+
+def no_faces(path):
+    write_mesh(path)
+    path.write_text("".join(line for line in path.read_text().splitlines(True) if line.startswith("v ")))
+
+
+def bad_vertex(path):
+    write_mesh(path)
+    lines = path.read_text().splitlines(True)
+    lines[1] = "v 0 0 one 1\n"
+    path.write_text("".join(lines))
+
+
+# (writer, detail the message keeps): each load failure of a mesh file
+MESH_FILE_ERRORS = {
+    "missing-file": (lambda path: None, "No such file"),
+    "no-faces": (no_faces, "no face records"),
+    "malformed-vertex": (bad_vertex, ":2: could not convert string to float: 'one'"),
+    "open-mesh": (lambda path: write_mesh(path, drop_faces=1), "boundary or non-manifold edge"),
+}
+
+
+class TestMeshFileErrors:
+    @pytest.mark.parametrize("writer, detail", MESH_FILE_ERRORS.values(), ids=MESH_FILE_ERRORS.keys())
+    def test_load_failure_exits_four(self, tmp_path, capsys, writer, detail):
+        path = tmp_path / "surface.mesh"
+        writer(path)
+        text = f"scenario = mesh-file\nr = 1\nmesh_file = {path}\n"
+        assert run(tmp_path, text) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'mesh_file': ")
+        assert detail in err and str(path) in err
+        with pytest.raises(ConfigError) as raised:
+            run_scenario(parse_config(text), tmp_path / "out")
+        assert raised.value.key == "mesh_file"
+
+    def test_fit_rejection_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "surface.mesh"
+        write_mesh(path, perturbations=((8, 3, 0.02),))
+        assert run(tmp_path, f"scenario = mesh-file\nr = 1\nmesh_file = {path}\n") == 3
+        assert "mesh is not a harmonic height graph" in capsys.readouterr().err
 
 
 class TestReport:

@@ -178,3 +178,28 @@ class TestStabilityField:
         for idx in (0, 100, 500):
             shape = ls.shape_operator_at(surf, idx)
             assert field[idx] == pytest.approx(ls.stability_constant(shape, 1.0, 1), rel=1e-10)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("s0", [0.5, 1.0, 1.5])
+    def test_slice_convergence_order(self, slice_mesh, r, s0):
+        # P1 eigenvalues converge as h^2: both the lambda1 error against the
+        # closed form and the report gap measure order 1.999 and 2.000
+        exact = ls.build_slice(2, s0).operator_eigenvalue(r)
+        reports = [ls.analyze(slice_mesh(s0, level), r) for level in (3, 4, 5)]
+        errors = np.array([abs(rep.eigen.lambda1 - exact) for rep in reports])
+        gaps = np.array([abs(rep.gap) for rep in reports])
+        assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
+        assert (np.log2(gaps[:-1] / gaps[1:]) >= 1.9).all()
+
+    def test_boost_of_axis_leaves_verdict_unchanged(self):
+        # the (x0, x3) boost of rapidity 0.7 is an isometry of de Sitter space
+        rapidity = 0.7
+        boosted = np.array([np.sinh(rapidity), 0.0, 0.0, np.cosh(rapidity)])
+        terms = ((2, 0, 0.05), (3, 1, 0.02))
+        plain, moved = (ls.analyze(ls.build_graph(1.0, perturbations=terms, level=4, axis=axis), 1)
+                        for axis in (AXIS, boosted))
+        assert moved.eigen.lambda1 == pytest.approx(plain.eigen.lambda1, rel=1e-12, abs=0)
+        assert moved.gap == pytest.approx(plain.gap, rel=0, abs=1e-12)
+        assert moved.verdict == plain.verdict

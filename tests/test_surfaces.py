@@ -7,7 +7,7 @@ import lorstab as ls
 from lorstab.harmonics import SphericalHarmonic
 from lorstab.lorentz import ambient_field
 from lorstab.mesh import save_mesh
-from lorstab.surfaces import mdot, sphere_area, surface_from_mesh_file
+from lorstab.surfaces import _face_areas, mdot, sphere_area, surface_from_mesh_file
 from oracles import shape_operator_mesh_estimate, tangential_gradient_reference
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
@@ -105,6 +105,14 @@ class TestGraphConstruction:
         with pytest.raises(ls.GraphConstructionError, match="not spacelike at vertex") as err:
             ls.build_graph(1.0, perturbations=((1, 1, 10.0),), level=3)
         assert err.value.vertex is not None
+
+    def test_timelike_face_fails_with_vertex(self):
+        # edge v1 - v0 of face 1 is timelike; its first vertex is named
+        vertices = np.array([[0.0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2]])
+        faces = np.array([[0, 1, 2], [2, 3, 1]])
+        with pytest.raises(ls.GraphConstructionError, match="face 1 is not spacelike") as err:
+            _face_areas(vertices, faces)
+        assert err.value.vertex == 2
 
     def test_vertex_count_matches_level(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 4)

@@ -7,12 +7,15 @@ import lorstab as ls
 import lorstab.surfaces
 from lorstab.harmonics import HarmonicField
 from lorstab.surfaces import GeometryCache, mdot
-from oracles import flow_rule_positions, volume_balance_reference
+from oracles import flow_rule_positions, volume_balance_quadratic_reference, volume_balance_reference
 
 CONST = HarmonicField(constant=1.0)
 NEG_CONST = HarmonicField(constant=-1.0)
 Y10 = HarmonicField(terms=((1, 0, 1.0),))
 Y20 = HarmonicField(terms=((2, 0, 1.0),))
+MIXED = HarmonicField(constant=0.3, terms=((1, 1, 0.7), (2, 0, -0.5), (3, 2, 0.4)))
+# GeometryCache fields computed on first read, outside __dataclass_fields__
+LAZY_FIELDS = ("face_frame", "face_grad", "mass")
 
 
 class TestFlow:
@@ -85,7 +88,7 @@ class TestFlow:
         snap = ls.flow(var, t)
         height = base.height.plus(Y20, factor=t)
         want = ls.build_graph(height.constant, perturbations=height.terms, level=3, axis=base.axis.a)
-        for name in GeometryCache.__dataclass_fields__:
+        for name in [*GeometryCache.__dataclass_fields__, *LAZY_FIELDS]:
             got, ref = getattr(snap.cache, name), getattr(want.cache, name)
             if name == "mass":
                 assert (got != ref).nnz == 0
@@ -93,6 +96,19 @@ class TestFlow:
                 assert np.array_equal(got, ref), name
         assert snap.mesh is base.mesh is want.mesh
         assert snap.mesh.level == 3
+
+    def test_snapshot_builds_no_mesh_data(self, slice_mesh):
+        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        snap = ls.flow(var, 0.02)
+        assert ls.r_area(snap, 1) > 0
+        assert not set(LAZY_FIELDS) & vars(snap.cache).keys()
+        # read once, then kept
+        assert snap.cache.mass is snap.cache.mass
+
+    def test_weights_are_mass_row_sums(self, slice_mesh, graph_mesh):
+        for surf in (slice_mesh(1.0, 3), graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)):
+            rows = np.asarray(surf.cache.mass.sum(axis=1)).ravel()
+            assert np.abs(surf.cache.weights - rows).max() <= 1e-15 * np.abs(rows).max()
 
     def test_snapshots_skip_mesh_validation(self, slice_mesh, monkeypatch):
         var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
@@ -152,6 +168,15 @@ class TestVolumeBalance:
         var = ls.NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
         for t in (1e-3, -1e-3, 2e-2, -2e-2, var.t_max, -var.t_max):
             want = volume_balance_reference(var, t)
+            assert ls.volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("amplitude", [CONST, Y10, Y20, MIXED], ids=["const", "Y10", "Y20", "mixed"])
+    def test_matches_quadratic_form_oracle(self, slice_mesh, level, amplitude):
+        # the tanh polynomials against the (cosh, sinh) forms at every node
+        var = ls.NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
+        for t in (1e-3, -1e-3, 2e-2, -2e-2, 0.1):
+            want = volume_balance_quadratic_reference(var, t)
             assert ls.volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_sequence_of_times_equals_scalar_calls(self, slice_mesh):
