@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, check_level, load_config
+from .config import ConfigError, ScenarioConfig, check_level, load_config, parse_reals
 from .fem import SolverError
 from .harmonics import HarmonicField
 from .lorentz import KillingFieldSpec
@@ -175,6 +175,8 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
         if param == "s0":
             return dataclasses.replace(config, s0=float(value))
         if param == "level":
+            if not float(value).is_integer():
+                raise ConfigError(f"key 'level': expected an integer, got {value}", key="level")
             return dataclasses.replace(config, level=check_level(int(value)))
         first = config.perturbations[0]
         rest = config.perturbations[1:]
@@ -239,7 +241,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 config = dataclasses.replace(config, seed=args.seed)
             return run_scenario(config, args.out)
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = list(parse_reals("--values", args.values))
         if not values:
             raise ConfigError("sweep needs a nonempty --values list")
         return sweep_scenario(config, args.param, values, args.out)

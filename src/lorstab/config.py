@@ -12,7 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "load_config", "check_level"]
+from .lorentz import ConformalFieldSpec
+
+__all__ = [
+    "ConfigError", "ScenarioConfig", "parse_config", "parse_reals", "load_config", "check_level",
+]
 
 _SCENARIOS = ("slice", "graph", "mesh-file")
 _CHECKS = ("stability", "killing", "conformal", "variation")
@@ -66,11 +70,19 @@ class ScenarioConfig:
         return self.axis_array
 
 
-def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
+def _parse_real(key: str, raw: str) -> float:
     try:
-        return tuple(float(x) for x in raw.replace(",", " ").split())
+        value = float(raw)
     except ValueError as err:
-        raise ConfigError(f"key '{key}': expected a list of reals, got '{raw}'", key=key) from err
+        raise ConfigError(f"key '{key}': expected a real, got '{raw}'", key=key) from err
+    if not np.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite real, got '{raw}'", key=key)
+    return value
+
+
+def parse_reals(key: str, raw: str) -> tuple[float, ...]:
+    """Finite reals separated by commas or whitespace."""
+    return tuple(_parse_real(key, x) for x in raw.replace(",", " ").split())
 
 
 def _parse_perturbations(raw: str) -> tuple[tuple[int, int, float], ...]:
@@ -86,11 +98,12 @@ def _parse_perturbations(raw: str) -> tuple[tuple[int, int, float], ...]:
                 key="perturbations",
             )
         try:
-            out.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            l, m = int(parts[0]), int(parts[1])
         except ValueError as err:
             raise ConfigError(
                 f"key 'perturbations': bad triple '{chunk}'", key="perturbations"
             ) from err
+        out.append((l, m, _parse_real("perturbations", parts[2])))
     return tuple(out)
 
 
@@ -128,12 +141,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"key '{key}': expected an integer, got '{pairs[key]}'", key=key) from err
 
     def take_float(key: str, default=None):
-        if key not in pairs:
-            return default
-        try:
-            return float(pairs[key])
-        except ValueError as err:
-            raise ConfigError(f"key '{key}': expected a real, got '{pairs[key]}'", key=key) from err
+        return _parse_real(key, pairs[key]) if key in pairs else default
 
     if "scenario" not in pairs:
         raise ConfigError("missing required key 'scenario'", key="scenario")
@@ -159,14 +167,16 @@ def parse_config(text: str) -> ScenarioConfig:
     if scenario == "mesh-file" and not mesh_file:
         raise ConfigError("missing required key 'mesh_file'", key="mesh_file")
 
-    axis = _parse_floats("axis", pairs["axis"]) if "axis" in pairs else None
-    if axis is not None and len(axis) != n + 2:
-        raise ConfigError(f"key 'axis': expected {n + 2} components", key="axis")
+    axis = parse_reals("axis", pairs["axis"]) if "axis" in pairs else None
+    if axis is not None:
+        if len(axis) != n + 2:
+            raise ConfigError(f"key 'axis': expected {n + 2} components", key="axis")
+        try:
+            ConformalFieldSpec(a=axis)
+        except ValueError as err:
+            raise ConfigError(f"key 'axis': {err}", key="axis") from err
 
     perturbations = _parse_perturbations(pairs.get("perturbations", ""))
-    for l, m, amp in perturbations:
-        if not np.isfinite(amp):
-            raise ConfigError("key 'perturbations': amplitudes must be finite", key="perturbations")
 
     level = check_level(take_int("level", 5))
 
@@ -176,8 +186,8 @@ def parse_config(text: str) -> ScenarioConfig:
         if c not in _CHECKS:
             raise ConfigError(f"key 'checks': unknown check '{c}' (known: {_CHECKS})", key="checks")
 
-    killing_u = _parse_floats("killing_u", pairs["killing_u"]) if "killing_u" in pairs else (1.0, 0.0, 0.0, 0.0)
-    killing_v = _parse_floats("killing_v", pairs["killing_v"]) if "killing_v" in pairs else None
+    killing_u = parse_reals("killing_u", pairs["killing_u"]) if "killing_u" in pairs else (1.0, 0.0, 0.0, 0.0)
+    killing_v = parse_reals("killing_v", pairs["killing_v"]) if "killing_v" in pairs else None
     for key, vec in (("killing_u", killing_u), ("killing_v", killing_v)):
         if vec is not None and len(vec) != n + 2:
             raise ConfigError(f"key '{key}': expected {n + 2} components", key=key)

@@ -63,7 +63,6 @@ class OperatorPair:
 
     stiffness: csr_matrix
     mass: csr_matrix
-    r: int
     nvertices: int
     min_newton_eig: float   # smallest vertex eigenvalue of P_r (ellipticity bookkeeping)
     order: np.ndarray       # fill-reducing vertex order for factorizations
@@ -131,7 +130,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
         k_local[f] = cache.face_area[f, None, None] * (g.transpose(0, 2, 1) @ (p_face @ g))
     k = scatter_p1(faces, k_local, nv)
     pair = OperatorPair(
-        stiffness=k, mass=mass, r=r, nvertices=nv, min_newton_eig=min_eig,
+        stiffness=k, mass=mass, nvertices=nv, min_newton_eig=min_eig,
         order=surface.mesh.order,
     )
     surface._memo[key] = pair

@@ -152,15 +152,6 @@ class HarmonicField:
             if not (0 <= abs(m) <= l):
                 raise ValueError(f"invalid harmonic order (l={l}, m={m})")
 
-    def scaled(self, factor: float) -> "HarmonicField":
-        return HarmonicField(
-            constant=factor * self.constant,
-            terms=tuple((l, m, factor * a) for l, m, a in self.terms),
-        )
-
-    def shifted(self, offset: float) -> "HarmonicField":
-        return HarmonicField(constant=self.constant + offset, terms=self.terms)
-
     def plus(self, other: "HarmonicField", factor: float = 1.0) -> "HarmonicField":
         return HarmonicField(
             constant=self.constant + factor * other.constant,

@@ -40,7 +40,6 @@ __all__ = [
     "GeometryCache",
     "build_slice",
     "build_graph",
-    "shape_operator_at",
     "support_function",
     "tangential_gradient",
     "surface_from_mesh_file",
@@ -343,11 +342,6 @@ def build_slice(n: int, s0: float, axis: np.ndarray | None = None) -> SliceSurfa
     """Totally umbilical slice at height s0; closed-form geometry for any n."""
     axis = _default_axis(n) if axis is None else np.asarray(axis, dtype=float)
     return SliceSurface(n=n, s0=float(s0), axis=ConformalFieldSpec(a=axis))
-
-
-def shape_operator_at(surface: GraphSurface, vertex: int) -> ShapeSpectrum:
-    """Shape operator at one vertex, in the cached orthonormal frame."""
-    return ShapeSpectrum(n=2, matrix=surface.cache.shape[vertex])
 
 
 def support_function(surface: GraphSurface, spec: ConformalFieldSpec | KillingFieldSpec) -> np.ndarray:

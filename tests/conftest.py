@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-import lorstab as ls
+from lorstab.curvature import ShapeSpectrum
+from lorstab.surfaces import GraphSurface, build_graph, build_slice
 
 
 @pytest.fixture(scope="session")
@@ -9,10 +10,10 @@ def slice_mesh():
     """Shared factory for meshed slices, cached by (s0, level)."""
     cache = {}
 
-    def get(s0: float = 1.0, level: int = 4) -> ls.GraphSurface:
+    def get(s0: float = 1.0, level: int = 4) -> GraphSurface:
         key = (s0, level)
         if key not in cache:
-            cache[key] = ls.build_slice(2, s0).meshed(level)
+            cache[key] = build_slice(2, s0).meshed(level)
         return cache[key]
 
     return get
@@ -23,10 +24,10 @@ def graph_mesh():
     """Shared factory for perturbed graphs, cached by (s0, perturbations, level)."""
     cache = {}
 
-    def get(s0=1.0, perturbations=((2, 0, 0.05),), level=4) -> ls.GraphSurface:
+    def get(s0=1.0, perturbations=((2, 0, 0.05),), level=4) -> GraphSurface:
         key = (s0, tuple(perturbations), level)
         if key not in cache:
-            cache[key] = ls.build_graph(s0, perturbations=perturbations, level=level)
+            cache[key] = build_graph(s0, perturbations=perturbations, level=level)
         return cache[key]
 
     return get
@@ -39,4 +40,4 @@ def rng():
 
 def random_shape(rng, n):
     m = rng.uniform(-3.0, 3.0, size=(n, n))
-    return ls.ShapeSpectrum(n=n, matrix=(m + m.T) / 2.0)
+    return ShapeSpectrum(n=n, matrix=(m + m.T) / 2.0)

@@ -61,6 +61,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: key 'level': expected one of (3, 4, 5, 6), got 2\n"
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("param, values, message", [
+        ("level", "3.7", "key 'level': expected an integer, got 3.7"),
+        ("s0", "1,x", "key '--values': expected a real, got 'x'"),
+    ], ids=["fractional-level", "not-a-number"])
+    def test_bad_sweep_value_exits_four(self, tmp_path, capsys, param, values, message):
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--param", param, "--values", values, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "sweep.csv").exists()
+
 
 MESH_FILE = "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n"
 NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
@@ -79,9 +91,13 @@ CONFIG_ERRORS = {
     "n-meshed-slice": ("n", SLICE + "n = 3\nkilling_u = 1 0 0 0 0\n"),
     "s0-missing": ("s0", "scenario = graph\nr = 1\n"),
     "s0-not-number": ("s0", "scenario = slice\nr = 1\ns0 = high\n"),
+    "s0-nan": ("s0", "scenario = slice\nr = 1\ns0 = nan\n"),
+    "s0-inf": ("s0", "scenario = slice\nr = 1\ns0 = inf\n"),
     "mesh_file-missing": ("mesh_file", "scenario = mesh-file\nr = 1\n"),
     "axis-length": ("axis", SLICE + "axis = 0 0 1\n"),
     "axis-parse": ("axis", SLICE + "axis = 0 0 0 one\n"),
+    "axis-nan": ("axis", SLICE + "axis = nan 0 0 1\n"),
+    "axis-not-unit-timelike": ("axis", SLICE + "axis = 1 0 0 0\n"),
     "killing_u-length": ("killing_u", SLICE + "killing_u = 1 0 0\n"),
     "killing_u-parse": ("killing_u", SLICE + "killing_u = 1 0 0 x\n"),
     "killing_v-length": ("killing_v", SLICE + "killing_v = 0 0 0 1 0\n"),
@@ -97,6 +113,7 @@ CONFIG_ERRORS = {
     "fd_h-not-number": ("fd_h", SLICE + "fd_h = small\n"),
     "mesh_fit_lmax-not-integer": ("mesh_fit_lmax", SLICE + "mesh_fit_lmax = 6.0\n"),
     "tol_gap-not-number": ("tol_gap", SLICE + "tol_gap = wide\n"),
+    "tol_gap-nan": ("tol_gap", SLICE + "tol_gap = nan\n"),
     "tol_const-not-number": ("tol_const", SLICE + "tol_const = 1e-6x\n"),
     "solver_tol-not-number": ("solver_tol", SLICE + "solver_tol = tight\n"),
     "seed-not-integer": ("seed", SLICE + "seed = 0x1\n"),

@@ -8,8 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lorstab as ls
-from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton, r_area_integrand
+from lorstab.curvature import (
+    ShapeSpectrum,
+    batched_eigvalsh2,
+    batched_elementary,
+    batched_newton,
+    curvature_table,
+    elementary_symmetric,
+    newton_traces,
+    newton_transform,
+    r_area_integrand,
+    stability_constant,
+    variation_constant,
+)
 
 from conftest import random_shape
 from oracles import batched_stability_constant, stability_constant_binomial
@@ -34,50 +45,50 @@ def newton_bruteforce(a, r):
 
 class TestElementarySymmetric:
     def test_example_integers(self):
-        assert ls.elementary_symmetric([1, 2, 3], 2) == pytest.approx(11.0)
+        assert elementary_symmetric([1, 2, 3], 2) == pytest.approx(11.0)
 
     def test_umbilical_binomial(self):
         for n in range(1, 7):
             for r in range(n + 1):
-                got = ls.elementary_symmetric([0.7] * n, r)
+                got = elementary_symmetric([0.7] * n, r)
                 assert got == pytest.approx(comb(n, r) * 0.7 ** r, rel=1e-12)
 
     def test_sigma0_is_one(self):
-        assert ls.elementary_symmetric([2, 3], 0) == 1.0
+        assert elementary_symmetric([2, 3], 0) == 1.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ls.elementary_symmetric([1, 2], 3)
+            elementary_symmetric([1, 2], 3)
         with pytest.raises(ValueError):
-            ls.elementary_symmetric([1, 2], -1)
+            elementary_symmetric([1, 2], -1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=8), st.data())
     def test_matches_bruteforce(self, values, data):
         r = data.draw(st.integers(0, len(values)))
         want = sigma_bruteforce(values, r)
-        got = ls.elementary_symmetric(values, r)
+        got = elementary_symmetric(values, r)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestCurvatureTable:
     def test_diag_2_3(self):
-        table = ls.curvature_table(ls.ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0])))
+        table = curvature_table(ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0])))
         assert table.elementary == pytest.approx((1.0, 5.0, 6.0))
         assert table.mean == pytest.approx((1.0, -2.5, 6.0))
 
     def test_minus_identity(self):
-        table = ls.curvature_table(ls.ShapeSpectrum(n=3, eigenvalues=(-1.0,) * 3))
+        table = curvature_table(ShapeSpectrum(n=3, eigenvalues=(-1.0,) * 3))
         assert table.mean == pytest.approx((1.0, 1.0, 1.0, 1.0))
 
     def test_zero_operator(self):
-        table = ls.curvature_table(ls.ShapeSpectrum(n=4, matrix=np.zeros((4, 4))))
+        table = curvature_table(ShapeSpectrum(n=4, matrix=np.zeros((4, 4))))
         assert table.elementary == pytest.approx((1.0, 0, 0, 0, 0))
         assert table.mean == pytest.approx((1.0, 0, 0, 0, 0))
 
     def test_sign_relation(self, rng):
         for n in range(2, 7):
-            table = ls.curvature_table(random_shape(rng, n))
+            table = curvature_table(random_shape(rng, n))
             for r in range(n + 1):
                 assert comb(n, r) * table.mean[r] == pytest.approx(
                     (-1.0) ** r * table.elementary[r], rel=1e-12, abs=1e-12
@@ -91,19 +102,19 @@ class TestCurvatureTable:
 
 class TestNewtonTransform:
     def test_diag_first_order(self):
-        shape = ls.ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
-        assert ls.newton_transform(shape, 1).matrix == pytest.approx(np.diag([-3.0, -2.0]))
+        shape = ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
+        assert newton_transform(shape, 1).matrix == pytest.approx(np.diag([-3.0, -2.0]))
 
     def test_top_order_vanishes(self):
-        shape = ls.ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
-        assert np.abs(ls.newton_transform(shape, 2).matrix).max() < 1e-12
+        shape = ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
+        assert np.abs(newton_transform(shape, 2).matrix).max() < 1e-12
 
     def test_umbilical_closed_form(self):
         for n in range(2, 6):
-            shape = ls.ShapeSpectrum(n=n, eigenvalues=(0.4,) * n)
+            shape = ShapeSpectrum(n=n, eigenvalues=(0.4,) * n)
             for r in range(n + 1):
                 want = (-1.0) ** r * comb(n - 1, r) * 0.4 ** r * np.eye(n)
-                got = ls.newton_transform(shape, r).matrix
+                got = newton_transform(shape, r).matrix
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
                 brute = newton_bruteforce(0.4 * np.eye(n), r)
                 assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
@@ -113,7 +124,7 @@ class TestNewtonTransform:
             n = int(rng.integers(2, 7))
             shape = random_shape(rng, n)
             r = int(rng.integers(0, n + 1))
-            got = ls.newton_transform(shape, r).matrix
+            got = newton_transform(shape, r).matrix
             want = newton_bruteforce(shape.matrix, r)
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale < 1e-10
@@ -125,7 +136,7 @@ class TestNewtonTransform:
             a = shape.matrix
             eigvals, eigvecs = np.linalg.eigh(a)
             for r in range(n):
-                p = ls.newton_transform(shape, r).matrix
+                p = newton_transform(shape, r).matrix
                 comm = np.abs(p @ a - a @ p).max()
                 assert comm <= 1e-10 * max(1.0, np.abs(a).max() * np.abs(p).max())
                 # eigenvalue on e_i is the deleted elementary symmetric value
@@ -137,33 +148,33 @@ class TestNewtonTransform:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ls.newton_transform(ls.ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0)), 3)
+            newton_transform(ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0)), 3)
 
 
 class TestNewtonTraces:
     def test_diag_example(self):
-        shape = ls.ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
-        assert ls.newton_traces(shape, 1) == pytest.approx((-5.0, -12.0, -30.0))
+        shape = ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
+        assert newton_traces(shape, 1) == pytest.approx((-5.0, -12.0, -30.0))
 
     def test_zero_operator(self):
-        shape = ls.ShapeSpectrum(n=3, matrix=np.zeros((3, 3)))
-        assert ls.newton_traces(shape, 1) == pytest.approx((0.0, 0.0, 0.0))
-        assert ls.newton_traces(shape, 2) == pytest.approx((0.0, 0.0, 0.0))
+        shape = ShapeSpectrum(n=3, matrix=np.zeros((3, 3)))
+        assert newton_traces(shape, 1) == pytest.approx((0.0, 0.0, 0.0))
+        assert newton_traces(shape, 2) == pytest.approx((0.0, 0.0, 0.0))
 
     def test_umbilical_closed_form(self):
         n, mu = 4, -0.8
-        shape = ls.ShapeSpectrum(n=n, eigenvalues=(mu,) * n)
+        shape = ShapeSpectrum(n=n, eigenvalues=(mu,) * n)
         for r in range(n):
-            tr_p, tr_ap, tr_a2p = ls.newton_traces(shape, r)
+            tr_p, tr_ap, tr_a2p = newton_traces(shape, r)
             assert tr_p == pytest.approx((-1.0) ** r * (n - r) * comb(n, r) * mu ** r, rel=1e-12)
 
     def test_closed_forms_random_battery(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 7))
             shape = random_shape(rng, n)
-            s = [ls.elementary_symmetric(shape.values(), k) for k in range(n + 1)] + [0.0, 0.0]
+            s = [elementary_symmetric(shape.values(), k) for k in range(n + 1)] + [0.0, 0.0]
             for r in range(n):
-                tr_p, tr_ap, tr_a2p = ls.newton_traces(shape, r)
+                tr_p, tr_ap, tr_a2p = newton_traces(shape, r)
                 scale = max(1.0, abs(s[r]), abs(s[r + 1]), abs(s[r + 2]))
                 assert abs(tr_p - (-1.0) ** r * (n - r) * s[r]) <= 1e-10 * max(1.0, abs(tr_p), scale)
                 assert abs(tr_ap - (-1.0) ** r * (r + 1) * s[r + 1]) <= 1e-10 * max(1.0, abs(tr_ap), scale)
@@ -173,23 +184,23 @@ class TestNewtonTraces:
 
 class TestStabilityConstant:
     def test_diag_example(self):
-        shape = ls.ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
-        assert ls.stability_constant(shape, 1.0, 1) == pytest.approx(25.0)
+        shape = ShapeSpectrum(n=2, matrix=np.diag([2.0, 3.0]))
+        assert stability_constant(shape, 1.0, 1) == pytest.approx(25.0)
 
     def test_umbilical_sech_form(self):
         for s0 in (0.3, 1.0, 2.0):
             mu = -np.tanh(s0)
             for n in (2, 3, 5):
-                shape = ls.ShapeSpectrum(n=n, eigenvalues=(mu,) * n)
+                shape = ShapeSpectrum(n=n, eigenvalues=(mu,) * n)
                 for r in range(n):
                     want = (1 - np.tanh(s0) ** 2) * (n - r) * comb(n, r) * np.tanh(s0) ** r
-                    assert ls.stability_constant(shape, 1.0, r) == pytest.approx(want, rel=1e-12)
+                    assert stability_constant(shape, 1.0, r) == pytest.approx(want, rel=1e-12)
 
     def test_zero_operator(self):
-        shape = ls.ShapeSpectrum(n=3, matrix=np.zeros((3, 3)))
+        shape = ShapeSpectrum(n=3, matrix=np.zeros((3, 3)))
         for c in (0.0, 1.0, -2.5):
-            assert ls.stability_constant(shape, c, 1) == 0.0
-            assert ls.stability_constant(shape, c, 2) == 0.0
+            assert stability_constant(shape, c, 1) == 0.0
+            assert stability_constant(shape, c, 2) == 0.0
 
     def test_trace_equals_binomial_form(self, rng):
         for _ in range(200):
@@ -197,23 +208,23 @@ class TestStabilityConstant:
             shape = random_shape(rng, n)
             c = float(rng.uniform(-2, 2))
             for r in range(n):
-                trace = ls.stability_constant(shape, c, r)
+                trace = stability_constant(shape, c, r)
                 binom = stability_constant_binomial(shape, c, r)
                 assert abs(trace - binom) <= 1e-10 * max(1.0, abs(trace), abs(binom))
 
 
 class TestAreaIntegrandAndVariationConstant:
     def test_low_orders(self):
-        table = ls.curvature_table(ls.ShapeSpectrum(n=4, eigenvalues=(1.0, 2.0, -1.0, 0.5)))
-        assert ls.r_area_integrand(table.elementary, 1.0, 0) == 1.0
-        assert ls.r_area_integrand(table.elementary, 1.0, 1) == pytest.approx(-table.elementary[1])
+        table = curvature_table(ShapeSpectrum(n=4, eigenvalues=(1.0, 2.0, -1.0, 0.5)))
+        assert r_area_integrand(table.elementary, 1.0, 0) == 1.0
+        assert r_area_integrand(table.elementary, 1.0, 1) == pytest.approx(-table.elementary[1])
 
     def test_second_order_example(self):
         # n=3, c=1, sigma_2 = 6: F_2 = sigma_2 - c (n-1) F_0
-        shape = ls.ShapeSpectrum(n=3, eigenvalues=(1.0, 2.0, 0.8))
-        table = ls.curvature_table(shape)
+        shape = ShapeSpectrum(n=3, eigenvalues=(1.0, 2.0, 0.8))
+        table = curvature_table(shape)
         s2 = table.elementary[2]
-        assert ls.r_area_integrand(table.elementary, 1.0, 2) == pytest.approx(s2 - 2.0)
+        assert r_area_integrand(table.elementary, 1.0, 2) == pytest.approx(s2 - 2.0)
         assert s2 == pytest.approx(1 * 2 + 1 * 0.8 + 2 * 0.8)
 
     def test_stack_matches_rows(self, rng):
@@ -230,35 +241,35 @@ class TestAreaIntegrandAndVariationConstant:
         assert r_area_integrand(sigma, 1.0, 3) == pytest.approx(sigma[:, 1] - sigma[:, 3], rel=1e-14)
 
     def test_variation_constant_values(self):
-        assert ls.variation_constant(2, 1.0, 0) == 0.0
-        assert ls.variation_constant(5, 3.0, 2) == 0.0
-        assert ls.variation_constant(2, 1.0, 1) == pytest.approx(2.0)
-        assert ls.variation_constant(3, 2.0, 1) == pytest.approx(6.0)
-        assert ls.variation_constant(4, 1.0, 3) == pytest.approx(-4.0)
+        assert variation_constant(2, 1.0, 0) == 0.0
+        assert variation_constant(5, 3.0, 2) == 0.0
+        assert variation_constant(2, 1.0, 1) == pytest.approx(2.0)
+        assert variation_constant(3, 2.0, 1) == pytest.approx(6.0)
+        assert variation_constant(4, 1.0, 3) == pytest.approx(-4.0)
 
     def test_range_errors(self):
-        table = ls.curvature_table(ls.ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0)))
+        table = curvature_table(ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0)))
         with pytest.raises(ValueError):
-            ls.r_area_integrand(table.elementary, 1.0, 2)
+            r_area_integrand(table.elementary, 1.0, 2)
         with pytest.raises(ValueError):
-            ls.variation_constant(2, 1.0, 2)
+            variation_constant(2, 1.0, 2)
 
 
 class TestShapeSpectrumValidation:
     def test_needs_some_representation(self):
         with pytest.raises(ValueError):
-            ls.ShapeSpectrum(n=2)
+            ShapeSpectrum(n=2)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            ls.ShapeSpectrum(n=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+            ShapeSpectrum(n=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_mismatched_representations(self):
         with pytest.raises(ValueError, match="disagree"):
-            ls.ShapeSpectrum(n=2, eigenvalues=(1.0, 1.0), matrix=np.diag([1.0, 2.0]))
+            ShapeSpectrum(n=2, eigenvalues=(1.0, 1.0), matrix=np.diag([1.0, 2.0]))
 
     def test_accepts_consistent_pair(self):
-        shape = ls.ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0), matrix=np.diag([2.0, 1.0]))
+        shape = ShapeSpectrum(n=2, eigenvalues=(1.0, 2.0), matrix=np.diag([2.0, 1.0]))
         assert shape.values() == pytest.approx([1.0, 2.0])
 
 

@@ -6,9 +6,17 @@ import scipy.linalg
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import splu
 
-import lorstab as ls
+from lorstab.fem import (
+    OperatorPair,
+    SolverError,
+    _fix_signs,
+    assemble,
+    first_eigenvalue_meanzero,
+    smallest_eigenvalues_meanzero,
+    weak_residual,
+)
 from lorstab.harmonics import HarmonicField
-from lorstab.fem import OperatorPair, _fix_signs
+from lorstab.surfaces import build_slice
 from oracles import assemble_stiffness_reference, smallest_eigenvalues_reference, strong_form_check
 
 GRAPH = ((2, 0, 0.05), (3, 1, 0.02))
@@ -20,7 +28,7 @@ class TestAssembly:
             delta = (m - m.T).tocoo()
             return delta.nnz == 0 or np.abs(delta.data).max() <= 1e-12 * np.abs(m.data).max()
 
-        pair = ls.assemble(slice_mesh(1.0, 3), 1)
+        pair = assemble(slice_mesh(1.0, 3), 1)
         for m in (pair.stiffness, pair.mass):
             assert symmetric(m)
             skewed = m.tolil()
@@ -29,14 +37,14 @@ class TestAssembly:
 
     def test_constants_in_kernel(self, slice_mesh):
         for r in (0, 1):
-            pair = ls.assemble(slice_mesh(1.0, 4), r)
+            pair = assemble(slice_mesh(1.0, 4), r)
             ones = np.ones(pair.nvertices)
             scale = np.abs(pair.stiffness.data).max()
             assert np.abs(pair.stiffness @ ones).max() <= 1e-10 * max(1.0, scale)
 
     def test_mass_positive_definite_and_total(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        pair = ls.assemble(surf, 0)
+        pair = assemble(surf, 0)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=pair.nvertices)
@@ -44,7 +52,7 @@ class TestAssembly:
         assert pair.mass.sum() == pytest.approx(surf.cache.area)
 
     def test_stiffness_psd_when_elliptic(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 3), 1)
+        pair = assemble(slice_mesh(1.0, 3), 1)
         assert pair.min_newton_eig > 0.0
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -53,26 +61,26 @@ class TestAssembly:
 
     def test_umbilical_scaling_exact(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        k0 = ls.assemble(surf, 0).stiffness
-        k1 = ls.assemble(surf, 1).stiffness
+        k0 = assemble(surf, 0).stiffness
+        k1 = assemble(surf, 1).stiffness
         delta = (k1 - np.tanh(1.0) * k0).tocoo()
         err = np.abs(delta.data).max() if delta.nnz else 0.0
         assert err <= 1e-8 * np.abs(k0.data).max()
 
     def test_equator_first_order_operator_vanishes(self):
-        pair = ls.assemble(ls.build_slice(2, 0.0).meshed(3), 1)
+        pair = assemble(build_slice(2, 0.0).meshed(3), 1)
         top = np.abs(pair.stiffness.data).max() if pair.stiffness.nnz else 0.0
         assert top < 1e-14
         assert pair.min_newton_eig == pytest.approx(0.0, abs=1e-14)
 
     def test_order_out_of_range(self, slice_mesh):
         with pytest.raises(ValueError):
-            ls.assemble(slice_mesh(1.0, 3), 2)
+            assemble(slice_mesh(1.0, 3), 2)
 
     def test_order_shared_and_reduces_fill(self, graph_mesh):
         surf = graph_mesh(1.0, GRAPH, 5)
-        pair = ls.assemble(surf, 1)
-        assert ls.assemble(surf, 0).order is pair.order
+        pair = assemble(surf, 1)
+        assert assemble(surf, 0).order is pair.order
         kk, mm = pair.stiffness, pair.mass
         shift = 1e-5 * np.abs(kk.diagonal()).max() / mm.sum(axis=1).min()   # the solver's
         a = (kk + shift * mm).tocsc()
@@ -89,7 +97,7 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("r", [0, 1])
     def test_graph_matches_einsum_oracle(self, graph_mesh, r, level):
         surf = graph_mesh(1.0, GRAPH, level)
-        got = ls.assemble(surf, r).stiffness
+        got = assemble(surf, r).stiffness
         want = assemble_stiffness_reference(surf, r)
         assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
@@ -97,7 +105,7 @@ class TestAssemblyOracle:
 class TestEigenvalues:
     def test_laplace_baseline(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        res = ls.first_eigenvalue_meanzero(ls.assemble(surf, 0))
+        res = first_eigenvalue_meanzero(assemble(surf, 0))
         want = 2 / np.cosh(1.0) ** 2
         assert abs(res.lambda1 - want) / want < 0.01
         assert res.residual <= 1e-8
@@ -105,34 +113,34 @@ class TestEigenvalues:
 
     def test_first_order_baseline(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        res = ls.first_eigenvalue_meanzero(ls.assemble(surf, 1))
+        res = first_eigenvalue_meanzero(assemble(surf, 1))
         want = 2 * np.tanh(1.0) / np.cosh(1.0) ** 2
         assert abs(res.lambda1 - want) / want < 0.01
 
     def test_eigenfunction_mean_zero_normalized(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 4), 0)
-        res = ls.first_eigenvalue_meanzero(pair)
+        pair = assemble(slice_mesh(1.0, 4), 0)
+        res = first_eigenvalue_meanzero(pair)
         ones = np.ones(pair.nvertices)
         assert abs(ones @ (pair.mass @ res.eigenfunction)) < 1e-10
         assert res.eigenfunction @ (pair.mass @ res.eigenfunction) == pytest.approx(1.0)
 
     def test_degenerate_zero_operator(self):
-        pair = ls.assemble(ls.build_slice(2, 0.0).meshed(3), 1)
-        res = ls.first_eigenvalue_meanzero(pair)
+        pair = assemble(build_slice(2, 0.0).meshed(3), 1)
+        res = first_eigenvalue_meanzero(pair)
         assert res.degenerate
         assert res.lambda1 == 0.0
 
     def test_deterministic(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 4), 1)
-        a = ls.first_eigenvalue_meanzero(pair, seed=0)
-        b = ls.first_eigenvalue_meanzero(pair, seed=0)
+        pair = assemble(slice_mesh(1.0, 4), 1)
+        a = first_eigenvalue_meanzero(pair, seed=0)
+        b = first_eigenvalue_meanzero(pair, seed=0)
         assert a.lambda1 == b.lambda1
         assert (a.eigenfunction == b.eigenfunction).all()
 
     def test_nonconvergence_raises(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 4), 0)
-        with pytest.raises(ls.SolverError) as err:
-            ls.first_eigenvalue_meanzero(pair, maxiter=2, tol=1e-14)
+        pair = assemble(slice_mesh(1.0, 4), 0)
+        with pytest.raises(SolverError) as err:
+            first_eigenvalue_meanzero(pair, maxiter=2, tol=1e-14)
         assert err.value.residual is not None
 
     def test_restart_limit_raises(self):
@@ -145,17 +153,17 @@ class TestEigenvalues:
         spectrum = np.concatenate([[0.0], 1.0 + 1e-6 * np.arange(1, n)])
         pair = OperatorPair(
             stiffness=csr_matrix((q * spectrum) @ q.T), mass=identity(n, format="csr"),
-            r=0, nvertices=n, min_newton_eig=1.0, order=np.arange(n),
+            nvertices=n, min_newton_eig=1.0, order=np.arange(n),
         )
         for tol in (1e-12, 1e-8):
-            with pytest.raises(ls.SolverError, match="did not converge in 1 restarts") as err:
-                ls.first_eigenvalue_meanzero(pair, tol=tol, maxiter=1)
+            with pytest.raises(SolverError, match="did not converge in 1 restarts") as err:
+                first_eigenvalue_meanzero(pair, tol=tol, maxiter=1)
             assert err.value.residual == np.inf   # no eigenpair converged
 
     def test_bottom_spectrum_multiplicities(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        pair = ls.assemble(surf, 1)
-        values, vectors, _, residuals = ls.smallest_eigenvalues_meanzero(pair, k=10)
+        pair = assemble(surf, 1)
+        values, vectors, _, residuals = smallest_eigenvalues_meanzero(pair, k=10)
         factor = np.tanh(1.0) / np.cosh(1.0) ** 2
         exact = np.array(sorted(l * (l + 1) * factor for l in (1, 2, 3) for _ in range(2 * l + 1))[:10])
         assert np.abs(values - exact).max() / exact.max() < 0.02
@@ -179,8 +187,8 @@ class TestSubspaceIterationOracle:
     @pytest.mark.parametrize("level", [3, 4, 5])
     @pytest.mark.parametrize("r", [0, 1])
     def test_slice_matches_oracle(self, slice_mesh, r, level):
-        pair = ls.assemble(slice_mesh(1.0, level), r)
-        res = ls.first_eigenvalue_meanzero(pair)
+        pair = assemble(slice_mesh(1.0, level), r)
+        res = first_eigenvalue_meanzero(pair)
         values, vectors, _, _ = smallest_eigenvalues_reference(pair, k=3)
         assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
         # lambda1 is the l = 1 triplet on a slice: the eigenfunction is any
@@ -190,8 +198,8 @@ class TestSubspaceIterationOracle:
 
     @pytest.mark.parametrize("level", [3, 4])
     def test_graph_matches_oracle(self, graph_mesh, level):
-        pair = ls.assemble(graph_mesh(1.0, GRAPH, level), 1)
-        res = ls.first_eigenvalue_meanzero(pair)
+        pair = assemble(graph_mesh(1.0, GRAPH, level), 1)
+        res = first_eigenvalue_meanzero(pair)
         values, vectors, _, _ = smallest_eigenvalues_reference(pair)
         assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
         # this eigenfunction is odd under a mesh symmetry, so |f| has maxima
@@ -203,7 +211,7 @@ class TestSubspaceIterationOracle:
     def test_sign_rule_breaks_roundoff_ties(self, graph_mesh):
         """At level 3 the r = 1 eigenfunction takes +-0.31845 at vertices 25
         and 28, 1.7e-16 apart: the lower index is made positive, for v and -v."""
-        res = ls.first_eigenvalue_meanzero(ls.assemble(graph_mesh(1.0, GRAPH, 3), 1))
+        res = first_eigenvalue_meanzero(assemble(graph_mesh(1.0, GRAPH, 3), 1))
         f = res.eigenfunction
         assert f[25] == pytest.approx(-f[28], rel=1e-14) and f[25] > 0
         assert np.abs(f).max() == pytest.approx(f[25], rel=1e-14)
@@ -218,8 +226,8 @@ class TestSubspaceIterationOracle:
     def test_indefinite_bottom_matches_dense(self):
         """At s0 = -1 the order-1 operator is negative semi-definite; its
         bottom is found after the shift window is widened."""
-        pair = ls.assemble(ls.build_slice(2, -1.0).meshed(3), 1)
-        res = ls.first_eigenvalue_meanzero(pair)
+        pair = assemble(build_slice(2, -1.0).meshed(3), 1)
+        res = first_eigenvalue_meanzero(pair)
         kk, mm = pair.stiffness.toarray(), pair.mass.toarray()
         basis = scipy.linalg.null_space(mm.sum(axis=1)[None, :])   # mean-zero functions
         dense = scipy.linalg.eigh(basis.T @ kk @ basis, basis.T @ mm @ basis, eigvals_only=True)
@@ -231,21 +239,21 @@ class TestSubspaceIterationOracle:
 
 class TestWeakResidual:
     def test_eigenpair_residual_small(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 4), 1)
-        res = ls.first_eigenvalue_meanzero(pair)
-        assert ls.weak_residual(pair, res.eigenfunction, res.lambda1) <= 1e-8
+        pair = assemble(slice_mesh(1.0, 4), 1)
+        res = first_eigenvalue_meanzero(pair)
+        assert weak_residual(pair, res.eigenfunction, res.lambda1) <= 1e-8
 
     def test_generic_vector_not_eigen(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        pair = ls.assemble(surf, 1)
+        pair = assemble(surf, 1)
         rng = np.random.default_rng(7)
         f = rng.normal(size=pair.nvertices)
-        assert ls.weak_residual(pair, f, 0.0) > 1e-2
+        assert weak_residual(pair, f, 0.0) > 1e-2
 
     def test_zero_vector_rejected(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 3), 0)
+        pair = assemble(slice_mesh(1.0, 3), 0)
         with pytest.raises(ValueError):
-            ls.weak_residual(pair, np.zeros(pair.nvertices), 1.0)
+            weak_residual(pair, np.zeros(pair.nvertices), 1.0)
 
 
 class TestStrongFormCheck:
@@ -266,14 +274,14 @@ class TestStrongFormCheck:
 
 class TestEllipticityBookkeeping:
     def test_slice_elliptic_and_definite(self, slice_mesh):
-        pair = ls.assemble(slice_mesh(1.0, 4), 1)
+        pair = assemble(slice_mesh(1.0, 4), 1)
         assert pair.min_newton_eig == pytest.approx(np.tanh(1.0), rel=1e-10)
-        res = ls.first_eigenvalue_meanzero(pair)
+        res = first_eigenvalue_meanzero(pair)
         assert pair.min_newton_eig > 0.0 and not res.indefinite
 
     def test_equator_flag_consistency(self):
-        pair = ls.assemble(ls.build_slice(2, 0.0).meshed(3), 1)
-        res = ls.first_eigenvalue_meanzero(pair)
+        pair = assemble(build_slice(2, 0.0).meshed(3), 1)
+        res = first_eigenvalue_meanzero(pair)
         assert not pair.min_newton_eig > 0.0
         assert res.degenerate
 

@@ -109,8 +109,6 @@ class TestField:
             - 0.3 * SphericalHarmonic(2, -1).value(pts)
         )
         assert f.value(pts) == pytest.approx(want)
-        assert f.scaled(2.0).value(pts) == pytest.approx(2 * want)
-        assert f.shifted(1.0).value(pts) == pytest.approx(want + 1.0)
         assert f.plus(f, factor=-1.0).value(pts) == pytest.approx(np.zeros(10), abs=1e-15)
 
     def test_gradient_hessian_sum(self, rng):

@@ -1,33 +1,46 @@
-"""Minkowski linear algebra, the hyperquadric chart, and ambient fields."""
+"""Minkowski linear algebra and the ambient fields on the hyperquadric."""
 
 import numpy as np
 import pytest
 
-import lorstab as ls
-from lorstab.lorentz import minkowski_metric, orthonormal_completion
+from lorstab.lorentz import (
+    ConformalFieldSpec,
+    KillingFieldSpec,
+    ambient_field,
+    minkowski_inner,
+    minkowski_metric,
+    orthonormal_completion,
+)
+from lorstab.stability import analyze
+from lorstab.surfaces import build_slice
 
 
 def random_hyperquadric_point(rng, dim=4):
     spatial = rng.normal(size=dim - 1)
     t = rng.normal() * 0.5
     p = np.append(spatial, t)
-    norm = ls.minkowski_inner(p, p)
+    norm = minkowski_inner(p, p)
     while norm <= 1e-6:
         spatial = rng.normal(size=dim - 1)
         p = np.append(spatial, t)
-        norm = ls.minkowski_inner(p, p)
+        norm = minkowski_inner(p, p)
     return p / np.sqrt(norm)
+
+
+def chart_point(s, q):
+    """The point (cosh(s) q, sinh(s)) of the warped chart over the unit sphere."""
+    return np.append(np.cosh(s) * q, np.sinh(s))
 
 
 def tangent_at(rng, p):
     v = rng.normal(size=p.size)
-    return v - ls.minkowski_inner(v, p) * p
+    return v - minkowski_inner(v, p) * p
 
 
 def flat_derivative(field, p, x, h=1e-5):
     def at(t):
         q = p + t * x
-        q = q / np.sqrt(ls.minkowski_inner(q, q))
+        q = q / np.sqrt(minkowski_inner(q, q))
         return field(q)
 
     return (at(h) - at(-h)) / (2.0 * h)
@@ -35,112 +48,94 @@ def flat_derivative(field, p, x, h=1e-5):
 
 def covariant_derivative(field, p, x, h=1e-5):
     d = flat_derivative(field, p, x, h)
-    return d - ls.minkowski_inner(d, p) * p
+    return d - minkowski_inner(d, p) * p
 
 
 class TestInnerProduct:
     def test_timelike_axis(self):
         e4 = np.array([0.0, 0.0, 0.0, 1.0])
-        assert ls.minkowski_inner(e4, e4) == -1.0
+        assert minkowski_inner(e4, e4) == -1.0
 
     def test_spacelike_axis(self):
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert ls.minkowski_inner(e1, e1) == 1.0
+        assert minkowski_inner(e1, e1) == 1.0
 
     def test_null_vector(self):
         v = np.array([1.0, 0.0, 0.0, 1.0])
-        assert ls.minkowski_inner(v, v) == 0.0
+        assert minkowski_inner(v, v) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            ls.minkowski_inner(np.zeros(4), np.zeros(5))
+            minkowski_inner(np.zeros(4), np.zeros(5))
 
     def test_bilinear_symmetric(self, rng):
         for _ in range(20):
             v, w = rng.normal(size=4), rng.normal(size=4)
             a, b = rng.normal(), rng.normal()
             u = rng.normal(size=4)
-            assert ls.minkowski_inner(v, w) == pytest.approx(ls.minkowski_inner(w, v))
-            assert ls.minkowski_inner(a * v + b * u, w) == pytest.approx(
-                a * ls.minkowski_inner(v, w) + b * ls.minkowski_inner(u, w)
+            assert minkowski_inner(v, w) == pytest.approx(minkowski_inner(w, v))
+            assert minkowski_inner(a * v + b * u, w) == pytest.approx(
+                a * minkowski_inner(v, w) + b * minkowski_inner(u, w)
             )
-
-
-class TestChart:
-    def test_equator(self):
-        q = np.array([0.0, 1.0, 0.0])
-        p = ls.grw_embed(ls.GrwCoordinates(s=0.0, q=q))
-        assert p.p == pytest.approx(np.array([0.0, 1.0, 0.0, 0.0]))
-
-    def test_unit_norm(self):
-        p = ls.grw_embed(ls.GrwCoordinates(s=1.0, q=np.array([1.0, 0.0, 0.0])))
-        assert ls.minkowski_inner(p.p, p.p) == pytest.approx(1.0, abs=1e-12)
-        assert p.p == pytest.approx(np.array([np.cosh(1.0), 0, 0, np.sinh(1.0)]))
-
-    def test_roundtrip(self, rng):
-        for _ in range(50):
-            q = rng.normal(size=3)
-            q /= np.linalg.norm(q)
-            s = float(rng.uniform(-2, 2))
-            back = ls.grw_extract(ls.grw_embed(ls.GrwCoordinates(s=s, q=q)))
-            assert back.s == pytest.approx(s, abs=1e-10)
-            assert back.q == pytest.approx(q, abs=1e-10)
 
 
 class TestConformalField:
     AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
     def test_on_equator_is_axis(self):
-        spec = ls.ConformalFieldSpec(a=self.AXIS)
-        p = ls.DeSitterPoint(np.array([1.0, 0.0, 0.0, 0.0]))
-        v, psi = ls.conformal_field(spec, p)
+        spec = ConformalFieldSpec(a=self.AXIS)
+        v = ambient_field(spec, np.array([1.0, 0.0, 0.0, 0.0]))
         assert v == pytest.approx(self.AXIS)
-        assert psi == 0.0
+        assert analyze(build_slice(2, 0.0).meshed(3), 1).psi_min_abs == 0.0
 
     def test_factor_is_sinh_of_height(self, rng):
-        spec = ls.ConformalFieldSpec(a=self.AXIS)
+        spec = ConformalFieldSpec(a=self.AXIS)
         for _ in range(10):
             q = rng.normal(size=3)
             q /= np.linalg.norm(q)
             s = float(rng.uniform(-1.5, 1.5))
-            p = ls.grw_embed(ls.GrwCoordinates(s=s, q=q))
-            _, psi = ls.conformal_field(spec, p)
-            assert psi == pytest.approx(np.sinh(s), rel=1e-12, abs=1e-12)
+            p = chart_point(s, q)
+            # V = a - <p,a> p = a + psi p with psi = -<p,a> = sinh(s)
+            want = self.AXIS + np.sinh(s) * p
+            assert ambient_field(spec, p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for s0 in (-1.2, 0.3, 1.5):
+            report = analyze(build_slice(2, s0).meshed(3), 1)
+            assert report.psi_min_abs == pytest.approx(abs(np.sinh(s0)), rel=1e-12)
 
     def test_tangency(self, rng):
-        spec = ls.ConformalFieldSpec(a=self.AXIS)
+        spec = ConformalFieldSpec(a=self.AXIS)
         for _ in range(30):
-            p = ls.DeSitterPoint(random_hyperquadric_point(rng))
-            v, _ = ls.conformal_field(spec, p)
-            assert abs(ls.minkowski_inner(v, p.p)) < 1e-12
+            p = random_hyperquadric_point(rng)
+            v = ambient_field(spec, p)
+            assert abs(minkowski_inner(v, p)) < 1e-12
 
     def test_axis_must_be_unit_timelike(self):
         with pytest.raises(ValueError):
-            ls.ConformalFieldSpec(a=np.array([1.0, 0.0, 0.0, 0.0]))
+            ConformalFieldSpec(a=np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_conformal_property_finite_difference(self, rng):
-        spec = ls.ConformalFieldSpec(a=self.AXIS)
+        spec = ConformalFieldSpec(a=self.AXIS)
 
         def field(q):
-            return ls.conformal_field(spec, ls.DeSitterPoint(q))[0]
+            return ambient_field(spec, q)
 
         worst = 0.0
         for _ in range(100):
             p = random_hyperquadric_point(rng)
             x, y = tangent_at(rng, p), tangent_at(rng, p)
-            lhs = ls.minkowski_inner(covariant_derivative(field, p, x), y)
-            lhs += ls.minkowski_inner(x, covariant_derivative(field, p, y))
-            psi = -ls.minkowski_inner(p, self.AXIS)
-            rhs = 2.0 * psi * ls.minkowski_inner(x, y)
+            lhs = minkowski_inner(covariant_derivative(field, p, x), y)
+            lhs += minkowski_inner(x, covariant_derivative(field, p, y))
+            psi = -minkowski_inner(p, self.AXIS)
+            rhs = 2.0 * psi * minkowski_inner(x, y)
             scale = max(1.0, abs(rhs))
             worst = max(worst, abs(lhs - rhs) / scale)
         assert worst < 1e-6
 
     def test_divergence_gives_factor(self, rng):
-        spec = ls.ConformalFieldSpec(a=self.AXIS)
+        spec = ConformalFieldSpec(a=self.AXIS)
 
         def field(q):
-            return ls.conformal_field(spec, ls.DeSitterPoint(q))[0]
+            return ambient_field(spec, q)
 
         j = minkowski_metric(4)
         for _ in range(25):
@@ -150,112 +145,54 @@ class TestConformalField:
             for i in range(4):
                 e = np.zeros(4)
                 e[i] = 1.0
-                w = e - ls.minkowski_inner(e, p) * p
+                w = e - minkowski_inner(e, p) * p
                 for b in frame:
-                    w = w - (ls.minkowski_inner(w, b) / ls.minkowski_inner(b, b)) * b
-                norm2 = ls.minkowski_inner(w, w)
+                    w = w - (minkowski_inner(w, b) / minkowski_inner(b, b)) * b
+                norm2 = minkowski_inner(w, w)
                 if abs(norm2) < 1e-8:
                     continue
                 frame.append(w / np.sqrt(abs(norm2)))
                 if len(frame) == 3:
                     break
             div = sum(
-                np.sign(ls.minkowski_inner(b, b)) * ls.minkowski_inner(covariant_derivative(field, p, b), b)
+                np.sign(minkowski_inner(b, b)) * minkowski_inner(covariant_derivative(field, p, b), b)
                 for b in frame
             )
-            psi = -ls.minkowski_inner(p, self.AXIS)
+            psi = -minkowski_inner(p, self.AXIS)
             assert div / 3.0 == pytest.approx(psi, abs=1e-6)
         assert j[3, 3] == -1.0
 
 
 class TestKillingField:
     def test_rotation_example(self):
-        spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
-        p = ls.DeSitterPoint(np.eye(4)[0])
-        assert ls.killing_field(spec, p) == pytest.approx(np.eye(4)[1])
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
+        assert ambient_field(spec, np.eye(4)[0]) == pytest.approx(np.eye(4)[1])
 
     def test_tangency(self, rng):
-        spec = ls.KillingFieldSpec(u=rng.normal(size=4), v=rng.normal(size=4), k=2.0)
+        spec = KillingFieldSpec(u=rng.normal(size=4), v=rng.normal(size=4), k=2.0)
         for _ in range(30):
             p = random_hyperquadric_point(rng)
-            w = ls.killing_field(spec, ls.DeSitterPoint(p))
-            assert abs(ls.minkowski_inner(w, p)) < 1e-10
+            w = ambient_field(spec, p)
+            assert abs(minkowski_inner(w, p)) < 1e-10
 
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):
-            ls.KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=0.0)
+            KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=0.0)
 
     def test_killing_property_finite_difference(self, rng):
-        spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[3], k=1.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[3], k=1.0)
 
         def field(q):
-            return ls.killing_field(spec, ls.DeSitterPoint(q))
+            return ambient_field(spec, q)
 
         worst = 0.0
         for _ in range(100):
             p = random_hyperquadric_point(rng)
             x, y = tangent_at(rng, p), tangent_at(rng, p)
-            lhs = ls.minkowski_inner(covariant_derivative(field, p, x), y)
-            lhs += ls.minkowski_inner(x, covariant_derivative(field, p, y))
+            lhs = minkowski_inner(covariant_derivative(field, p, x), y)
+            lhs += minkowski_inner(x, covariant_derivative(field, p, y))
             worst = max(worst, abs(lhs) / max(1.0, np.abs(x).max() * np.abs(y).max()))
         assert worst < 1e-6
-
-
-class TestNormalGeodesic:
-    def setup_method(self):
-        self.p = ls.DeSitterPoint(np.array([1.0, 0.0, 0.0, 0.0]))
-        self.n = np.array([0.0, 0.0, 0.0, 1.0])
-
-    def test_t_zero(self):
-        assert ls.normal_geodesic(self.p, self.n, 0.0).p == pytest.approx(self.p.p)
-
-    def test_stays_on_hyperquadric(self):
-        for t in (0.1, 1.0, 2.0, -3.0):
-            gamma = ls.normal_geodesic(self.p, self.n, t)
-            assert ls.minkowski_inner(gamma.p, gamma.p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_initial_velocity(self):
-        h = 1e-4
-        vel = (ls.normal_geodesic(self.p, self.n, h).p - ls.normal_geodesic(self.p, self.n, -h).p) / (2 * h)
-        assert np.abs(vel - self.n).max() < 1e-8
-
-    def test_contract_violations(self):
-        with pytest.raises(ValueError, match="unit timelike"):
-            ls.normal_geodesic(self.p, np.array([0.0, 0.0, 0.0, 2.0]), 0.1)
-        with pytest.raises(ValueError, match="tangent"):
-            ls.normal_geodesic(self.p, np.array([0.5, 0.0, 0.0, np.sqrt(1.25)]), 0.1)
-
-
-class TestChronology:
-    AXIS = np.array([0.0, 0.0, 0.0, 1.0])
-
-    def test_positions(self):
-        spec = ls.ConformalFieldSpec(a=self.AXIS)
-        q = np.array([1.0, 0.0, 0.0])
-        future = ls.grw_embed(ls.GrwCoordinates(s=1.0, q=q))
-        past = ls.grw_embed(ls.GrwCoordinates(s=-1.0, q=q))
-        equator = ls.grw_embed(ls.GrwCoordinates(s=0.0, q=q))
-        assert ls.chronological_position(spec, future) == "future"
-        assert ls.chronological_position(spec, past) == "past"
-        assert ls.chronological_position(spec, equator) == "equator"
-
-
-class TestWarpedOde:
-    def test_cosh_is_consistent(self):
-        samples = [(s, np.cosh(s), np.sinh(s), np.cosh(s)) for s in (-1.0, 0.0, 0.5, 2.0)]
-        assert ls.grw_curvature_check(1.0, samples) == pytest.approx(0.0, abs=1e-12)
-
-    def test_exponential_flat_fiber(self):
-        samples = [(s, np.exp(s), np.exp(s), np.exp(s)) for s in (0.0, 1.0, -0.5)]
-        assert ls.grw_curvature_check(0.0, samples) == pytest.approx(0.0, abs=1e-12)
-
-    def test_inconsistent_constant(self):
-        samples = [(0.0, 1.0, 0.0, 0.0)]
-        assert ls.grw_curvature_check(1.0, samples) == pytest.approx(1.0)
-
-    def test_positive_warping_required(self):
-        with pytest.raises(ValueError):
-            ls.grw_curvature_check(1.0, [(0.0, -1.0, 0.0, 0.0)])
 
 
 class TestFrameCompletion:
@@ -264,7 +201,7 @@ class TestFrameCompletion:
         for _ in range(20):
             a = rng.normal(size=4)
             a[3] = abs(a[3]) + 2.0   # keep it timelike
-            a = a / np.sqrt(-ls.minkowski_inner(a, a))
+            a = a / np.sqrt(-minkowski_inner(a, a))
             f = orthonormal_completion(a)
             assert f.T @ j @ f == pytest.approx(j, abs=1e-12)
             assert f[:, 3] == pytest.approx(a)

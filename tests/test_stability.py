@@ -3,17 +3,29 @@
 import numpy as np
 import pytest
 
-import lorstab as ls
+from lorstab.curvature import ShapeSpectrum, stability_constant
+from lorstab.fem import assemble, first_eigenvalue_meanzero
 from lorstab.harmonics import SphericalHarmonic, harmonic_basis
-from lorstab.stability import stability_field, weighted_mass_matrix
+from lorstab.lorentz import ConformalFieldSpec, KillingFieldSpec
+from lorstab.stability import (
+    DegenerateFieldError,
+    Tolerances,
+    analyze,
+    conformal_identity_check,
+    jacobi_second_variation,
+    killing_eigen_check,
+    stability_field,
+    weighted_mass_matrix,
+)
+from lorstab.surfaces import build_graph, build_slice, support_function
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
-BOOST = ls.KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=1.0)
+BOOST = KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=1.0)
 
 
 class TestAnalyze:
     def test_slice_is_threshold_stable(self, slice_mesh):
-        report = ls.analyze(slice_mesh(1.0, 5), 1)
+        report = analyze(slice_mesh(1.0, 5), 1)
         assert report.verdict == "stable"
         want = 2 * np.tanh(1.0) / np.cosh(1.0) ** 2
         assert report.lambda_mean == pytest.approx(want, rel=1e-10)
@@ -23,7 +35,7 @@ class TestAnalyze:
         assert report.h_next_residual < 1e-10 and report.lambda_residual < 1e-10
 
     def test_equator_violates_hypotheses(self):
-        report = ls.analyze(ls.build_slice(2, 0.0).meshed(3), 1)
+        report = analyze(build_slice(2, 0.0).meshed(3), 1)
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_mean == pytest.approx(0.0, abs=1e-14)
         assert report.psi_min_abs == pytest.approx(0.0, abs=1e-12)
@@ -31,7 +43,7 @@ class TestAnalyze:
         assert report.eigen.degenerate
 
     def test_past_slice_r0_violates_positivity(self):
-        report = ls.analyze(ls.build_slice(2, -1.0).meshed(3), 0)
+        report = analyze(build_slice(2, -1.0).meshed(3), 0)
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_max < 0
         assert report.chronology == "past"
@@ -39,71 +51,71 @@ class TestAnalyze:
     def test_past_slice_r1_violates_ellipticity(self):
         # P_1 = -tanh(1) I is negative definite: the spectrum of L_1 is
         # unbounded below, so its bottom decides nothing
-        report = ls.analyze(ls.build_slice(2, -1.0).meshed(3), 1)
+        report = analyze(build_slice(2, -1.0).meshed(3), 1)
         assert report.verdict == "hypotheses-violated"
         assert report.min_newton_eig == pytest.approx(-np.tanh(1.0), rel=1e-10)
         assert report.h_next_min > 0 and report.chronology == "past"
         assert report.h_next_residual < 1e-10 and report.lambda_residual < 1e-10
 
     def test_graph_violates_constancy(self, graph_mesh):
-        report = ls.analyze(graph_mesh(1.0, ((2, 0, 0.05),), 4), 1)
+        report = analyze(graph_mesh(1.0, ((2, 0, 0.05),), 4), 1)
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_residual > 1e-2
         assert report.h_next_min > 0
 
     def test_tight_budget_reports_unstable(self, slice_mesh):
-        report = ls.analyze(slice_mesh(1.0, 4), 1, ls.Tolerances(gap=1e-9))
+        report = analyze(slice_mesh(1.0, 4), 1, Tolerances(gap=1e-9))
         assert report.verdict == "unstable"
 
     def test_gap_tolerance_scales_with_level(self, slice_mesh):
-        report = ls.analyze(slice_mesh(1.0, 4), 1)
+        report = analyze(slice_mesh(1.0, 4), 1)
         assert report.tol_gap_effective == pytest.approx(2 * report.tol_gap)
 
     def test_order_out_of_range(self, slice_mesh):
         with pytest.raises(ValueError):
-            ls.analyze(slice_mesh(1.0, 3), 2)
+            analyze(slice_mesh(1.0, 3), 2)
 
     def test_one_sided_bound_on_slices(self, slice_mesh):
         # mean-zero support function admissible -> constrained minimum below the constant
         for s0 in (0.5, 1.0):
             surf = slice_mesh(s0, 4)
-            eta = ls.support_function(surf, BOOST)
+            eta = support_function(surf, BOOST)
             assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
-            report = ls.analyze(surf, 1)
+            report = analyze(surf, 1)
             assert report.eigen.lambda1 <= report.lambda_mean + report.tol_gap_effective
 
 
 class TestJacobiForm:
     def test_threshold_at_first_eigenfunction(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        res = ls.first_eigenvalue_meanzero(ls.assemble(surf, 1))
-        sample = ls.jacobi_second_variation(surf, 1, res.eigenfunction)
+        res = first_eigenvalue_meanzero(assemble(surf, 1))
+        sample = jacobi_second_variation(surf, 1, res.eigenfunction)
         norm2 = res.eigenfunction @ (surf.cache.mass @ res.eigenfunction)
         assert abs(sample.value) <= 1e-3 * 2 * norm2
 
     def test_higher_mode_negative(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         f = SphericalHarmonic(2, 0).value(surf.mesh.q)
-        sample = ls.jacobi_second_variation(surf, 1, f)
+        sample = jacobi_second_variation(surf, 1, f)
         assert sample.value < 0
 
     def test_killing_support_nearly_null(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        eta = ls.support_function(surf, BOOST)
-        sample = ls.jacobi_second_variation(surf, 1, eta)
+        eta = support_function(surf, BOOST)
+        sample = jacobi_second_variation(surf, 1, eta)
         assert abs(sample.value) <= 1e-3 * sample.scale
 
     def test_mean_projection_recorded(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
         f = 1.0 + SphericalHarmonic(2, 0).value(surf.mesh.q)
-        sample = ls.jacobi_second_variation(surf, 1, f)
+        sample = jacobi_second_variation(surf, 1, f)
         assert sample.projected_mass_fraction > 0.1
         assert abs(np.sum(surf.cache.weights * sample.values)) < 1e-10 * surf.cache.area
 
     def test_constant_rejected(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
         with pytest.raises(ValueError):
-            ls.jacobi_second_variation(surf, 1, np.ones(surf.cache.vertices.shape[0]))
+            jacobi_second_variation(surf, 1, np.ones(surf.cache.vertices.shape[0]))
 
     def test_mean_zero_battery_nonpositive(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
@@ -114,7 +126,7 @@ class TestJacobiForm:
             battery.append(rng.normal(size=q.shape[0]))
         for r in (0, 1):
             for f in battery:
-                sample = ls.jacobi_second_variation(surf, r, f)
+                sample = jacobi_second_variation(surf, r, f)
                 assert sample.value <= 1e-8 * sample.scale
 
 
@@ -128,37 +140,37 @@ class TestJacobiForm:
 
 class TestKillingCheck:
     def test_residual_small_and_decreasing(self, slice_mesh):
-        residuals = [ls.killing_eigen_check(slice_mesh(1.0, level), 1, BOOST) for level in (3, 4, 5)]
+        residuals = [killing_eigen_check(slice_mesh(1.0, level), 1, BOOST) for level in (3, 4, 5)]
         assert residuals[2] <= 5e-2
         assert residuals[0] > residuals[1] > residuals[2]
 
     def test_rotation_is_degenerate(self, slice_mesh):
-        spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
-        with pytest.raises(ls.DegenerateFieldError):
-            ls.killing_eigen_check(slice_mesh(1.0, 3), 1, spec)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
+        with pytest.raises(DegenerateFieldError):
+            killing_eigen_check(slice_mesh(1.0, 3), 1, spec)
 
     def test_equal_vectors_are_degenerate(self, slice_mesh):
-        spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[0], k=1.0)
-        with pytest.raises(ls.DegenerateFieldError):
-            ls.killing_eigen_check(slice_mesh(1.0, 3), 1, spec)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[0], k=1.0)
+        with pytest.raises(DegenerateFieldError):
+            killing_eigen_check(slice_mesh(1.0, 3), 1, spec)
 
 
 class TestConformalIdentity:
     def test_slice_both_orders(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        spec = ls.ConformalFieldSpec(a=AXIS)
-        assert ls.conformal_identity_check(surf, 0, spec) <= 5e-2
-        assert ls.conformal_identity_check(surf, 1, spec) <= 5e-2
+        spec = ConformalFieldSpec(a=AXIS)
+        assert conformal_identity_check(surf, 0, spec) <= 5e-2
+        assert conformal_identity_check(surf, 1, spec) <= 5e-2
 
     def test_equator_reduction_exact(self):
-        surf = ls.build_slice(2, 0.0).meshed(3)
-        spec = ls.ConformalFieldSpec(a=AXIS)
-        assert ls.conformal_identity_check(surf, 0, spec) <= 1e-8
+        surf = build_slice(2, 0.0).meshed(3)
+        spec = ConformalFieldSpec(a=AXIS)
+        assert conformal_identity_check(surf, 0, spec) <= 1e-8
 
     def test_graph_all_terms(self, graph_mesh):
-        spec = ls.ConformalFieldSpec(a=AXIS)
+        spec = ConformalFieldSpec(a=AXIS)
         residuals = [
-            ls.conformal_identity_check(graph_mesh(1.0, ((2, 0, 0.05),), level), 1, spec)
+            conformal_identity_check(graph_mesh(1.0, ((2, 0, 0.05),), level), 1, spec)
             for level in (3, 4, 5)
         ]
         assert residuals[2] <= 1e-1
@@ -176,8 +188,8 @@ class TestStabilityField:
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
         field = stability_field(surf, 1)
         for idx in (0, 100, 500):
-            shape = ls.shape_operator_at(surf, idx)
-            assert field[idx] == pytest.approx(ls.stability_constant(shape, 1.0, 1), rel=1e-10)
+            shape = ShapeSpectrum(n=2, matrix=surf.cache.shape[idx])
+            assert field[idx] == pytest.approx(stability_constant(shape, 1.0, 1), rel=1e-10)
 
 
 class TestInvariants:
@@ -186,8 +198,8 @@ class TestInvariants:
     def test_slice_convergence_order(self, slice_mesh, r, s0):
         # P1 eigenvalues converge as h^2: both the lambda1 error against the
         # closed form and the report gap measure order 1.999 and 2.000
-        exact = ls.build_slice(2, s0).operator_eigenvalue(r)
-        reports = [ls.analyze(slice_mesh(s0, level), r) for level in (3, 4, 5)]
+        exact = build_slice(2, s0).operator_eigenvalue(r)
+        reports = [analyze(slice_mesh(s0, level), r) for level in (3, 4, 5)]
         errors = np.array([abs(rep.eigen.lambda1 - exact) for rep in reports])
         gaps = np.array([abs(rep.gap) for rep in reports])
         assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
@@ -198,7 +210,7 @@ class TestInvariants:
         rapidity = 0.7
         boosted = np.array([np.sinh(rapidity), 0.0, 0.0, np.cosh(rapidity)])
         terms = ((2, 0, 0.05), (3, 1, 0.02))
-        plain, moved = (ls.analyze(ls.build_graph(1.0, perturbations=terms, level=4, axis=axis), 1)
+        plain, moved = (analyze(build_graph(1.0, perturbations=terms, level=4, axis=axis), 1)
                         for axis in (AXIS, boosted))
         assert moved.eigen.lambda1 == pytest.approx(plain.eigen.lambda1, rel=1e-12, abs=0)
         assert moved.gap == pytest.approx(plain.gap, rel=0, abs=1e-12)

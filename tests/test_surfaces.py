@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
-import lorstab as ls
+from lorstab.curvature import ShapeSpectrum
+from lorstab.fem import assemble
 from lorstab.harmonics import SphericalHarmonic
-from lorstab.lorentz import ambient_field
+from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot, minkowski_inner
 from lorstab.mesh import save_mesh
-from lorstab.surfaces import _face_areas, mdot, sphere_area, surface_from_mesh_file
+from lorstab.stability import analyze
+from lorstab.surfaces import (
+    GraphConstructionError,
+    _face_areas,
+    build_graph,
+    build_slice,
+    sphere_area,
+    support_function,
+    surface_from_mesh_file,
+    tangential_gradient,
+)
 from oracles import shape_operator_mesh_estimate, tangential_gradient_reference
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
@@ -15,23 +26,23 @@ AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
 class TestSliceClosedForms:
     def test_umbilicity_and_curvatures(self):
-        sl = ls.build_slice(3, 1.0)
+        sl = build_slice(3, 1.0)
         assert sl.umbilicity_factor == pytest.approx(-np.tanh(1.0))
         table = sl.curvature_table()
         for r in range(4):
             assert table.mean[r] == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
 
     def test_equator_is_geodesic(self):
-        sl = ls.build_slice(2, 0.0)
+        sl = build_slice(2, 0.0)
         assert np.abs(sl.shape_spectrum().operator()).max() == 0.0
 
     def test_reference_values(self):
-        sl = ls.build_slice(2, 1.0)
+        sl = build_slice(2, 1.0)
         assert sl.curvature_table().mean[1] == pytest.approx(0.76159, abs=1e-5)
         assert sl.curvature_table().mean[2] == pytest.approx(0.58002, abs=1e-5)
 
     def test_area_and_eigenvalues(self):
-        sl = ls.build_slice(2, 0.7)
+        sl = build_slice(2, 0.7)
         assert sl.area() == pytest.approx(4 * np.pi * np.cosh(0.7) ** 2)
         assert sl.laplace_eigenvalue() == pytest.approx(2 / np.cosh(0.7) ** 2)
         assert sl.operator_eigenvalue(1) == pytest.approx(2 * np.tanh(0.7) / np.cosh(0.7) ** 2)
@@ -40,7 +51,7 @@ class TestSliceClosedForms:
 
     def test_meshed_requires_n2(self):
         with pytest.raises(ValueError):
-            ls.build_slice(3, 1.0).meshed(3)
+            build_slice(3, 1.0).meshed(3)
 
 
 class TestMeshedSliceGeometry:
@@ -48,7 +59,7 @@ class TestMeshedSliceGeometry:
         surf = slice_mesh(1.0, 4)
         want = -np.tanh(1.0) * np.eye(2)
         assert np.abs(surf.cache.shape - want).max() < 1e-12
-        spectrum = ls.shape_operator_at(surf, 17)
+        spectrum = ShapeSpectrum(n=2, matrix=surf.cache.shape[17])
         assert spectrum.matrix == pytest.approx(want, abs=1e-12)
 
     def test_cache_invariants(self, slice_mesh):
@@ -65,7 +76,7 @@ class TestMeshedSliceGeometry:
     def test_area_converges_quadratically(self):
         exact = 4 * np.pi * np.cosh(1.0) ** 2
         errs = [
-            abs(ls.build_slice(2, 1.0).meshed(level).cache.area - exact) / exact
+            abs(build_slice(2, 1.0).meshed(level).cache.area - exact) / exact
             for level in (3, 4, 5)
         ]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -80,19 +91,19 @@ class TestMeshedSliceGeometry:
 
     def test_rotated_axis_equivariance(self):
         axis = np.array([0.3, -0.1, 0.2, 1.2])
-        axis = axis / np.sqrt(-ls.minkowski_inner(axis, axis))
-        surf = ls.build_slice(2, 1.0, axis=axis).meshed(3)
+        axis = axis / np.sqrt(-minkowski_inner(axis, axis))
+        surf = build_slice(2, 1.0, axis=axis).meshed(3)
         c = surf.cache
         assert np.abs(c.shape - (-np.tanh(1.0)) * np.eye(2)).max() < 1e-12
         assert np.abs(mdot(c.vertices, c.vertices) - 1.0).max() < 1e-12
         assert abs(c.area - 4 * np.pi * np.cosh(1.0) ** 2) / c.area < 5e-3
-        eta = ls.support_function(surf, surf.axis)
+        eta = support_function(surf, surf.axis)
         assert np.abs(eta + np.cosh(1.0)).max() < 1e-9
 
 
 class TestGraphConstruction:
     def test_zero_amplitude_matches_slice(self, slice_mesh):
-        graph = ls.build_graph(1.0, perturbations=(), level=3)
+        graph = build_graph(1.0, perturbations=(), level=3)
         assert graph.cache.vertices == pytest.approx(slice_mesh(1.0, 3).cache.vertices, abs=0)
         assert graph.is_slice
 
@@ -102,15 +113,15 @@ class TestGraphConstruction:
         assert surf.cache.metric_ratio < 1.01
 
     def test_large_amplitude_fails_with_vertex(self):
-        with pytest.raises(ls.GraphConstructionError, match="not spacelike at vertex") as err:
-            ls.build_graph(1.0, perturbations=((1, 1, 10.0),), level=3)
+        with pytest.raises(GraphConstructionError, match="not spacelike at vertex") as err:
+            build_graph(1.0, perturbations=((1, 1, 10.0),), level=3)
         assert err.value.vertex is not None
 
     def test_timelike_face_fails_with_vertex(self):
         # edge v1 - v0 of face 1 is timelike; its first vertex is named
         vertices = np.array([[0.0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2]])
         faces = np.array([[0, 1, 2], [2, 3, 1]])
-        with pytest.raises(ls.GraphConstructionError, match="face 1 is not spacelike") as err:
+        with pytest.raises(GraphConstructionError, match="face 1 is not spacelike") as err:
             _face_areas(vertices, faces)
         assert err.value.vertex == 2
 
@@ -127,7 +138,7 @@ class TestMeshShapeEstimate:
     def test_slice_convergence(self):
         errs = []
         for level in (3, 4, 5):
-            surf = ls.build_slice(2, 1.0).meshed(level)
+            surf = build_slice(2, 1.0).meshed(level)
             est = shape_operator_mesh_estimate(surf)
             errs.append(np.abs(est - surf.cache.shape).max())
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -142,25 +153,25 @@ class TestMeshShapeEstimate:
 class TestSupportFunction:
     def test_conformal_constant_on_slice(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        eta = ls.support_function(surf, surf.axis)
+        eta = support_function(surf, surf.axis)
         assert np.abs(eta + np.cosh(1.0)).max() < 1e-9
         assert np.abs(eta - eta.mean()).max() < 1e-9
 
     def test_killing_boost_degree_one(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=2.0)
-        eta = ls.support_function(surf, spec)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=2.0)
+        eta = support_function(surf, spec)
         assert eta == pytest.approx(-2.0 * surf.mesh.q[:, 0], abs=1e-12)
         assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
 
     def test_spatial_rotation_is_tangent(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        spec = ls.KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
-        assert np.abs(ls.support_function(surf, spec)).max() < 1e-12
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
+        assert np.abs(support_function(surf, spec)).max() < 1e-12
 
     def test_equator_unit_support(self):
-        surf = ls.build_slice(2, 0.0).meshed(3)
-        eta = ls.support_function(surf, surf.axis)
+        surf = build_slice(2, 0.0).meshed(3)
+        eta = support_function(surf, surf.axis)
         assert np.abs(np.abs(eta) - 1.0).max() < 1e-12
 
     def test_ambient_field_tangency(self, slice_mesh):
@@ -172,14 +183,14 @@ class TestSupportFunction:
 class TestTangentialGradient:
     def test_constant_field_vanishes(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        grad = ls.tangential_gradient(surf, np.full(surf.cache.vertices.shape[0], 3.7))
+        grad = tangential_gradient(surf, np.full(surf.cache.vertices.shape[0], 3.7))
         assert np.abs(grad).max() < 1e-12
 
     def test_degree_one_norm(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         q = surf.mesh.q
         h = SphericalHarmonic(1, 0)
-        grad = ls.tangential_gradient(surf, h.value(q))
+        grad = tangential_gradient(surf, h.value(q))
         got = np.sqrt(np.abs(mdot(grad, grad)))
         want = np.linalg.norm(h.sphere_gradient(q), axis=1) / np.cosh(1.0)
         mask = want > 0.1 * want.max()
@@ -188,16 +199,16 @@ class TestTangentialGradient:
     def test_matches_add_at_accumulation(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
         values = surf.cache.vertices[:, 0] * surf.cache.vertices[:, 3]
-        assert np.array_equal(ls.tangential_gradient(surf, values),
+        assert np.array_equal(tangential_gradient(surf, values),
                               tangential_gradient_reference(surf, values))
 
     def test_linear_chart_field_first_order(self):
         errs = []
         for level in (3, 4):
-            surf = ls.build_slice(2, 1.0).meshed(level)
+            surf = build_slice(2, 1.0).meshed(level)
             q = surf.mesh.q
             values = 2.0 + 3.0 * q[:, 0] - q[:, 1]
-            grad = ls.tangential_gradient(surf, values)
+            grad = tangential_gradient(surf, values)
             direction = np.array([3.0, -1.0, 0.0])
             want_s2 = direction[None, :] - (q @ direction)[:, None] * q
             want = np.linalg.norm(want_s2, axis=1) / np.cosh(1.0)
@@ -208,7 +219,7 @@ class TestTangentialGradient:
 
 class TestMeshFileSurfaces:
     def test_roundtrip(self, tmp_path):
-        surf = ls.build_graph(1.0, perturbations=((2, 0, 0.05), (3, 1, 0.01)), level=3)
+        surf = build_graph(1.0, perturbations=((2, 0, 0.05), (3, 1, 0.01)), level=3)
         path = tmp_path / "surface.mesh"
         save_mesh(path, surf.cache.vertices, surf.mesh.faces)
         back, residual = surface_from_mesh_file(path)
@@ -222,46 +233,46 @@ class TestMeshFileSurfaces:
         assert back.height.constant == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_family_rejected(self, tmp_path):
-        surf = ls.build_graph(1.0, perturbations=((8, 3, 0.02),), level=3)
+        surf = build_graph(1.0, perturbations=((8, 3, 0.02),), level=3)
         path = tmp_path / "foreign.mesh"
         save_mesh(path, surf.cache.vertices, surf.mesh.faces)
-        with pytest.raises(ls.GraphConstructionError, match="harmonic height graph"):
+        with pytest.raises(GraphConstructionError, match="harmonic height graph"):
             surface_from_mesh_file(path, fit_lmax=6)
 
     def test_off_quadric_rejected(self, tmp_path):
-        surf = ls.build_graph(1.0, perturbations=(), level=3)
+        surf = build_graph(1.0, perturbations=(), level=3)
         bad = surf.cache.vertices.copy()
         bad[5] *= 1.01
         path = tmp_path / "off.mesh"
         save_mesh(path, bad, surf.mesh.faces)
-        with pytest.raises(ls.GraphConstructionError, match="hyperquadric"):
+        with pytest.raises(GraphConstructionError, match="hyperquadric"):
             surface_from_mesh_file(path)
 
 
 class TestSharedMesh:
     def test_one_mesh_and_order_per_level(self):
         tilted = np.array([0.0, 0.0, np.sinh(0.3), np.cosh(0.3)])
-        sl = ls.build_slice(2, 0.7).meshed(3)
-        graph = ls.build_graph(1.2, perturbations=((2, 0, 0.05),), level=3, axis=tilted)
+        sl = build_slice(2, 0.7).meshed(3)
+        graph = build_graph(1.2, perturbations=((2, 0, 0.05),), level=3, axis=tilted)
         assert graph.mesh is sl.mesh
         assert sl.mesh.level == 3
-        assert ls.assemble(graph, 1).order is ls.assemble(sl, 0).order is sl.mesh.order
-        assert ls.build_graph(1.0, level=4).mesh is not sl.mesh
+        assert assemble(graph, 1).order is assemble(sl, 0).order is sl.mesh.order
+        assert build_graph(1.0, level=4).mesh is not sl.mesh
 
     def test_shared_arrays_read_only(self):
-        surf = ls.build_graph(1.0, perturbations=((2, 0, 0.05),), level=3)
+        surf = build_graph(1.0, perturbations=((2, 0, 0.05),), level=3)
         w1, _ = surf.mesh.frames
         for array in (surf.mesh.q, surf.mesh.faces, w1, surf.mesh.order):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
 
     def test_explicit_mesh_used_as_given(self):
-        sl = ls.build_slice(2, 1.0).meshed(3)
-        again = ls.build_graph(1.0, level=5, mesh=sl.mesh)
+        sl = build_slice(2, 1.0).meshed(3)
+        again = build_graph(1.0, level=5, mesh=sl.mesh)
         assert again.mesh is sl.mesh
         assert np.array_equal(again.cache.vertices, sl.cache.vertices)
 
     def test_no_mesh_data_in_memo(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
-        ls.analyze(surf, 1)
+        analyze(surf, 1)
         assert all(key[0] in ("newton", "operator", "stability_field") for key in surf._memo)

@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
-import lorstab as ls
 import lorstab.surfaces
 from lorstab.harmonics import HarmonicField
-from lorstab.surfaces import GeometryCache, mdot
+from lorstab.lorentz import mdot
+from lorstab.surfaces import GeometryCache, build_graph, build_slice
+from lorstab.variation import (
+    FlowError,
+    NormalVariation,
+    flow,
+    functional_trace,
+    r_area,
+    verify_first_variation,
+    verify_second_variation,
+    verify_sr_evolution,
+    volume_balance,
+    volume_derivative_check,
+)
 from oracles import flow_rule_positions, volume_balance_quadratic_reference, volume_balance_reference
 
 CONST = HarmonicField(constant=1.0)
@@ -20,38 +32,38 @@ LAZY_FIELDS = ("face_frame", "face_grad", "mass")
 
 class TestFlow:
     def test_zero_time_is_base(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y10)
-        assert ls.flow(var, 0.0) is var.base
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y10)
+        assert flow(var, 0.0) is var.base
 
     def test_unit_amplitude_translates_slices(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
-        snap = ls.flow(var, 0.05)
-        want = ls.build_slice(2, 1.05).meshed(3)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
+        snap = flow(var, 0.05)
+        want = build_slice(2, 1.05).meshed(3)
         assert np.abs(snap.cache.vertices - want.cache.vertices).max() < 1e-10
 
     def test_matches_flow_rule(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
         for t in (0.01, -0.03):
-            snap = ls.flow(var, t)
+            snap = flow(var, t)
             assert np.abs(snap.cache.vertices - flow_rule_positions(var, t)).max() < 1e-10
 
     def test_stays_on_hyperquadric(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y10)
-        snap = ls.flow(var, 0.01)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y10)
+        snap = flow(var, 0.01)
         assert np.abs(mdot(snap.cache.vertices, snap.cache.vertices) - 1.0).max() < 1e-10
 
     def test_variational_field_is_normal_amplitude(self, slice_mesh):
         base = slice_mesh(1.0, 3)
-        var = ls.NormalVariation(base=base, amplitude=Y20)
+        var = NormalVariation(base=base, amplitude=Y20)
         h = 1e-4
-        vel = (ls.flow(var, h).cache.vertices - ls.flow(var, -h).cache.vertices) / (2 * h)
+        vel = (flow(var, h).cache.vertices - flow(var, -h).cache.vertices) / (2 * h)
         want = var.values()[:, None] * base.cache.normal
         assert np.abs(vel - want).max() < 1e-8
 
     def test_t_max_enforced(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST, t_max=0.1)
-        with pytest.raises(ls.FlowError):
-            ls.flow(var, 0.2)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST, t_max=0.1)
+        with pytest.raises(FlowError):
+            flow(var, 0.2)
 
     def test_spacelike_loss_raises(self, slice_mesh):
         # the flowed slice is the graph u = s0 + t f, spacelike where |t grad f| < cosh(u)
@@ -65,8 +77,8 @@ class TestFlow:
 
         # 100 Y11: max |t grad f| / cosh(u) = 2.26
         steep = HarmonicField(terms=((1, 1, 100.0),))
-        with pytest.raises(ls.FlowError) as err:
-            ls.flow(ls.NormalVariation(base=base, amplitude=steep), t)
+        with pytest.raises(FlowError) as err:
+            flow(NormalVariation(base=base, amplitude=steep), t)
         assert err.value.t == t
         grad, cosh_u = spacelike_data(steep)
         worst = err.value.vertex
@@ -78,16 +90,16 @@ class TestFlow:
         mild = HarmonicField(terms=((1, 1, 40.0),))
         grad, cosh_u = spacelike_data(mild)
         assert (grad / cosh_u).max() < 1.0
-        snap = ls.flow(ls.NormalVariation(base=base, amplitude=mild), t)
+        snap = flow(NormalVariation(base=base, amplitude=mild), t)
         assert snap.cache.vertices.shape == base.cache.vertices.shape
 
     def test_snapshot_equals_fresh_build_at_base_level(self, slice_mesh):
         base = slice_mesh(1.0, 3)
-        var = ls.NormalVariation(base=base, amplitude=Y20)
+        var = NormalVariation(base=base, amplitude=Y20)
         t = 0.02
-        snap = ls.flow(var, t)
+        snap = flow(var, t)
         height = base.height.plus(Y20, factor=t)
-        want = ls.build_graph(height.constant, perturbations=height.terms, level=3, axis=base.axis.a)
+        want = build_graph(height.constant, perturbations=height.terms, level=3, axis=base.axis.a)
         for name in [*GeometryCache.__dataclass_fields__, *LAZY_FIELDS]:
             got, ref = getattr(snap.cache, name), getattr(want.cache, name)
             if name == "mass":
@@ -98,9 +110,9 @@ class TestFlow:
         assert snap.mesh.level == 3
 
     def test_snapshot_builds_no_mesh_data(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
-        snap = ls.flow(var, 0.02)
-        assert ls.r_area(snap, 1) > 0
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        snap = flow(var, 0.02)
+        assert r_area(snap, 1) > 0
         assert not set(LAZY_FIELDS) & vars(snap.cache).keys()
         # read once, then kept
         assert snap.cache.mass is snap.cache.mass
@@ -111,7 +123,7 @@ class TestFlow:
             assert np.abs(surf.cache.weights - rows).max() <= 1e-15 * np.abs(rows).max()
 
     def test_snapshots_skip_mesh_validation(self, slice_mesh, monkeypatch):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
         calls = []
         real = lorstab.surfaces.validate_closed_oriented
 
@@ -121,106 +133,106 @@ class TestFlow:
 
         monkeypatch.setattr(lorstab.surfaces, "validate_closed_oriented", counted)
         for t in (-0.02, 0.01, 0.02):
-            ls.flow(var, t)
+            flow(var, t)
         assert calls == []
 
     def test_graph_base_rejected(self, graph_mesh):
         with pytest.raises(ValueError, match="slice base"):
-            ls.NormalVariation(base=graph_mesh(1.0, ((2, 0, 0.05),), 3), amplitude=CONST)
+            NormalVariation(base=graph_mesh(1.0, ((2, 0, 0.05),), 3), amplitude=CONST)
 
 
 class TestRArea:
     def test_total_area(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         want = 4 * np.pi * np.cosh(1.0) ** 2
-        assert abs(ls.r_area(surf, 0) - want) / want < 1e-3
+        assert abs(r_area(surf, 0) - want) / want < 1e-3
 
     def test_first_order_umbilical(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
         want = 2 * np.tanh(1.0) * 4 * np.pi * np.cosh(1.0) ** 2
-        assert abs(ls.r_area(surf, 1) - want) / want < 1e-3
+        assert abs(r_area(surf, 1) - want) / want < 1e-3
 
     def test_equator_first_order_vanishes(self):
-        surf = ls.build_slice(2, 0.0).meshed(3)
-        assert abs(ls.r_area(surf, 1)) < 1e-12
+        surf = build_slice(2, 0.0).meshed(3)
+        assert abs(r_area(surf, 1)) < 1e-12
 
 
 class TestVolumeBalance:
     def test_zero_amplitude(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=HarmonicField(constant=0.0))
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=HarmonicField(constant=0.0))
         for t in (0.02, 0.1):
-            assert ls.volume_balance(var, t) == pytest.approx(0.0, abs=1e-12)
+            assert volume_balance(var, t) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_time(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
-        assert ls.volume_balance(var, 0.0) == 0.0
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
+        assert volume_balance(var, 0.0) == 0.0
 
     def test_too_few_time_intervals_rejected(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
         for n_time in (-1, 0, 1):
             with pytest.raises(ValueError, match="n_time"):
-                ls.volume_balance(var, 0.02, n_time=n_time)
-        assert ls.volume_balance(var, 0.02, n_time=2) > 0
+                volume_balance(var, 0.02, n_time=n_time)
+        assert volume_balance(var, 0.02, n_time=2) > 0
 
     @pytest.mark.parametrize("level", [3, 4])
     @pytest.mark.parametrize("amplitude", [CONST, NEG_CONST, Y10, Y20], ids=["const", "-const", "Y10", "Y20"])
     def test_matches_determinant_oracle(self, slice_mesh, level, amplitude):
-        var = ls.NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
+        var = NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
         for t in (1e-3, -1e-3, 2e-2, -2e-2, var.t_max, -var.t_max):
             want = volume_balance_reference(var, t)
-            assert ls.volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
+            assert volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("level", [3, 4])
     @pytest.mark.parametrize("amplitude", [CONST, Y10, Y20, MIXED], ids=["const", "Y10", "Y20", "mixed"])
     def test_matches_quadratic_form_oracle(self, slice_mesh, level, amplitude):
         # the tanh polynomials against the (cosh, sinh) forms at every node
-        var = ls.NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
+        var = NormalVariation(base=slice_mesh(1.0, level), amplitude=amplitude)
         for t in (1e-3, -1e-3, 2e-2, -2e-2, 0.1):
             want = volume_balance_quadratic_reference(var, t)
-            assert ls.volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
+            assert volume_balance(var, t) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_sequence_of_times_equals_scalar_calls(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
         times = [-0.02, -0.01, 0.0, 0.01, 0.02]
-        got = ls.volume_balance(var, times)
+        got = volume_balance(var, times)
         assert isinstance(got, np.ndarray) and got.shape == (5,)
-        assert np.array_equal(got, [ls.volume_balance(var, t) for t in times])
+        assert np.array_equal(got, [volume_balance(var, t) for t in times])
         assert got[2] == 0.0
-        assert isinstance(ls.volume_balance(var, 0.01), float)
+        assert isinstance(volume_balance(var, 0.01), float)
 
     def test_sequence_past_t_max_raises(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST, t_max=0.1)
-        with pytest.raises(ls.FlowError) as err:
-            ls.volume_balance(var, [0.05, -0.2])
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST, t_max=0.1)
+        with pytest.raises(FlowError) as err:
+            volume_balance(var, [0.05, -0.2])
         assert err.value.t == -0.2
 
     def test_derivative_matches_area_integral(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
-        chk = ls.volume_derivative_check(var, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
+        chk = volume_derivative_check(var, h=1e-3)
         assert chk.rel_error <= 1e-3
         assert chk.lhs > 0
 
     def test_mean_zero_amplitude_preserves_volume(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y10)
-        chk = ls.volume_derivative_check(var, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y10)
+        chk = volume_derivative_check(var, h=1e-3)
         area = var.base.cache.area
         assert abs(chk.lhs) <= 1e-4 * area
 
     def test_sign_flips_with_amplitude(self, slice_mesh):
         base = slice_mesh(1.0, 3)
-        up = ls.NormalVariation(base=base, amplitude=CONST)
-        down = ls.NormalVariation(base=base, amplitude=HarmonicField(constant=-1.0))
+        up = NormalVariation(base=base, amplitude=CONST)
+        down = NormalVariation(base=base, amplitude=HarmonicField(constant=-1.0))
 
         def slab(a, b):
             # 4 pi int_a^b cosh^2 s ds: volume between the slices at a and b
             return 4 * np.pi * ((b - a) / 2 + (np.sinh(2 * b) - np.sinh(2 * a)) / 4)
 
         for t in (0.02, 0.05):
-            up_v = ls.volume_balance(up, t)
-            down_v = ls.volume_balance(down, t)
+            up_v = volume_balance(up, t)
+            down_v = volume_balance(down, t)
             assert up_v > 0 > down_v
             # the flow depends on (f, t) only through t f
-            assert down_v == pytest.approx(ls.volume_balance(up, -t), rel=1e-12)
+            assert down_v == pytest.approx(volume_balance(up, -t), rel=1e-12)
             # level-3 error is 8.8e-4 at t = 0.05 and falls as h^2 with the level
             above, below = slab(1.0, 1.0 + t), slab(1.0 - t, 1.0)
             assert up_v == pytest.approx(above, rel=2e-3)
@@ -232,46 +244,46 @@ class TestVolumeBalance:
 
 class TestFirstVariation:
     def test_expanding_slice(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=CONST)
-        chk = ls.verify_first_variation(var, 0, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=CONST)
+        chk = verify_first_variation(var, 0, h=1e-3)
         assert chk.rel_error <= 1e-3
         # area of slices grows like cosh^2
         want = 8 * np.pi * np.cosh(1.0) * np.sinh(1.0)
         assert chk.lhs == pytest.approx(want, rel=2e-3)
 
     def test_first_order_constant_convention(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=CONST)
-        chk = ls.verify_first_variation(var, 1, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=CONST)
+        chk = verify_first_variation(var, 1, h=1e-3)
         assert chk.rel_error <= 1e-3
 
     def test_mean_zero_amplitude(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y20)
-        chk = ls.verify_first_variation(var, 1, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y20)
+        chk = verify_first_variation(var, 1, h=1e-3)
         assert chk.rel_error <= 5e-3
 
     def test_richardson_estimates_truncation(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
-        coarse = ls.verify_first_variation(var, 0, h=4e-3)
-        fine = ls.verify_first_variation(var, 0, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
+        coarse = verify_first_variation(var, 0, h=4e-3)
+        fine = verify_first_variation(var, 0, h=1e-3)
         assert fine.richardson < coarse.richardson
 
 
 class TestSrEvolution:
     @pytest.mark.parametrize("r", [0, 1])
     def test_uniform_flow(self, slice_mesh, r):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=CONST)
-        chk = ls.verify_sr_evolution(var, r, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=CONST)
+        chk = verify_sr_evolution(var, r, h=1e-3)
         assert chk.rel_error <= 1e-3
 
     def test_degree_one_amplitude(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y10)
-        chk = ls.verify_sr_evolution(var, 0, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y10)
+        chk = verify_sr_evolution(var, 0, h=1e-3)
         assert chk.rel_error <= 2e-2
 
     def test_uniform_flow_matches_closed_form(self, slice_mesh):
         # S_1 of the slice family has derivative -n sech^2 in the flow time
-        var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
-        snaps = [ls.flow(var, t) for t in (-1e-3, 1e-3)]
+        var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
+        snaps = [flow(var, t) for t in (-1e-3, 1e-3)]
         lhs = (snaps[1].cache.sigma[:, 1] - snaps[0].cache.sigma[:, 1]) / 2e-3
         want = -2.0 / np.cosh(1.0) ** 2
         assert np.abs(lhs - want).max() < 1e-5
@@ -279,28 +291,28 @@ class TestSrEvolution:
 
 class TestSecondVariation:
     def test_threshold_mode(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y10)
-        chk = ls.verify_second_variation(var, 1, h=1e-2)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y10)
+        chk = verify_second_variation(var, 1, h=1e-2)
         assert chk.rel_error <= 1e-2
         scale = 2 * np.cosh(1.0) ** 2 * (2 * np.tanh(1.0) / np.cosh(1.0) ** 2)
         assert abs(chk.lhs) <= 1e-2 * scale
 
     def test_higher_mode_negative_both_sides(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y20)
-        chk = ls.verify_second_variation(var, 0, h=1e-2)
+        var = NormalVariation(base=slice_mesh(1.0, 5), amplitude=Y20)
+        chk = verify_second_variation(var, 0, h=1e-2)
         assert chk.lhs < 0 and chk.rhs < 0
         assert chk.rel_error <= 2e-2
 
     def test_mean_zero_required(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
         with pytest.raises(ValueError, match="mean-zero"):
-            ls.verify_second_variation(var, 1, h=1e-2)
+            verify_second_variation(var, 1, h=1e-2)
 
 
 class TestFunctionalTrace:
     def test_stencil_and_lagrange_constant(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y10)
-        trace = ls.functional_trace(var, 1, h=1e-2)
+        var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y10)
+        trace = functional_trace(var, 1, h=1e-2)
         assert trace.t_nodes == pytest.approx(np.array([-0.02, -0.01, 0.0, 0.01, 0.02]))
         # b_r * mean(H_{r+1}) + c_r with c_1 = n*c
         want = 2.0 + 2.0 * np.tanh(1.0) ** 2
@@ -309,7 +321,7 @@ class TestFunctionalTrace:
         assert trace.richardson_second >= 0.0
 
     def test_jacobi_critical_for_mean_zero(self, slice_mesh):
-        var = ls.NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y20)
-        trace = ls.functional_trace(var, 1, h=1e-3)
+        var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y20)
+        trace = functional_trace(var, 1, h=1e-3)
         scale = max(abs(v) for v in trace.jacobi_values)
         assert abs(trace.first_central) <= 1e-6 * max(1.0, scale)
