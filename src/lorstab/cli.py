@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, check_level, load_config, parse_reals
+from .config import ConfigError, ScenarioConfig, check_level, check_nonnegative, load_config, parse_reals
 from .fem import SolverError
 from .harmonics import HarmonicField
 from .lorentz import KillingFieldSpec
@@ -164,7 +164,7 @@ _SWEEP_HEADER = [
 
 def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_dir: str | Path) -> int:
     if param not in ("s0", "level", "amplitude"):
-        raise ConfigError(f"sweep parameter must be s0, level, or amplitude, got '{param}'")
+        raise ConfigError(f"key '--param': expected s0, level or amplitude, got '{param}'", key="--param")
     if param == "amplitude" and not config.perturbations:
         raise ConfigError("amplitude sweeps need at least one configured perturbation", key="perturbations")
     out = Path(out_dir)
@@ -239,11 +239,11 @@ def main(argv=None) -> int:
             if args.level is not None:
                 config = dataclasses.replace(config, level=check_level(args.level))
             if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
+                config = dataclasses.replace(config, seed=check_nonnegative("seed", args.seed))
             return run_scenario(config, args.out)
         values = list(parse_reals("--values", args.values))
         if not values:
-            raise ConfigError("sweep needs a nonempty --values list")
+            raise ConfigError("key '--values': expected a nonempty list", key="--values")
         return sweep_scenario(config, args.param, values, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -16,6 +16,7 @@ from .lorentz import ConformalFieldSpec
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "parse_config", "parse_reals", "load_config", "check_level",
+    "check_nonnegative",
 ]
 
 _SCENARIOS = ("slice", "graph", "mesh-file")
@@ -103,6 +104,10 @@ def _parse_perturbations(raw: str) -> tuple[tuple[int, int, float], ...]:
             raise ConfigError(
                 f"key 'perturbations': bad triple '{chunk}'", key="perturbations"
             ) from err
+        if not abs(m) <= l:
+            raise ConfigError(
+                f"key 'perturbations': need |m| <= l in '{chunk}'", key="perturbations"
+            )
         out.append((l, m, _parse_real("perturbations", parts[2])))
     return tuple(out)
 
@@ -142,6 +147,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     def take_float(key: str, default=None):
         return _parse_real(key, pairs[key]) if key in pairs else default
+
+    def take_tolerance(key: str, default=None):
+        value = take_float(key, default)
+        if value is not None and not value > 0:
+            raise ConfigError(f"key '{key}': expected a positive real, got '{pairs[key]}'", key=key)
+        return value
 
     if "scenario" not in pairs:
         raise ConfigError("missing required key 'scenario'", key="scenario")
@@ -205,15 +216,15 @@ def parse_config(text: str) -> ScenarioConfig:
         perturbations=perturbations,
         level=level,
         mesh_file=mesh_file,
-        mesh_fit_lmax=take_int("mesh_fit_lmax", 6),
-        tol_gap=take_float("tol_gap", 2e-2),
-        tol_const=take_float("tol_const", None),
-        solver_tol=take_float("solver_tol", 1e-8),
+        mesh_fit_lmax=check_nonnegative("mesh_fit_lmax", take_int("mesh_fit_lmax", 6)),
+        tol_gap=take_tolerance("tol_gap", 2e-2),
+        tol_const=take_tolerance("tol_const", None),
+        solver_tol=take_tolerance("solver_tol", 1e-8),
         checks=checks,
         killing_u=killing_u,
         killing_v=killing_v,
         fd_h=fd_h,
-        seed=take_int("seed", 0),
+        seed=check_nonnegative("seed", take_int("seed", 0)),
     )
 
 
@@ -221,6 +232,12 @@ def check_level(level: int) -> int:
     if level not in _LEVELS:
         raise ConfigError(f"key 'level': expected one of {_LEVELS}, got {level}", key="level")
     return level
+
+
+def check_nonnegative(key: str, value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"key '{key}': expected a nonnegative integer, got {value}", key=key)
+    return value
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -11,7 +11,9 @@ so that the constrained first eigenvalue is the minimum of (f'Kf)/(f'Mf)
 over mean-zero f, matching the Rayleigh quotient of the stability
 criterion after one integration by parts.  Constants are annihilated by K
 up to roundoff and deflated.  Element matrices are 2x2 products per face,
-formed over blocks of faces so that no large temporary outlives assembly.
+formed over blocks of faces so that no large temporary outlives assembly,
+and summed onto the mesh's one P1 sparsity pattern (``SphereMesh.pattern``),
+so K and M share their index arrays.
 
 The spectrum is computed by ARPACK's shift-invert Lanczos (Lehoucq, Sorensen
 & Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero, to a
@@ -20,7 +22,10 @@ inverse is one sparse LU solve with K + shift M followed by the
 mass-orthogonal projection onto mean-zero functions, so the constant mode is
 deflated exactly.  The LU factor is computed on the matrix permuted by the
 mesh's nested-dissection order, which ``assemble`` attaches to the operator
-pair, with no further column permutation.
+pair, with no further column permutation.  A single eigenvalue is sought in
+a 10-vector Lanczos basis rather than ARPACK's default 20: ARPACK fills the
+basis before it first tests convergence, so a level-5 slice converges after
+11 applications instead of 21.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ __all__ = [
     "weak_residual",
 ]
 
+
+# Lanczos basis for k = 1: ARPACK tests convergence only once the basis is full
+_NCV_K1 = 10
 
 # ties of the eigenvector sign: 150x the largest relative entrywise disagreement
 # (6.7e-9) between this solver and the oracle on the level 3-5 test graphs
@@ -128,7 +136,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
         p_face = (p_face + p_face.transpose(0, 2, 1)) / 6.0
         g = cache.face_grad[f]
         k_local[f] = cache.face_area[f, None, None] * (g.transpose(0, 2, 1) @ (p_face @ g))
-    k = scatter_p1(faces, k_local, nv)
+    k = scatter_p1(surface.mesh, k_local)
     pair = OperatorPair(
         stiffness=k, mass=mass, nvertices=nv, min_newton_eig=min_eig,
         order=surface.mesh.order,
@@ -175,15 +183,18 @@ def smallest_eigenvalues_meanzero(
 
     ARPACK shift-invert Lanczos (``eigsh`` with ``sigma = -shift``, the k
     eigenvalues nearest the shift) on the pencil (K, M).  The inverse
-    operator is one LU solve with K + shift M, factorized in the operator's
-    nested-dissection order with the NATURAL column order, followed by the
+    operator is one LU solve with K + shift M, which has the P1 pattern that
+    K and M share on a mesh, factorized in the operator's nested-dissection order with the NATURAL column order, followed by the
     mass-orthogonal projection onto mean-zero functions; the start vector is
     the projected standard normal vector of ``default_rng(seed)``, so runs
-    are deterministic.  ARPACK stops at relative accuracy tol / (lam_scale +
-    shift), which K + shift M maps to a weak residual near ``tol`` (at 0 for
-    k > 1: an early stop can miss copies of a multiple eigenvalue), within
-    ``maxiter`` restarts; each vector is accepted only if its ``weak_residual``
-    is below ``tol``.  If the spectrum reaches below the shift window (an
+    are deterministic.  For k = 1 the Lanczos basis has ``ncv`` = 10 vectors
+    instead of ARPACK's default 20, which ARPACK fills before its first
+    convergence test: 11 applications instead of 21 on a level-5 slice.
+    ARPACK stops at relative accuracy tol / (lam_scale + shift), which
+    K + shift M maps to a weak residual near ``tol`` (at 0 for k > 1: an
+    early stop can miss copies of a multiple eigenvalue), within ``maxiter``
+    restarts; each vector is accepted only if its ``weak_residual`` is below
+    ``tol``.  If the spectrum reaches below the shift window (an
     indefinite operator), the shift is widened by 100, up to four times.
 
     Returns (values, vectors, iterations, residuals): values ascending,
@@ -223,6 +234,7 @@ def smallest_eigenvalues_meanzero(
             values, vectors = eigsh(
                 kk, k, M=mm, sigma=-shift, which="LM", v0=x0,
                 OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
+                ncv=min(nv, _NCV_K1) if k == 1 else None,
                 tol=tol / (lam_scale + shift) if k == 1 else 0.0, maxiter=maxiter,
             )
         except ArpackNoConvergence as err:

@@ -1,10 +1,11 @@
 """Triangulated unit spheres: icosphere generation, validation, text IO.
 
 A ``SphereMesh`` holds the directions and faces surfaces are sampled over,
-and computes the sphere's tangent frames and nested-dissection order at most
-once for all surfaces on it.  The icosphere ladder (levels 3..6 in practice)
-is the only generator; imported meshes (ambient vertex coordinates in the
-text format) just need to be watertight, oriented sphere triangulations.
+and computes the sphere's tangent frames, nested-dissection order and P1
+sparsity pattern at most once for all surfaces on it.  The icosphere ladder
+(levels 3..6 in practice) is the only generator; imported meshes (ambient
+vertex coordinates in the text format) just need to be watertight, oriented
+sphere triangulations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ _FRAME_TOL = 1e-6
 class SphereMesh:
     """Unit directions ``q`` (V, 3) and outward-oriented ``faces`` (F, 3) of a
     valid sphere triangulation (not checked here); ``level`` is the icosphere
-    depth, None for a mesh file.  It makes its arrays read-only, to be shared."""
+    depth, None for a mesh file.  It makes its arrays read-only, to be shared.
+
+    Computed on first read and kept: the tangent ``frames``, the
+    fill-reducing ``order`` and the P1 sparsity ``pattern``, which every
+    stiffness and mass matrix on the mesh shares.
+    """
 
     q: np.ndarray
     faces: np.ndarray
@@ -58,6 +64,23 @@ class SphereMesh:
         order = nested_dissection(self.q, self.faces)
         order.flags.writeable = False
         return order
+
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``indptr`` and ``indices`` of the vertex-adjacency pattern (every
+        vertex with itself and its edge neighbours), and ``slots`` (F, 3, 3): the
+        position in ``indices`` of entry (faces[f, a], faces[f, b]), as int32."""
+        nv = self.nvertices
+        faces = self.faces.astype(np.int64)
+        keys = (faces[:, :, None] * nv + faces[:, None, :]).ravel()
+        entries, slots = np.unique(keys, return_inverse=True)
+        indptr = np.zeros(nv + 1, dtype=np.int32)
+        np.cumsum(np.bincount(entries // nv, minlength=nv), out=indptr[1:])
+        indices = (entries % nv).astype(np.int32)
+        arrays = (indptr, indices, slots.astype(np.int32).reshape(faces.shape + (3,)))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
 
 def _sphere_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,22 +180,27 @@ def nested_dissection(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """
     nv = points.shape[0]
     tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    coords = np.ascontiguousarray(points.T)
+    # rank[a, v]: position of v in the stable sort of coordinate a, so that
+    # ordering by rank is ordering by coordinate with ties by vertex index
+    rank = np.empty((3, nv), dtype=np.int64)
+    rank[np.arange(3)[:, None], np.argsort(coords, axis=1, kind="stable")] = np.arange(nv)
     part = np.zeros(nv, dtype=np.int64)     # node of the tree at the current depth
     depth = np.zeros(nv, dtype=np.int64)    # depth of the node holding the vertex
     active = np.ones(nv, dtype=bool)        # not yet in a separator
+    split = np.arange(nv)                   # vertices of the parts to split, grouped by part
     height = 0
     while True:
         big = np.bincount(part[active], minlength=1 << height) > _LEAF
-        if not big.any():
+        split = split[active[split] & big[part[split]]]
+        if not split.size:
             break
-        split = np.flatnonzero(active & big[part])
-        split = split[np.argsort(part[split], kind="stable")]
         starts = np.flatnonzero(np.diff(part[split], prepend=-1))
         sizes = np.diff(starts, append=split.size)
-        extent = np.maximum.reduceat(points[split], starts) - np.minimum.reduceat(points[split], starts)
+        gathered = coords[:, split]
+        extent = np.maximum.reduceat(gathered, starts, axis=1) - np.minimum.reduceat(gathered, starts, axis=1)
         seg = np.repeat(np.arange(starts.size), sizes)
-        coord = points[split, np.argmax(extent, axis=1)[seg]]
-        split = split[np.lexsort((coord, seg))]
+        split = split[np.argsort(seg * nv + rank[np.argmax(extent, axis=0)[seg], split])]
         upper = np.zeros(nv, dtype=bool)
         upper[split[np.arange(split.size) - starts[seg] >= sizes[seg] // 2]] = True
         lower = np.zeros(nv, dtype=bool)

@@ -180,9 +180,8 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
 
 def weighted_mass_matrix(surface: GraphSurface, vertex_weights: np.ndarray):
     """Consistent mass matrix with a per-face weight (corner average)."""
-    cache, faces = surface.cache, surface.mesh.faces
-    face_weight = vertex_weights[faces].mean(axis=1) * cache.face_area
-    return _consistent_mass(faces, face_weight, cache.vertices.shape[0])
+    face_weight = vertex_weights[surface.mesh.faces].mean(axis=1) * surface.cache.face_area
+    return _consistent_mass(surface.mesh, face_weight)
 
 
 def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -> QuadraticFormSample:

@@ -22,7 +22,7 @@ from math import comb, gamma, pi
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 
 from .curvature import ShapeSpectrum, batched_eigvalsh2, batched_elementary, curvature_table
 from .harmonics import HarmonicField, harmonic_basis
@@ -108,7 +108,7 @@ class GeometryCache:
     """Per-vertex and per-face geometric data of a built graph surface.
 
     The fields are computed when the surface is built.  ``face_frame``,
-    ``face_grad`` and ``mass`` are computed from ``vertices`` and ``faces``
+    ``face_grad`` and ``mass`` are computed from ``vertices`` and the mesh
     the first time they are read and kept from then on; the flow snapshots
     of a variation read only ``sigma`` and ``weights``, and never pay for
     them.  ``weights`` are the per-vertex sums of face_area / 3, which are
@@ -125,13 +125,13 @@ class GeometryCache:
     weights: np.ndarray           # (V,) lumped area weights
     area: float
     face_area: np.ndarray         # (F,)
-    faces: np.ndarray             # (F, 3) the mesh's faces
+    mesh: SphereMesh              # the surface's mesh
     metric_ratio: float           # max induced-metric anisotropy over vertices
 
     @cached_property
     def face_frame(self) -> np.ndarray:
         """(F, 4, 2) Lorentz-orthonormal frames of the flat faces."""
-        e1, e2, g11, g12, g22 = _face_edges(self.vertices, self.faces)
+        e1, e2, g11, g12, g22 = _face_edges(self.vertices, self.mesh.faces)
         f1 = e1 / np.sqrt(g11)[:, None]
         t2 = e2 - (g12 / g11)[:, None] * e1
         return np.stack([f1, t2 / _face_height(g11, g12, g22)[:, None]], axis=2)
@@ -139,12 +139,12 @@ class GeometryCache:
     @cached_property
     def face_grad(self) -> np.ndarray:
         """(F, 2, 3) hat-function gradients in ``face_frame``."""
-        _, _, g11, g12, g22 = _face_edges(self.vertices, self.faces)
+        _, _, g11, g12, g22 = _face_edges(self.vertices, self.mesh.faces)
         # 2D vertex coordinates in the face frame: (0,0), (l1,0), (g12/l1, l2)
         l1 = np.sqrt(g11)
         x2, y2 = g12 / l1, _face_height(g11, g12, g22)
         det2 = l1 * y2
-        grad = np.empty((self.faces.shape[0], 2, 3))
+        grad = np.empty((self.mesh.faces.shape[0], 2, 3))
         grad[:, 0, 1] = y2 / det2
         grad[:, 1, 1] = -x2 / det2
         grad[:, 0, 2] = 0.0
@@ -154,8 +154,8 @@ class GeometryCache:
 
     @cached_property
     def mass(self):
-        """Consistent P1 mass matrix (scipy CSR)."""
-        return _consistent_mass(self.faces, self.face_area, self.vertices.shape[0])
+        """Consistent P1 mass matrix (scipy CSR) on the mesh's ``pattern``."""
+        return _consistent_mass(self.mesh, self.face_area)
 
 
 @dataclass
@@ -208,21 +208,23 @@ def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(det)
 
 
-def scatter_p1(faces: np.ndarray, local: np.ndarray, nv: int):
-    """Sum per-face (F, 3, 3) element matrices into a symmetrized (nv, nv) CSR
-    matrix: entry (a, b) of face f lands at (faces[f, a], faces[f, b])."""
-    f = faces.shape[0]
-    rows = np.repeat(faces, 3, axis=1).reshape(f, 3, 3)
-    cols = np.tile(faces, (1, 3)).reshape(f, 3, 3)
-    m = coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
-    return (m + m.T) / 2.0
+def scatter_p1(mesh: SphereMesh, local: np.ndarray) -> csr_matrix:
+    """Sum the symmetric parts of per-face (F, 3, 3) element matrices into a CSR
+    matrix on ``mesh.pattern``: entry (a, b) of face f lands at (faces[f, a],
+    faces[f, b]).  Every face adds to (i, j) and (j, i) the same value in the
+    same order, so the result is symmetric bit for bit."""
+    indptr, indices, slots = mesh.pattern
+    sym = local + local.transpose(0, 2, 1)
+    sym *= 0.5
+    data = np.bincount(slots.ravel(), weights=sym.ravel(), minlength=indices.size)
+    return csr_matrix((data, indices, indptr), shape=(mesh.nvertices, mesh.nvertices))
 
 
-def _consistent_mass(faces: np.ndarray, face_weight: np.ndarray, nv: int):
+def _consistent_mass(mesh: SphereMesh, face_weight: np.ndarray) -> csr_matrix:
     """P1 mass matrix with a constant weight per face: the face area for the
     plain mass, area times a mean vertex weight for a weighted one."""
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return scatter_p1(faces, face_weight[:, None, None] * local[None], nv)
+    return scatter_p1(mesh, face_weight[:, None, None] * local[None])
 
 
 @cache
@@ -332,7 +334,7 @@ def build_graph(
         weights=weights,
         area=float(weights.sum()),
         face_area=face_area,
-        faces=faces,
+        mesh=mesh,
         metric_ratio=metric_ratio,
     )
     return GraphSurface(height=height, axis=spec, mesh=mesh, cache=cache)

@@ -11,14 +11,14 @@ the analytic path.
 from math import comb
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces, curvature_table
 from lorstab.fem import SolverError, _project_meanzero, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
-from lorstab.mesh import _icosahedron
-from lorstab.surfaces import scatter_p1
+from lorstab.mesh import _LEAF, _icosahedron
 from lorstab.variation import _ORIENTATION, FlowError, _swept_volume_fields
 
 
@@ -66,7 +66,55 @@ def assemble_stiffness_reference(surface, r):
     p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[faces], transport).mean(axis=1)
     p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
     k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
-    return scatter_p1(faces, k_local, cache.vertices.shape[0])
+    return scatter_p1_reference(faces, k_local, cache.vertices.shape[0])
+
+
+def scatter_p1_reference(faces, local, nv):
+    """Sum per-face (F, 3, 3) element matrices through COO -> CSR, which adds
+    duplicate entries, and symmetrize the result as (m + m^T) / 2."""
+    f = faces.shape[0]
+    rows = np.repeat(faces, 3, axis=1).reshape(f, 3, 3)
+    cols = np.tile(faces, (1, 3)).reshape(f, 3, 3)
+    m = coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
+    return (m + m.T) / 2.0
+
+
+def nested_dissection_reference(points, faces):
+    """Nested-dissection order with a lexsort of (coordinate, part) per tree
+    level over every vertex still being split, each level's parts found by
+    a stable argsort of the part numbers."""
+    nv = points.shape[0]
+    tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    part = np.zeros(nv, dtype=np.int64)
+    depth = np.zeros(nv, dtype=np.int64)
+    active = np.ones(nv, dtype=bool)
+    height = 0
+    while True:
+        big = np.bincount(part[active], minlength=1 << height) > _LEAF
+        if not big.any():
+            break
+        split = np.flatnonzero(active & big[part])
+        split = split[np.argsort(part[split], kind="stable")]
+        starts = np.flatnonzero(np.diff(part[split], prepend=-1))
+        sizes = np.diff(starts, append=split.size)
+        extent = np.maximum.reduceat(points[split], starts) - np.minimum.reduceat(points[split], starts)
+        seg = np.repeat(np.arange(starts.size), sizes)
+        coord = points[split, np.argmax(extent, axis=1)[seg]]
+        split = split[np.lexsort((coord, seg))]
+        upper = np.zeros(nv, dtype=bool)
+        upper[split[np.arange(split.size) - starts[seg] >= sizes[seg] // 2]] = True
+        lower = np.zeros(nv, dtype=bool)
+        lower[split] = ~upper[split]
+        separator = np.concatenate(
+            [tails[lower[tails] & upper[heads]], heads[lower[heads] & upper[tails]]]
+        )
+        active[separator] = False
+        depth[active] = height + 1
+        part[active] = 2 * part[active] + upper[active]
+        height += 1
+    below = height - depth
+    key = ((part << below) | ((1 << below) - 1)) * (height + 1) + below
+    return np.argsort(key, kind="stable")
 
 
 # edge-midpoint quadrature rule: barycentric coordinates of the three points

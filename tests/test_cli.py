@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lorstab.cli import main, run_scenario
+from lorstab.cli import main, run_scenario, sweep_scenario
 from lorstab.config import ConfigError, load_config, parse_config
 from lorstab.mesh import save_mesh
 from lorstab.surfaces import build_graph
@@ -47,6 +47,15 @@ class TestExitCodes:
             load_config(tmp_path / "config.txt")
         assert err.value.key == "bogus"
 
+    def test_negative_seed_override_exits_four(self, tmp_path, capsys):
+        assert run(tmp_path, SLICE, "--seed", "-1") == 4
+        assert capsys.readouterr().err == "config error: key 'seed': expected a nonnegative integer, got -1\n"
+
+    def test_unknown_sweep_param_names_its_key(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            sweep_scenario(parse_config(SLICE), "bogus", [1.0], tmp_path / "out")
+        assert err.value.key == "--param"
+
     def test_level_override_out_of_range_exits_four(self, tmp_path, capsys):
         assert run(tmp_path, SLICE, "--level", "7") == 4
         assert capsys.readouterr().err == "config error: key 'level': expected one of (3, 4, 5, 6), got 7\n"
@@ -64,7 +73,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("param, values, message", [
         ("level", "3.7", "key 'level': expected an integer, got 3.7"),
         ("s0", "1,x", "key '--values': expected a real, got 'x'"),
-    ], ids=["fractional-level", "not-a-number"])
+        ("s0", ",", "key '--values': expected a nonempty list"),
+        ("bogus", "1", "key '--param': expected s0, level or amplitude, got 'bogus'"),
+    ], ids=["fractional-level", "not-a-number", "empty-values", "unknown-param"])
     def test_bad_sweep_value_exits_four(self, tmp_path, capsys, param, values, message):
         config = tmp_path / "config.txt"
         config.write_text(SLICE, encoding="utf-8")
@@ -105,6 +116,8 @@ CONFIG_ERRORS = {
     "perturbations-not-triple": ("perturbations", SLICE + "perturbations = 2,0\n"),
     "perturbations-parse": ("perturbations", SLICE + "perturbations = 2,x,0.1\n"),
     "perturbations-not-finite": ("perturbations", SLICE + "perturbations = 2,0,inf\n"),
+    "perturbations-m-above-l": ("perturbations", SLICE + "perturbations = 2,5,0.1\n"),
+    "perturbations-l-negative": ("perturbations", SLICE + "perturbations = -1,0,0.1\n"),
     "level-out-of-range": ("level", NO_LEVEL + "level = 7\n"),
     "level-not-integer": ("level", NO_LEVEL + "level = 4.5\n"),
     "checks-unknown": ("checks", SLICE + "checks = stability,bogus\n"),
@@ -112,11 +125,17 @@ CONFIG_ERRORS = {
     "fd_h-out-of-range": ("fd_h", SLICE + "fd_h = 0.01\n"),
     "fd_h-not-number": ("fd_h", SLICE + "fd_h = small\n"),
     "mesh_fit_lmax-not-integer": ("mesh_fit_lmax", SLICE + "mesh_fit_lmax = 6.0\n"),
+    "mesh_fit_lmax-negative": ("mesh_fit_lmax", MESH_FILE + "mesh_fit_lmax = -1\n"),
     "tol_gap-not-number": ("tol_gap", SLICE + "tol_gap = wide\n"),
     "tol_gap-nan": ("tol_gap", SLICE + "tol_gap = nan\n"),
+    "tol_gap-negative": ("tol_gap", SLICE + "tol_gap = -1\n"),
     "tol_const-not-number": ("tol_const", SLICE + "tol_const = 1e-6x\n"),
+    "tol_const-negative": ("tol_const", SLICE + "tol_const = -1\n"),
     "solver_tol-not-number": ("solver_tol", SLICE + "solver_tol = tight\n"),
+    "solver_tol-zero": ("solver_tol", SLICE + "solver_tol = 0\n"),
+    "solver_tol-negative": ("solver_tol", SLICE + "solver_tol = -1\n"),
     "seed-not-integer": ("seed", SLICE + "seed = 0x1\n"),
+    "seed-negative": ("seed", SLICE + "seed = -1\n"),
     "duplicated-key": ("s0", SLICE + "s0 = 2\n"),
     "unknown-key": ("bogus", SLICE + "bogus = 1\n"),
     "line-without-equals": ("r", "scenario = slice\nr 1\ns0 = 1\n"),

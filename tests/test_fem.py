@@ -91,7 +91,8 @@ class TestAssembly:
 
 
 class TestAssemblyOracle:
-    """The per-corner assembly against the earlier einsum contractions."""
+    """The per-corner assembly against the earlier einsum contractions, scattered
+    by the COO reference rather than the mesh's pattern."""
 
     @pytest.mark.parametrize("level", [3, 4])
     @pytest.mark.parametrize("r", [0, 1])
@@ -136,6 +137,13 @@ class TestEigenvalues:
         b = first_eigenvalue_meanzero(pair, seed=0)
         assert a.lambda1 == b.lambda1
         assert (a.eigenfunction == b.eigenfunction).all()
+
+    def test_applications_guard(self, slice_mesh, graph_mesh):
+        """A k = 1 solve takes 11 shift-invert applications on a level-5 slice
+        (its first convergence test, at a full 10-vector basis) and 21 on the
+        level-5 test graph."""
+        assert first_eigenvalue_meanzero(assemble(slice_mesh(1.0, 5), 1)).iterations <= 12
+        assert first_eigenvalue_meanzero(assemble(graph_mesh(1.0, GRAPH, 5), 1)).iterations <= 21
 
     def test_nonconvergence_raises(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 0)

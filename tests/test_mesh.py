@@ -15,7 +15,7 @@ from lorstab.mesh import (
     save_mesh,
     validate_closed_oriented,
 )
-from oracles import icosphere_reference, validate_closed_oriented_reference
+from oracles import icosphere_reference, nested_dissection_reference, validate_closed_oriented_reference
 
 EDGE = re.compile(r"\((\d+), (\d+)\)")
 CATEGORIES = ("orientation", "watertight", "out of range")
@@ -109,6 +109,16 @@ class TestNestedDissection:
         pts, faces = icosphere(4)
         assert np.array_equal(nested_dissection(pts, faces), nested_dissection(pts, faces))
 
+    @pytest.mark.parametrize("level", range(7))
+    def test_matches_reference(self, level):
+        pts, faces = icosphere(level)
+        assert np.array_equal(nested_dissection(pts, faces), nested_dissection_reference(pts, faces))
+
+    def test_jittered_matches_reference(self):
+        pts, faces = icosphere(3)
+        pts = pts + 1e-3 * np.random.default_rng(2).standard_normal(pts.shape)
+        assert np.array_equal(nested_dissection(pts, faces), nested_dissection_reference(pts, faces))
+
 
 class TestValidation:
     def test_flipped_face_detected(self):
@@ -195,7 +205,7 @@ class TestSphereMesh:
         pts, faces = icosphere(2)
         mesh = SphereMesh(pts, faces, 2)
         w1, _ = mesh.frames
-        for array in (mesh.q, mesh.faces, w1, mesh.order):
+        for array in (mesh.q, mesh.faces, w1, mesh.order, *mesh.pattern):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -206,6 +216,20 @@ class TestSphereMesh:
         assert mesh.order is mesh.order
         assert np.array_equal(mesh.order, nested_dissection(pts, faces))
         assert mesh.nvertices == pts.shape[0]
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_pattern_slots_address_face_entries(self, level):
+        pts, faces = icosphere(level)
+        mesh = SphereMesh(pts, faces, level)
+        assert mesh.pattern is mesh.pattern
+        indptr, indices, slots = mesh.pattern
+        assert slots.dtype == np.int32 and slots.shape == (faces.shape[0], 3, 3)
+        rows = np.repeat(np.arange(mesh.nvertices), np.diff(indptr))
+        assert np.array_equal(rows[slots], np.broadcast_to(faces[:, :, None], slots.shape))
+        assert np.array_equal(indices[slots], np.broadcast_to(faces[:, None, :], slots.shape))
+        # every vertex and its neighbours, each once: 7V - 12 entries on a closed mesh
+        assert indices.size == np.unique(slots).size == 7 * mesh.nvertices - 12
+        assert np.all(np.diff(indices)[np.diff(rows) == 0] > 0)
 
     @pytest.mark.parametrize("level", [0, 3, 6])
     def test_frames_orthonormal_tangent(self, level):

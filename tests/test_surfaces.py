@@ -7,7 +7,7 @@ from lorstab.curvature import ShapeSpectrum
 from lorstab.fem import assemble
 from lorstab.harmonics import SphericalHarmonic
 from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot, minkowski_inner
-from lorstab.mesh import save_mesh
+from lorstab.mesh import SphereMesh, icosphere, save_mesh
 from lorstab.stability import analyze
 from lorstab.surfaces import (
     GraphConstructionError,
@@ -16,10 +16,11 @@ from lorstab.surfaces import (
     build_slice,
     sphere_area,
     support_function,
+    scatter_p1,
     surface_from_mesh_file,
     tangential_gradient,
 )
-from oracles import shape_operator_mesh_estimate, tangential_gradient_reference
+from oracles import scatter_p1_reference, shape_operator_mesh_estimate, tangential_gradient_reference
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -259,10 +260,19 @@ class TestSharedMesh:
         assert assemble(graph, 1).order is assemble(sl, 0).order is sl.mesh.order
         assert build_graph(1.0, level=4).mesh is not sl.mesh
 
+    def test_one_pattern_per_mesh_shared_by_a_sweep(self):
+        surfaces = [build_slice(2, s0).meshed(3) for s0 in (0.5, 1.0, 2.0)]
+        pattern = surfaces[0].mesh.pattern
+        for surf in surfaces:
+            assert surf.mesh.pattern is pattern
+            pair = assemble(surf, 1)
+            for m in (pair.stiffness, pair.mass):
+                assert np.shares_memory(m.indptr, pattern[0]) and np.shares_memory(m.indices, pattern[1])
+
     def test_shared_arrays_read_only(self):
         surf = build_graph(1.0, perturbations=((2, 0, 0.05),), level=3)
         w1, _ = surf.mesh.frames
-        for array in (surf.mesh.q, surf.mesh.faces, w1, surf.mesh.order):
+        for array in (surf.mesh.q, surf.mesh.faces, w1, surf.mesh.order, *surf.mesh.pattern):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
 
@@ -276,3 +286,31 @@ class TestSharedMesh:
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
         analyze(surf, 1)
         assert all(key[0] in ("newton", "operator", "stability_field") for key in surf._memo)
+
+
+class TestScatter:
+    """The pattern scatter against the COO -> CSR reference, on random
+    non-symmetric element matrices."""
+
+    @staticmethod
+    def check(mesh):
+        local = np.random.default_rng(mesh.nvertices).standard_normal((mesh.faces.shape[0], 3, 3))
+        got = scatter_p1(mesh, local)
+        want = scatter_p1_reference(mesh.faces, local, mesh.nvertices)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+        assert (got != got.T).nnz == 0      # (i, j) and (j, i) bitwise equal
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_icosphere_matches_reference(self, level):
+        self.check(SphereMesh(*icosphere(level), level))
+
+    def test_mesh_file_matches_reference(self, tmp_path):
+        surf = build_graph(1.0, perturbations=((2, 0, 0.05),), level=3)
+        # renumber the vertices, so the file's order is not the icosphere's
+        perm = np.random.default_rng(5).permutation(surf.mesh.nvertices)
+        path = tmp_path / "surface.mesh"
+        save_mesh(path, surf.cache.vertices[perm], np.argsort(perm)[surf.mesh.faces])
+        back, _ = surface_from_mesh_file(path)
+        self.check(back.mesh)

@@ -1,0 +1,128 @@
+"""Compare the outputs of two lorstab source trees on the benchmark's configs.
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory holding the ``lorstab`` package (a checkout's
+``src``).  For seeds 7 and 21 of every workload in ``perfbench/workloads.py``
+both trees run the workload's ``lorstab`` invocation on the same generated
+config, as fresh ``python -m lorstab.cli`` processes with one BLAS thread.
+For every output file the script prints whether the bytes are equal and,
+where they are not, the largest relative difference of each numeric field
+that moved (a report key, or a CSV column over its rows) and every text
+field that changed.  Exit status 1 if an exit code or a verdict differs.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (7, 21)
+
+sys.dont_write_bytecode = True      # leave no cache files under perfbench/
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS, make_case  # noqa: E402
+
+
+def run(src: Path, argv: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "lorstab.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def fields(path: Path) -> dict[str, list[str]]:
+    """Values of each field in file order: every row's value of one CSV
+    column, or every value of one report key under its headers (such as
+    ``variation.first_variation.rhs``, once per check block)."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        rows = list(csv.DictReader(text.splitlines()))
+        return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
+    out: dict[str, list[str]] = {}
+    headers: list[str] = []
+    for line in text.splitlines():
+        depth = (len(line) - len(line.lstrip())) // 2
+        body = line.strip()
+        if " = " in body:
+            key, _, value = body.partition(" = ")
+            out.setdefault(".".join(headers[:depth] + [key]), []).append(value)
+        elif body.endswith(":"):
+            headers[depth:] = [body[:-1]]
+    return out
+
+
+def relative_difference(a: str, b: str) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numbers (0 where both print alike), None
+    if either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if a == b or x == y:
+        return 0.0
+    if math.isnan(x) or math.isnan(y) or math.isinf(x) or math.isinf(y):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare_file(parent: Path, change: Path) -> bool:
+    """Print how one output file differs; True if a verdict changed."""
+    if not parent.is_file() or not change.is_file():
+        print(f"  {parent.name}: missing on the {'parent' if not parent.is_file() else 'change'} side")
+        return True
+    if parent.read_bytes() == change.read_bytes():
+        print(f"  {parent.name}: bytes equal")
+        return False
+    print(f"  {parent.name}: bytes differ")
+    old, new = fields(parent), fields(change)
+    verdict_changed = False
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key, []), new.get(key, [])
+        if a == b:
+            continue
+        diffs = [relative_difference(x, y) for x, y in zip(a, b)]
+        if len(a) == len(b) and None not in diffs:
+            print(f"    {key}: max relative difference {max(diffs):.3g}")
+        else:
+            print(f"    {key}: {','.join(a)} -> {','.join(b)}")
+            verdict_changed |= key.endswith("verdict")
+    return verdict_changed
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    trees = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
+    for side, src in trees.items():
+        if not (src / "lorstab" / "cli.py").is_file():
+            print(f"{side} tree {src} holds no lorstab package", file=sys.stderr)
+            return 2
+    failed = False
+    with tempfile.TemporaryDirectory() as scratch:
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                case = make_case(workload, seed)
+                base = Path(scratch) / f"{workload}-{seed}"
+                base.mkdir()
+                config = base / "config.txt"
+                config.write_text(case.config_text, encoding="utf-8")
+                codes = {side: run(src, case.argv(config, base / side)) for side, src in trees.items()}
+                same = codes["parent"] == codes["change"]
+                print(f"{workload} seed {seed}: exit {codes['parent']} -> {codes['change']}"
+                      f"{'' if same else '  EXIT CODE DIFFERS'}")
+                failed |= not same
+                for name in case.outputs:
+                    failed |= compare_file(base / "parent" / name, base / "change" / name)
+    print("FAIL: an exit code or a verdict differs" if failed else "OK: exit codes and verdicts agree")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
