@@ -166,7 +166,8 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
     if param not in ("s0", "level", "amplitude"):
         raise ConfigError(f"key '--param': expected s0, level or amplitude, got '{param}'", key="--param")
     if param == "amplitude" and not config.perturbations:
-        raise ConfigError("amplitude sweeps need at least one configured perturbation", key="perturbations")
+        raise ConfigError("key 'perturbations': amplitude sweeps need at least one configured perturbation",
+                          key="perturbations")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

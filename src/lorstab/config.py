@@ -128,6 +128,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"key '{key}' given twice", key=key)
         pairs[key] = value
 
+    # a report writes an absent s0, mesh_file or perturbations as "none"
+    pairs = {k: v for k, v in pairs.items() if v != "none" or k not in ("s0", "mesh_file", "perturbations")}
+
     known = {
         "scenario", "n", "r", "s0", "axis", "perturbations", "level", "mesh_file",
         "mesh_fit_lmax", "tol_gap", "tol_const", "solver_tol", "checks",

@@ -205,6 +205,10 @@ class HarmonicField:
             out[rows] = upper[:, _HESSIAN]
         return out
 
+    def jets(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, tangential gradient and intrinsic Hessian at unit points q."""
+        return self.value(q), self.sphere_gradient(q), self.sphere_hessian(q)
+
 
 class SphericalHarmonic(HarmonicField):
     """One orthonormal real harmonic Y_{l,m}: the one-term field."""

@@ -239,6 +239,7 @@ def build_graph(
     level: int = 4,
     axis: np.ndarray | None = None,
     mesh: SphereMesh | None = None,
+    jets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> GraphSurface:
     """Build the graph surface with height s0 + sum of harmonic perturbations.
 
@@ -246,18 +247,23 @@ def build_graph(
     sampled over ``mesh`` as given, without validation, or by default over
     the process's shared icosphere of ``level``.  It must be spacelike at
     every vertex; otherwise construction fails naming the worst vertex.
+
+    Two stages: the height's jets at the mesh points, then ``_graph_from_jets``;
+    ``jets`` given (a flow snapshot's) replaces the first.
     """
     height = HarmonicField(constant=float(s0), terms=tuple(perturbations))
     axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
     spec = ConformalFieldSpec(a=axis)
-    frame_map = orthonormal_completion(axis)
     mesh = _icosphere_mesh(level) if mesh is None else mesh
+    return _graph_from_jets(height, spec, mesh, height.jets(mesh.q) if jets is None else jets)
+
+
+def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: SphereMesh, jets) -> GraphSurface:
+    """The graph surface from its height's jets (u, grad u, Hess u) at the
+    mesh points: pointwise geometry, then face areas and lumped weights."""
+    frame_map = orthonormal_completion(spec.a)
     q, faces = mesh.q, mesh.faces
-
-    u = height.value(q)
-    g = height.sphere_gradient(q)
-    hs = height.sphere_hessian(q)
-
+    u, g, hs = jets
     phi = np.cosh(u)
     sinh_u = np.sinh(u)
     gnorm2 = np.einsum("vi,vi->v", g, g)
@@ -324,18 +330,8 @@ def build_graph(
     weights = np.bincount(faces.ravel(), weights=np.repeat(face_area / 3.0, 3), minlength=v)
 
     cache = GeometryCache(
-        vertices=verts,
-        normal=normal,
-        frame=frame,
-        shape=shape,
-        shape_eigs=eigs,
-        sigma=sigma,
-        mean=mean,
-        weights=weights,
-        area=float(weights.sum()),
-        face_area=face_area,
-        mesh=mesh,
-        metric_ratio=metric_ratio,
+        vertices=verts, normal=normal, frame=frame, shape=shape, shape_eigs=eigs, sigma=sigma, mean=mean,
+        weights=weights, area=float(weights.sum()), face_area=face_area, mesh=mesh, metric_ratio=metric_ratio,
     )
     return GraphSurface(height=height, axis=spec, mesh=mesh, cache=cache)
 

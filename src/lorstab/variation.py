@@ -17,14 +17,18 @@ normal line the flowed point and its t-derivative span the same plane as
 the orientation determinant is f times a quadratic form in (ch, sh) and the
 Gram determinant is f^2 times the determinant of a 3x3 matrix of such forms.
 With T = tanh(t f) they are f ch^2 q(T) and f^2 ch^6 D(T) for a quadratic q
-and a degree-6 polynomial D (see ``volume_balance``).  Their coefficient
-fields are built once per call, and a call may take all the times of a
-stencil at once.
+and a degree-6 polynomial D (see ``volume_balance``).  The base memoizes
+its height's jets and the coefficient fields of q and D, for every amplitude
+and call; a variation keeps its amplitude's jets, so a snapshot is built from
+base jets + t amplitude jets without evaluating harmonics.  A call of
+``volume_balance`` may take all the times of a stencil at once, and
+evaluates each distinct Simpson node once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -33,7 +37,7 @@ from .curvature import r_area_integrand, variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
 from .lorentz import mdot_axis0
-from .stability import jacobi_second_variation
+from .stability import jacobi_second_variation, stability_field
 from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
 __all__ = [
@@ -87,8 +91,13 @@ class NormalVariation:
                 "normal variations need a slice base; flowed graphs leave the analytic family"
             )
 
+    @cached_property
+    def jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The amplitude's value, sphere gradient and sphere Hessian at the base's mesh points."""
+        return self.amplitude.jets(self.base.mesh.q)
+
     def values(self) -> np.ndarray:
-        return self.amplitude.value(self.base.mesh.q)
+        return self.jets[0]
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,8 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
 
     The snapshot is the height graph u = s0 + t f built on the base's own
     mesh object (``build_graph(..., mesh=base.mesh)``): it shares the base's
-    directions, faces, level, sphere frames and order.  It is
+    directions, faces, level, sphere frames and order; its jets are the base's
+    (memoized on the base) plus t times the amplitude's.  It is
     spacelike where |grad u| = |t grad f| < cosh(s0 + t f), checked at the
     vertices; where |t grad f| >= cosh(s0 + t f) at some vertex, FlowError is
     raised naming the vertex with the smallest margin cosh^2(u) - |grad u|^2.
@@ -143,8 +153,12 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
     if t == 0.0:
         return base
     height = base.height.plus(variation.amplitude, factor=t)
+    if ("jets",) not in base._memo:
+        base._memo[("jets",)] = base.height.jets(base.mesh.q)
+    jets = tuple(b + t * a for b, a in zip(base._memo[("jets",)], variation.jets))
     try:
-        return build_graph(height.constant, perturbations=height.terms, axis=base.axis.a, mesh=base.mesh)
+        return build_graph(height.constant, perturbations=height.terms, axis=base.axis.a, mesh=base.mesh,
+                           jets=jets)
     except GraphConstructionError as err:
         raise FlowError(f"flow at t = {t:.6g} loses spacelikeness: {err}", t=t,
                         vertex=err.vertex) from err
@@ -169,22 +183,19 @@ def _det_np(a: np.ndarray, b: np.ndarray, cofactor) -> np.ndarray:
     return sum((a[i] * b[j] - a[j] * b[i]) * cof for i, j, cof in cofactor)
 
 
-def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.ndarray]:
-    """The t-independent data of ``volume_balance``: the amplitude f and a
-    (7, 3, M) array whose rows hold, for det(a1, a2, N, p) and the six Gram
-    entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2 (so
-    also of 1, T and T^2 after division by ch^2) at each of the M = 3 F
+def _swept_volume_forms(base: GraphSurface) -> np.ndarray:
+    """A (7, 3, M) array whose rows hold, for det(a1, a2, N, p) and the six
+    Gram entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2
+    (so also of 1, T and T^2 after division by ch^2) at each of the M = 3 F
     quadrature points (ordered by edge, then face)."""
-    cache = variation.base.cache
-    corners = variation.base.mesh.faces.T             # (3, F)
+    cache = base.cache
+    corners = base.mesh.faces.T                       # (3, F)
     pos = cache.vertices.T[:, corners]                # (4, 3, F) corner values
     nrm = cache.normal.T[:, corners]
-    amp = variation.values()[corners]                 # (3, F)
     # edge midpoints (v0 + v1)/2, (v1 + v2)/2, (v2 + v0)/2; the edge
     # differences v1 - v0 and v2 - v0 are constant on a face
     p = 0.5 * (pos + pos[:, [1, 2, 0]])
     nv = 0.5 * (nrm + nrm[:, [1, 2, 0]])
-    fq = 0.5 * (amp + amp[[1, 2, 0]])
     dp = [(pos[:, k] - pos[:, 0])[:, None] for k in (1, 2)]     # (4, 1, F)
     dn = [(nrm[:, k] - nrm[:, 0])[:, None] for k in (1, 2)]
     cofactor = [(i, j, sign * (nv[k] * p[l] - nv[l] * p[k])) for i, j, k, l, sign in _LAPLACE]
@@ -200,10 +211,25 @@ def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.nda
          _det_np(dn[0], dn[1], cofactor)),
         form(a1, a1), form(a1, a2), form(a1, ray), form(a2, a2), form(a2, ray), form(ray, ray),
     )
-    coef = np.empty((7, 3) + fq.shape)
+    coef = np.empty((7, 3) + corners.shape)
     for k, terms in enumerate(rows):
         coef[k] = terms
-    return fq.ravel(), coef.reshape(7, 3, -1)
+    return coef.reshape(7, 3, -1)
+
+
+def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t-independent data of ``volume_balance``: f at the M quadrature
+    points, and the coefficient fields of q (3, M) and D (7, M), lowest degree
+    first; those two depend only on the base and are memoized on it."""
+    base = variation.base
+    if ("swept_volume",) not in base._memo:
+        q, g11, g12, g13, g22, g23, g33 = _swept_volume_forms(base)
+        det3 = (_polymul(g11, _polymul(g22, g33) - _polymul(g23, g23))
+                - _polymul(g12, _polymul(g12, g33) - _polymul(g23, g13))
+                + _polymul(g13, _polymul(g12, g23) - _polymul(g22, g13)))
+        base._memo[("swept_volume",)] = (q.copy(), det3)
+    amp = variation.values()[base.mesh.faces.T]        # (3, F) corner values
+    return (0.5 * (amp + amp[[1, 2, 0]])).ravel(), *base._memo[("swept_volume",)]
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,13 +286,14 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
     T = tanh(tau f): det4 = f ch^2 q(T) and det3 = f^2 ch^6 D(T), where q
     has the coefficients (D1, D2, D3) and D, the determinant of the 3x3
     matrix of quadratics, has degree 6.  The element is therefore
-    f sign(q(T)) ch^3 sqrt|D(T)|.  The coefficient fields of q and D do not
-    depend on t; they are built once per call, by polynomial products, and
-    shared by all its times, so each Simpson node costs one tanh, one
-    cosh, two Horner passes and a signed square root on (M,) arrays.
-    Nothing is kept between calls.  The identities are linear algebra and
-    hold at the quadrature points, which are not on the hyperquadric
-    (there det3 = -det4^2 would hold).
+    f sign(q(T)) ch^3 sqrt|D(T)|.  The coefficient fields of q and D depend
+    on neither t nor f: built by polynomial products on a base's first call,
+    they are memoized on the base.  Each Simpson node costs one tanh, one
+    cosh, two Horner passes and a signed square root on (M,) arrays, and a
+    call evaluates each distinct node tau = node h_t once (those of +-h are
+    the even nodes of +-2h bit for bit: 49 of a 5-time stencil's 68).  The
+    identities are linear algebra and hold at the quadrature points, which
+    are not on the hyperquadric (there det3 = -det4^2 would hold).
     """
     if n_time < 2:
         raise ValueError(f"n_time = {n_time} must be at least 2 (Simpson intervals in time)")
@@ -277,25 +304,24 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
     volumes = np.zeros(times.size)
     nonzero = np.flatnonzero(times)
     if nonzero.size:
-        fq, coef = _swept_volume_fields(variation)
-        q, g11, g12, g13, g22, g23, g33 = coef
-        det3 = (_polymul(g11, _polymul(g22, g33) - _polymul(g23, g23))
-                - _polymul(g12, _polymul(g12, g33) - _polymul(g23, g13))
-                + _polymul(g13, _polymul(g12, g23) - _polymul(g22, g13)))
+        fq, q, det3 = _swept_volume_fields(variation)
         n_time += n_time % 2
         simpson = np.ones(n_time + 1)
         simpson[1:-1:2] = 4.0
         simpson[2:-1:2] = 2.0
+        sums = {}                   # tau -> sum of f * element over the quadrature points
         for k in nonzero:
             h_t = times[k] / n_time
             total = 0.0
             for node, w_t in enumerate(simpson * (h_t / 3.0)):
-                x = node * h_t * fq
-                tanh = np.tanh(x)
-                ch = np.cosh(x)
-                root = np.sqrt(np.abs(_horner(det3, tanh)))
-                elem = np.copysign(root, _horner(q, tanh)) * (ch * ch * ch)
-                total += w_t * _ORIENTATION * float(fq @ elem) / 6.0
+                tau = node * h_t
+                if tau not in sums:
+                    x = tau * fq
+                    tanh = np.tanh(x)
+                    ch = np.cosh(x)
+                    root = np.sqrt(np.abs(_horner(det3, tanh)))
+                    sums[tau] = float(fq @ (np.copysign(root, _horner(q, tanh)) * (ch * ch * ch)))
+                total += w_t * _ORIENTATION * sums[tau] / 6.0
             volumes[k] = total
     return float(volumes[0]) if np.ndim(t) == 0 else volumes
 
@@ -381,8 +407,6 @@ def verify_sr_evolution(variation: NormalVariation, r: int, h: float = 1e-3) -> 
     pair = assemble(base, r)
     lump = pair.lumped()
     weak_l = -(pair.stiffness @ f) / lump
-    from .stability import stability_field
-
     lam_field = stability_field(base, r)
     rhs = (-1.0) ** (r + 1) * (weak_l + lam_field * f)
 

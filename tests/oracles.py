@@ -19,7 +19,7 @@ from lorstab.fem import SolverError, _project_meanzero, assemble, newton_vertex_
 from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _LEAF, _icosahedron
-from lorstab.variation import _ORIENTATION, FlowError, _swept_volume_fields
+from lorstab.variation import _ORIENTATION, FlowError, _swept_volume_fields, _swept_volume_forms
 
 
 def _poly_values(poly, q):
@@ -189,7 +189,8 @@ def volume_balance_quadratic_reference(variation, t, n_time=16):
         return 0.0
     if abs(t) > variation.t_max:
         raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
-    fq, coef = _swept_volume_fields(variation)
+    fq, _, _ = _swept_volume_fields(variation)
+    coef = _swept_volume_forms(variation.base)
     n_time += n_time % 2
     simpson = np.ones(n_time + 1)
     simpson[1:-1:2] = 4.0

@@ -1,15 +1,20 @@
 """The command-line contract: exit codes, byte-stable reports, overrides and
 config errors that name their key."""
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorstab.cli import main, run_scenario, sweep_scenario
 from lorstab.config import ConfigError, load_config, parse_config
 from lorstab.mesh import save_mesh
+from lorstab.report import render_run_report
 from lorstab.surfaces import build_graph
 
 SLICE = "scenario = slice\nr = 1\ns0 = 1\nlevel = 3\n"
@@ -75,7 +80,8 @@ class TestExitCodes:
         ("s0", "1,x", "key '--values': expected a real, got 'x'"),
         ("s0", ",", "key '--values': expected a nonempty list"),
         ("bogus", "1", "key '--param': expected s0, level or amplitude, got 'bogus'"),
-    ], ids=["fractional-level", "not-a-number", "empty-values", "unknown-param"])
+        ("amplitude", "0.1", "key 'perturbations': amplitude sweeps need at least one configured perturbation"),
+    ], ids=["fractional-level", "not-a-number", "empty-values", "unknown-param", "amplitude-without-perturbation"])
     def test_bad_sweep_value_exits_four(self, tmp_path, capsys, param, values, message):
         config = tmp_path / "config.txt"
         config.write_text(SLICE, encoding="utf-8")
@@ -238,6 +244,75 @@ class TestReport:
         assert "  level = 4" in lines
         assert "  seed = 11" in lines
         assert "  level = 3" not in lines
+
+
+REALS = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid n = 2 config, with every optional key present or absent."""
+    scenario = draw(st.sampled_from(("slice", "graph", "mesh-file")))
+    lines = {"scenario": scenario, "r": draw(st.integers(0, 1))}
+    optional = {
+        "s0": REALS.map(repr),
+        "axis": st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(
+            lambda x: " ".join(map(repr, (*x, float(np.sqrt(1.0 + np.dot(x, x))))))),
+        "perturbations": st.lists(st.integers(0, 6).flatmap(
+            lambda l: st.tuples(st.just(l), st.integers(-l, l), REALS)), max_size=3).map(
+            lambda ts: ";".join(f"{l},{m},{a!r}" for l, m, a in ts)),
+        "level": st.sampled_from((3, 4, 5, 6)),
+        "mesh_file": st.text("abcxyz_./-0123456789", min_size=1),
+        "mesh_fit_lmax": st.integers(0, 10),
+        "tol_gap": POSITIVE.map(repr),
+        "tol_const": POSITIVE.map(repr),
+        "solver_tol": POSITIVE.map(repr),
+        "checks": st.lists(st.sampled_from(("stability", "killing", "conformal", "variation")),
+                           unique=True).map(",".join),
+        "killing_u": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
+        "killing_v": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
+        "fd_h": st.floats(min_value=0.0, max_value=5e-3, exclude_min=True).map(repr),
+        "seed": st.integers(0, 2**63),
+    }
+    required = {"slice": ("s0",), "graph": ("s0",), "mesh-file": ("mesh_file",)}[scenario]
+    for key, values in optional.items():
+        if key in required or draw(st.booleans()):
+            lines[key] = draw(values)
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+def resolved(config):
+    """Every field of a config, with the defaulted axis, constancy tolerance
+    and Killing v replaced by the values a run uses."""
+    values = dataclasses.asdict(config)
+    values.update(axis=config.axis_array.tolist(), tol_const=config.constancy_tolerance,
+                  killing_v=config.killing_v_array.tolist())
+    return values
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(config_texts())
+    def test_report_config_block_parses_to_the_same_config(self, text):
+        config = parse_config(text)
+        header, title, *block = render_run_report(config, None, [], []).splitlines()
+        assert (header, title) == ("lorstab run report", "config:")
+        assert all(line.startswith("  ") for line in block)
+        again = parse_config("\n".join(block))
+        assert resolved(again) == resolved(config)
+
+    @pytest.mark.parametrize("text, absent", [
+        (SLICE, ("mesh_file", "perturbations")),
+        (MESH_FILE, ("s0", "perturbations")),
+    ], ids=["slice", "mesh-file"])
+    def test_absent_values_round_trip_as_none(self, text, absent):
+        config = parse_config(text)
+        block = render_run_report(config, None, [], []).splitlines()[2:]
+        assert {f"  {key} = none" for key in absent} <= set(block)
+        assert parse_config("\n".join(block)) == dataclasses.replace(
+            config, axis=(0.0, 0.0, 0.0, 1.0), tol_const=config.constancy_tolerance,
+            killing_v=(0.0, 0.0, 0.0, 1.0))
 
 
 class TestBenchmarkTracerSites:

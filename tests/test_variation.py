@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import lorstab.surfaces
+import lorstab.variation
 from lorstab.harmonics import HarmonicField
 from lorstab.lorentz import mdot
 from lorstab.surfaces import GeometryCache, build_graph, build_slice
 from lorstab.variation import (
     FlowError,
     NormalVariation,
+    _swept_volume_fields,
     flow,
     functional_trace,
     r_area,
@@ -94,20 +96,54 @@ class TestFlow:
         assert snap.cache.vertices.shape == base.cache.vertices.shape
 
     def test_snapshot_equals_fresh_build_at_base_level(self, slice_mesh):
+        # the snapshot's jets are base jets + t amplitude jets, which agree
+        # with a fresh evaluation of s0 + t f to rounding
         base = slice_mesh(1.0, 3)
         var = NormalVariation(base=base, amplitude=Y20)
         t = 0.02
         snap = flow(var, t)
         height = base.height.plus(Y20, factor=t)
         want = build_graph(height.constant, perturbations=height.terms, level=3, axis=base.axis.a)
+        assert snap.mesh is base.mesh is want.mesh
+        assert snap.cache.mesh is want.cache.mesh
+        assert snap.mesh.level == 3
         for name in [*GeometryCache.__dataclass_fields__, *LAZY_FIELDS]:
+            if name == "mesh":
+                continue
             got, ref = getattr(snap.cache, name), getattr(want.cache, name)
             if name == "mass":
-                assert (got != ref).nnz == 0
-            else:
-                assert np.array_equal(got, ref), name
-        assert snap.mesh is base.mesh is want.mesh
-        assert snap.mesh.level == 3
+                assert np.array_equal(got.indices, ref.indices) and np.array_equal(got.indptr, ref.indptr)
+                got, ref = got.data, ref.data
+            scale = np.abs(ref).max()
+            assert np.abs(np.asarray(got) - ref).max() <= 1e-13 * scale, name
+
+    def test_snapshot_is_build_from_shifted_jets(self, slice_mesh):
+        base = slice_mesh(1.0, 3)
+        for amplitude, t in ((Y20, 0.02), (MIXED, -1e-3)):
+            var = NormalVariation(base=base, amplitude=amplitude)
+            snap = flow(var, t)
+            height = base.height.plus(amplitude, factor=t)
+            jets = tuple(b + t * a for b, a in zip(base.height.jets(base.mesh.q), amplitude.jets(base.mesh.q)))
+            want = build_graph(height.constant, perturbations=height.terms, axis=base.axis.a,
+                               mesh=base.mesh, jets=jets)
+            assert snap.mesh is base.mesh
+            assert snap.height == want.height
+            for name in GeometryCache.__dataclass_fields__:
+                if name != "mesh":
+                    assert np.array_equal(getattr(snap.cache, name), getattr(want.cache, name)), name
+
+    def test_flow_evaluates_no_harmonics(self, slice_mesh, monkeypatch):
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=MIXED)
+        flow(var, 1e-3)                    # the base's and the amplitude's jets now exist
+        calls = []
+        for name in ("value", "sphere_gradient", "sphere_hessian"):
+            def counted(self, q, _name=name, _real=getattr(HarmonicField, name)):
+                calls.append(_name)
+                return _real(self, q)
+            monkeypatch.setattr(HarmonicField, name, counted)
+        for t in (-0.02, -1e-3, 0.01, 0.02):
+            flow(var, t)
+        assert calls == []
 
     def test_snapshot_builds_no_mesh_data(self, slice_mesh):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
@@ -199,6 +235,37 @@ class TestVolumeBalance:
         assert np.array_equal(got, [volume_balance(var, t) for t in times])
         assert got[2] == 0.0
         assert isinstance(volume_balance(var, 0.01), float)
+
+    def test_base_fields_shared_by_amplitudes_and_calls(self):
+        base = build_slice(2, 1.0).meshed(3)
+        const, y20 = (NormalVariation(base=base, amplitude=a) for a in (CONST, Y20))
+        volume_balance(const, 0.01)
+        fields = base._memo[("swept_volume",)]
+        volume_balance(y20, [-0.02, 0.02])
+        volume_balance(const, -0.01)
+        assert base._memo[("swept_volume",)] is fields
+        for var in (const, y20):
+            _, q, det3 = _swept_volume_fields(var)
+            assert q is fields[0] and det3 is fields[1]
+        assert q.shape == (3, 3 * base.mesh.faces.shape[0]) and det3.shape == (7,) + q.shape[1:]
+
+    def test_each_distinct_node_evaluated_once(self, slice_mesh, monkeypatch):
+        # the nodes of +-h are the even nodes of +-2h: 1 + 2 * 16 + 2 * 8 distinct
+        # nodes of 68, each with two Horner passes
+        var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
+        calls = []
+        real = lorstab.variation._horner
+
+        def counted(coef, x):
+            calls.append(coef.shape[0])
+            return real(coef, x)
+
+        monkeypatch.setattr(lorstab.variation, "_horner", counted)
+        volume_balance(var, [-0.02, -0.01, 0.0, 0.01, 0.02])
+        assert len(calls) == 2 * 49
+        calls.clear()
+        volume_balance(var, (-1e-3, 1e-3))
+        assert len(calls) == 2 * 33
 
     def test_sequence_past_t_max_raises(self, slice_mesh):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST, t_max=0.1)
