@@ -10,10 +10,11 @@ symmetric forms on piecewise-linear mesh functions:
 so that the constrained first eigenvalue is the minimum of (f'Kf)/(f'Mf)
 over mean-zero f, matching the Rayleigh quotient of the stability
 criterion after one integration by parts.  Constants are annihilated by K
-up to roundoff and deflated.  Element matrices are 2x2 products per face,
-formed over blocks of faces so that no large temporary outlives assembly,
-and summed onto the mesh's one P1 sparsity pattern (``SphereMesh.pattern``),
-so K and M share their index arrays.
+up to roundoff and deflated.  K is assembled in ambient coordinates (Dziuk
+& Elliott, Acta Numerica 2013): P_r becomes a form on ambient vectors once
+per vertex, hat gradients are ambient vectors, and each element matrix is a
+quadratic form, computed elementwise on blocks of faces and summed onto the
+mesh's one P1 sparsity pattern (``SphereMesh.pattern``), which M shares.
 
 The spectrum is computed by ARPACK's shift-invert Lanczos (Lehoucq, Sorensen
 & Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero, to a
@@ -38,7 +39,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
 from .lorentz import minkowski_metric
-from .surfaces import GraphSurface, scatter_p1
+from .surfaces import GraphSurface, _hat_gradients, scatter_p1
 
 __all__ = [
     "OperatorPair",
@@ -53,6 +54,13 @@ __all__ = [
 
 # Lanczos basis for k = 1: ARPACK tests convergence only once the basis is full
 _NCV_K1 = 10
+
+# faces per assembly block, which bounds the size of the block temporaries
+_BLOCK = 8192
+# the 10 entries i <= k of a symmetric 4x4 matrix, and the entry that holds (i, k)
+_UPPER = np.triu_indices(4)
+_SYM = np.empty((4, 4), dtype=np.intp)
+_SYM[_UPPER] = _SYM[_UPPER[::-1]] = np.arange(10)
 
 # ties of the eigenvector sign: 150x the largest relative entrywise disagreement
 # (6.7e-9) between this solver and the oracle on the level 3-5 test graphs
@@ -101,11 +109,11 @@ def newton_vertex_matrices(surface: GraphSurface, r: int) -> np.ndarray:
 def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     """Assemble the order-r stiffness/mass pair on a built surface.
 
-    Per face, P_r is the arithmetic mean of the three vertex matrices after
-    projection onto the face frame (first-order transport); stiffness
-    entries integrate <P_r grad phi_i, grad phi_j> with the constant
-    per-face gradients of the hat functions.  The pair carries the mesh's
-    nested-dissection order, ``SphereMesh.order``.
+    Per face, P_r is the mean of the corner forms Q = (J E) P_r (J E)^T (E the
+    vertex frame, J the metric; first-order transport), and stiffness entries
+    integrate <P_r grad phi_a, grad phi_b> = grad_a . Q grad_b with the
+    ambient hat gradients of each block of faces.  The pair carries the
+    mesh's nested-dissection order, ``SphereMesh.order``.
     """
     if not 0 <= r <= surface.n - 1:
         raise ValueError(f"order r={r} out of range [0, {surface.n - 1}]")
@@ -121,21 +129,28 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     p_vertex = newton_vertex_matrices(surface, r)
     min_eig = float(batched_eigvalsh2(p_vertex).min())
 
-    # per 4096 faces: T_c = E_c^T J F per corner, P = mean of T_c^T P_c T_c, area G^T P G
+    # Q = (J E) P_r (J E)^T = a pa^T + b pb^T per vertex, with [a, b] = J E and
+    # [pa, pb] = (J E) P_r; per face, K_ab = area/3 grad_a . (sum of corner Q) grad_b
     j = np.diag(minkowski_metric(4))
-    frames = cache.frame * j[None, :, None]            # (V, 4, 2), metric applied
+    a, b = np.ascontiguousarray((cache.frame * j[None, :, None]).transpose(2, 1, 0))
+    p00, p01, p11 = p_vertex[:, 0, 0], p_vertex[:, 0, 1], p_vertex[:, 1, 1]
+    pa, pb = p00 * a + p01 * b, p01 * a + p11 * b
+    q = np.stack([a[i] * pa[k] + b[i] * pb[k] for i, k in zip(*_UPPER)])    # (10, V)
+    third = cache.face_area / 3.0
     nv, nf = cache.vertices.shape[0], faces.shape[0]
     k_local = np.empty((nf, 3, 3))
-    for start in range(0, nf, 4096):
-        f = slice(start, start + 4096)
-        p_face = 0.0
-        for corner in range(3):
-            idx = faces[f, corner]
-            t = frames[idx].transpose(0, 2, 1) @ cache.face_frame[f]
-            p_face = p_face + t.transpose(0, 2, 1) @ (p_vertex[idx] @ t)
-        p_face = (p_face + p_face.transpose(0, 2, 1)) / 6.0
-        g = cache.face_grad[f]
-        k_local[f] = cache.face_area[f, None, None] * (g.transpose(0, 2, 1) @ (p_face @ g))
+    for start in range(0, nf, _BLOCK):
+        f = slice(start, start + _BLOCK)
+        q_face = np.take(q, faces[f, 0], axis=1)
+        q_face += np.take(q, faces[f, 1], axis=1)
+        q_face += np.take(q, faces[f, 2], axis=1)
+        g = _hat_gradients(cache.vertices, faces[f])
+        k_sub = np.einsum("aib,cib->acb", g, np.einsum("ikb,ckb->cib", q_face[_SYM], g))
+        k_sub *= third[f]                   # (2, 2, B): the rows and columns of corners 1, 2
+        block = k_local[f]
+        block[:, 1:, 1:] = k_sub.transpose(2, 0, 1)
+        block[:, 0, 1:] = block[:, 1:, 0] = -(k_sub[0] + k_sub[1]).T   # rows of K sum to zero
+        block[:, 0, 0] = -(block[:, 0, 1] + block[:, 0, 2])
     k = scatter_p1(surface.mesh, k_local)
     pair = OperatorPair(
         stiffness=k, mass=mass, nvertices=nv, min_newton_eig=min_eig,

@@ -107,12 +107,14 @@ class SliceSurface:
 class GeometryCache:
     """Per-vertex and per-face geometric data of a built graph surface.
 
-    The fields are computed when the surface is built.  ``face_frame``,
-    ``face_grad`` and ``mass`` are computed from ``vertices`` and the mesh
-    the first time they are read and kept from then on; the flow snapshots
-    of a variation read only ``sigma`` and ``weights``, and never pay for
-    them.  ``weights`` are the per-vertex sums of face_area / 3, which are
-    the row sums of ``mass`` up to rounding.
+    The fields are computed when the surface is built.  ``mass`` is computed
+    from ``face_area`` and the mesh the first time it is read and kept from
+    then on; the flow snapshots of a variation read only ``sigma`` and
+    ``weights``, and never pay for it.  ``weights`` are the per-vertex sums
+    of face_area / 3, which are the row sums of ``mass`` up to rounding.
+    Hat-function gradients are not kept: ``_hat_gradients`` computes them
+    where they are read, a block of faces at a time in assembly, which keeps
+    the peak memory of a level-6 run lower.
     """
 
     vertices: np.ndarray          # (V, 4) ambient positions
@@ -127,30 +129,6 @@ class GeometryCache:
     face_area: np.ndarray         # (F,)
     mesh: SphereMesh              # the surface's mesh
     metric_ratio: float           # max induced-metric anisotropy over vertices
-
-    @cached_property
-    def face_frame(self) -> np.ndarray:
-        """(F, 4, 2) Lorentz-orthonormal frames of the flat faces."""
-        e1, e2, g11, g12, g22 = _face_edges(self.vertices, self.mesh.faces)
-        f1 = e1 / np.sqrt(g11)[:, None]
-        t2 = e2 - (g12 / g11)[:, None] * e1
-        return np.stack([f1, t2 / _face_height(g11, g12, g22)[:, None]], axis=2)
-
-    @cached_property
-    def face_grad(self) -> np.ndarray:
-        """(F, 2, 3) hat-function gradients in ``face_frame``."""
-        _, _, g11, g12, g22 = _face_edges(self.vertices, self.mesh.faces)
-        # 2D vertex coordinates in the face frame: (0,0), (l1,0), (g12/l1, l2)
-        l1 = np.sqrt(g11)
-        x2, y2 = g12 / l1, _face_height(g11, g12, g22)
-        det2 = l1 * y2
-        grad = np.empty((self.mesh.faces.shape[0], 2, 3))
-        grad[:, 0, 1] = y2 / det2
-        grad[:, 1, 1] = -x2 / det2
-        grad[:, 0, 2] = 0.0
-        grad[:, 1, 2] = l1 / det2
-        grad[:, :, 0] = -grad[:, :, 1] - grad[:, :, 2]
-        return grad
 
     @cached_property
     def mass(self):
@@ -191,9 +169,20 @@ def _face_edges(vertices: np.ndarray, faces: np.ndarray):
     return e1, e2, mdot_axis0(e1.T, e1.T), mdot_axis0(e1.T, e2.T), mdot_axis0(e2.T, e2.T)
 
 
-def _face_height(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray) -> np.ndarray:
-    """Length of e2 orthogonal to e1."""
-    return np.sqrt(g22 - g12 * g12 / g11)
+def _hat_gradients(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Gradients of the P1 hat functions of corners 1 and 2 on the flat faces,
+    as ambient tangent vectors in a component-major (2, 4, F) array: the
+    Lorentz dual basis of the edges, (g22 e1 - g12 e2) / det and
+    (g11 e2 - g12 e1) / det with det = g11 g22 - g12^2, so that
+    <grad_a, e_b> = delta_ab; corner 0's is minus their sum."""
+    e1, e2, g11, g12, g22 = _face_edges(vertices, faces)
+    det = g11 * g22 - g12 * g12
+    grad = np.empty((2, 4, faces.shape[0]))
+    np.multiply(g22 / det, e1.T, out=grad[0])
+    grad[0] -= (g12 / det) * e2.T
+    np.multiply(g11 / det, e2.T, out=grad[1])
+    grad[1] -= (g12 / det) * e1.T
+    return grad
 
 
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -352,17 +341,18 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
     vertices, as ambient tangent vectors (V, 4)."""
     cache = surface.cache
     faces = surface.mesh.faces
-    fvals = values[faces]                                    # (F, 3)
-    comp = np.einsum("fam,fm->fa", cache.face_grad, fvals)   # (F, 2) in the face frame
-    grad_face = np.einsum("fia,fa->fi", cache.face_frame, comp)  # (F, 4)
+    grad = _hat_gradients(cache.vertices, faces)
+    v0 = values[faces[:, 0]]
+    grad_face = grad[0] * (values[faces[:, 1]] - v0)    # (4, F)
+    grad_face += grad[1] * (values[faces[:, 2]] - v0)
     # area-weighted sums over the faces at each vertex; the corner-major index
     # adds in the order of three np.add.at passes, one per corner
     nv = values.shape[0]
     idx = faces.T.ravel()
     w = cache.face_area
-    weighted = grad_face * w[:, None]
+    grad_face *= w
     wacc = np.bincount(idx, weights=np.tile(w, 3), minlength=nv)
-    acc = np.stack([np.bincount(idx, weights=np.tile(weighted[:, i], 3), minlength=nv)
+    acc = np.stack([np.bincount(idx, weights=np.tile(grad_face[i], 3), minlength=nv)
                     for i in range(4)], axis=1)
     acc /= wacc[:, None]
     j = np.diag(minkowski_metric(4))

@@ -318,9 +318,11 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
                 if tau not in sums:
                     x = tau * fq
                     tanh = np.tanh(x)
-                    ch = np.cosh(x)
-                    root = np.sqrt(np.abs(_horner(det3, tanh)))
-                    sums[tau] = float(fq @ (np.copysign(root, _horner(q, tanh)) * (ch * ch * ch)))
+                    ch = np.cosh(x, out=x)
+                    elem = _horner(det3, tanh)          # then sign(q) ch^3 sqrt|D|, in place
+                    np.copysign(np.sqrt(np.abs(elem, out=elem), out=elem), _horner(q, tanh), out=elem)
+                    elem *= np.multiply(np.multiply(ch, ch, out=tanh), ch, out=tanh)
+                    sums[tau] = float(fq @ elem)
                 total += w_t * _ORIENTATION * sums[tau] / 6.0
             volumes[k] = total
     return float(volumes[0]) if np.ndim(t) == 0 else volumes

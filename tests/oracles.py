@@ -53,6 +53,27 @@ def harmonic_jets_reference(field, q):
     return value, grad, hess
 
 
+def face_frames_reference(surface):
+    """Lorentz-orthonormal frames (F, 4, 2) of the flat faces, and the
+    hat-function gradients (F, 2, 3) in them, from the 2D vertex coordinates
+    (0, 0), (l1, 0), (g12 / l1, h) with h the height of e2 over e1."""
+    faces = surface.mesh.faces
+    p = surface.cache.vertices[faces]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    g11, g12, g22 = mdot(e1, e1), mdot(e1, e2), mdot(e2, e2)
+    l1 = np.sqrt(g11)
+    height = np.sqrt(g22 - g12 * g12 / g11)
+    t2 = e2 - (g12 / g11)[:, None] * e1
+    frame = np.stack([e1 / l1[:, None], t2 / height[:, None]], axis=2)
+    x2, det2 = g12 / l1, l1 * height
+    grad = np.zeros((faces.shape[0], 2, 3))
+    grad[:, 0, 1] = height / det2
+    grad[:, 1, 1] = -x2 / det2
+    grad[:, 1, 2] = l1 / det2
+    grad[:, :, 0] = -grad[:, :, 1] - grad[:, :, 2]
+    return frame, grad
+
+
 def assemble_stiffness_reference(surface, r):
     """Order-r stiffness matrix by three einsum contractions on (F, 3, 2, 2)
     stacks: transport of each corner frame into the face frame, the corner
@@ -62,10 +83,11 @@ def assemble_stiffness_reference(surface, r):
     j = np.diag(minkowski_metric(4))
     frames = cache.frame * j[None, :, None]
     faces = surface.mesh.faces
-    transport = np.einsum("fcia,fib->fcab", frames[faces], cache.face_frame)
+    face_frame, face_grad = face_frames_reference(surface)
+    transport = np.einsum("fcia,fib->fcab", frames[faces], face_frame)
     p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[faces], transport).mean(axis=1)
     p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
-    k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, cache.face_grad, p_face, cache.face_grad)
+    k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, face_grad, p_face, face_grad)
     return scatter_p1_reference(faces, k_local, cache.vertices.shape[0])
 
 
@@ -210,13 +232,17 @@ def volume_balance_quadratic_reference(variation, t, n_time=16):
     return total
 
 
-def tangential_gradient_reference(surface, values):
+def tangential_gradient_reference(surface, values, grad_face=None):
     """Vertex-averaged P1 surface gradient with ``np.add.at`` accumulation,
-    corner by corner."""
+    corner by corner.  ``grad_face`` is the (F, 4) ambient gradient of
+    ``values`` on each face; by default it is formed from face-frame
+    components."""
     cache = surface.cache
     faces = surface.mesh.faces
-    comp = np.einsum("fam,fm->fa", cache.face_grad, values[faces])
-    grad_face = np.einsum("fia,fa->fi", cache.face_frame, comp)
+    if grad_face is None:
+        face_frame, face_grad = face_frames_reference(surface)
+        comp = np.einsum("fam,fm->fa", face_grad, values[faces])
+        grad_face = np.einsum("fia,fa->fi", face_frame, comp)
     nv = values.shape[0]
     acc = np.zeros((nv, 4))
     wacc = np.zeros(nv)

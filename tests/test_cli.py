@@ -3,6 +3,8 @@ config errors that name their key."""
 
 import dataclasses
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -313,6 +315,21 @@ class TestConfigRoundTrip:
         assert parse_config("\n".join(block)) == dataclasses.replace(
             config, axis=(0.0, 0.0, 0.0, 1.0), tol_const=config.constancy_tolerance,
             killing_v=(0.0, 0.0, 0.0, 1.0))
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, want", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+        ({"OMP_NUM_THREADS": "2"}, "None"),
+    ])
+    def test_cli_import_sets_one_thread_unless_chosen(self, preset, want):
+        src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(preset, PYTHONPATH=str(src))
+        code = "import os, lorstab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == want
 
 
 class TestBenchmarkTracerSites:

@@ -16,7 +16,8 @@ from lorstab.fem import (
     weak_residual,
 )
 from lorstab.harmonics import HarmonicField
-from lorstab.surfaces import build_slice
+from lorstab.mesh import SphereMesh, icosphere, save_mesh
+from lorstab.surfaces import build_graph, build_slice, surface_from_mesh_file
 from oracles import assemble_stiffness_reference, smallest_eigenvalues_reference, strong_form_check
 
 GRAPH = ((2, 0, 0.05), (3, 1, 0.02))
@@ -90,14 +91,30 @@ class TestAssembly:
         assert nested.L.nnz + nested.U.nnz <= 0.85 * (colamd.L.nnz + colamd.U.nnz)
 
 
-class TestAssemblyOracle:
-    """The per-corner assembly against the earlier einsum contractions, scattered
-    by the COO reference rather than the mesh's pattern."""
+def mesh_file_graph(path):
+    """The level-3 graph over tangentially jittered icosphere directions,
+    saved as a mesh file and loaded back: an irregular mesh without a level."""
+    q, faces = icosphere(3)
+    q = q + 0.02 * np.random.default_rng(5).standard_normal(q.shape)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    surf = build_graph(1.0, perturbations=GRAPH, mesh=SphereMesh(q, faces))
+    save_mesh(path, surf.cache.vertices, faces)
+    return surface_from_mesh_file(path)[0]
 
-    @pytest.mark.parametrize("level", [3, 4])
+
+class TestAssemblyOracle:
+    """The ambient-coordinate assembly against the face-frame einsum
+    contractions, scattered by the COO reference rather than the mesh's
+    pattern."""
+
+    @pytest.mark.parametrize("level", [3, 4, 5, "mesh-file"])
     @pytest.mark.parametrize("r", [0, 1])
-    def test_graph_matches_einsum_oracle(self, graph_mesh, r, level):
-        surf = graph_mesh(1.0, GRAPH, level)
+    def test_graph_matches_einsum_oracle(self, graph_mesh, tmp_path, r, level):
+        if level == "mesh-file":
+            surf = mesh_file_graph(tmp_path / "graph.mesh")
+            assert surf.mesh.level is None
+        else:
+            surf = graph_mesh(1.0, GRAPH, level)
         got = assemble(surf, r).stiffness
         want = assemble_stiffness_reference(surf, r)
         assert abs(got - want).max() <= 1e-14 * abs(want).max()

@@ -12,6 +12,7 @@ from lorstab.stability import analyze
 from lorstab.surfaces import (
     GraphConstructionError,
     _face_areas,
+    _hat_gradients,
     build_graph,
     build_slice,
     sphere_area,
@@ -181,6 +182,24 @@ class TestSupportFunction:
         assert np.abs(mdot(v, surf.cache.vertices)).max() < 1e-12
 
 
+class TestHatGradients:
+    def test_lorentz_dual_to_edges_and_sum_to_zero(self, graph_mesh):
+        surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
+        verts, faces = surf.cache.vertices, surf.mesh.faces
+        grad = _hat_gradients(verts, faces)
+        assert grad.shape == (2, 4, faces.shape[0])
+        e1, e2 = verts[faces[:, 1]] - verts[faces[:, 0]], verts[faces[:, 2]] - verts[faces[:, 0]]
+        for a, want in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
+            for edge, value in zip((e1, e2), want):
+                assert np.abs(mdot(grad[a].T, edge) - value).max() < 1e-12
+        # corner c's gradient on its own: that of corner 1 of the face rotated to start at c - 1
+        corners = [_hat_gradients(verts, np.roll(faces, 1 - c, axis=1))[0] for c in range(3)]
+        scale = np.abs(grad).max()
+        assert np.abs(corners[1] - grad[0]).max() < 1e-12 * scale
+        assert np.abs(corners[2] - grad[1]).max() < 1e-12 * scale
+        assert np.abs(sum(corners)).max() < 1e-12 * scale
+
+
 class TestTangentialGradient:
     def test_constant_field_vanishes(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
@@ -200,8 +219,20 @@ class TestTangentialGradient:
     def test_matches_add_at_accumulation(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
         values = surf.cache.vertices[:, 0] * surf.cache.vertices[:, 3]
+        # the same face gradients, accumulated by np.add.at corner by corner: the same bits
+        faces = surf.mesh.faces
+        grad = _hat_gradients(surf.cache.vertices, faces)
+        v0 = values[faces[:, 0]]
+        grad_face = grad[0] * (values[faces[:, 1]] - v0) + grad[1] * (values[faces[:, 2]] - v0)
         assert np.array_equal(tangential_gradient(surf, values),
-                              tangential_gradient_reference(surf, values))
+                              tangential_gradient_reference(surf, values, grad_face.T))
+
+    def test_matches_face_frame_oracle(self, graph_mesh):
+        surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
+        values = surf.cache.vertices[:, 0] * surf.cache.vertices[:, 3]
+        # the reference takes face gradients in face frames, so they agree to rounding
+        got, want = tangential_gradient(surf, values), tangential_gradient_reference(surf, values)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_linear_chart_field_first_order(self):
         errs = []

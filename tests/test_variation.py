@@ -29,7 +29,7 @@ Y10 = HarmonicField(terms=((1, 0, 1.0),))
 Y20 = HarmonicField(terms=((2, 0, 1.0),))
 MIXED = HarmonicField(constant=0.3, terms=((1, 1, 0.7), (2, 0, -0.5), (3, 2, 0.4)))
 # GeometryCache fields computed on first read, outside __dataclass_fields__
-LAZY_FIELDS = ("face_frame", "face_grad", "mass")
+LAZY_FIELDS = ("mass",)
 
 
 class TestFlow:

@@ -9,7 +9,9 @@ config, as fresh ``python -m lorstab.cli`` processes with one BLAS thread.
 For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
 that moved (a report key, or a CSV column over its rows) and every text
-field that changed.  Exit status 1 if an exit code or a verdict differs.
+field that changed.  Exit status 1 if an exit code or a verdict differs, or
+if a first eigenvalue (the report's ``stability.lambda1``, the sweep's
+``lambda1`` column) moved by more than ``LAMBDA1_RTOL`` relative.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 21)
+# a refactor may move lambda1 by rounding only; this is the tolerance stated for it
+LAMBDA1_FIELDS = ("stability.lambda1", "lambda1")
+LAMBDA1_RTOL = 1e-12
 
 sys.dont_write_bytecode = True      # leave no cache files under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -72,7 +77,8 @@ def relative_difference(a: str, b: str) -> float | None:
 
 
 def compare_file(parent: Path, change: Path) -> bool:
-    """Print how one output file differs; True if a verdict changed."""
+    """Print how one output file differs; True if a verdict changed or a
+    lambda1 moved beyond ``LAMBDA1_RTOL``."""
     if not parent.is_file() or not change.is_file():
         print(f"  {parent.name}: missing on the {'parent' if not parent.is_file() else 'change'} side")
         return True
@@ -81,18 +87,21 @@ def compare_file(parent: Path, change: Path) -> bool:
         return False
     print(f"  {parent.name}: bytes differ")
     old, new = fields(parent), fields(change)
-    verdict_changed = False
+    failed = False
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, []), new.get(key, [])
         if a == b:
             continue
         diffs = [relative_difference(x, y) for x, y in zip(a, b)]
         if len(a) == len(b) and None not in diffs:
-            print(f"    {key}: max relative difference {max(diffs):.3g}")
+            moved = key in LAMBDA1_FIELDS and max(diffs) > LAMBDA1_RTOL
+            flag = f"  ABOVE {LAMBDA1_RTOL:g}" if moved else ""
+            print(f"    {key}: max relative difference {max(diffs):.3g}{flag}")
+            failed |= moved
         else:
             print(f"    {key}: {','.join(a)} -> {','.join(b)}")
-            verdict_changed |= key.endswith("verdict")
-    return verdict_changed
+            failed |= key.endswith("verdict") or key in LAMBDA1_FIELDS
+    return failed
 
 
 def main(argv: list[str]) -> int:
@@ -120,7 +129,8 @@ def main(argv: list[str]) -> int:
                 failed |= not same
                 for name in case.outputs:
                     failed |= compare_file(base / "parent" / name, base / "change" / name)
-    print("FAIL: an exit code or a verdict differs" if failed else "OK: exit codes and verdicts agree")
+    print(f"FAIL: an exit code or a verdict differs, or a lambda1 moved above {LAMBDA1_RTOL:g}" if failed
+          else f"OK: exit codes and verdicts agree, and every lambda1 within {LAMBDA1_RTOL:g}")
     return 1 if failed else 0
 
 
