@@ -205,7 +205,8 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
     orders = []
     for value, rep in zip(values, reports):
         order = ""
-        if param == "level" and prev_gap is not None and rep.gap != 0.0:
+        # an order needs two finite nonzero gaps; a non-elliptic row's is nan
+        if param == "level" and prev_gap is not None and 0.0 < abs(prev_gap * rep.gap) < np.inf:
             order = log2(abs(prev_gap) / abs(rep.gap))
             orders.append(order)
         rows.append(

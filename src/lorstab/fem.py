@@ -18,13 +18,16 @@ mesh's one P1 sparsity pattern (``SphereMesh.pattern``), which M shares.
 
 The spectrum is computed by ARPACK's shift-invert Lanczos (Lehoucq, Sorensen
 & Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero, to a
-relative accuracy scaled from the solver tolerance.  Each application of the
-inverse is one sparse LU solve with K + shift M followed by the
-mass-orthogonal projection onto mean-zero functions, so the constant mode is
-deflated exactly.  The LU factor is computed on the matrix permuted by the
-mesh's nested-dissection order, which ``assemble`` attaches to the operator
-pair, with no further column permutation.  A single eigenvalue is sought in
-a 10-vector Lanczos basis rather than ARPACK's default 20: ARPACK fills the
+relative accuracy scaled from the solver tolerance.  The pencil must be
+elliptic: K positive semidefinite with the constants as its kernel, which
+holds where P_r is positive definite (``stability.analyze`` solves only
+there); a zero K raises ``SolverError``.  Each application of the inverse is
+one sparse LU solve with K + shift M followed by the mass-orthogonal
+projection onto mean-zero functions, so the constant mode is deflated
+exactly.  The LU factor is computed on the matrix permuted by the mesh's
+nested-dissection order, which ``assemble`` attaches to the operator pair,
+with no further column permutation.  A single eigenvalue is sought in a
+10-vector Lanczos basis rather than ARPACK's default 20: ARPACK fills the
 basis before it first tests convergence, so a level-5 slice converges after
 11 applications instead of 21.
 """
@@ -93,8 +96,6 @@ class EigenResult:
     eigenfunction: np.ndarray
     iterations: int
     residual: float
-    degenerate: bool = False
-    indefinite: bool = False
 
 
 def newton_vertex_matrices(surface: GraphSurface, r: int) -> np.ndarray:
@@ -146,6 +147,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
         q_face += np.take(q, faces[f, 2], axis=1)
         g = _hat_gradients(cache.vertices, faces[f])
         k_sub = np.einsum("aib,cib->acb", g, np.einsum("ikb,ckb->cib", q_face[_SYM], g))
+        k_sub[1, 0] = k_sub[0, 1]           # exactly symmetric, as scatter_p1 requires
         k_sub *= third[f]                   # (2, 2, B): the rows and columns of corners 1, 2
         block = k_local[f]
         block[:, 1:, 1:] = k_sub.transpose(2, 0, 1)
@@ -170,9 +172,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _project_meanzero(x: np.ndarray, mass_column: np.ndarray, total: float) -> np.ndarray:
-    if x.ndim == 1:
-        return x - (mass_column @ x) / total
-    return x - np.outer(np.ones(x.shape[0]), mass_column @ x) / total
+    return x - (mass_column @ x) / total
 
 
 def weak_residual(op: OperatorPair, f: np.ndarray, mu: float) -> float:
@@ -196,27 +196,27 @@ def smallest_eigenvalues_meanzero(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Bottom-k generalized eigenpairs on the mean-zero subspace.
 
-    ARPACK shift-invert Lanczos (``eigsh`` with ``sigma = -shift``, the k
-    eigenvalues nearest the shift) on the pencil (K, M).  The inverse
-    operator is one LU solve with K + shift M, which has the P1 pattern that
-    K and M share on a mesh, factorized in the operator's nested-dissection order with the NATURAL column order, followed by the
-    mass-orthogonal projection onto mean-zero functions; the start vector is
-    the projected standard normal vector of ``default_rng(seed)``, so runs
-    are deterministic.  For k = 1 the Lanczos basis has ``ncv`` = 10 vectors
-    instead of ARPACK's default 20, which ARPACK fills before its first
-    convergence test: 11 applications instead of 21 on a level-5 slice.
-    ARPACK stops at relative accuracy tol / (lam_scale + shift), which
-    K + shift M maps to a weak residual near ``tol`` (at 0 for k > 1: an
-    early stop can miss copies of a multiple eigenvalue), within ``maxiter``
-    restarts; each vector is accepted only if its ``weak_residual`` is below
-    ``tol``.  If the spectrum reaches below the shift window (an
-    indefinite operator), the shift is widened by 100, up to four times.
+    K must be positive semidefinite, so that the bottom of its mean-zero
+    spectrum lies nearest a shift just below zero; a zero K raises
+    ``SolverError``.  ARPACK shift-invert Lanczos (``eigsh`` with
+    ``sigma = -shift``, the k eigenvalues nearest the shift) on the pencil
+    (K, M).  The inverse operator is one LU solve with K + shift M, which
+    has the P1 pattern that K and M share on a mesh, factorized in the
+    operator's nested-dissection order with the NATURAL column order,
+    followed by the mass-orthogonal projection onto mean-zero functions;
+    the start vector is the projected standard normal vector of
+    ``default_rng(seed)``, so runs are deterministic.  For k = 1 the
+    Lanczos basis has ``ncv`` = 10 vectors instead of ARPACK's default 20,
+    which ARPACK fills before its first convergence test: 11 applications
+    instead of 21 on a level-5 slice.  ARPACK stops at relative accuracy
+    tol / (lam_scale + shift), which K + shift M maps to a weak residual
+    near ``tol`` (at 0 for k > 1: an early stop can miss copies of a
+    multiple eigenvalue), within ``maxiter`` restarts; each vector is
+    accepted only if its ``weak_residual`` is below ``tol``.
 
     Returns (values, vectors, iterations, residuals): values ascending,
     vectors mass-orthonormal, mean-zero and signed by ``_fix_signs``, and
-    ``iterations`` the number of shift-invert applications in the accepted
-    solve.  When K is numerically zero nothing is solved: the values are 0,
-    every vector is the normalized start vector, and ``iterations`` is 0.
+    ``iterations`` the number of shift-invert applications.
     """
     kk = op.stiffness
     mm = op.mass
@@ -226,52 +226,42 @@ def smallest_eigenvalues_meanzero(
     rng = np.random.default_rng(seed)
     x0 = _project_meanzero(rng.standard_normal(nv), mass_column, total)
 
-    kscale = float(np.abs(kk.data).max()) if kk.nnz else 0.0
-    if kscale < 1e-14 * max(1.0, float(np.abs(mm.data).max())):
-        x0 /= np.sqrt(x0 @ (mm @ x0))
-        return np.zeros(k), np.tile(x0, (k, 1)).T, 0, np.zeros(k)
-
     lam_scale = float(np.abs(kk.diagonal()).max() / mass_column.min())
+    if lam_scale == 0.0:
+        raise SolverError("the stiffness matrix is zero (P_r vanishes): no first eigenvalue")
     shift = 1e-5 * lam_scale
     order = op.order
-    for attempt in range(4):
-        lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
-        iterations = 0
+    lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
+    iterations = 0
 
-        def shift_invert(b: np.ndarray) -> np.ndarray:
-            nonlocal iterations
-            iterations += 1
-            y = np.empty_like(b)
-            y[order] = lu.solve(b[order])
-            return _project_meanzero(y, mass_column, total)
+    def shift_invert(b: np.ndarray) -> np.ndarray:
+        nonlocal iterations
+        iterations += 1
+        y = np.empty_like(b)
+        y[order] = lu.solve(b[order])
+        return _project_meanzero(y, mass_column, total)
 
-        try:
-            values, vectors = eigsh(
-                kk, k, M=mm, sigma=-shift, which="LM", v0=x0,
-                OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
-                ncv=min(nv, _NCV_K1) if k == 1 else None,
-                tol=tol / (lam_scale + shift) if k == 1 else 0.0, maxiter=maxiter,
-            )
-        except ArpackNoConvergence as err:
-            found = err.eigenvectors.shape[1]
-            residual = max(
-                (weak_residual(op, err.eigenvectors[:, i], err.eigenvalues[i]) for i in range(found)),
-                default=float("inf"),
-            )
-            raise SolverError(
-                f"eigensolver did not converge in {maxiter} restarts "
-                f"({found} of {k} eigenpairs found)",
-                residual=residual,
-            ) from None
-        rank = np.argsort(values)
-        values, vectors = values[rank], vectors[:, rank]
-        residuals = np.array([weak_residual(op, vectors[:, i], values[i]) for i in range(k)])
-        if values.min() > -0.5 * shift:
-            break
-        shift *= 100.0   # spectrum reaches below the shift window; widen and retry
-    else:
-        raise SolverError("could not bracket an indefinite spectrum", residual=float(residuals.max()))
-
+    try:
+        values, vectors = eigsh(
+            kk, k, M=mm, sigma=-shift, which="LM", v0=x0,
+            OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
+            ncv=min(nv, _NCV_K1) if k == 1 else None,
+            tol=tol / (lam_scale + shift) if k == 1 else 0.0, maxiter=maxiter,
+        )
+    except ArpackNoConvergence as err:
+        found = err.eigenvectors.shape[1]
+        residual = max(
+            (weak_residual(op, err.eigenvectors[:, i], err.eigenvalues[i]) for i in range(found)),
+            default=float("inf"),
+        )
+        raise SolverError(
+            f"eigensolver did not converge in {maxiter} restarts "
+            f"({found} of {k} eigenpairs found)",
+            residual=residual,
+        ) from None
+    rank = np.argsort(values)
+    values, vectors = values[rank], vectors[:, rank]
+    residuals = np.array([weak_residual(op, vectors[:, i], values[i]) for i in range(k)])
     if residuals.max() >= tol:
         raise SolverError(
             f"eigensolver residual {residuals.max():.3e} is not below tol = {tol:.3e} "
@@ -292,13 +282,9 @@ def first_eigenvalue_meanzero(
     values, vectors, iterations, residuals = smallest_eigenvalues_meanzero(
         op, k=1, tol=tol, maxiter=maxiter, seed=seed
     )
-    lam = float(values[0])
-    scale = max(1.0, float(np.abs(op.stiffness.diagonal()).max() / op.lumped().min()))
     return EigenResult(
-        lambda1=lam,
+        lambda1=float(values[0]),
         eigenfunction=vectors[:, 0],
         iterations=iterations,
         residual=float(residuals[0]),
-        degenerate=iterations == 0,
-        indefinite=lam < -tol * scale,
     )

@@ -67,8 +67,6 @@ def _stability_lines(report: StabilityReport) -> list[str]:
         ("gap", report.gap),
         ("eigen_iterations", report.eigen.iterations),
         ("eigen_residual", report.eigen.residual),
-        ("eigen_degenerate", report.eigen.degenerate),
-        ("eigen_indefinite", report.eigen.indefinite),
         ("min_newton_eig", report.min_newton_eig),
         ("h2_positive", report.h2_positive),
         ("has_elliptic_point", report.has_elliptic_point),

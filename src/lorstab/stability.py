@@ -5,7 +5,10 @@ The verdict is three-valued.  The eigenvalue criterion is an equivalence
 only under its hypotheses (positive constant next-order mean curvature,
 constant comparison field, surface on one side of the equator, conformal
 divergence nonvanishing, P_r positive definite), so hypothesis failure is
-reported as its own outcome rather than mapped to "unstable".
+reported as its own outcome rather than mapped to "unstable".  The spectrum
+is computed only where P_r is positive definite: without ellipticity the
+discrete bottom eigenvalue of div(P_r grad) falls without bound as the mesh
+is refined, so lambda1 and the gap are nan there and nothing is solved.
 """
 
 from __future__ import annotations
@@ -129,7 +132,10 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
     lam_residual = _constancy_residual(lam_field, lam_mean)
 
     pair = assemble(surface, r)
-    eigen = first_eigenvalue_meanzero(pair, tol=tolerances.solver, seed=tolerances.seed)
+    if pair.min_newton_eig > 0.0:
+        eigen = first_eigenvalue_meanzero(pair, tol=tolerances.solver, seed=tolerances.seed)
+    else:
+        eigen = EigenResult(lambda1=np.nan, eigenfunction=np.empty(0), iterations=0, residual=np.nan)
     gap = lam_mean - eigen.lambda1
 
     h2 = cache.mean[:, 2]

@@ -186,26 +186,27 @@ def _hat_gradients(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Areas of the flat faces; every face must have a spacelike induced metric."""
+    """Areas of the flat faces; every face must have a finite spacelike induced
+    metric (written so that a NaN fails the test)."""
     _, _, g11, g12, g22 = _face_edges(vertices, faces)
     det = g11 * g22 - g12 * g12
-    if (g11 <= 0).any() or (det <= 0).any():
-        worst = int(np.argmin(np.minimum(g11, det)))
+    if not ((g11 > 0) & (det > 0) & (det < np.inf)).all():
+        worst = int(np.argmin(np.where(np.isfinite(det), np.minimum(g11, det), -np.inf)))
+        what = "degenerate induced metric" if np.isfinite(det[worst]) else "induced metric is not finite"
         raise GraphConstructionError(
-            f"face {worst} is not spacelike (degenerate induced metric)", vertex=int(faces[worst, 0])
+            f"face {worst} is not spacelike ({what})", vertex=int(faces[worst, 0])
         )
     return 0.5 * np.sqrt(det)
 
 
 def scatter_p1(mesh: SphereMesh, local: np.ndarray) -> csr_matrix:
-    """Sum the symmetric parts of per-face (F, 3, 3) element matrices into a CSR
-    matrix on ``mesh.pattern``: entry (a, b) of face f lands at (faces[f, a],
-    faces[f, b]).  Every face adds to (i, j) and (j, i) the same value in the
-    same order, so the result is symmetric bit for bit."""
+    """Sum per-face (F, 3, 3) element matrices, which the caller passes exactly
+    symmetric, into a CSR matrix on ``mesh.pattern``: entry (a, b) of face f
+    lands at (faces[f, a], faces[f, b]).  Every face then adds to (i, j) and
+    (j, i) the same value in the same order, so the result is symmetric bit
+    for bit."""
     indptr, indices, slots = mesh.pattern
-    sym = local + local.transpose(0, 2, 1)
-    sym *= 0.5
-    data = np.bincount(slots.ravel(), weights=sym.ravel(), minlength=indices.size)
+    data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
     return csr_matrix((data, indices, indptr), shape=(mesh.nvertices, mesh.nvertices))
 
 
@@ -257,12 +258,14 @@ def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: Sphe
     sinh_u = np.sinh(u)
     gnorm2 = np.einsum("vi,vi->v", g, g)
     margin = phi * phi - gnorm2
-    if (margin <= 0).any():
-        worst = int(np.argmin(margin))
+    if not ((margin > 0) & (margin < np.inf)).all():    # a NaN fails too
+        worst = int(np.argmin(np.where(np.isfinite(margin), margin, -np.inf)))
+        if np.isfinite(margin[worst]):
+            why = f"|grad u| = {np.sqrt(gnorm2[worst]):.6g} >= cosh(u) = {phi[worst]:.6g}"
+        else:
+            why = "the metric is not finite"
         raise GraphConstructionError(
-            f"surface is not spacelike at vertex {worst}: |grad u| = "
-            f"{np.sqrt(gnorm2[worst]):.6g} >= cosh(u) = {phi[worst]:.6g}",
-            vertex=worst,
+            f"surface is not spacelike at vertex {worst}: {why}", vertex=worst
         )
     metric_ratio = float(np.max(phi * phi / margin))
 

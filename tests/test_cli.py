@@ -47,6 +47,26 @@ class TestExitCodes:
         assert run(tmp_path, STEEP) == 3
         assert "not spacelike at vertex 0" in capsys.readouterr().err
 
+    def test_overflowing_metric_exits_three(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(tmp_path, SLICE.replace("s0 = 1", "s0 = 200")) == 3
+        assert capsys.readouterr().err == (
+            "computation failed: face 0 is not spacelike (induced metric is not finite)\n"
+        )
+
+    def test_non_elliptic_level_sweep_reports_nan_and_no_order(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE.replace("s0 = 1", "s0 = -1"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--param", "level", "--values", "3,4", "--out", str(out)]) == 2
+        assert "empirical_order_mean" not in capsys.readouterr().out
+        header, *rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert header == "param,value,lambda,lambda1,gap,lambda_residual,h_next_residual,verdict,empirical_order"
+        assert len(rows) == 2
+        for row in rows:
+            _, _, _, lambda1, gap, _, _, verdict, order = row.split(",")
+            assert (lambda1, gap, verdict, order) == ("nan", "nan", "hypotheses-violated", "")
+
     def test_unknown_key_exits_four_naming_it(self, tmp_path, capsys):
         assert run(tmp_path, SLICE + "bogus = 1\n") == 4
         assert "'bogus'" in capsys.readouterr().err

@@ -40,7 +40,7 @@ class TestAnalyze:
         assert report.h_next_mean == pytest.approx(0.0, abs=1e-14)
         assert report.psi_min_abs == pytest.approx(0.0, abs=1e-12)
         assert report.chronology == "mixed"
-        assert report.eigen.degenerate
+        assert np.isnan(report.lambda1) and report.eigen.iterations == 0
 
     def test_past_slice_r0_violates_positivity(self):
         report = analyze(build_slice(2, -1.0).meshed(3), 0)
@@ -56,6 +56,20 @@ class TestAnalyze:
         assert report.min_newton_eig == pytest.approx(-np.tanh(1.0), rel=1e-10)
         assert report.h_next_min > 0 and report.chronology == "past"
         assert report.h_next_residual < 1e-10 and report.lambda_residual < 1e-10
+
+    @pytest.mark.parametrize("s0", [-1.0, 0.0])
+    def test_non_elliptic_slices_skip_the_solve(self, monkeypatch, s0):
+        """P_1 = -tanh(1) I at s0 = -1 and 0 at the equator: the spectrum of
+        L_1 decides nothing there, so no pencil reaches the solver."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a non-elliptic pencil was solved")
+
+        monkeypatch.setattr("lorstab.stability.first_eigenvalue_meanzero", refuse)
+        report = analyze(build_slice(2, s0).meshed(3), 1)
+        assert report.verdict == "hypotheses-violated"
+        assert not report.min_newton_eig > 0.0
+        assert np.isnan(report.lambda1) and np.isnan(report.gap) and np.isnan(report.eigen.residual)
+        assert report.eigen.iterations == 0
 
     def test_graph_violates_constancy(self, graph_mesh):
         report = analyze(graph_mesh(1.0, ((2, 0, 0.05),), 4), 1)

@@ -127,6 +127,16 @@ class TestGraphConstruction:
             _face_areas(vertices, faces)
         assert err.value.vertex == 2
 
+    @pytest.mark.parametrize("s0", [200.0, 400.0, -800.0])
+    def test_overflowing_metric_fails(self, s0):
+        """cosh(200)^4 overflows the faces' metric determinant to inf - inf =
+        nan, and cosh(400) the vertex metric itself: neither passes as
+        spacelike."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GraphConstructionError, match="metric is not finite") as err:
+                build_graph(s0, level=3)
+        assert err.value.vertex is not None
+
     def test_vertex_count_matches_level(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 4)
         assert surf.cache.vertices.shape[0] == 10 * 4**4 + 2
@@ -321,11 +331,12 @@ class TestSharedMesh:
 
 class TestScatter:
     """The pattern scatter against the COO -> CSR reference, on random
-    non-symmetric element matrices."""
+    symmetric element matrices L + L^T: the contract of ``scatter_p1``."""
 
     @staticmethod
     def check(mesh):
         local = np.random.default_rng(mesh.nvertices).standard_normal((mesh.faces.shape[0], 3, 3))
+        local = local + local.transpose(0, 2, 1)
         got = scatter_p1(mesh, local)
         want = scatter_p1_reference(mesh.faces, local, mesh.nvertices)
         assert np.array_equal(got.indptr, want.indptr)
