@@ -187,9 +187,10 @@ def _hat_gradients(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Areas of the flat faces; every face must have a finite spacelike induced
-    metric (written so that a NaN fails the test)."""
-    _, _, g11, g12, g22 = _face_edges(vertices, faces)
-    det = g11 * g22 - g12 * g12
+    metric (written so that a NaN fails the test, which reports an overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, g11, g12, g22 = _face_edges(vertices, faces)
+        det = g11 * g22 - g12 * g12
     if not ((g11 > 0) & (det > 0) & (det < np.inf)).all():
         worst = int(np.argmin(np.where(np.isfinite(det), np.minimum(g11, det), -np.inf)))
         what = "degenerate induced metric" if np.isfinite(det[worst]) else "induced metric is not finite"
@@ -254,10 +255,11 @@ def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: Sphe
     frame_map = orthonormal_completion(spec.a)
     q, faces = mesh.q, mesh.faces
     u, g, hs = jets
-    phi = np.cosh(u)
-    sinh_u = np.sinh(u)
-    gnorm2 = np.einsum("vi,vi->v", g, g)
-    margin = phi * phi - gnorm2
+    with np.errstate(over="ignore", invalid="ignore"):   # the check below reports an overflow
+        phi = np.cosh(u)
+        sinh_u = np.sinh(u)
+        gnorm2 = np.einsum("vi,vi->v", g, g)
+        margin = phi * phi - gnorm2
     if not ((margin > 0) & (margin < np.inf)).all():    # a NaN fails too
         worst = int(np.argmin(np.where(np.isfinite(margin), margin, -np.inf)))
         if np.isfinite(margin[worst]):

@@ -47,12 +47,22 @@ class TestExitCodes:
         assert run(tmp_path, STEEP) == 3
         assert "not spacelike at vertex 0" in capsys.readouterr().err
 
-    def test_overflowing_metric_exits_three(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(tmp_path, SLICE.replace("s0 = 1", "s0 = 200")) == 3
-        assert capsys.readouterr().err == (
-            "computation failed: face 0 is not spacelike (induced metric is not finite)\n"
-        )
+    def test_overflowing_metric_exits_three(self, tmp_path):
+        """In a fresh process, so that the test runner hides no NumPy
+        RuntimeWarning: stderr is the one failure line."""
+        src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
+        config = tmp_path / "config.txt"
+        for s0, message in [
+            (200, "face 0 is not spacelike (induced metric is not finite)"),
+            (400, "surface is not spacelike at vertex 0: the metric is not finite"),
+        ]:
+            config.write_text(SLICE.replace("s0 = 1", f"s0 = {s0}"), encoding="utf-8")
+            done = subprocess.run(
+                [sys.executable, "-m", "lorstab.cli", "run", str(config), "--out", str(tmp_path / "out")],
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            )
+            assert done.returncode == 3
+            assert done.stderr == f"computation failed: {message}\n"
 
     def test_non_elliptic_level_sweep_reports_nan_and_no_order(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

@@ -146,10 +146,19 @@ class TestEigenvalues:
 
     def test_small_operator_is_not_taken_for_zero(self, slice_mesh):
         """At s0 = 20 the stiffness is O(1) while the mass grows as cosh(20)^2:
-        lambda1 = 2 tanh(20) / cosh(20)^2 = 3.4e-17 is still solved for."""
-        res = first_eigenvalue_meanzero(assemble(slice_mesh(20.0, 3), 1))
+        lambda1 = 2 tanh(20) / cosh(20)^2 = 3.4e-17 is still solved for.  The
+        acceptance is relative to the spectrum's scale (lam_scale = 4.1e-15),
+        which a projected random vector, weak residual 4.6e-15 against 0, fails."""
+        pair = assemble(slice_mesh(20.0, 3), 1)
+        res = first_eigenvalue_meanzero(pair)
         want = 2 * np.tanh(20.0) / np.cosh(20.0) ** 2
         assert res.lambda1 == pytest.approx(want, rel=1e-2, abs=0)
+        lumped = pair.lumped()
+        bound = 1e-8 * pair.stiffness.diagonal().max() / lumped.min()
+        assert res.residual < bound
+        x = np.random.default_rng(0).standard_normal(pair.nvertices)
+        x -= (lumped @ x) / lumped.sum()
+        assert weak_residual(pair, x, 0.0) > bound
 
     def test_deterministic(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 1)
@@ -160,10 +169,25 @@ class TestEigenvalues:
 
     def test_applications_guard(self, slice_mesh, graph_mesh):
         """A k = 1 solve takes 11 shift-invert applications on a level-5 slice
-        (its first convergence test, at a full 10-vector basis) and 21 on the
-        level-5 test graph."""
+        (its first convergence test, at a full 10-vector basis) and 16 on the
+        level-5 test graph (one implicit restart), with seeds 0 and 7."""
         assert first_eigenvalue_meanzero(assemble(slice_mesh(1.0, 5), 1)).iterations <= 12
-        assert first_eigenvalue_meanzero(assemble(graph_mesh(1.0, GRAPH, 5), 1)).iterations <= 21
+        pair = assemble(graph_mesh(1.0, GRAPH, 5), 1)
+        for seed in (0, 7):
+            assert first_eigenvalue_meanzero(pair, seed=seed).iterations <= 16
+
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("s0, shape", [
+        (0.5, ()), (2.0, ()), (1.0, GRAPH), (1.0, ((1, 0, 0.3), (2, 1, 0.1))),
+    ], ids=["slice-0.5", "slice-2", "graph", "graph-wide"])
+    def test_stop_leaves_a_margin(self, graph_mesh, level, r, s0, shape):
+        """ARPACK's stop leaves every accepted residual 20x below tol (the
+        largest here is 9.7e-11), so a looser stop shows here before it turns
+        into a SolverError on some other surface."""
+        pair = assemble(graph_mesh(s0, shape, level), r)
+        for seed in (0, 7):
+            assert first_eigenvalue_meanzero(pair, tol=1e-8, seed=seed).residual <= 1e-8 / 20
 
     def test_nonconvergence_raises(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 0)

@@ -9,9 +9,14 @@ config, as fresh ``python -m lorstab.cli`` processes with one BLAS thread.
 For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
 that moved (a report key, or a CSV column over its rows) and every text
-field that changed.  Exit status 1 if an exit code or a verdict differs, or
-if a first eigenvalue (the report's ``stability.lambda1``, the sweep's
-``lambda1`` column) moved by more than ``LAMBDA1_RTOL`` relative.
+field that changed.  It ends with each tree's shift-invert applications
+(``stability.eigen_iterations``) summed over the ``report.txt`` files, and the
+change's largest ``eigen_residual`` as a fraction of its ``tol_solver``, so a
+cheaper eigensolver stop is shown with its safety margin.  Exit status 1 if
+an exit code or a verdict differs, if a first eigenvalue (the report's
+``stability.lambda1``, the sweep's ``lambda1`` column) moved by more than
+``LAMBDA1_RTOL`` relative, or if a change-side ``report.txt`` has
+``stability.eigen_residual`` at or above its ``stability.tol_solver``.
 """
 
 from __future__ import annotations
@@ -104,6 +109,16 @@ def compare_file(parent: Path, change: Path) -> bool:
     return failed
 
 
+def solver_fields(report: Path) -> tuple[int, list[float]]:
+    """A report's summed ``stability.eigen_iterations`` and each of its
+    ``eigen_residual / tol_solver`` ratios (nan for a skipped solve)."""
+    values = fields(report)
+    iterations = sum(int(v) for v in values.get("stability.eigen_iterations", []))
+    ratios = [float(res) / float(tol) for res, tol in
+              zip(values.get("stability.eigen_residual", []), values.get("stability.tol_solver", []))]
+    return iterations, ratios
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -114,6 +129,8 @@ def main(argv: list[str]) -> int:
             print(f"{side} tree {src} holds no lorstab package", file=sys.stderr)
             return 2
     failed = False
+    iterations = dict.fromkeys(trees, 0)
+    worst_ratio = 0.0
     with tempfile.TemporaryDirectory() as scratch:
         for workload in WORKLOADS:
             for seed in SEEDS:
@@ -129,8 +146,23 @@ def main(argv: list[str]) -> int:
                 failed |= not same
                 for name in case.outputs:
                     failed |= compare_file(base / "parent" / name, base / "change" / name)
-    print(f"FAIL: an exit code or a verdict differs, or a lambda1 moved above {LAMBDA1_RTOL:g}" if failed
-          else f"OK: exit codes and verdicts agree, and every lambda1 within {LAMBDA1_RTOL:g}")
+                for side in trees:
+                    report = base / side / "report.txt"     # a sweep writes none
+                    if not report.is_file():
+                        continue
+                    count, ratios = solver_fields(report)
+                    iterations[side] += count
+                    if side == "change" and ratios:
+                        worst_ratio = max(worst_ratio, *ratios)
+                        if any(ratio >= 1.0 for ratio in ratios):
+                            print("  report.txt: change-side eigen_residual at or above tol_solver")
+                            failed = True
+    print(f"eigen_iterations summed over report.txt: {iterations['parent']} -> {iterations['change']}")
+    print(f"largest change-side eigen_residual / tol_solver: {worst_ratio:.3g}")
+    print("FAIL: an exit code or a verdict differs, a lambda1 moved above "
+          f"{LAMBDA1_RTOL:g}, or an eigen_residual is not below tol_solver" if failed
+          else f"OK: exit codes and verdicts agree, every lambda1 within {LAMBDA1_RTOL:g}, "
+          "and every eigen_residual below tol_solver")
     return 1 if failed else 0
 
 
