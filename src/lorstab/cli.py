@@ -6,6 +6,9 @@
 Exit codes: 0 success, 2 hypotheses-violated verdict, 3 construction or
 solver failure, 4 configuration error.  Reports and CSV tables are
 byte-stable for a fixed config and seed; wall times go to stdout only.
+A sweep solves its values in one ``fem.shared_factor`` scope, so it factors
+once per family of proportional pencils (an s0 sweep of slices factors once)
+and writes each solve's ``eigen_residual`` beside its ``lambda1``.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` before NumPy loads,
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set: the solver's
@@ -29,7 +32,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, check_level, check_nonnegative, load_config, parse_reals
-from .fem import SolverError
+from .fem import SolverError, shared_factor
 from .harmonics import HarmonicField
 from .lorentz import KillingFieldSpec
 from .report import fmt, render_run_report, write_checks_csv, write_sweep_csv
@@ -166,7 +169,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
 
 
 _SWEEP_HEADER = [
-    "param", "value", "lambda", "lambda1", "gap",
+    "param", "value", "lambda", "lambda1", "eigen_residual", "gap",
     "lambda_residual", "h_next_residual", "verdict", "empirical_order",
 ]
 
@@ -199,7 +202,8 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
         surface, _ = _build_surface(cfg)
         return analyze(surface, cfg.r, _tolerances(cfg))
 
-    reports = [evaluate(value) for value in values]
+    with shared_factor():
+        reports = [evaluate(value) for value in values]
     rows = []
     prev_gap = None
     orders = []
@@ -210,7 +214,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
             order = log2(abs(prev_gap) / abs(rep.gap))
             orders.append(order)
         rows.append(
-            [param, value, rep.lambda_mean, rep.eigen.lambda1, rep.gap,
+            [param, value, rep.lambda_mean, rep.eigen.lambda1, rep.eigen.residual, rep.gap,
              rep.lambda_residual, rep.h_next_residual, rep.verdict, order]
         )
         prev_gap = rep.gap

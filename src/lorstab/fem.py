@@ -38,15 +38,28 @@ with no further column permutation.  A single eigenvalue is sought in a
 10-vector Lanczos basis rather than ARPACK's default 20: ARPACK fills the
 basis before it first tests convergence, so a level-5 slice converges after
 11 applications instead of 21.
+
+Within a ``shared_factor`` scope (a ``lorstab sweep``) the solver keeps the
+last LU factor of K + shift M and reuses it, its solves divided by alpha, for
+a matrix A of the same structure and order that is a multiple of the held
+A_ref: max|A - alpha A_ref| <= 1e-13 max|A|, alpha taken at the largest entry
+of A_ref.  On the umbilical slices of one mesh P_r = p_r(s0) I, so K, M and
+the shift scale together; at level 5 (s0 in {0.3, 1.0, 1.9}, r in {0, 1}) the
+shifted matrices are multiples to 2.3e-15 of their largest entry (K alone to
+2.4e-15, M to 4.0e-15).  Graphs, other levels and other orders are factored
+afresh; every solve keeps its own ARPACK run and residual test on its own
+(K, M), and outside a scope no factor outlives its solve.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
 from .lorentz import minkowski_metric
@@ -58,6 +71,7 @@ __all__ = [
     "SolverError",
     "assemble",
     "first_eigenvalue_meanzero",
+    "shared_factor",
     "smallest_eigenvalues_meanzero",
     "weak_residual",
 ]
@@ -73,8 +87,15 @@ _NCV_K1 = 10
 # 1.69e-10 at tol = 1e-8
 _STOP_BOTTOM = 250.0
 
-# faces per assembly block, which bounds the size of the block temporaries
-_BLOCK = 8192
+# the shared-factor test (module docstring): slice pencils on one mesh are
+# multiples to 2.3e-15 of their largest entry
+_PROPORTIONAL_TOL = 1e-13
+
+# faces per assembly block, which bounds the size of the block temporaries: a
+# sweep assembles each slice while it holds the shared factor, so they add to its
+# peak RSS (8192 faces add about 1.2 MB on the level-5 s0 sweep); K is the same
+# bit for bit at any block size
+_BLOCK = 2048
 # the 10 entries i <= k of a symmetric 4x4 matrix, and the entry that holds (i, k)
 _UPPER = np.triu_indices(4)
 _SYM = np.empty((4, 4), dtype=np.intp)
@@ -111,6 +132,53 @@ class EigenResult:
     eigenfunction: np.ndarray
     iterations: int
     residual: float
+
+
+@dataclass
+class _HeldFactor:
+    """The one factor a ``shared_factor`` scope holds: the shifted matrix, the
+    order it was permuted by and its LU factor (None before the first solve)."""
+
+    shifted: csr_matrix | None = None
+    order: np.ndarray | None = None
+    lu: SuperLU | None = None
+
+
+_held: ContextVar[_HeldFactor | None] = ContextVar("held_factor", default=None)
+
+
+@contextmanager
+def shared_factor():
+    """Let the eigensolves in this scope share one LU factor between shifted
+    matrices that are multiples of one another (see the module docstring); the
+    factor is released when the scope exits."""
+    token = _held.set(_HeldFactor())
+    try:
+        yield
+    finally:
+        _held.reset(token)
+
+
+def _factor(shifted: csr_matrix, order: np.ndarray) -> tuple[SuperLU, float]:
+    """The LU factor of ``shifted`` permuted by ``order``, and the alpha its
+    solves are divided by: in a scope, the held factor when ``shifted`` is alpha
+    times the held matrix (alpha is 1.0 exactly for an equal matrix), else a new
+    factor, alpha = 1, which the scope then holds."""
+    held = _held.get()
+    if held is not None and held.lu is not None:
+        ref = held.shifted
+        if (np.array_equal(order, held.order) and np.array_equal(shifted.indptr, ref.indptr)
+                and np.array_equal(shifted.indices, ref.indices)):
+            pivot = np.argmax(np.abs(ref.data))
+            alpha = shifted.data[pivot] / ref.data[pivot]
+            defect = np.abs(shifted.data - alpha * ref.data).max()
+            if defect <= _PROPORTIONAL_TOL * np.abs(shifted.data).max():
+                return held.lu, float(alpha)
+        held.shifted = held.order = held.lu = None      # freed before the new factor
+    lu = splu(shifted[order][:, order].tocsc(), permc_spec="NATURAL")
+    if held is not None:
+        held.shifted, held.order, held.lu = shifted, order, lu
+    return lu, 1.0
 
 
 def newton_vertex_matrices(surface: GraphSurface, r: int) -> np.ndarray:
@@ -223,9 +291,13 @@ def smallest_eigenvalues_meanzero(
     ``default_rng(seed)``, so runs are deterministic.  For k = 1 the
     Lanczos basis has ``ncv`` = 10 vectors instead of ARPACK's default 20,
     which ARPACK fills before its first convergence test: 11 applications
-    instead of 21 on a level-5 slice.  Each vector is accepted only if its
-    ``weak_residual`` is below tol * min(1, lam_scale), with lam_scale =
-    max K_ii / min lumped mass, so the test is scale-free on a tiny spectrum.
+    instead of 21 on a level-5 slice.  Inside a ``shared_factor`` scope the
+    previous factor is reused, its solves divided by alpha, when
+    A = K + shift M is alpha times its matrix A_ref to
+    max|A - alpha A_ref| <= 1e-13 max|A| (slices on one mesh: 2.3e-15).  Each
+    vector is accepted only if its ``weak_residual`` is below
+    tol * min(1, lam_scale), with lam_scale = max K_ii / min lumped mass, so
+    the test is scale-free on a tiny spectrum.
     For k = 1, ARPACK stops at relative accuracy that bound divided by
     ``_STOP_BOTTOM`` * (lam_scale / V + shift), the bottom of the spectrum
     rather than its top (see the module docstring): 16 applications instead
@@ -252,14 +324,14 @@ def smallest_eigenvalues_meanzero(
     accept = tol * min(1.0, lam_scale)
     shift = 1e-5 * lam_scale
     order = op.order
-    lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
+    lu, alpha = _factor(kk + shift * mm, order)
     iterations = 0
 
     def shift_invert(b: np.ndarray) -> np.ndarray:
         nonlocal iterations
         iterations += 1
         y = np.empty_like(b)
-        y[order] = lu.solve(b[order])
+        y[order] = lu.solve(b[order]) / alpha
         return _project_meanzero(y, mass_column, total)
 
     try:

@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import lorstab.fem
 from lorstab.curvature import ShapeSpectrum
 from lorstab.surfaces import GraphSurface, build_graph, build_slice
 
@@ -31,6 +35,29 @@ def graph_mesh():
         return cache[key]
 
     return get
+
+
+class FactorLog(list):
+    """The LU factors made through ``lorstab.fem.splu``, in order."""
+
+    def held(self) -> list[int]:
+        """Indices of the factors that something besides this log still refers to."""
+        probe = [object()]
+        free = sys.getrefcount(probe[0])
+        return [i for i in range(len(self)) if sys.getrefcount(self[i]) > free]
+
+
+@pytest.fixture
+def factors(monkeypatch) -> FactorLog:
+    """Record every LU factor the solver makes."""
+    log = FactorLog()
+
+    def recording(*args, **kwargs):
+        log.append(splu(*args, **kwargs))
+        return log[-1]
+
+    monkeypatch.setattr(lorstab.fem, "splu", recording)
+    return log
 
 
 @pytest.fixture

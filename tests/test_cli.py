@@ -71,11 +71,12 @@ class TestExitCodes:
         assert main(["sweep", str(config), "--param", "level", "--values", "3,4", "--out", str(out)]) == 2
         assert "empirical_order_mean" not in capsys.readouterr().out
         header, *rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
-        assert header == "param,value,lambda,lambda1,gap,lambda_residual,h_next_residual,verdict,empirical_order"
+        assert header == ("param,value,lambda,lambda1,eigen_residual,gap,"
+                          "lambda_residual,h_next_residual,verdict,empirical_order")
         assert len(rows) == 2
         for row in rows:
-            _, _, _, lambda1, gap, _, _, verdict, order = row.split(",")
-            assert (lambda1, gap, verdict, order) == ("nan", "nan", "hypotheses-violated", "")
+            _, _, _, lambda1, residual, gap, _, _, verdict, order = row.split(",")
+            assert (lambda1, residual, gap, verdict, order) == ("nan", "nan", "nan", "hypotheses-violated", "")
 
     def test_unknown_key_exits_four_naming_it(self, tmp_path, capsys):
         assert run(tmp_path, SLICE + "bogus = 1\n") == 4
@@ -276,6 +277,41 @@ class TestReport:
         assert "  level = 4" in lines
         assert "  seed = 11" in lines
         assert "  level = 3" not in lines
+
+
+class TestSharedFactor:
+    """A sweep solves in one ``fem.shared_factor`` scope; a run holds no factor."""
+
+    def sweep(self, tmp_path, param, values, text=SLICE):
+        config = tmp_path / "config.txt"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--param", param, "--values", values, "--out", str(out)]) == 0
+        header, *rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+    def test_s0_sweep_factors_once(self, tmp_path, factors):
+        rows = self.sweep(tmp_path, "s0", "0.3,1,1.9")
+        assert len(factors) == 1
+        assert factors.held() == []
+        for row in rows:
+            assert 0.0 < float(row["eigen_residual"]) < 1e-8
+            assert row["verdict"] == "stable"
+
+    def test_repeated_value_writes_identical_rows(self, tmp_path, factors):
+        first, second = self.sweep(tmp_path, "s0", "1,1")
+        assert first == second
+        assert len(factors) == 1
+
+    def test_level_sweep_factors_each_level(self, tmp_path, factors):
+        self.sweep(tmp_path, "level", "3,4")
+        assert len(factors) == 2
+        assert factors.held() == []
+
+    def test_run_holds_no_factor(self, tmp_path, factors):
+        assert run(tmp_path, SLICE) == 0
+        assert len(factors) == 1
+        assert factors.held() == []
 
 
 REALS = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,5 +1,7 @@
 """Weak-form assembly and the constrained eigenvalue solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, identity
@@ -11,6 +13,7 @@ from lorstab.fem import (
     _fix_signs,
     assemble,
     first_eigenvalue_meanzero,
+    shared_factor,
     smallest_eigenvalues_meanzero,
     weak_residual,
 )
@@ -227,6 +230,70 @@ class TestEigenvalues:
         assert residuals.max() <= 1e-8
         gram = vectors.T @ (pair.mass @ vectors)
         assert gram == pytest.approx(np.eye(10), abs=1e-8)
+
+
+class TestSharedFactor:
+    """Inside ``shared_factor``, a shifted matrix that is a multiple of the
+    previous one reuses its LU factor; anything else is factored afresh."""
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_slices_on_one_mesh_share_one_factor(self, slice_mesh, factors, r):
+        pairs = [assemble(slice_mesh(s0, 4), r) for s0 in (0.3, 1.0, 1.9)]
+        fresh = [first_eigenvalue_meanzero(pair) for pair in pairs]
+        assert len(factors) == 3
+        with shared_factor():
+            shared = [first_eigenvalue_meanzero(pair) for pair in pairs]
+        assert len(factors) == 4
+        assert shared[0].lambda1 == fresh[0].lambda1     # the scope's first solve factors
+        for a, b in zip(fresh, shared):
+            assert b.lambda1 == pytest.approx(a.lambda1, rel=1e-13, abs=0)
+            assert b.residual < 1e-8
+            assert b.iterations == a.iterations
+
+    def test_only_a_multiple_to_the_tolerance_shares(self, slice_mesh, factors):
+        """The test is max|A - alpha A_ref| <= 1e-13 max|A|: one diagonal entry
+        of K, about the largest entry of A, moved by 1e-14 relative shares the
+        factor, moved by 1e-10 does not."""
+        pair = assemble(slice_mesh(1.0, 3), 1)
+        doubled = replace(pair, stiffness=2.0 * pair.stiffness, mass=2.0 * pair.mass)
+
+        def bumped(rel):
+            stiffness = doubled.stiffness.copy()
+            stiffness[5, 5] *= 1.0 + rel
+            return replace(doubled, stiffness=stiffness)
+
+        with shared_factor():
+            base = first_eigenvalue_meanzero(pair)
+            assert first_eigenvalue_meanzero(doubled).lambda1 == pytest.approx(base.lambda1, rel=1e-13, abs=0)
+            first_eigenvalue_meanzero(bumped(1e-14))
+            assert len(factors) == 1
+            first_eigenvalue_meanzero(bumped(1e-10))
+            assert len(factors) == 2
+
+    def test_graph_after_slice_is_factored_afresh(self, slice_mesh, graph_mesh, factors):
+        slice_pair = assemble(slice_mesh(1.0, 4), 1)
+        graph_pair = assemble(graph_mesh(1.0, GRAPH, 4), 1)
+        assert (slice_pair.stiffness.indices == graph_pair.stiffness.indices).all()
+        alone = first_eigenvalue_meanzero(graph_pair)
+        with shared_factor():
+            first_eigenvalue_meanzero(slice_pair)
+            scoped = first_eigenvalue_meanzero(graph_pair)
+        assert len(factors) == 3
+        assert scoped.lambda1 == alone.lambda1
+        assert (scoped.eigenfunction == alone.eigenfunction).all()
+
+    def test_no_factor_outlives_its_scope(self, slice_mesh, factors):
+        pair = assemble(slice_mesh(1.0, 3), 1)
+        first_eigenvalue_meanzero(pair)
+        assert factors.held() == []
+        with shared_factor():
+            first_eigenvalue_meanzero(pair)
+            assert factors.held() == [1]
+            with shared_factor():               # an inner scope holds its own
+                first_eigenvalue_meanzero(pair)
+            assert factors.held() == [1]
+        assert len(factors) == 3
+        assert factors.held() == []
 
 
 class TestSubspaceIterationOracle:

@@ -11,12 +11,14 @@ where they are not, the largest relative difference of each numeric field
 that moved (a report key, or a CSV column over its rows) and every text
 field that changed.  It ends with each tree's shift-invert applications
 (``stability.eigen_iterations``) summed over the ``report.txt`` files, and the
-change's largest ``eigen_residual`` as a fraction of its ``tol_solver``, so a
-cheaper eigensolver stop is shown with its safety margin.  Exit status 1 if
-an exit code or a verdict differs, if a first eigenvalue (the report's
-``stability.lambda1``, the sweep's ``lambda1`` column) moved by more than
-``LAMBDA1_RTOL`` relative, or if a change-side ``report.txt`` has
-``stability.eigen_residual`` at or above its ``stability.tol_solver``.
+change's largest ``eigen_residual`` as a fraction of its tolerance (a
+report's ``tol_solver``, or the workloads' ``SOLVER_TOL`` for a
+``sweep.csv`` row), so a cheaper eigensolve is shown with its safety margin.
+Exit status 1 if an exit code or a verdict differs, if a first eigenvalue
+(the report's ``stability.lambda1``, the sweep's ``lambda1`` column) moved by
+more than ``LAMBDA1_RTOL`` relative, or if a change-side eigen_residual, in
+``report.txt`` or in a ``sweep.csv`` row, is at or above its tolerance (a
+change-side ``sweep.csv`` without the ``eigen_residual`` column fails too).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ LAMBDA1_RTOL = 1e-12
 
 sys.dont_write_bytecode = True      # leave no cache files under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS, make_case  # noqa: E402
+from workloads import SOLVER_TOL, WORKLOADS, make_case  # noqa: E402
 
 
 def run(src: Path, argv: list[str]) -> int:
@@ -109,14 +111,20 @@ def compare_file(parent: Path, change: Path) -> bool:
     return failed
 
 
-def solver_fields(report: Path) -> tuple[int, list[float]]:
-    """A report's summed ``stability.eigen_iterations`` and each of its
-    ``eigen_residual / tol_solver`` ratios (nan for a skipped solve)."""
-    values = fields(report)
-    iterations = sum(int(v) for v in values.get("stability.eigen_iterations", []))
-    ratios = [float(res) / float(tol) for res, tol in
-              zip(values.get("stability.eigen_residual", []), values.get("stability.tol_solver", []))]
-    return iterations, ratios
+def solver_fields(out: Path) -> tuple[int, list[float]] | None:
+    """One run's summed ``stability.eigen_iterations`` (0 for a sweep, which
+    does not print them) and each of its ``eigen_residual`` / tolerance ratios
+    (nan for a skipped solve); None for a sweep.csv without eigen_residual."""
+    report, sweep = out / "report.txt", out / "sweep.csv"
+    if report.is_file():
+        values = fields(report)
+        iterations = sum(int(v) for v in values.get("stability.eigen_iterations", []))
+        return iterations, [float(res) / float(tol) for res, tol in zip(
+            values.get("stability.eigen_residual", []), values.get("stability.tol_solver", []))]
+    if not sweep.is_file():
+        return 0, []                # no output at all, which compare_file reports
+    residuals = fields(sweep).get("eigen_residual")
+    return None if residuals is None else (0, [float(res) / SOLVER_TOL for res in residuals])
 
 
 def main(argv: list[str]) -> int:
@@ -147,22 +155,25 @@ def main(argv: list[str]) -> int:
                 for name in case.outputs:
                     failed |= compare_file(base / "parent" / name, base / "change" / name)
                 for side in trees:
-                    report = base / side / "report.txt"     # a sweep writes none
-                    if not report.is_file():
+                    solves = solver_fields(base / side)
+                    if solves is None:
+                        if side == "change":
+                            print("  sweep.csv: no eigen_residual column on the change side")
+                            failed = True
                         continue
-                    count, ratios = solver_fields(report)
+                    count, ratios = solves
                     iterations[side] += count
                     if side == "change" and ratios:
                         worst_ratio = max(worst_ratio, *ratios)
                         if any(ratio >= 1.0 for ratio in ratios):
-                            print("  report.txt: change-side eigen_residual at or above tol_solver")
+                            print(f"  {case.outputs[0]}: change-side eigen_residual at or above its tolerance")
                             failed = True
     print(f"eigen_iterations summed over report.txt: {iterations['parent']} -> {iterations['change']}")
-    print(f"largest change-side eigen_residual / tol_solver: {worst_ratio:.3g}")
+    print(f"largest change-side eigen_residual / tolerance (reports and sweep rows): {worst_ratio:.3g}")
     print("FAIL: an exit code or a verdict differs, a lambda1 moved above "
-          f"{LAMBDA1_RTOL:g}, or an eigen_residual is not below tol_solver" if failed
+          f"{LAMBDA1_RTOL:g}, or an eigen_residual is missing or not below its tolerance" if failed
           else f"OK: exit codes and verdicts agree, every lambda1 within {LAMBDA1_RTOL:g}, "
-          "and every eigen_residual below tol_solver")
+          "and every eigen_residual below its tolerance")
     return 1 if failed else 0
 
 
