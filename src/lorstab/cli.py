@@ -6,9 +6,10 @@
 Exit codes: 0 success, 2 hypotheses-violated verdict, 3 construction or
 solver failure, 4 configuration error.  Reports and CSV tables are
 byte-stable for a fixed config and seed; wall times go to stdout only.
-A sweep solves its values in one ``fem.shared_factor`` scope, so it factors
-once per family of proportional pencils (an s0 sweep of slices factors once)
-and writes each solve's ``eigen_residual`` beside its ``lambda1``.
+A sweep solves its values in one ``fem.shared_spectrum`` scope, so it solves
+once per family of proportional pencils (an s0 sweep of slices solves once,
+and its other rows carry that eigenpair with 0 applications) and writes each
+solve's ``eigen_residual`` and ``eigen_iterations`` beside its ``lambda1``.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` before NumPy loads,
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set: the solver's
@@ -32,7 +33,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, check_level, check_nonnegative, load_config, parse_reals
-from .fem import SolverError, shared_factor
+from .fem import SolverError, shared_spectrum
 from .harmonics import HarmonicField
 from .lorentz import KillingFieldSpec
 from .report import fmt, render_run_report, write_checks_csv, write_sweep_csv
@@ -169,7 +170,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
 
 
 _SWEEP_HEADER = [
-    "param", "value", "lambda", "lambda1", "eigen_residual", "gap",
+    "param", "value", "lambda", "lambda1", "eigen_residual", "eigen_iterations", "gap",
     "lambda_residual", "h_next_residual", "verdict", "empirical_order",
 ]
 
@@ -202,7 +203,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
         surface, _ = _build_surface(cfg)
         return analyze(surface, cfg.r, _tolerances(cfg))
 
-    with shared_factor():
+    with shared_spectrum():
         reports = [evaluate(value) for value in values]
     rows = []
     prev_gap = None
@@ -214,8 +215,8 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
             order = log2(abs(prev_gap) / abs(rep.gap))
             orders.append(order)
         rows.append(
-            [param, value, rep.lambda_mean, rep.eigen.lambda1, rep.eigen.residual, rep.gap,
-             rep.lambda_residual, rep.h_next_residual, rep.verdict, order]
+            [param, value, rep.lambda_mean, rep.eigen.lambda1, rep.eigen.residual, rep.eigen.iterations,
+             rep.gap, rep.lambda_residual, rep.h_next_residual, rep.verdict, order]
         )
         prev_gap = rep.gap
     write_sweep_csv(out / "sweep.csv", _SWEEP_HEADER, rows)

@@ -39,16 +39,18 @@ with no further column permutation.  A single eigenvalue is sought in a
 basis before it first tests convergence, so a level-5 slice converges after
 11 applications instead of 21.
 
-Within a ``shared_factor`` scope (a ``lorstab sweep``) the solver keeps the
-last LU factor of K + shift M and reuses it, its solves divided by alpha, for
-a matrix A of the same structure and order that is a multiple of the held
-A_ref: max|A - alpha A_ref| <= 1e-13 max|A|, alpha taken at the largest entry
-of A_ref.  On the umbilical slices of one mesh P_r = p_r(s0) I, so K, M and
-the shift scale together; at level 5 (s0 in {0.3, 1.0, 1.9}, r in {0, 1}) the
-shifted matrices are multiples to 2.3e-15 of their largest entry (K alone to
-2.4e-15, M to 4.0e-15).  Graphs, other levels and other orders are factored
-afresh; every solve keeps its own ARPACK run and residual test on its own
-(K, M), and outside a scope no factor outlives its solve.
+Within a ``shared_spectrum`` scope (a ``lorstab sweep``) the solver keeps the
+last pencil that ARPACK solved and its eigenpair (lambda1_ref, f).  A pencil
+(K, M) of the same structure that is (a K_ref, b M_ref) with a, b > 0 (each
+ratio taken at the largest entry, each matrix a multiple to 1e-13 of its own
+largest entry) has the same eigenvectors, so its eigenpair is carried over:
+lambda1 = (a / b) lambda1_ref and f / sqrt(b), with no factor and no ARPACK
+run.  On the umbilical slices of one mesh P_r = p_r(s0) I and the metric
+scales with s0; at level 5 (s0 in {0.3, 1.0, 1.9}, r in {0, 1}) K is a
+multiple to 2.4e-15 of its largest entry and M to 4.0e-15.  A carried pair
+passes the same residual test on its own (K, M) as a solved one, or the
+pencil is solved afresh; graphs, other levels and other orders are solved
+afresh, and nothing outlives the scope.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
 from .lorentz import minkowski_metric
@@ -71,30 +73,29 @@ __all__ = [
     "SolverError",
     "assemble",
     "first_eigenvalue_meanzero",
-    "shared_factor",
-    "smallest_eigenvalues_meanzero",
+    "shared_spectrum",
     "weak_residual",
 ]
 
 
-# Lanczos basis for k = 1: ARPACK tests convergence only once the basis is full
-_NCV_K1 = 10
+# Lanczos basis: ARPACK tests convergence only once the basis is full
+_NCV = 10
 
-# ARPACK's k = 1 stop is the acceptance bound / (_STOP_BOTTOM * (lam_scale / V +
+# ARPACK's stop is the acceptance bound / (_STOP_BOTTOM * (lam_scale / V +
 # shift)): lambda1 is 3.9-5.4 x lam_scale / V on the slices and graphs measured,
 # so this asks for a weak residual near bound / 50; the worst of 648 solves (levels
 # 3-5, r = 0 and 1, s0 in {0.5, 1, 2}, a slice and five graphs, seeds 0-5) was
 # 1.69e-10 at tol = 1e-8
 _STOP_BOTTOM = 250.0
 
-# the shared-factor test (module docstring): slice pencils on one mesh are
-# multiples to 2.3e-15 of their largest entry
+# the carry test (module docstring): slice matrices on one mesh are multiples
+# to 4.0e-15 of their largest entry
 _PROPORTIONAL_TOL = 1e-13
 
-# faces per assembly block, which bounds the size of the block temporaries: a
-# sweep assembles each slice while it holds the shared factor, so they add to its
-# peak RSS (8192 faces add about 1.2 MB on the level-5 s0 sweep); K is the same
-# bit for bit at any block size
+# faces per assembly block, which bounds the size of the block temporaries; K is
+# the same bit for bit at any block size.  Smallest peak RSS of three 10 s
+# perfbench runs (2-vCPU Xeon): graph-l6 164.6 MB at 2048 faces, 165.4 MB at
+# 8192; sweep-s0-l5 87.8 MB and 87.9 MB
 _BLOCK = 2048
 # the 10 entries i <= k of a symmetric 4x4 matrix, and the entry that holds (i, k)
 _UPPER = np.triu_indices(4)
@@ -134,51 +135,42 @@ class EigenResult:
     residual: float
 
 
-@dataclass
-class _HeldFactor:
-    """The one factor a ``shared_factor`` scope holds: the shifted matrix, the
-    order it was permuted by and its LU factor (None before the first solve)."""
-
-    shifted: csr_matrix | None = None
-    order: np.ndarray | None = None
-    lu: SuperLU | None = None
-
-
-_held: ContextVar[_HeldFactor | None] = ContextVar("held_factor", default=None)
+# in a ``shared_spectrum`` scope, [] or [(the last pencil ARPACK solved, its result)]
+_held: ContextVar[list | None] = ContextVar("held_spectrum", default=None)
 
 
 @contextmanager
-def shared_factor():
-    """Let the eigensolves in this scope share one LU factor between shifted
-    matrices that are multiples of one another (see the module docstring); the
-    factor is released when the scope exits."""
-    token = _held.set(_HeldFactor())
+def shared_spectrum():
+    """Let the eigensolves in this scope carry the last eigenpair ARPACK found
+    to a positive multiple of its pencil (see the module docstring); the pair
+    is released when the scope exits."""
+    token = _held.set([])
     try:
         yield
     finally:
         _held.reset(token)
 
 
-def _factor(shifted: csr_matrix, order: np.ndarray) -> tuple[SuperLU, float]:
-    """The LU factor of ``shifted`` permuted by ``order``, and the alpha its
-    solves are divided by: in a scope, the held factor when ``shifted`` is alpha
-    times the held matrix (alpha is 1.0 exactly for an equal matrix), else a new
-    factor, alpha = 1, which the scope then holds."""
-    held = _held.get()
-    if held is not None and held.lu is not None:
-        ref = held.shifted
-        if (np.array_equal(order, held.order) and np.array_equal(shifted.indptr, ref.indptr)
-                and np.array_equal(shifted.indices, ref.indices)):
-            pivot = np.argmax(np.abs(ref.data))
-            alpha = shifted.data[pivot] / ref.data[pivot]
-            defect = np.abs(shifted.data - alpha * ref.data).max()
-            if defect <= _PROPORTIONAL_TOL * np.abs(shifted.data).max():
-                return held.lu, float(alpha)
-        held.shifted = held.order = held.lu = None      # freed before the new factor
-    lu = splu(shifted[order][:, order].tocsc(), permc_spec="NATURAL")
-    if held is not None:
-        held.shifted, held.order, held.lu = shifted, order, lu
-    return lu, 1.0
+def _carried(ref: OperatorPair, solved: EigenResult, op: OperatorPair,
+             accept: float) -> EigenResult | None:
+    """``solved`` carried from ``ref`` to ``op`` when (K, M) = (a K_ref, b M_ref),
+    a, b > 0 (a = b = 1.0 exactly for equal matrices), and the carried pair's
+    ``weak_residual`` on ``op`` is below ``accept``; else None."""
+    ratios = []
+    for new, old in ((op.stiffness, ref.stiffness), (op.mass, ref.mass)):
+        if not (np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices)):
+            return None
+        pivot = np.argmax(np.abs(old.data))
+        ratio = new.data[pivot] / old.data[pivot]
+        if not (ratio > 0.0 and np.abs(new.data - ratio * old.data).max()
+                <= _PROPORTIONAL_TOL * np.abs(new.data).max()):
+            return None
+        ratios.append(float(ratio))
+    a, b = ratios
+    lambda1 = a / b * solved.lambda1
+    f = solved.eigenfunction / np.sqrt(b)
+    residual = weak_residual(op, f, lambda1)
+    return EigenResult(lambda1, f, 0, residual) if residual < accept else None
 
 
 def newton_vertex_matrices(surface: GraphSurface, r: int) -> np.ndarray:
@@ -270,76 +262,77 @@ def weak_residual(op: OperatorPair, f: np.ndarray, mu: float) -> float:
     return float(np.sqrt(np.sum(rho * rho / lump)) / fnorm)
 
 
-def smallest_eigenvalues_meanzero(
+def first_eigenvalue_meanzero(
     op: OperatorPair,
-    k: int = 1,
     tol: float = 1e-8,
     maxiter: int = 500,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Bottom-k generalized eigenpairs on the mean-zero subspace.
+) -> EigenResult:
+    """Constrained first eigenvalue: min of the Rayleigh quotient over
+    mean-zero functions, with the constant kernel deflated.
 
     K must be positive semidefinite, so that the bottom of its mean-zero
     spectrum lies nearest a shift just below zero; a zero K raises
     ``SolverError``.  ARPACK shift-invert Lanczos (``eigsh`` with
-    ``sigma = -shift``, the k eigenvalues nearest the shift) on the pencil
+    ``sigma = -shift``, the eigenvalue nearest the shift) on the pencil
     (K, M).  The inverse operator is one LU solve with K + shift M, which
     has the P1 pattern that K and M share on a mesh, factorized in the
     operator's nested-dissection order with the NATURAL column order,
     followed by the mass-orthogonal projection onto mean-zero functions;
     the start vector is the projected standard normal vector of
-    ``default_rng(seed)``, so runs are deterministic.  For k = 1 the
-    Lanczos basis has ``ncv`` = 10 vectors instead of ARPACK's default 20,
-    which ARPACK fills before its first convergence test: 11 applications
-    instead of 21 on a level-5 slice.  Inside a ``shared_factor`` scope the
-    previous factor is reused, its solves divided by alpha, when
-    A = K + shift M is alpha times its matrix A_ref to
-    max|A - alpha A_ref| <= 1e-13 max|A| (slices on one mesh: 2.3e-15).  Each
-    vector is accepted only if its ``weak_residual`` is below
-    tol * min(1, lam_scale), with lam_scale = max K_ii / min lumped mass, so
-    the test is scale-free on a tiny spectrum.
-    For k = 1, ARPACK stops at relative accuracy that bound divided by
+    ``default_rng(seed)``, so runs are deterministic.  The Lanczos basis
+    has ``ncv`` = 10 vectors instead of ARPACK's default 20, which ARPACK
+    fills before its first convergence test: 11 applications instead of 21
+    on a level-5 slice.  The eigenpair is accepted only if its
+    ``weak_residual`` is below tol * min(1, lam_scale), with
+    lam_scale = max K_ii / min lumped mass, so the test is scale-free on a
+    tiny spectrum.  ARPACK stops at relative accuracy that bound divided by
     ``_STOP_BOTTOM`` * (lam_scale / V + shift), the bottom of the spectrum
     rather than its top (see the module docstring): 16 applications instead
     of 21 on the level-6 test graph, with the worst of 648 measured
-    residuals 59x below tol.  For k > 1 it is 0, since an early stop can
-    miss copies of a multiple eigenvalue.  Either runs within ``maxiter``
-    restarts.
+    residuals 59x below tol, within ``maxiter`` restarts.  Inside a
+    ``shared_spectrum`` scope a pencil that is (a K_ref, b M_ref), a, b > 0,
+    for the last pencil ARPACK solved takes its eigenpair scaled, with 0
+    applications, if that pair passes the same residual test.
 
-    Returns (values, vectors, iterations, residuals): values ascending,
-    vectors mass-orthonormal, mean-zero and signed by ``_fix_signs``, and
-    ``iterations`` the number of shift-invert applications.
+    The eigenfunction is mass-normalized, mean-zero and signed by
+    ``_fix_signs``; ``iterations`` is the number of shift-invert applications.
     """
     kk = op.stiffness
     mm = op.mass
     nv = op.nvertices
     mass_column = np.asarray(mm.sum(axis=1)).ravel()
     total = float(mass_column.sum())
-    rng = np.random.default_rng(seed)
-    x0 = _project_meanzero(rng.standard_normal(nv), mass_column, total)
-
     lam_scale = float(np.abs(kk.diagonal()).max() / mass_column.min())
     if lam_scale == 0.0:
         raise SolverError("the stiffness matrix is zero (P_r vanishes): no first eigenvalue")
     accept = tol * min(1.0, lam_scale)
+    held = _held.get()
+    if held:
+        carried = _carried(*held[0], op, accept)
+        if carried is not None:
+            return carried
+        held.clear()                    # released before the new factor
+
+    rng = np.random.default_rng(seed)
+    x0 = _project_meanzero(rng.standard_normal(nv), mass_column, total)
     shift = 1e-5 * lam_scale
     order = op.order
-    lu, alpha = _factor(kk + shift * mm, order)
+    lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
     iterations = 0
 
     def shift_invert(b: np.ndarray) -> np.ndarray:
         nonlocal iterations
         iterations += 1
         y = np.empty_like(b)
-        y[order] = lu.solve(b[order]) / alpha
+        y[order] = lu.solve(b[order])
         return _project_meanzero(y, mass_column, total)
 
     try:
         values, vectors = eigsh(
-            kk, k, M=mm, sigma=-shift, which="LM", v0=x0,
+            kk, 1, M=mm, sigma=-shift, which="LM", v0=x0,
             OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
-            ncv=min(nv, _NCV_K1) if k == 1 else None,
-            tol=accept / (_STOP_BOTTOM * (lam_scale / nv + shift)) if k == 1 else 0.0,
+            ncv=min(nv, _NCV), tol=accept / (_STOP_BOTTOM * (lam_scale / nv + shift)),
             maxiter=maxiter,
         )
     except ArpackNoConvergence as err:
@@ -350,35 +343,22 @@ def smallest_eigenvalues_meanzero(
         )
         raise SolverError(
             f"eigensolver did not converge in {maxiter} restarts "
-            f"({found} of {k} eigenpairs found)",
+            f"({found} of 1 eigenpairs found)",
             residual=residual,
         ) from None
-    rank = np.argsort(values)
-    values, vectors = values[rank], vectors[:, rank]
-    residuals = np.array([weak_residual(op, vectors[:, i], values[i]) for i in range(k)])
-    if residuals.max() >= accept:
+    residual = weak_residual(op, vectors[:, 0], values[0])
+    if residual >= accept:
         raise SolverError(
-            f"eigensolver residual {residuals.max():.3e} is not below {accept:.3e} "
+            f"eigensolver residual {residual:.3e} is not below {accept:.3e} "
             f"after {iterations} shift-invert applications",
-            residual=float(residuals.max()),
+            residual=residual,
         )
-    return values, _fix_signs(vectors), iterations, residuals
-
-
-def first_eigenvalue_meanzero(
-    op: OperatorPair,
-    tol: float = 1e-8,
-    maxiter: int = 500,
-    seed: int = 0,
-) -> EigenResult:
-    """Constrained first eigenvalue: min of the Rayleigh quotient over
-    mean-zero functions, with the constant kernel deflated."""
-    values, vectors, iterations, residuals = smallest_eigenvalues_meanzero(
-        op, k=1, tol=tol, maxiter=maxiter, seed=seed
-    )
-    return EigenResult(
+    result = EigenResult(
         lambda1=float(values[0]),
-        eigenfunction=vectors[:, 0],
+        eigenfunction=_fix_signs(vectors)[:, 0],
         iterations=iterations,
-        residual=float(residuals[0]),
+        residual=residual,
     )
+    if held is not None:
+        held.append((op, result))
+    return result

@@ -71,12 +71,13 @@ class TestExitCodes:
         assert main(["sweep", str(config), "--param", "level", "--values", "3,4", "--out", str(out)]) == 2
         assert "empirical_order_mean" not in capsys.readouterr().out
         header, *rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
-        assert header == ("param,value,lambda,lambda1,eigen_residual,gap,"
+        assert header == ("param,value,lambda,lambda1,eigen_residual,eigen_iterations,gap,"
                           "lambda_residual,h_next_residual,verdict,empirical_order")
         assert len(rows) == 2
         for row in rows:
-            _, _, _, lambda1, residual, gap, _, _, verdict, order = row.split(",")
-            assert (lambda1, residual, gap, verdict, order) == ("nan", "nan", "nan", "hypotheses-violated", "")
+            _, _, _, lambda1, residual, iterations, gap, _, _, verdict, order = row.split(",")
+            assert (lambda1, residual, iterations, gap, verdict, order) == (
+                "nan", "nan", "0", "nan", "hypotheses-violated", "")
 
     def test_unknown_key_exits_four_naming_it(self, tmp_path, capsys):
         assert run(tmp_path, SLICE + "bogus = 1\n") == 4
@@ -280,7 +281,7 @@ class TestReport:
 
 
 class TestSharedFactor:
-    """A sweep solves in one ``fem.shared_factor`` scope; a run holds no factor."""
+    """A sweep solves in one ``fem.shared_spectrum`` scope; nothing holds a factor."""
 
     def sweep(self, tmp_path, param, values, text=SLICE):
         config = tmp_path / "config.txt"
@@ -299,7 +300,10 @@ class TestSharedFactor:
             assert row["verdict"] == "stable"
 
     def test_repeated_value_writes_identical_rows(self, tmp_path, factors):
+        """The second row carries the first's eigenpair: the same bits, with 0
+        shift-invert applications."""
         first, second = self.sweep(tmp_path, "s0", "1,1")
+        assert int(first.pop("eigen_iterations")) > 0 and second.pop("eigen_iterations") == "0"
         assert first == second
         assert len(factors) == 1
 

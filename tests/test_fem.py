@@ -4,17 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import splu
 
 from lorstab.fem import (
     OperatorPair,
     SolverError,
+    _carried,
     _fix_signs,
     assemble,
     first_eigenvalue_meanzero,
-    shared_factor,
-    smallest_eigenvalues_meanzero,
+    shared_spectrum,
     weak_residual,
 )
 from lorstab.harmonics import HarmonicField
@@ -171,7 +171,7 @@ class TestEigenvalues:
         assert (a.eigenfunction == b.eigenfunction).all()
 
     def test_applications_guard(self, slice_mesh, graph_mesh):
-        """A k = 1 solve takes 11 shift-invert applications on a level-5 slice
+        """A solve takes 11 shift-invert applications on a level-5 slice
         (its first convergence test, at a full 10-vector basis) and 16 on the
         level-5 test graph (one implicit restart), with seeds 0 and 7."""
         assert first_eigenvalue_meanzero(assemble(slice_mesh(1.0, 5), 1)).iterations <= 12
@@ -216,9 +216,11 @@ class TestEigenvalues:
             assert err.value.residual == np.inf   # no eigenpair converged
 
     def test_bottom_spectrum_multiplicities(self, slice_mesh):
-        surf = slice_mesh(1.0, 5)
+        """The bottom ten of a level-4 slice (the solver seeks only the first;
+        the oracle finds ten to 0.41% of the closed form)."""
+        surf = slice_mesh(1.0, 4)
         pair = assemble(surf, 1)
-        values, vectors, _, residuals = smallest_eigenvalues_meanzero(pair, k=10)
+        values, vectors, _, residuals = smallest_eigenvalues_reference(pair, k=10)
         factor = np.tanh(1.0) / np.cosh(1.0) ** 2
         exact = np.array(sorted(l * (l + 1) * factor for l in (1, 2, 3) for _ in range(2 * l + 1))[:10])
         assert np.abs(values - exact).max() / exact.max() < 0.02
@@ -233,27 +235,29 @@ class TestEigenvalues:
 
 
 class TestSharedFactor:
-    """Inside ``shared_factor``, a shifted matrix that is a multiple of the
-    previous one reuses its LU factor; anything else is factored afresh."""
+    """Inside ``shared_spectrum``, a pencil that is a positive multiple of the
+    last one ARPACK solved takes its eigenpair scaled, with no factor and 0
+    applications; anything else is solved afresh."""
 
     @pytest.mark.parametrize("r", [0, 1])
     def test_slices_on_one_mesh_share_one_factor(self, slice_mesh, factors, r):
         pairs = [assemble(slice_mesh(s0, 4), r) for s0 in (0.3, 1.0, 1.9)]
         fresh = [first_eigenvalue_meanzero(pair) for pair in pairs]
         assert len(factors) == 3
-        with shared_factor():
+        with shared_spectrum():
             shared = [first_eigenvalue_meanzero(pair) for pair in pairs]
         assert len(factors) == 4
-        assert shared[0].lambda1 == fresh[0].lambda1     # the scope's first solve factors
+        assert shared[0].lambda1 == fresh[0].lambda1     # the scope's first solve is ARPACK's
+        assert shared[0].iterations == fresh[0].iterations > 0
+        assert [b.iterations for b in shared[1:]] == [0, 0]
         for a, b in zip(fresh, shared):
-            assert b.lambda1 == pytest.approx(a.lambda1, rel=1e-13, abs=0)
+            assert b.lambda1 == pytest.approx(a.lambda1, rel=1e-12, abs=0)
             assert b.residual < 1e-8
-            assert b.iterations == a.iterations
 
     def test_only_a_multiple_to_the_tolerance_shares(self, slice_mesh, factors):
-        """The test is max|A - alpha A_ref| <= 1e-13 max|A|: one diagonal entry
-        of K, about the largest entry of A, moved by 1e-14 relative shares the
-        factor, moved by 1e-10 does not."""
+        """The test is max|A - ratio A_ref| <= 1e-13 max|A| for A = K and M: one
+        diagonal entry of K, about its largest entry, moved by 1e-14 relative is
+        carried, moved by 1e-10 is solved afresh."""
         pair = assemble(slice_mesh(1.0, 3), 1)
         doubled = replace(pair, stiffness=2.0 * pair.stiffness, mass=2.0 * pair.mass)
 
@@ -262,36 +266,71 @@ class TestSharedFactor:
             stiffness[5, 5] *= 1.0 + rel
             return replace(doubled, stiffness=stiffness)
 
-        with shared_factor():
+        with shared_spectrum():
             base = first_eigenvalue_meanzero(pair)
-            assert first_eigenvalue_meanzero(doubled).lambda1 == pytest.approx(base.lambda1, rel=1e-13, abs=0)
-            first_eigenvalue_meanzero(bumped(1e-14))
+            carried = first_eigenvalue_meanzero(doubled)
+            assert carried.lambda1 == pytest.approx(base.lambda1, rel=1e-13, abs=0)
+            assert carried.eigenfunction == pytest.approx(base.eigenfunction / np.sqrt(2.0), rel=1e-15)
+            assert first_eigenvalue_meanzero(bumped(1e-14)).iterations == 0
             assert len(factors) == 1
-            first_eigenvalue_meanzero(bumped(1e-10))
+            assert first_eigenvalue_meanzero(bumped(1e-10)).iterations > 0
             assert len(factors) == 2
+
+    def test_a_ratio_not_positive_is_not_carried(self, slice_mesh):
+        pair = assemble(slice_mesh(1.0, 3), 1)
+        solved = first_eigenvalue_meanzero(pair)
+        same = _carried(pair, solved, pair, np.inf)
+        assert (same.lambda1, same.iterations) == (solved.lambda1, 0)
+        assert np.array_equal(same.eigenfunction, solved.eigenfunction)
+        for flipped in (replace(pair, stiffness=-pair.stiffness), replace(pair, mass=-pair.mass)):
+            assert _carried(pair, solved, flipped, np.inf) is None
+
+    def test_a_carried_pair_must_pass_the_residual_test(self, slice_mesh, factors):
+        """K's diagonal moved by +-4e-14 relative keeps the pencil a multiple to
+        the tolerance, but the carried pair's residual on it is 2.3e-12: at
+        tol = 1e-11 it is carried, at tol = 1e-12 the pencil is solved afresh."""
+        pair = assemble(slice_mesh(1.0, 3), 1)
+        k = pair.stiffness
+        signs = np.where(np.random.default_rng(0).random(pair.nvertices) < 0.5, -1.0, 1.0)
+        jittered = (k + diags(4e-14 * signs * k.diagonal())).tocsr()
+        jittered.sort_indices()
+        op = replace(pair, stiffness=2.0 * jittered, mass=2.0 * pair.mass)
+        with shared_spectrum():
+            first_eigenvalue_meanzero(pair)
+            carried = first_eigenvalue_meanzero(op, tol=1e-11)
+            assert carried.iterations == 0 and 1e-12 < carried.residual < 1e-11
+        with shared_spectrum():
+            first_eigenvalue_meanzero(pair)
+            solved = first_eigenvalue_meanzero(op, tol=1e-12)
+        assert solved.iterations > 0 and solved.residual < 1e-12
+        assert len(factors) == 3
+        assert solved.lambda1 == pytest.approx(carried.lambda1, rel=1e-12, abs=0)
 
     def test_graph_after_slice_is_factored_afresh(self, slice_mesh, graph_mesh, factors):
         slice_pair = assemble(slice_mesh(1.0, 4), 1)
         graph_pair = assemble(graph_mesh(1.0, GRAPH, 4), 1)
         assert (slice_pair.stiffness.indices == graph_pair.stiffness.indices).all()
         alone = first_eigenvalue_meanzero(graph_pair)
-        with shared_factor():
+        with shared_spectrum():
             first_eigenvalue_meanzero(slice_pair)
             scoped = first_eigenvalue_meanzero(graph_pair)
         assert len(factors) == 3
         assert scoped.lambda1 == alone.lambda1
+        assert scoped.iterations == alone.iterations
         assert (scoped.eigenfunction == alone.eigenfunction).all()
 
     def test_no_factor_outlives_its_scope(self, slice_mesh, factors):
+        """A scope holds a solved pencil and its eigenpair, never a factor; an
+        inner scope starts empty and leaves the outer one's pencil held."""
         pair = assemble(slice_mesh(1.0, 3), 1)
         first_eigenvalue_meanzero(pair)
         assert factors.held() == []
-        with shared_factor():
+        with shared_spectrum():
             first_eigenvalue_meanzero(pair)
-            assert factors.held() == [1]
-            with shared_factor():               # an inner scope holds its own
-                first_eigenvalue_meanzero(pair)
-            assert factors.held() == [1]
+            assert factors.held() == []
+            with shared_spectrum():
+                assert first_eigenvalue_meanzero(pair).iterations > 0
+            assert first_eigenvalue_meanzero(pair).iterations == 0
         assert len(factors) == 3
         assert factors.held() == []
 

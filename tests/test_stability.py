@@ -219,6 +219,15 @@ class TestInvariants:
         assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
         assert (np.log2(gaps[:-1] / gaps[1:]) >= 1.9).all()
 
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_graph_convergence_order(self, graph_mesh, r):
+        # graphs have no closed form, but successive lambda1 differences over
+        # levels 3/4/5 shrink by 4 (h^2) too: 3.994 at r = 0 and at r = 1
+        terms = ((2, 0, 0.05), (3, 1, 0.02))
+        lam = [first_eigenvalue_meanzero(assemble(graph_mesh(1.0, terms, level), r)).lambda1
+               for level in (3, 4, 5)]
+        assert (lam[0] - lam[1]) / (lam[1] - lam[2]) == pytest.approx(4.0, abs=0.5)
+
     def test_boost_of_axis_leaves_verdict_unchanged(self):
         # the (x0, x3) boost of rapidity 0.7 is an isometry of de Sitter space
         rapidity = 0.7

@@ -10,10 +10,12 @@ For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
 that moved (a report key, or a CSV column over its rows) and every text
 field that changed.  It ends with each tree's shift-invert applications
-(``stability.eigen_iterations``) summed over the ``report.txt`` files, and the
-change's largest ``eigen_residual`` as a fraction of its tolerance (a
-report's ``tol_solver``, or the workloads' ``SOLVER_TOL`` for a
-``sweep.csv`` row), so a cheaper eigensolve is shown with its safety margin.
+summed over the ``report.txt`` files (``stability.eigen_iterations``) and the
+``sweep.csv`` rows (``eigen_iterations``; "n/a" for a tree whose sweep.csv has
+no such column), the same without the sweeps, and the change's largest
+``eigen_residual`` as a fraction of its tolerance (a report's ``tol_solver``,
+or the workloads' ``SOLVER_TOL`` for a ``sweep.csv`` row), so a cheaper
+eigensolve is shown with its safety margin.
 Exit status 1 if an exit code or a verdict differs, if a first eigenvalue
 (the report's ``stability.lambda1``, the sweep's ``lambda1`` column) moved by
 more than ``LAMBDA1_RTOL`` relative, or if a change-side eigen_residual, in
@@ -111,10 +113,11 @@ def compare_file(parent: Path, change: Path) -> bool:
     return failed
 
 
-def solver_fields(out: Path) -> tuple[int, list[float]] | None:
-    """One run's summed ``stability.eigen_iterations`` (0 for a sweep, which
-    does not print them) and each of its ``eigen_residual`` / tolerance ratios
-    (nan for a skipped solve); None for a sweep.csv without eigen_residual."""
+def solver_fields(out: Path) -> tuple[int | None, list[float] | None]:
+    """One run's summed shift-invert applications (``stability.eigen_iterations``
+    of a report, the ``eigen_iterations`` column of a sweep) and each of its
+    ``eigen_residual`` / tolerance ratios (nan for a skipped solve); either is
+    None for a sweep.csv without its column."""
     report, sweep = out / "report.txt", out / "sweep.csv"
     if report.is_file():
         values = fields(report)
@@ -123,8 +126,10 @@ def solver_fields(out: Path) -> tuple[int, list[float]] | None:
             values.get("stability.eigen_residual", []), values.get("stability.tol_solver", []))]
     if not sweep.is_file():
         return 0, []                # no output at all, which compare_file reports
-    residuals = fields(sweep).get("eigen_residual")
-    return None if residuals is None else (0, [float(res) / SOLVER_TOL for res in residuals])
+    columns = fields(sweep)
+    iterations, residuals = columns.get("eigen_iterations"), columns.get("eigen_residual")
+    return (None if iterations is None else sum(int(v) for v in iterations),
+            None if residuals is None else [float(res) / SOLVER_TOL for res in residuals])
 
 
 def main(argv: list[str]) -> int:
@@ -137,7 +142,8 @@ def main(argv: list[str]) -> int:
             print(f"{side} tree {src} holds no lorstab package", file=sys.stderr)
             return 2
     failed = False
-    iterations = dict.fromkeys(trees, 0)
+    reports = dict.fromkeys(trees, 0)       # applications summed over report.txt
+    sweeps: dict[str, int | None] = dict.fromkeys(trees, 0)     # and over sweep.csv
     worst_ratio = 0.0
     with tempfile.TemporaryDirectory() as scratch:
         for workload in WORKLOADS:
@@ -155,20 +161,24 @@ def main(argv: list[str]) -> int:
                 for name in case.outputs:
                     failed |= compare_file(base / "parent" / name, base / "change" / name)
                 for side in trees:
-                    solves = solver_fields(base / side)
-                    if solves is None:
+                    count, ratios = solver_fields(base / side)
+                    if case.outputs[0] != "sweep.csv":
+                        reports[side] += count
+                    elif sweeps[side] is not None:
+                        sweeps[side] = None if count is None else sweeps[side] + count
+                    if ratios is None:
                         if side == "change":
                             print("  sweep.csv: no eigen_residual column on the change side")
                             failed = True
                         continue
-                    count, ratios = solves
-                    iterations[side] += count
                     if side == "change" and ratios:
                         worst_ratio = max(worst_ratio, *ratios)
                         if any(ratio >= 1.0 for ratio in ratios):
                             print(f"  {case.outputs[0]}: change-side eigen_residual at or above its tolerance")
                             failed = True
-    print(f"eigen_iterations summed over report.txt: {iterations['parent']} -> {iterations['change']}")
+    total = {side: "n/a" if sweeps[side] is None else reports[side] + sweeps[side] for side in trees}
+    print(f"eigen_iterations summed over report.txt and sweep.csv: {total['parent']} -> {total['change']} "
+          f"(report.txt alone: {reports['parent']} -> {reports['change']})")
     print(f"largest change-side eigen_residual / tolerance (reports and sweep rows): {worst_ratio:.3g}")
     print("FAIL: an exit code or a verdict differs, a lambda1 moved above "
           f"{LAMBDA1_RTOL:g}, or an eigen_residual is missing or not below its tolerance" if failed
