@@ -71,11 +71,9 @@ EXIT_CONFIG = 4
 
 
 def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str, object]]]:
-    if config.n != 2:
-        raise ConfigError("key 'n': meshed analysis requires n = 2 (other n: algebra layer only)", key="n")
     extra: list[tuple[str, object]] = []
     if config.scenario == "slice":
-        surface = build_slice(config.n, config.s0, axis=config.axis_array).meshed(config.level)
+        surface = build_slice(config.s0, level=config.level, axis=config.axis_array)
     elif config.scenario == "graph":
         surface = build_graph(
             config.s0, perturbations=config.perturbations,
@@ -176,6 +174,9 @@ _SWEEP_HEADER = [
 
 
 def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_dir: str | Path) -> int:
+    if config.scenario == "mesh-file":
+        raise ConfigError("key 'scenario': a mesh-file surface has no s0, level or amplitude to sweep",
+                          key="scenario")
     if param not in ("s0", "level", "amplitude"):
         raise ConfigError(f"key '--param': expected s0, level or amplitude, got '{param}'", key="--param")
     if param == "amplitude" and not config.perturbations:

@@ -34,7 +34,6 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     scenario: str
     r: int
-    n: int = 2
     s0: float | None = None
     axis: tuple[float, ...] | None = None
     perturbations: tuple[tuple[int, int, float], ...] = ()
@@ -54,7 +53,7 @@ class ScenarioConfig:
     def axis_array(self) -> np.ndarray:
         if self.axis is not None:
             return np.array(self.axis, dtype=float)
-        a = np.zeros(self.n + 2)
+        a = np.zeros(4)
         a[-1] = 1.0
         return a
 
@@ -132,7 +131,7 @@ def parse_config(text: str) -> ScenarioConfig:
     pairs = {k: v for k, v in pairs.items() if v != "none" or k not in ("s0", "mesh_file", "perturbations")}
 
     known = {
-        "scenario", "n", "r", "s0", "axis", "perturbations", "level", "mesh_file",
+        "scenario", "r", "s0", "axis", "perturbations", "level", "mesh_file",
         "mesh_fit_lmax", "tol_gap", "tol_const", "solver_tol", "checks",
         "killing_u", "killing_v", "fd_h", "seed",
     }
@@ -167,12 +166,15 @@ def parse_config(text: str) -> ScenarioConfig:
     if "r" not in pairs:
         raise ConfigError("missing required key 'r'", key="r")
 
-    n = take_int("n", 2)
-    if scenario in ("graph", "mesh-file") and n != 2:
-        raise ConfigError(f"key 'n': scenario '{scenario}' fixes n = 2", key="n")
     r = take_int("r")
-    if not 0 <= r <= n - 1:
-        raise ConfigError(f"key 'r': need 0 <= r <= n-1 = {n - 1}, got {r}", key="r")
+    if not 0 <= r <= 1:
+        raise ConfigError(f"key 'r': need 0 <= r <= 1, got {r}", key="r")
+
+    # a key the scenario's surface does not read would be reported but not used
+    if scenario == "mesh-file" and "s0" in pairs:
+        raise ConfigError("key 's0': scenario 'mesh-file' takes its surface from mesh_file", key="s0")
+    if scenario != "graph" and "perturbations" in pairs:
+        raise ConfigError(f"key 'perturbations': scenario '{scenario}' has no perturbations", key="perturbations")
 
     s0 = take_float("s0")
     if scenario in ("slice", "graph") and s0 is None:
@@ -183,8 +185,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     axis = parse_reals("axis", pairs["axis"]) if "axis" in pairs else None
     if axis is not None:
-        if len(axis) != n + 2:
-            raise ConfigError(f"key 'axis': expected {n + 2} components", key="axis")
+        if len(axis) != 4:
+            raise ConfigError("key 'axis': expected 4 components", key="axis")
         try:
             ConformalFieldSpec(a=axis)
         except ValueError as err:
@@ -203,8 +205,8 @@ def parse_config(text: str) -> ScenarioConfig:
     killing_u = parse_reals("killing_u", pairs["killing_u"]) if "killing_u" in pairs else (1.0, 0.0, 0.0, 0.0)
     killing_v = parse_reals("killing_v", pairs["killing_v"]) if "killing_v" in pairs else None
     for key, vec in (("killing_u", killing_u), ("killing_v", killing_v)):
-        if vec is not None and len(vec) != n + 2:
-            raise ConfigError(f"key '{key}': expected {n + 2} components", key=key)
+        if vec is not None and len(vec) != 4:
+            raise ConfigError(f"key '{key}': expected 4 components", key=key)
 
     fd_h = take_float("fd_h", 1e-3)
     if not 0 < fd_h <= 5e-3:
@@ -212,7 +214,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario=scenario,
-        n=n,
         r=r,
         s0=s0,
         axis=axis,

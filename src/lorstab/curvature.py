@@ -1,160 +1,28 @@
-"""Pointwise algebra of the shape operator.
+"""Algebra of the shape operator, on a stack of points.
 
-Elementary symmetric functions of principal curvatures, normalized mean
-curvatures, Newton transformations and their trace identities, the
-stability constant entering the eigenvalue criterion, and the integrand
-polynomial / constant of the generalized area functional.  Everything here
-is exact value-level algebra, valid for any dimension ``n`` and any ambient
+The kernels compute, per point, the elementary symmetric functions of the
+principal curvatures, the Newton transformations P_r and the traces that
+enter the stability constant c*tr(P_r) - tr(A^2 P_r); ``r_area_integrand``
+and ``variation_constant`` give the integrand and the additive constant of
+the generalized area functional.  Only these kernels are written for any
+dimension ``n`` (the pipeline calls them at n = 2) and any ambient
 curvature ``c``; no mesh or discretization enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
-
 import numpy as np
 
 __all__ = [
-    "ShapeSpectrum",
-    "CurvatureTable",
-    "NewtonTransform",
-    "elementary_symmetric",
-    "curvature_table",
-    "newton_transform",
-    "newton_traces",
-    "stability_constant",
+    "batched_elementary",
+    "batched_newton",
+    "batched_newton_traces",
+    "batched_eigvalsh2",
     "r_area_integrand",
     "variation_constant",
 ]
 
-_SYM_RTOL = 1e-12
 _LAPACK_EPS = np.finfo(float).eps / 2     # LAPACK's dlamch('E'), the unit roundoff
-_CHARPOLY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ShapeSpectrum:
-    """Shape operator at one point: eigenvalues and/or a symmetric matrix.
-
-    Either representation may be given; when both are present they must
-    describe the same operator (matching characteristic polynomials).
-    The matrix is expressed in an orthonormal tangent frame.
-    """
-
-    n: int
-    eigenvalues: tuple[float, ...] | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.eigenvalues is None and self.matrix is None:
-            raise ValueError("ShapeSpectrum needs eigenvalues or a matrix")
-        if self.eigenvalues is not None:
-            object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
-            if len(self.eigenvalues) != self.n:
-                raise ValueError(f"expected {self.n} eigenvalues, got {len(self.eigenvalues)}")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
-            scale = max(1.0, float(np.abs(m).max()))
-            if float(np.abs(m - m.T).max()) > _SYM_RTOL * scale:
-                raise ValueError("shape operator matrix is not symmetric")
-            object.__setattr__(self, "matrix", (m + m.T) / 2.0)
-        if self.eigenvalues is not None and self.matrix is not None:
-            got, want = batched_elementary(np.stack([self.eigenvalues, np.linalg.eigvalsh(self.matrix)]))
-            scale = np.maximum(1.0, np.abs(want))
-            if float(np.abs(got - want).max() / scale.max()) > _CHARPOLY_RTOL:
-                raise ValueError("eigenvalue and matrix representations disagree")
-
-    def values(self) -> np.ndarray:
-        """Principal curvatures, ascending."""
-        if self.eigenvalues is not None:
-            return np.sort(np.array(self.eigenvalues, dtype=float))
-        return np.linalg.eigvalsh(self.matrix)
-
-    def operator(self) -> np.ndarray:
-        """The operator as a symmetric matrix (diagonal if only eigenvalues given)."""
-        if self.matrix is not None:
-            return self.matrix
-        return np.diag(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class CurvatureTable:
-    """All orders at once: elementary symmetric values, normalized mean
-    curvatures, and the integer trace factors (n-r)*C(n,r)."""
-
-    n: int
-    elementary: tuple[float, ...]      # sigma_r of the principal curvatures, r = 0..n
-    mean: tuple[float, ...]            # (-1)^r * elementary[r] / C(n,r)
-    trace_factor: tuple[int, ...]      # (n-r)*C(n,r), r = 0..n
-
-
-@dataclass(frozen=True)
-class NewtonTransform:
-    """One Newton transformation: order and matrix in the frame of A."""
-
-    r: int
-    matrix: np.ndarray
-
-
-def elementary_symmetric(values, r: int) -> float:
-    """r-th elementary symmetric polynomial of ``values``: ``batched_elementary``
-    on a one-row stack.  sigma_0 = 1."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if not 0 <= r <= n:
-        raise ValueError(f"order r={r} out of range [0, {n}]")
-    return float(batched_elementary(values.reshape(1, -1))[0, r])
-
-
-def curvature_table(shape: ShapeSpectrum) -> CurvatureTable:
-    """Elementary symmetric values and mean curvatures of a shape operator.
-
-    mean[r] satisfies C(n,r) * mean[r] = (-1)^r * elementary[r], i.e. it is
-    the r-th elementary symmetric mean of the negated principal curvatures.
-    """
-    n = shape.n
-    s = batched_elementary(shape.values()[None])[0]
-    h = np.array([(-1.0) ** r * s[r] / comb(n, r) for r in range(n + 1)])
-    b = tuple((n - r) * comb(n, r) for r in range(n + 1))
-    return CurvatureTable(n=n, elementary=tuple(s), mean=tuple(h), trace_factor=b)
-
-
-def newton_transform(shape: ShapeSpectrum, r: int) -> NewtonTransform:
-    """r-th Newton transformation of the shape operator: ``batched_newton``
-    on a one-row stack.
-
-    P_0 = I and P_r = (-1)^r sigma_r I + A P_{r-1}; shares eigenvectors with
-    A, and P_n vanishes (Cayley-Hamilton).
-    """
-    n = shape.n
-    if not 0 <= r <= n:
-        raise ValueError(f"order r={r} out of range [0, {n}]")
-    a = shape.operator()[None]
-    p = batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r)
-    return NewtonTransform(r=r, matrix=p[0])
-
-
-def newton_traces(shape: ShapeSpectrum, r: int) -> tuple[float, float, float]:
-    """(tr P_r, tr A P_r, tr A^2 P_r): ``batched_newton_traces`` on a one-row stack.
-
-    Contract: these equal the closed forms (-1)^r (n-r) sigma_r,
-    (-1)^r (r+1) sigma_{r+1} and (-1)^r (sigma_1 sigma_{r+1}
-    - (r+2) sigma_{r+2}), with sigma past index n read as zero.
-    """
-    n = shape.n
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"order r={r} out of range [0, {n - 1}]")
-    traces = batched_newton_traces(shape.operator()[None], newton_transform(shape, r).matrix[None])
-    return tuple(float(x) for x in traces[0])
-
-
-def stability_constant(shape: ShapeSpectrum, c: float, r: int) -> float:
-    """The constant compared against the first eigenvalue: c*tr(P_r) - tr(A^2 P_r)."""
-    tr_p, _, tr_a2p = newton_traces(shape, r)
-    return c * tr_p - tr_a2p
 
 
 def r_area_integrand(sigma, c: float, r: int):
@@ -201,7 +69,7 @@ def variation_constant(n: int, c: float, r: int) -> float:
 
 # ---------------------------------------------------------------------------
 # the kernels: sigma, P_r and the traces are computed here and only here, on
-# a stack of points; the pointwise functions above call them on a one-row stack
+# a stack of points
 
 def batched_elementary(eigs: np.ndarray) -> np.ndarray:
     """sigma_0..sigma_n per row of an (V, n) eigenvalue array -> (V, n+1).

@@ -32,7 +32,6 @@ def _config_lines(config: ScenarioConfig) -> list[str]:
     ku = " ".join(fmt(x) for x in config.killing_u)
     rows = [
         ("scenario", config.scenario),
-        ("n", config.n),
         ("r", config.r),
         ("s0", config.s0),
         ("axis", axis),

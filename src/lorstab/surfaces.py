@@ -1,9 +1,9 @@
 """Closed spacelike surfaces in the unit hyperquadric.
 
-Two families: totally umbilical slices of the warped chart (any dimension,
-fully closed-form) and height graphs over the unit 2-sphere (meshed).  For
-graphs the first and second fundamental data are computed analytically from
-the harmonic height expansion and sampled at the vertices of a shared
+Height graphs over the unit 2-sphere; a totally umbilical slice of the
+warped chart is the graph of a constant height, with no perturbation.  The
+first and second fundamental data are computed analytically from the
+harmonic height expansion and sampled at the vertices of a shared
 ``SphereMesh`` (by default one per icosphere level), which only carries
 integration and finite elements.
 
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import comb, gamma, pi
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .curvature import ShapeSpectrum, batched_eigvalsh2, batched_elementary, curvature_table
+from .curvature import batched_eigvalsh2, batched_elementary
 from .harmonics import HarmonicField, harmonic_basis
 from .lorentz import (
     ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, mdot_axis0, minkowski_metric,
@@ -35,7 +34,6 @@ from .mesh import SphereMesh, icosphere, load_mesh, validate_closed_oriented  # 
 
 __all__ = [
     "GraphConstructionError",
-    "SliceSurface",
     "GraphSurface",
     "GeometryCache",
     "build_slice",
@@ -44,7 +42,6 @@ __all__ = [
     "tangential_gradient",
     "surface_from_mesh_file",
     "scatter_p1",
-    "sphere_area",
 ]
 
 
@@ -56,51 +53,10 @@ class GraphConstructionError(ValueError):
         self.vertex = vertex
 
 
-def sphere_area(n: int) -> float:
-    """Surface measure of the unit n-sphere."""
-    return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
-
-
-def _default_axis(n: int) -> np.ndarray:
-    a = np.zeros(n + 2)
+def _default_axis() -> np.ndarray:
+    a = np.zeros(4)
     a[-1] = 1.0
     return a
-
-
-@dataclass(frozen=True)
-class SliceSurface:
-    """Totally umbilical leaf of the warped chart at height s0 (any n)."""
-
-    n: int
-    s0: float
-    axis: ConformalFieldSpec
-
-    @property
-    def umbilicity_factor(self) -> float:
-        return -np.tanh(self.s0)
-
-    def shape_spectrum(self) -> ShapeSpectrum:
-        return ShapeSpectrum(n=self.n, eigenvalues=(self.umbilicity_factor,) * self.n)
-
-    def curvature_table(self):
-        """Closed form: mean curvature of order r equals tanh(s0)^r."""
-        return curvature_table(self.shape_spectrum())
-
-    def area(self) -> float:
-        return sphere_area(self.n) * np.cosh(self.s0) ** self.n
-
-    def laplace_eigenvalue(self, l: int = 1) -> float:
-        """Laplace-Beltrami eigenvalue l(l+n-1) of the round sphere, scaled to radius cosh(s0)."""
-        return l * (l + self.n - 1) / np.cosh(self.s0) ** 2
-
-    def operator_eigenvalue(self, r: int, l: int = 1) -> float:
-        """Closed-form eigenvalue of the order-r operator on the slice."""
-        return comb(self.n - 1, r) * np.tanh(self.s0) ** r * self.laplace_eigenvalue(l)
-
-    def meshed(self, level: int) -> "GraphSurface":
-        if self.n != 2:
-            raise ValueError("meshed slices are only available for n = 2")
-        return build_graph(self.s0, perturbations=(), level=level, axis=self.axis.a)
 
 
 @dataclass
@@ -243,7 +199,7 @@ def build_graph(
     ``jets`` given (a flow snapshot's) replaces the first.
     """
     height = HarmonicField(constant=float(s0), terms=tuple(perturbations))
-    axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
+    axis = _default_axis() if axis is None else np.asarray(axis, dtype=float)
     spec = ConformalFieldSpec(a=axis)
     mesh = _icosphere_mesh(level) if mesh is None else mesh
     return _graph_from_jets(height, spec, mesh, height.jets(mesh.q) if jets is None else jets)
@@ -330,10 +286,9 @@ def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: Sphe
     return GraphSurface(height=height, axis=spec, mesh=mesh, cache=cache)
 
 
-def build_slice(n: int, s0: float, axis: np.ndarray | None = None) -> SliceSurface:
-    """Totally umbilical slice at height s0; closed-form geometry for any n."""
-    axis = _default_axis(n) if axis is None else np.asarray(axis, dtype=float)
-    return SliceSurface(n=n, s0=float(s0), axis=ConformalFieldSpec(a=axis))
+def build_slice(s0: float, level: int = 4, axis: np.ndarray | None = None) -> GraphSurface:
+    """Totally umbilical slice at height s0: the unperturbed graph, A = -tanh(s0) I."""
+    return build_graph(s0, (), level=level, axis=axis)
 
 
 def support_function(surface: GraphSurface, spec: ConformalFieldSpec | KillingFieldSpec) -> np.ndarray:
@@ -379,7 +334,7 @@ def surface_from_mesh_file(
     the family within ``fit_tol`` are rejected.
     """
     vertices, faces = load_mesh(path)
-    axis = _default_axis(2) if axis is None else np.asarray(axis, dtype=float)
+    axis = _default_axis() if axis is None else np.asarray(axis, dtype=float)
     frame_map = orthonormal_completion(axis)
     j = minkowski_metric(4)
     inv = j @ frame_map.T @ j

@@ -5,7 +5,6 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import lorstab.fem
-from lorstab.curvature import ShapeSpectrum
 from lorstab.surfaces import GraphSurface, build_graph, build_slice
 
 
@@ -17,7 +16,7 @@ def slice_mesh():
     def get(s0: float = 1.0, level: int = 4) -> GraphSurface:
         key = (s0, level)
         if key not in cache:
-            cache[key] = build_slice(2, s0).meshed(level)
+            cache[key] = build_slice(s0, level=level)
         return cache[key]
 
     return get
@@ -66,5 +65,6 @@ def rng():
 
 
 def random_shape(rng, n):
+    """A random symmetric (n, n) shape operator."""
     m = rng.uniform(-3.0, 3.0, size=(n, n))
-    return ShapeSpectrum(n=n, matrix=(m + m.T) / 2.0)
+    return (m + m.T) / 2.0

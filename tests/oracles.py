@@ -2,7 +2,7 @@
 
 Most functions here are an earlier, plainer form of a library routine that
 was later rewritten for speed; they compute the same quantity by the direct
-method, so the tests can check the fast routine against them.  The last five
+method, so the tests can check the fast routine against them.  The last seven
 are independent cross-checks of the pipeline's geometry, operators and
 curvature algebra, built from the discrete mesh or a closed form rather than
 the analytic path.
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces, curvature_table
+from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces
 from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
@@ -434,16 +434,25 @@ def flow_rule_positions(variation, t):
     return np.cosh(tf)[:, None] * cache.vertices + np.sinh(tf)[:, None] * cache.normal
 
 
-def stability_constant_binomial(shape, c, r):
-    """Companion closed form of ``stability_constant`` in mean curvatures.
+def mean_curvatures_reference(a):
+    """Normalized mean curvatures H_0..H_n of a symmetric (n, n) shape operator,
+    C(n,r) H_r = (-1)^r sigma_r, with sigma_r read off the characteristic
+    polynomial: ``np.poly`` of the eigenvalues has coefficients (-1)^r sigma_r."""
+    n = a.shape[0]
+    return np.poly(np.linalg.eigvalsh(a)) / np.array([comb(n, r) for r in range(n + 1)])
+
+
+def stability_constant_binomial(a, c, r):
+    """Companion closed form of c*tr(P_r) - tr(A^2 P_r) in mean curvatures,
+    for a symmetric (n, n) shape operator ``a``.
 
     c(n-r)C(n,r)H_r - n H_1 C(n,r+1) H_{r+1} + (r+2) C(n,r+2) H_{r+2},
     with H past index n read as zero.  Must agree with the trace form.
     """
-    n = shape.n
+    n = a.shape[0]
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r={r} out of range [0, {n - 1}]")
-    h = list(curvature_table(shape).mean) + [0.0, 0.0]
+    h = list(mean_curvatures_reference(a)) + [0.0, 0.0]
     out = c * (n - r) * comb(n, r) * h[r]
     out -= n * h[1] * comb(n, r + 1) * h[r + 1]
     if r + 2 <= n:
@@ -456,3 +465,10 @@ def batched_stability_constant(a, c, r):
     the batched kernels from LAPACK eigenvalues."""
     traces = batched_newton_traces(a, batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r))
     return c * traces[:, 0] - traces[:, 2]
+
+
+def slice_operator_eigenvalue(s0, r):
+    """First nonzero eigenvalue of the order-r operator on the slice at height
+    s0 (n = 2), in closed form: P_r = C(1,r) tanh(s0)^r I on a round sphere of
+    radius cosh(s0), whose first Laplace eigenvalue is 2 / cosh(s0)^2."""
+    return comb(1, r) * np.tanh(s0) ** r * (2 / np.cosh(s0) ** 2)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lorstab.surfaces
 from lorstab.cli import main, run_scenario, sweep_scenario
 from lorstab.config import ConfigError, load_config, parse_config
 from lorstab.mesh import save_mesh
@@ -124,9 +125,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("run", SLICE + "perturbations = 2,0,0.05\n", "perturbations"),
+        ("run", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\ns0 = 1\n", "s0"),
+        ("sweep", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n", "scenario"),
+    ], ids=["slice-with-perturbations", "mesh-file-with-s0", "mesh-file-sweep"])
+    def test_key_the_surface_does_not_read_exits_four(self, tmp_path, capsys, command, text, key):
+        """A key that would be reported but change nothing is an error, not a
+        run or a sweep of constant rows."""
+        config = tmp_path / "config.txt"
+        config.write_text(text, encoding="utf-8")
+        extra = ["--param", "s0", "--values", "0.5,1"] if command == "sweep" else []
+        assert main([command, str(config), *extra, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key '{key}': ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        if command == "sweep":
+            with pytest.raises(ConfigError) as raised:
+                sweep_scenario(parse_config(text), "level", [3.0], tmp_path / "out")
+            assert raised.value.key == "scenario"
+
 
 MESH_FILE = "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n"
 NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
+PLAIN_GRAPH = "scenario = graph\nr = 1\ns0 = 1\nlevel = 3\n"
 
 # (key, config text): one rejected value per error site of parse_config,
 # _build_surface and _variation_battery
@@ -136,14 +158,12 @@ CONFIG_ERRORS = {
     "r-missing": ("r", "scenario = slice\ns0 = 1\n"),
     "r-not-integer": ("r", "scenario = slice\nr = 1.5\ns0 = 1\n"),
     "r-out-of-range": ("r", "scenario = slice\nr = 2\ns0 = 1\n"),
-    "n-not-integer": ("n", SLICE + "n = two\n"),
-    "n-graph": ("n", GRAPH + "n = 3\n"),
-    "n-mesh-file": ("n", MESH_FILE + "n = 3\n"),
-    "n-meshed-slice": ("n", SLICE + "n = 3\nkilling_u = 1 0 0 0 0\n"),
+    "n-removed": ("n", SLICE + "n = 2\n"),
     "s0-missing": ("s0", "scenario = graph\nr = 1\n"),
     "s0-not-number": ("s0", "scenario = slice\nr = 1\ns0 = high\n"),
     "s0-nan": ("s0", "scenario = slice\nr = 1\ns0 = nan\n"),
     "s0-inf": ("s0", "scenario = slice\nr = 1\ns0 = inf\n"),
+    "s0-on-mesh-file": ("s0", MESH_FILE + "s0 = 1\n"),
     "mesh_file-missing": ("mesh_file", "scenario = mesh-file\nr = 1\n"),
     "axis-length": ("axis", SLICE + "axis = 0 0 1\n"),
     "axis-parse": ("axis", SLICE + "axis = 0 0 0 one\n"),
@@ -153,11 +173,13 @@ CONFIG_ERRORS = {
     "killing_u-parse": ("killing_u", SLICE + "killing_u = 1 0 0 x\n"),
     "killing_v-length": ("killing_v", SLICE + "killing_v = 0 0 0 1 0\n"),
     "killing_v-parse": ("killing_v", SLICE + "killing_v = 0,0,0,y\n"),
-    "perturbations-not-triple": ("perturbations", SLICE + "perturbations = 2,0\n"),
-    "perturbations-parse": ("perturbations", SLICE + "perturbations = 2,x,0.1\n"),
-    "perturbations-not-finite": ("perturbations", SLICE + "perturbations = 2,0,inf\n"),
-    "perturbations-m-above-l": ("perturbations", SLICE + "perturbations = 2,5,0.1\n"),
-    "perturbations-l-negative": ("perturbations", SLICE + "perturbations = -1,0,0.1\n"),
+    "perturbations-not-triple": ("perturbations", PLAIN_GRAPH + "perturbations = 2,0\n"),
+    "perturbations-parse": ("perturbations", PLAIN_GRAPH + "perturbations = 2,x,0.1\n"),
+    "perturbations-not-finite": ("perturbations", PLAIN_GRAPH + "perturbations = 2,0,inf\n"),
+    "perturbations-m-above-l": ("perturbations", PLAIN_GRAPH + "perturbations = 2,5,0.1\n"),
+    "perturbations-l-negative": ("perturbations", PLAIN_GRAPH + "perturbations = -1,0,0.1\n"),
+    "perturbations-on-slice": ("perturbations", SLICE + "perturbations = 2,0,0.05\n"),
+    "perturbations-on-mesh-file": ("perturbations", MESH_FILE + "perturbations = 2,0,0.05\n"),
     "level-out-of-range": ("level", NO_LEVEL + "level = 7\n"),
     "level-not-integer": ("level", NO_LEVEL + "level = 4.5\n"),
     "checks-unknown": ("checks", SLICE + "checks = stability,bogus\n"),
@@ -324,7 +346,8 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 
 @st.composite
 def config_texts(draw):
-    """A valid n = 2 config, with every optional key present or absent."""
+    """A valid config, with every optional key its scenario reads present or
+    absent: perturbations only on a graph, s0 never on a mesh-file."""
     scenario = draw(st.sampled_from(("slice", "graph", "mesh-file")))
     lines = {"scenario": scenario, "r": draw(st.integers(0, 1))}
     optional = {
@@ -348,7 +371,10 @@ def config_texts(draw):
         "seed": st.integers(0, 2**63),
     }
     required = {"slice": ("s0",), "graph": ("s0",), "mesh-file": ("mesh_file",)}[scenario]
+    unread = {"slice": ("perturbations",), "graph": (), "mesh-file": ("s0", "perturbations")}[scenario]
     for key, values in optional.items():
+        if key in unread:
+            continue
         if key in required or draw(st.booleans()):
             lines[key] = draw(values)
     return "".join(f"{key} = {value}\n" for key, value in lines.items())
@@ -420,3 +446,25 @@ class TestBenchmarkTracerSites:
         for site in sites:
             owner_path, _, attr = site.rpartition(".")
             assert hasattr(tracer._resolve(owner_path), attr), site
+
+    def test_slice_paths_reach_the_surfaces_sites(self, tmp_path, monkeypatch):
+        """The traced benchmark requires calls at ``lorstab.surfaces.build_graph``
+        on its slice workloads: a slice run builds through it once, and a
+        sweep once per value."""
+        calls = []
+        build_graph = lorstab.surfaces.build_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(lorstab.surfaces, "build_graph", counting)
+        assert run(tmp_path, SLICE) == 0
+        assert len(calls) == 1
+        calls.clear()
+        config = tmp_path / "config.txt"
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "s0", "--values", "0.5,1", "--out", str(out)]) == 0
+        assert len(calls) == 2
+        for name in ("icosphere", "validate_closed_oriented"):
+            assert callable(getattr(lorstab.surfaces, name)), name

@@ -67,7 +67,7 @@ class TestAssembly:
         assert err <= 1e-8 * np.abs(k0.data).max()
 
     def test_equator_first_order_operator_vanishes(self):
-        pair = assemble(build_slice(2, 0.0).meshed(3), 1)
+        pair = assemble(build_slice(0.0, level=3), 1)
         top = np.abs(pair.stiffness.data).max() if pair.stiffness.nnz else 0.0
         assert top < 1e-14
         assert pair.min_newton_eig == pytest.approx(0.0, abs=1e-14)
@@ -142,7 +142,7 @@ class TestEigenvalues:
     def test_degenerate_zero_operator(self):
         """P_1 vanishes on the equator, so its stiffness is zero and has no
         first eigenvalue."""
-        pair = assemble(build_slice(2, 0.0).meshed(3), 1)
+        pair = assemble(build_slice(0.0, level=3), 1)
         with pytest.raises(SolverError, match="stiffness matrix is zero") as err:
             first_eigenvalue_meanzero(pair)
         assert err.value.residual is None
@@ -428,9 +428,9 @@ class TestEllipticityBookkeeping:
         """The flag's sign is the stiffness's: P_1 = 0 on the equator gives
         K = 0, and P_1 = -tanh(1) I on the past slice a negative semidefinite
         K, which the solver is never given."""
-        equator = assemble(build_slice(2, 0.0).meshed(3), 1)
+        equator = assemble(build_slice(0.0, level=3), 1)
         assert equator.min_newton_eig == 0.0 and not equator.stiffness.data.any()
-        past = assemble(build_slice(2, -1.0).meshed(3), 1)
+        past = assemble(build_slice(-1.0, level=3), 1)
         assert past.min_newton_eig < 0.0
         rng = np.random.default_rng(4)
         for _ in range(10):

@@ -86,7 +86,7 @@ class TestConformalField:
         spec = ConformalFieldSpec(a=self.AXIS)
         v = ambient_field(spec, np.array([1.0, 0.0, 0.0, 0.0]))
         assert v == pytest.approx(self.AXIS)
-        assert analyze(build_slice(2, 0.0).meshed(3), 1).psi_min_abs == 0.0
+        assert analyze(build_slice(0.0, level=3), 1).psi_min_abs == 0.0
 
     def test_factor_is_sinh_of_height(self, rng):
         spec = ConformalFieldSpec(a=self.AXIS)
@@ -99,7 +99,7 @@ class TestConformalField:
             want = self.AXIS + np.sinh(s) * p
             assert ambient_field(spec, p) == pytest.approx(want, rel=1e-12, abs=1e-12)
         for s0 in (-1.2, 0.3, 1.5):
-            report = analyze(build_slice(2, s0).meshed(3), 1)
+            report = analyze(build_slice(s0, level=3), 1)
             assert report.psi_min_abs == pytest.approx(abs(np.sinh(s0)), rel=1e-12)
 
     def test_tangency(self, rng):

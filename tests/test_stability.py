@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from lorstab.curvature import ShapeSpectrum, stability_constant
 from lorstab.fem import assemble, first_eigenvalue_meanzero
 from lorstab.harmonics import SphericalHarmonic, harmonic_basis
 from lorstab.lorentz import ConformalFieldSpec, KillingFieldSpec
@@ -18,6 +17,7 @@ from lorstab.stability import (
     weighted_mass_matrix,
 )
 from lorstab.surfaces import build_graph, build_slice, support_function
+from oracles import slice_operator_eigenvalue, stability_constant_binomial
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 BOOST = KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=1.0)
@@ -35,7 +35,7 @@ class TestAnalyze:
         assert report.h_next_residual < 1e-10 and report.lambda_residual < 1e-10
 
     def test_equator_violates_hypotheses(self):
-        report = analyze(build_slice(2, 0.0).meshed(3), 1)
+        report = analyze(build_slice(0.0, level=3), 1)
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_mean == pytest.approx(0.0, abs=1e-14)
         assert report.psi_min_abs == pytest.approx(0.0, abs=1e-12)
@@ -43,7 +43,7 @@ class TestAnalyze:
         assert np.isnan(report.lambda1) and report.eigen.iterations == 0
 
     def test_past_slice_r0_violates_positivity(self):
-        report = analyze(build_slice(2, -1.0).meshed(3), 0)
+        report = analyze(build_slice(-1.0, level=3), 0)
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_max < 0
         assert report.chronology == "past"
@@ -51,7 +51,7 @@ class TestAnalyze:
     def test_past_slice_r1_violates_ellipticity(self):
         # P_1 = -tanh(1) I is negative definite: the spectrum of L_1 is
         # unbounded below, so its bottom decides nothing
-        report = analyze(build_slice(2, -1.0).meshed(3), 1)
+        report = analyze(build_slice(-1.0, level=3), 1)
         assert report.verdict == "hypotheses-violated"
         assert report.min_newton_eig == pytest.approx(-np.tanh(1.0), rel=1e-10)
         assert report.h_next_min > 0 and report.chronology == "past"
@@ -65,7 +65,7 @@ class TestAnalyze:
             raise AssertionError("a non-elliptic pencil was solved")
 
         monkeypatch.setattr("lorstab.stability.first_eigenvalue_meanzero", refuse)
-        report = analyze(build_slice(2, s0).meshed(3), 1)
+        report = analyze(build_slice(s0, level=3), 1)
         assert report.verdict == "hypotheses-violated"
         assert not report.min_newton_eig > 0.0
         assert np.isnan(report.lambda1) and np.isnan(report.gap) and np.isnan(report.eigen.residual)
@@ -177,7 +177,7 @@ class TestConformalIdentity:
         assert conformal_identity_check(surf, 1, spec) <= 5e-2
 
     def test_equator_reduction_exact(self):
-        surf = build_slice(2, 0.0).meshed(3)
+        surf = build_slice(0.0, level=3)
         spec = ConformalFieldSpec(a=AXIS)
         assert conformal_identity_check(surf, 0, spec) <= 1e-8
 
@@ -202,8 +202,8 @@ class TestStabilityField:
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
         field = stability_field(surf, 1)
         for idx in (0, 100, 500):
-            shape = ShapeSpectrum(n=2, matrix=surf.cache.shape[idx])
-            assert field[idx] == pytest.approx(stability_constant(shape, 1.0, 1), rel=1e-10)
+            want = stability_constant_binomial(surf.cache.shape[idx], 1.0, 1)
+            assert field[idx] == pytest.approx(want, rel=1e-10)
 
 
 class TestInvariants:
@@ -212,7 +212,7 @@ class TestInvariants:
     def test_slice_convergence_order(self, slice_mesh, r, s0):
         # P1 eigenvalues converge as h^2: both the lambda1 error against the
         # closed form and the report gap measure order 1.999 and 2.000
-        exact = build_slice(2, s0).operator_eigenvalue(r)
+        exact = slice_operator_eigenvalue(s0, r)
         reports = [analyze(slice_mesh(s0, level), r) for level in (3, 4, 5)]
         errors = np.array([abs(rep.eigen.lambda1 - exact) for rep in reports])
         gaps = np.array([abs(rep.gap) for rep in reports])

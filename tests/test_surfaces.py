@@ -1,10 +1,12 @@
 """Slice and graph surface construction, fundamental forms, and fields."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
-from lorstab.curvature import ShapeSpectrum
-from lorstab.fem import assemble
+from lorstab.curvature import batched_elementary
+from lorstab.fem import assemble, first_eigenvalue_meanzero
 from lorstab.harmonics import SphericalHarmonic
 from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot, minkowski_inner
 from lorstab.mesh import SphereMesh, icosphere, save_mesh
@@ -15,45 +17,47 @@ from lorstab.surfaces import (
     _hat_gradients,
     build_graph,
     build_slice,
-    sphere_area,
     support_function,
     scatter_p1,
     surface_from_mesh_file,
     tangential_gradient,
 )
-from oracles import scatter_p1_reference, shape_operator_mesh_estimate, tangential_gradient_reference
+from oracles import (
+    scatter_p1_reference, shape_operator_mesh_estimate, slice_operator_eigenvalue, tangential_gradient_reference,
+)
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 class TestSliceClosedForms:
-    def test_umbilicity_and_curvatures(self):
-        sl = build_slice(3, 1.0)
-        assert sl.umbilicity_factor == pytest.approx(-np.tanh(1.0))
-        table = sl.curvature_table()
+    """A slice is the unperturbed graph; its meshed data against the closed forms."""
+
+    def test_umbilicity_and_curvatures(self, slice_mesh):
+        cache = slice_mesh(1.0, 3).cache
+        assert np.abs(cache.shape_eigs + np.tanh(1.0)).max() < 1e-12
+        for r in range(3):
+            assert cache.mean[:, r] == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
+        # any n: C(n,r) H_r = (-1)^r sigma_r = C(n,r) tanh(s0)^r at A = -tanh(s0) I
+        s = batched_elementary(np.full((1, 3), -np.tanh(1.0)))[0]
         for r in range(4):
-            assert table.mean[r] == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
+            assert (-1.0) ** r * s[r] / comb(3, r) == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
 
     def test_equator_is_geodesic(self):
-        sl = build_slice(2, 0.0)
-        assert np.abs(sl.shape_spectrum().operator()).max() == 0.0
+        assert np.abs(build_slice(0.0, level=3).cache.shape).max() == 0.0
 
-    def test_reference_values(self):
-        sl = build_slice(2, 1.0)
-        assert sl.curvature_table().mean[1] == pytest.approx(0.76159, abs=1e-5)
-        assert sl.curvature_table().mean[2] == pytest.approx(0.58002, abs=1e-5)
+    def test_reference_values(self, slice_mesh):
+        mean = slice_mesh(1.0, 3).cache.mean
+        assert mean[:, 1] == pytest.approx(0.76159, abs=1e-5)
+        assert mean[:, 2] == pytest.approx(0.58002, abs=1e-5)
 
-    def test_area_and_eigenvalues(self):
-        sl = build_slice(2, 0.7)
-        assert sl.area() == pytest.approx(4 * np.pi * np.cosh(0.7) ** 2)
-        assert sl.laplace_eigenvalue() == pytest.approx(2 / np.cosh(0.7) ** 2)
-        assert sl.operator_eigenvalue(1) == pytest.approx(2 * np.tanh(0.7) / np.cosh(0.7) ** 2)
-        assert sphere_area(2) == pytest.approx(4 * np.pi)
-        assert sphere_area(3) == pytest.approx(2 * np.pi**2)
-
-    def test_meshed_requires_n2(self):
-        with pytest.raises(ValueError):
-            build_slice(3, 1.0).meshed(3)
+    def test_area_and_eigenvalues(self, slice_mesh):
+        surf = slice_mesh(0.7, 4)
+        assert surf.cache.area == pytest.approx(4 * np.pi * np.cosh(0.7) ** 2, rel=2e-3)
+        assert slice_operator_eigenvalue(0.7, 0) == pytest.approx(2 / np.cosh(0.7) ** 2)
+        assert slice_operator_eigenvalue(0.7, 1) == pytest.approx(2 * np.tanh(0.7) / np.cosh(0.7) ** 2)
+        for r in (0, 1):
+            lam = first_eigenvalue_meanzero(assemble(surf, r)).lambda1
+            assert lam == pytest.approx(slice_operator_eigenvalue(0.7, r), rel=1e-3)
 
 
 class TestMeshedSliceGeometry:
@@ -61,8 +65,8 @@ class TestMeshedSliceGeometry:
         surf = slice_mesh(1.0, 4)
         want = -np.tanh(1.0) * np.eye(2)
         assert np.abs(surf.cache.shape - want).max() < 1e-12
-        spectrum = ShapeSpectrum(n=2, matrix=surf.cache.shape[17])
-        assert spectrum.matrix == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(surf.cache.shape, surf.cache.shape.transpose(0, 2, 1))
+        assert surf.cache.shape[17] == pytest.approx(want, abs=1e-12)
 
     def test_cache_invariants(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
@@ -78,7 +82,7 @@ class TestMeshedSliceGeometry:
     def test_area_converges_quadratically(self):
         exact = 4 * np.pi * np.cosh(1.0) ** 2
         errs = [
-            abs(build_slice(2, 1.0).meshed(level).cache.area - exact) / exact
+            abs(build_slice(1.0, level=level).cache.area - exact) / exact
             for level in (3, 4, 5)
         ]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -94,7 +98,7 @@ class TestMeshedSliceGeometry:
     def test_rotated_axis_equivariance(self):
         axis = np.array([0.3, -0.1, 0.2, 1.2])
         axis = axis / np.sqrt(-minkowski_inner(axis, axis))
-        surf = build_slice(2, 1.0, axis=axis).meshed(3)
+        surf = build_slice(1.0, level=3, axis=axis)
         c = surf.cache
         assert np.abs(c.shape - (-np.tanh(1.0)) * np.eye(2)).max() < 1e-12
         assert np.abs(mdot(c.vertices, c.vertices) - 1.0).max() < 1e-12
@@ -150,7 +154,7 @@ class TestMeshShapeEstimate:
     def test_slice_convergence(self):
         errs = []
         for level in (3, 4, 5):
-            surf = build_slice(2, 1.0).meshed(level)
+            surf = build_slice(1.0, level=level)
             est = shape_operator_mesh_estimate(surf)
             errs.append(np.abs(est - surf.cache.shape).max())
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -182,7 +186,7 @@ class TestSupportFunction:
         assert np.abs(support_function(surf, spec)).max() < 1e-12
 
     def test_equator_unit_support(self):
-        surf = build_slice(2, 0.0).meshed(3)
+        surf = build_slice(0.0, level=3)
         eta = support_function(surf, surf.axis)
         assert np.abs(np.abs(eta) - 1.0).max() < 1e-12
 
@@ -247,7 +251,7 @@ class TestTangentialGradient:
     def test_linear_chart_field_first_order(self):
         errs = []
         for level in (3, 4):
-            surf = build_slice(2, 1.0).meshed(level)
+            surf = build_slice(1.0, level=level)
             q = surf.mesh.q
             values = 2.0 + 3.0 * q[:, 0] - q[:, 1]
             grad = tangential_gradient(surf, values)
@@ -294,7 +298,7 @@ class TestMeshFileSurfaces:
 class TestSharedMesh:
     def test_one_mesh_and_order_per_level(self):
         tilted = np.array([0.0, 0.0, np.sinh(0.3), np.cosh(0.3)])
-        sl = build_slice(2, 0.7).meshed(3)
+        sl = build_slice(0.7, level=3)
         graph = build_graph(1.2, perturbations=((2, 0, 0.05),), level=3, axis=tilted)
         assert graph.mesh is sl.mesh
         assert sl.mesh.level == 3
@@ -302,7 +306,7 @@ class TestSharedMesh:
         assert build_graph(1.0, level=4).mesh is not sl.mesh
 
     def test_one_pattern_per_mesh_shared_by_a_sweep(self):
-        surfaces = [build_slice(2, s0).meshed(3) for s0 in (0.5, 1.0, 2.0)]
+        surfaces = [build_slice(s0, level=3) for s0 in (0.5, 1.0, 2.0)]
         pattern = surfaces[0].mesh.pattern
         for surf in surfaces:
             assert surf.mesh.pattern is pattern
@@ -318,7 +322,7 @@ class TestSharedMesh:
                 array[:] = 0
 
     def test_explicit_mesh_used_as_given(self):
-        sl = build_slice(2, 1.0).meshed(3)
+        sl = build_slice(1.0, level=3)
         again = build_graph(1.0, level=5, mesh=sl.mesh)
         assert again.mesh is sl.mesh
         assert np.array_equal(again.cache.vertices, sl.cache.vertices)

@@ -40,7 +40,7 @@ class TestFlow:
     def test_unit_amplitude_translates_slices(self, slice_mesh):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
         snap = flow(var, 0.05)
-        want = build_slice(2, 1.05).meshed(3)
+        want = build_slice(1.05, level=3)
         assert np.abs(snap.cache.vertices - want.cache.vertices).max() < 1e-10
 
     def test_matches_flow_rule(self, slice_mesh):
@@ -189,7 +189,7 @@ class TestRArea:
         assert abs(r_area(surf, 1) - want) / want < 1e-3
 
     def test_equator_first_order_vanishes(self):
-        surf = build_slice(2, 0.0).meshed(3)
+        surf = build_slice(0.0, level=3)
         assert abs(r_area(surf, 1)) < 1e-12
 
 
@@ -237,7 +237,7 @@ class TestVolumeBalance:
         assert isinstance(volume_balance(var, 0.01), float)
 
     def test_base_fields_shared_by_amplitudes_and_calls(self):
-        base = build_slice(2, 1.0).meshed(3)
+        base = build_slice(1.0, level=3)
         const, y20 = (NormalVariation(base=base, amplitude=a) for a in (CONST, Y20))
         volume_balance(const, 0.01)
         fields = base._memo[("swept_volume",)]
