@@ -94,12 +94,6 @@ def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str
 
 
 def _variation_battery(surface: GraphSurface, config: ScenarioConfig) -> list[VariationCheck]:
-    if not surface.is_slice:
-        raise ConfigError(
-            "key 'checks': variation checks need a slice scenario (normal flows of graphs "
-            "leave the analytic family)",
-            key="checks",
-        )
     r = config.r
     h1 = config.fd_h
     h2 = 10.0 * config.fd_h
@@ -141,7 +135,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
         spec = KillingFieldSpec(
             u=np.array(config.killing_u), v=config.killing_v_array, k=1.0
         )
-        residual = killing_eigen_check(surface, config.r, spec, solver_tol=config.solver_tol)
+        residual = killing_eigen_check(surface, config.r, spec)
         eta = support_function(surface, spec)
         mean_frac = abs(float(np.sum(surface.cache.weights * eta))) / (
             surface.cache.area * max(float(np.abs(eta).max()), 1e-30)
@@ -254,6 +248,9 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "run":
             if args.level is not None:
+                if config.scenario == "mesh-file":
+                    raise ConfigError("key 'level': scenario 'mesh-file' takes its surface from mesh_file",
+                                      key="level")
                 config = dataclasses.replace(config, level=check_level(args.level))
             if args.seed is not None:
                 config = dataclasses.replace(config, seed=check_nonnegative("seed", args.seed))

@@ -37,7 +37,7 @@ class ScenarioConfig:
     s0: float | None = None
     axis: tuple[float, ...] | None = None
     perturbations: tuple[tuple[int, int, float], ...] = ()
-    level: int = 5
+    level: int | None = 5              # None for a mesh-file, whose mesh is read
     mesh_file: str | None = None
     mesh_fit_lmax: int = 6
     tol_gap: float = 2e-2
@@ -127,8 +127,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"key '{key}' given twice", key=key)
         pairs[key] = value
 
-    # a report writes an absent s0, mesh_file or perturbations as "none"
-    pairs = {k: v for k, v in pairs.items() if v != "none" or k not in ("s0", "mesh_file", "perturbations")}
+    # a report writes an absent s0, mesh_file or perturbations as "none", and a mesh-file's level
+    absent = ("s0", "mesh_file", "perturbations") + (("level",) if pairs.get("scenario") == "mesh-file" else ())
+    pairs = {k: v for k, v in pairs.items() if v != "none" or k not in absent}
 
     known = {
         "scenario", "r", "s0", "axis", "perturbations", "level", "mesh_file",
@@ -171,8 +172,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"key 'r': need 0 <= r <= 1, got {r}", key="r")
 
     # a key the scenario's surface does not read would be reported but not used
-    if scenario == "mesh-file" and "s0" in pairs:
-        raise ConfigError("key 's0': scenario 'mesh-file' takes its surface from mesh_file", key="s0")
+    for key in ("s0", "level"):
+        if scenario == "mesh-file" and key in pairs:
+            raise ConfigError(f"key '{key}': scenario 'mesh-file' takes its surface from mesh_file", key=key)
     if scenario != "graph" and "perturbations" in pairs:
         raise ConfigError(f"key 'perturbations': scenario '{scenario}' has no perturbations", key="perturbations")
 
@@ -194,13 +196,17 @@ def parse_config(text: str) -> ScenarioConfig:
 
     perturbations = _parse_perturbations(pairs.get("perturbations", ""))
 
-    level = check_level(take_int("level", 5))
+    level = None if scenario == "mesh-file" else check_level(take_int("level", 5))
 
     checks_raw = pairs.get("checks", "stability")
     checks = tuple(c.strip() for c in checks_raw.split(",") if c.strip())
     for c in checks:
         if c not in _CHECKS:
             raise ConfigError(f"key 'checks': unknown check '{c}' (known: {_CHECKS})", key="checks")
+    # a graph without perturbations is a slice; the others leave the analytic family when flowed
+    if "variation" in checks and (scenario == "mesh-file" or perturbations):
+        raise ConfigError("key 'checks': variation checks need a slice scenario (normal flows of graphs "
+                          "leave the analytic family)", key="checks")
 
     killing_u = parse_reals("killing_u", pairs["killing_u"]) if "killing_u" in pairs else (1.0, 0.0, 0.0, 0.0)
     killing_v = parse_reals("killing_v", pairs["killing_v"]) if "killing_v" in pairs else None

@@ -5,8 +5,9 @@ principal curvatures, the Newton transformations P_r and the traces that
 enter the stability constant c*tr(P_r) - tr(A^2 P_r); ``r_area_integrand``
 and ``variation_constant`` give the integrand and the additive constant of
 the generalized area functional.  Only these kernels are written for any
-dimension ``n`` (the pipeline calls them at n = 2) and any ambient
-curvature ``c``; no mesh or discretization enters.
+dimension ``n`` and any ambient curvature ``c``; the pipeline calls them at
+n = 2 and c = 1 (de Sitter space), fixed in ``variation`` and ``stability``.
+No mesh or discretization enters.
 """
 
 from __future__ import annotations

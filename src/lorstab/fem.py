@@ -191,8 +191,8 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     ambient hat gradients of each block of faces.  The pair carries the
     mesh's nested-dissection order, ``SphereMesh.order``.
     """
-    if not 0 <= r <= surface.n - 1:
-        raise ValueError(f"order r={r} out of range [0, {surface.n - 1}]")
+    if r not in (0, 1):
+        raise ValueError(f"order r={r} out of range [0, 1]")
     key = ("operator", r)
     if key in surface._memo:
         return surface._memo[key]

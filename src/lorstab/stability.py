@@ -9,12 +9,14 @@ reported as its own outcome rather than mapped to "unstable".  The spectrum
 is computed only where P_r is positive definite: without ellipticity the
 discrete bottom eigenvalue of div(P_r grad) falls without bound as the mesh
 is refined, so lambda1 and the gap are nan there and nothing is solved.
+
+The ambient curvature c = 1 (de Sitter space) and the dimension n = 2, so
+r in {0, 1}, are fixed here, not passed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -91,12 +93,12 @@ class QuadraticFormSample:
     projected_mass_fraction: float
 
 
-def stability_field(surface: GraphSurface, r: int, c: float = 1.0) -> np.ndarray:
-    """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r), on the memoized P_r."""
-    key = ("stability_field", r, c)
+def stability_field(surface: GraphSurface, r: int) -> np.ndarray:
+    """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r) at c = 1, on the memoized P_r."""
+    key = ("stability_field", r)
     if key not in surface._memo:
         traces = batched_newton_traces(surface.cache.shape, newton_vertex_matrices(surface, r))
-        surface._memo[key] = c * traces[:, 0] - traces[:, 2]
+        surface._memo[key] = traces[:, 0] - traces[:, 2]
     return surface._memo[key]
 
 
@@ -120,8 +122,8 @@ def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
 def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()) -> StabilityReport:
     """Full stability analysis of a built surface at order r (ambient c = 1)."""
     cache = surface.cache
-    if not 0 <= r <= surface.n - 1:
-        raise ValueError(f"order r={r} out of range [0, {surface.n - 1}]")
+    if r not in (0, 1):
+        raise ValueError(f"order r={r} out of range [0, 1]")
 
     h_next = cache.mean[:, r + 1]
     h_next_mean = _weighted_mean(h_next, cache.weights)
@@ -217,8 +219,7 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
     return QuadraticFormSample(values=projected, value=value, scale=scale, projected_mass_fraction=frac)
 
 
-def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec,
-                        solver_tol: float = 1e-8) -> float:
+def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -> float:
     """Weak eigen-defect of the Killing support function at the comparison constant."""
     eta = support_function(surface, spec)
     field = ambient_field(spec, surface.cache.vertices)
@@ -240,8 +241,7 @@ def conformal_identity_check(surface: GraphSurface, r: int, spec: ConformalField
     gradient.
     """
     cache = surface.cache
-    n = surface.n
-    b_r = (n - r) * comb(n, r)
+    b_r = 2                                      # (n - r) C(n, r) at n = 2, for r = 0 and r = 1
 
     eta = support_function(surface, spec)
     p = cache.vertices

@@ -44,6 +44,8 @@ __all__ = [
     "scatter_p1",
 ]
 
+_FIT_TOL = 1e-6     # largest height residual of a mesh accepted as a harmonic graph
+
 
 class GraphConstructionError(ValueError):
     """Construction failed; carries the worst offending vertex."""
@@ -101,8 +103,6 @@ class GraphSurface:
     mesh: SphereMesh
     cache: GeometryCache
     _memo: dict = field(default_factory=dict, repr=False)
-
-    n: int = 2
 
     @property
     def s0(self) -> float:
@@ -324,14 +324,13 @@ def surface_from_mesh_file(
     path: str | Path,
     axis: np.ndarray | None = None,
     fit_lmax: int = 6,
-    fit_tol: float = 1e-6,
 ) -> tuple[GraphSurface, float]:
     """Load a mesh and rebuild it as a member of the harmonic height family.
 
     The vertex heights over the axis sphere are least-squares fitted by
     harmonics up to ``fit_lmax``; returns the surface (using the file's own
     connectivity) and the max fit residual.  Meshes that are not graphs in
-    the family within ``fit_tol`` are rejected.
+    the family within ``_FIT_TOL`` are rejected.
     """
     vertices, faces = load_mesh(path)
     axis = _default_axis() if axis is None else np.asarray(axis, dtype=float)
@@ -351,11 +350,11 @@ def surface_from_mesh_file(
     design = np.column_stack([np.ones(len(s))] + [h.value(q) for h in basis])
     coef, *_ = np.linalg.lstsq(design, s, rcond=None)
     residual = float(np.abs(design @ coef - s).max())
-    if residual > fit_tol:
+    if residual > _FIT_TOL:
         worst = int(np.argmax(np.abs(design @ coef - s)))
         raise GraphConstructionError(
             f"mesh is not a harmonic height graph (fit residual {residual:.3g} "
-            f"at vertex {worst}, limit {fit_tol:.3g})",
+            f"at vertex {worst}, limit {_FIT_TOL:.3g})",
             vertex=worst,
         )
     terms = tuple(

@@ -1,6 +1,10 @@
 """Normal-variation flows and finite-difference verification of the
 variational formulas.
 
+The ambient curvature c = 1 (de Sitter space) and the dimension n = 2 are
+fixed here, not passed in; flows run for |t| <= ``_T_MAX``, and swept
+volumes take ``_N_TIME`` Simpson intervals in time.
+
 A variation moves every point along its geodesic normal line with a
 prescribed amplitude:  X_t(p) = cosh(t f(p)) p + sinh(t f(p)) N(p).
 For a slice base this flow lands exactly on the height graph s0 + t*f, so
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -43,12 +46,10 @@ from .surfaces import GraphConstructionError, GraphSurface, build_graph
 __all__ = [
     "FlowError",
     "NormalVariation",
-    "FunctionalTrace",
     "VariationCheck",
     "flow",
     "r_area",
     "volume_balance",
-    "functional_trace",
     "verify_first_variation",
     "verify_sr_evolution",
     "verify_second_variation",
@@ -61,11 +62,14 @@ __all__ = [
 # TestVolumeBalance::test_sign_flips_with_amplitude)
 _ORIENTATION = -1.0
 
+_T_MAX = 0.1        # largest |t| a flow or a swept volume is taken at
+_N_TIME = 16        # Simpson intervals in time of ``volume_balance`` (even)
+
 
 class FlowError(RuntimeError):
     """A flow snapshot could not be built at time ``t``.
 
-    ``vertex`` is None when |t| exceeds ``t_max``.  When spacelikeness is
+    ``vertex`` is None when |t| exceeds ``_T_MAX``.  When spacelikeness is
     lost, it is the vertex with the smallest margin cosh^2(u) - |grad u|^2 of
     the flowed height u = s0 + t f (or, should every vertex pass, a vertex of
     the face with the most negative induced metric).
@@ -83,7 +87,6 @@ class NormalVariation:
 
     base: GraphSurface
     amplitude: HarmonicField
-    t_max: float = 0.1
 
     def __post_init__(self):
         if not self.base.is_slice:
@@ -117,22 +120,9 @@ class VariationCheck:
     max_error: float = float("nan")
 
 
-@dataclass(frozen=True)
-class FunctionalTrace:
-    h: float
-    t_nodes: np.ndarray
-    area_values: np.ndarray
-    volume_values: np.ndarray
-    jacobi_values: np.ndarray
-    lambda_lagrange: float
-    first_central: float
-    first_wide: float
-    second_central: float
-    second_wide: float
-
-    @property
-    def richardson_second(self) -> float:
-        return abs(self.second_central - self.second_wide) / 3.0
+def _check_time(t: float) -> None:
+    if abs(t) > _T_MAX:
+        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {_T_MAX:.3g}", t=t)
 
 
 def flow(variation: NormalVariation, t: float) -> GraphSurface:
@@ -145,10 +135,9 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
     spacelike where |grad u| = |t grad f| < cosh(s0 + t f), checked at the
     vertices; where |t grad f| >= cosh(s0 + t f) at some vertex, FlowError is
     raised naming the vertex with the smallest margin cosh^2(u) - |grad u|^2.
-    |t| > t_max raises FlowError with ``vertex`` None.
+    |t| > ``_T_MAX`` raises FlowError with ``vertex`` None.
     """
-    if abs(t) > variation.t_max:
-        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
+    _check_time(t)
     base = variation.base
     if t == 0.0:
         return base
@@ -164,9 +153,9 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
                         vertex=err.vertex) from err
 
 
-def r_area(surface: GraphSurface, r: int, c: float = 1.0) -> float:
+def r_area(surface: GraphSurface, r: int) -> float:
     """Order-r area functional: vertex quadrature of F_r against the area weights."""
-    return float(np.sum(surface.cache.weights * r_area_integrand(surface.cache.sigma, c, r)))
+    return float(np.sum(surface.cache.weights * r_area_integrand(surface.cache.sigma, 1.0, r)))
 
 
 # 4x4 Laplace expansion along columns 0-1: the minor of rows (i, j) meets the
@@ -252,7 +241,7 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def volume_balance(variation: NormalVariation, t, n_time: int = 16):
+def volume_balance(variation: NormalVariation, t):
     """Signed swept volume between the base and the flowed surface.
 
     ``t`` is one time or a sequence of times; a sequence gives an array with
@@ -266,11 +255,10 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
 
     Direct quadrature of the pullback of the ambient volume form over
     base x [0, t]: edge-midpoint rule on faces (M = 3 points per face),
-    composite Simpson in time on n_time intervals (at least 2; an odd count
-    is rounded up).  The element at each point is sign(det4) sqrt|det3|,
-    where det4 = det(d1, d2, dt, phi) orients the two edge derivatives, the
-    time derivative and the flowed point, and det3 is the Lorentz Gram
-    determinant of (d1, d2, dt).
+    composite Simpson in time on ``_N_TIME`` intervals.  The element at each
+    point is sign(det4) sqrt|det3|, where det4 = det(d1, d2, dt, phi) orients
+    the two edge derivatives, the time derivative and the flowed point, and
+    det3 is the Lorentz Gram determinant of (d1, d2, dt).
 
     Both reduce to scalar algebra in ch, sh = cosh, sinh(tau f).  With
     phi = ch p + sh N, ray = sh p + ch N and a_k = ch dp_k + sh dn_k, the
@@ -295,23 +283,19 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
     identities are linear algebra and hold at the quadrature points, which
     are not on the hyperquadric (there det3 = -det4^2 would hold).
     """
-    if n_time < 2:
-        raise ValueError(f"n_time = {n_time} must be at least 2 (Simpson intervals in time)")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     for tt in times:
-        if abs(tt) > variation.t_max:
-            raise FlowError(f"|t| = {abs(tt):.3g} exceeds t_max = {variation.t_max:.3g}", t=float(tt))
+        _check_time(float(tt))
     volumes = np.zeros(times.size)
     nonzero = np.flatnonzero(times)
     if nonzero.size:
         fq, q, det3 = _swept_volume_fields(variation)
-        n_time += n_time % 2
-        simpson = np.ones(n_time + 1)
+        simpson = np.ones(_N_TIME + 1)
         simpson[1:-1:2] = 4.0
         simpson[2:-1:2] = 2.0
         sums = {}                   # tau -> sum of f * element over the quadrature points
         for k in nonzero:
-            h_t = times[k] / n_time
+            h_t = times[k] / _N_TIME
             total = 0.0
             for node, w_t in enumerate(simpson * (h_t / 3.0)):
                 tau = node * h_t
@@ -328,60 +312,24 @@ def volume_balance(variation: NormalVariation, t, n_time: int = 16):
     return float(volumes[0]) if np.ndim(t) == 0 else volumes
 
 
-def functional_trace(
-    variation: NormalVariation,
-    r: int,
-    c: float = 1.0,
-    h: float = 1e-3,
-    lambda_lagrange: float | None = None,
-) -> FunctionalTrace:
-    """Area, volume, and constrained functional on the 5-point stencil."""
-    base = variation.base
-    if lambda_lagrange is None:
-        n = base.n
-        b_r = (n - r) * comb(n, r)
-        h_next_mean = float(
-            np.sum(base.cache.weights * base.cache.mean[:, r + 1]) / base.cache.area
-        )
-        lambda_lagrange = variation_constant(n, c, r) + b_r * h_next_mean
-
-    t_nodes = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
-
-    areas = np.array([r_area(flow(variation, t), r, c) for t in t_nodes])
-    volumes = volume_balance(variation, t_nodes)
-    jacobi = areas - lambda_lagrange * volumes
-
-    first = (jacobi[3] - jacobi[1]) / (2.0 * h)
-    first_wide = (jacobi[4] - jacobi[0]) / (4.0 * h)
-    second = (jacobi[3] - 2.0 * jacobi[2] + jacobi[1]) / (h * h)
-    second_wide = (jacobi[4] - 2.0 * jacobi[2] + jacobi[0]) / (4.0 * h * h)
-    return FunctionalTrace(
-        h=h,
-        t_nodes=t_nodes,
-        area_values=areas,
-        volume_values=volumes,
-        jacobi_values=jacobi,
-        lambda_lagrange=float(lambda_lagrange),
-        first_central=first,
-        first_wide=first_wide,
-        second_central=second,
-        second_wide=second_wide,
-    )
+def _lagrange_constant(base: GraphSurface, r: int) -> float:
+    """Lagrange multiplier of the volume constraint, c_r + b_r mean(H_{r+1}):
+    the first variation of the order-r area is the integral of
+    (c_r + b_r H_{r+1}) f, with c_r = ``variation_constant`` and
+    b_r = (n - r) C(n, r), which is 2 at n = 2 for both r = 0 and r = 1."""
+    h_next_mean = float(np.sum(base.cache.weights * base.cache.mean[:, r + 1]) / base.cache.area)
+    return variation_constant(2, 1.0, r) + 2 * h_next_mean
 
 
-def verify_first_variation(
-    variation: NormalVariation, r: int, c: float = 1.0, h: float = 1e-3
-) -> VariationCheck:
+def verify_first_variation(variation: NormalVariation, r: int, h: float = 1e-3) -> VariationCheck:
     """Central difference of the order-r area against its first-variation formula."""
     base = variation.base
     t_nodes = [-2.0 * h, -h, h, 2.0 * h]
-    areas = [r_area(flow(variation, t), r, c) for t in t_nodes]
+    areas = [r_area(flow(variation, t), r) for t in t_nodes]
     fd = (areas[2] - areas[1]) / (2.0 * h)
     fd_wide = (areas[3] - areas[0]) / (4.0 * h)
 
-    sigma = base.cache.sigma
-    padded = np.zeros(sigma.shape[0]) if r + 1 > base.n else sigma[:, r + 1]
-    integrand = (-1.0) ** (r + 1) * (r + 1) * padded + variation_constant(base.n, c, r)
+    integrand = (-1.0) ** (r + 1) * (r + 1) * base.cache.sigma[:, r + 1] + variation_constant(2, 1.0, r)
     f = variation.values()
     rhs = float(np.sum(base.cache.weights * integrand * f))
     scale = max(abs(fd), abs(rhs), float(np.sum(base.cache.weights * np.abs(integrand) * np.abs(f))), 1e-30)
@@ -429,11 +377,10 @@ def verify_sr_evolution(variation: NormalVariation, r: int, h: float = 1e-3) -> 
     )
 
 
-def verify_second_variation(
-    variation: NormalVariation, r: int, c: float = 1.0, h: float = 1e-2
-) -> VariationCheck:
-    """Second difference of the constrained functional against the
-    second-variation quadratic form; the amplitude must be mean-zero."""
+def verify_second_variation(variation: NormalVariation, r: int, h: float = 1e-2) -> VariationCheck:
+    """Second difference of the constrained functional J = A_r - lambda V on
+    the stencil {-2h, -h, 0, h, 2h} against the second-variation quadratic
+    form; the amplitude must be mean-zero."""
     base = variation.base
     f = variation.values()
     w = base.cache.weights
@@ -441,9 +388,13 @@ def verify_second_variation(
     if mean_frac > 1e-8:
         raise ValueError("second-variation amplitudes must be mean-zero")
 
-    trace = functional_trace(variation, r, c, h)
+    t_nodes = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
+    areas = np.array([r_area(flow(variation, t), r) for t in t_nodes])
+    jacobi = areas - _lagrange_constant(base, r) * volume_balance(variation, t_nodes)
+    fd = (jacobi[3] - 2.0 * jacobi[2] + jacobi[1]) / (h * h)
+    fd_wide = (jacobi[4] - 2.0 * jacobi[2] + jacobi[0]) / (4.0 * h * h)
+
     sample = jacobi_second_variation(base, r, f)
-    fd = trace.second_central
     scale = max(sample.scale, 1e-30)
     return VariationCheck(
         check="second_variation",
@@ -452,7 +403,7 @@ def verify_second_variation(
         lhs=fd,
         rhs=sample.value,
         rel_error=abs(fd - sample.value) / scale,
-        richardson=trace.richardson_second,
+        richardson=abs(fd - fd_wide) / 3.0,
     )
 
 

@@ -19,7 +19,7 @@ from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_resi
 from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _LEAF, _icosahedron
-from lorstab.variation import _ORIENTATION, FlowError, _swept_volume_fields, _swept_volume_forms
+from lorstab.variation import _ORIENTATION, _T_MAX, FlowError, _swept_volume_fields, _swept_volume_forms
 
 
 def _poly_values(poly, q):
@@ -149,8 +149,8 @@ def volume_balance_reference(variation, t, n_time=16):
     and Simpson node, on (M, 4) point-major arrays."""
     if t == 0.0:
         return 0.0
-    if abs(t) > variation.t_max:
-        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
+    if abs(t) > _T_MAX:
+        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {_T_MAX:.3g}", t=t)
     cache = variation.base.cache
     faces = variation.base.mesh.faces
     f_vertex = variation.values()
@@ -209,8 +209,8 @@ def volume_balance_quadratic_reference(variation, t, n_time=16):
     then the 3x3 Gram determinant by cofactors."""
     if t == 0.0:
         return 0.0
-    if abs(t) > variation.t_max:
-        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {variation.t_max:.3g}", t=t)
+    if abs(t) > _T_MAX:
+        raise FlowError(f"|t| = {abs(t):.3g} exceeds t_max = {_T_MAX:.3g}", t=t)
     fq, _, _ = _swept_volume_fields(variation)
     coef = _swept_volume_forms(variation.base)
     n_time += n_time % 2
@@ -399,7 +399,7 @@ def strong_form_check(surface, r, test_field, battery=None):
         raise ValueError("analytic operator action is only closed-form on slices")
     cache = surface.cache
     pair = assemble(surface, r)
-    factor = comb(surface.n - 1, r) * np.tanh(surface.s0) ** r
+    factor = comb(1, r) * np.tanh(surface.s0) ** r
     radius2 = np.cosh(surface.s0) ** 2
 
     q = surface.mesh.q

@@ -128,11 +128,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, text, key", [
         ("run", SLICE + "perturbations = 2,0,0.05\n", "perturbations"),
         ("run", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\ns0 = 1\n", "s0"),
+        ("run", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\nlevel = 3\n", "level"),
+        ("run", GRAPH + "checks = stability,variation\n", "checks"),
         ("sweep", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n", "scenario"),
-    ], ids=["slice-with-perturbations", "mesh-file-with-s0", "mesh-file-sweep"])
+    ], ids=["slice-with-perturbations", "mesh-file-with-s0", "mesh-file-with-level", "graph-with-variation",
+            "mesh-file-sweep"])
     def test_key_the_surface_does_not_read_exits_four(self, tmp_path, capsys, command, text, key):
-        """A key that would be reported but change nothing is an error, not a
-        run or a sweep of constant rows."""
+        """A key that would be reported but change nothing, or a check the
+        surface cannot take, is an error before any output, not a run or a
+        sweep of constant rows."""
         config = tmp_path / "config.txt"
         config.write_text(text, encoding="utf-8")
         extra = ["--param", "s0", "--values", "0.5,1"] if command == "sweep" else []
@@ -145,13 +149,18 @@ class TestExitCodes:
                 sweep_scenario(parse_config(text), "level", [3.0], tmp_path / "out")
             assert raised.value.key == "scenario"
 
+    def test_level_override_on_mesh_file_exits_four(self, tmp_path, capsys):
+        assert run(tmp_path, MESH_FILE, "--level", "6") == 4
+        assert capsys.readouterr().err == (
+            "config error: key 'level': scenario 'mesh-file' takes its surface from mesh_file\n")
+        assert not (tmp_path / "out").exists()
+
 
 MESH_FILE = "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n"
 NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
 PLAIN_GRAPH = "scenario = graph\nr = 1\ns0 = 1\nlevel = 3\n"
 
-# (key, config text): one rejected value per error site of parse_config,
-# _build_surface and _variation_battery
+# (key, config text): one rejected value per error site of parse_config
 CONFIG_ERRORS = {
     "scenario-missing": ("scenario", "r = 1\ns0 = 1\n"),
     "scenario-invalid": ("scenario", "scenario = cone\nr = 1\ns0 = 1\n"),
@@ -182,8 +191,11 @@ CONFIG_ERRORS = {
     "perturbations-on-mesh-file": ("perturbations", MESH_FILE + "perturbations = 2,0,0.05\n"),
     "level-out-of-range": ("level", NO_LEVEL + "level = 7\n"),
     "level-not-integer": ("level", NO_LEVEL + "level = 4.5\n"),
+    "level-on-mesh-file": ("level", MESH_FILE + "level = 3\n"),
+    "level-none-on-slice": ("level", NO_LEVEL + "level = none\n"),
     "checks-unknown": ("checks", SLICE + "checks = stability,bogus\n"),
     "checks-variation-on-graph": ("checks", GRAPH + "checks = variation\n"),
+    "checks-variation-on-mesh-file": ("checks", MESH_FILE + "checks = variation\n"),
     "fd_h-out-of-range": ("fd_h", SLICE + "fd_h = 0.01\n"),
     "fd_h-not-number": ("fd_h", SLICE + "fd_h = small\n"),
     "mesh_fit_lmax-not-integer": ("mesh_fit_lmax", SLICE + "mesh_fit_lmax = 6.0\n"),
@@ -347,9 +359,11 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 @st.composite
 def config_texts(draw):
     """A valid config, with every optional key its scenario reads present or
-    absent: perturbations only on a graph, s0 never on a mesh-file."""
+    absent: perturbations only on a graph, s0 and level never on a mesh-file,
+    the variation check only on a slice."""
     scenario = draw(st.sampled_from(("slice", "graph", "mesh-file")))
     lines = {"scenario": scenario, "r": draw(st.integers(0, 1))}
+    checks = ("stability", "killing", "conformal") + (("variation",) if scenario == "slice" else ())
     optional = {
         "s0": REALS.map(repr),
         "axis": st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(
@@ -363,15 +377,14 @@ def config_texts(draw):
         "tol_gap": POSITIVE.map(repr),
         "tol_const": POSITIVE.map(repr),
         "solver_tol": POSITIVE.map(repr),
-        "checks": st.lists(st.sampled_from(("stability", "killing", "conformal", "variation")),
-                           unique=True).map(",".join),
+        "checks": st.lists(st.sampled_from(checks), unique=True).map(",".join),
         "killing_u": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
         "killing_v": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
         "fd_h": st.floats(min_value=0.0, max_value=5e-3, exclude_min=True).map(repr),
         "seed": st.integers(0, 2**63),
     }
     required = {"slice": ("s0",), "graph": ("s0",), "mesh-file": ("mesh_file",)}[scenario]
-    unread = {"slice": ("perturbations",), "graph": (), "mesh-file": ("s0", "perturbations")}[scenario]
+    unread = {"slice": ("perturbations",), "graph": (), "mesh-file": ("s0", "level", "perturbations")}[scenario]
     for key, values in optional.items():
         if key in unread:
             continue
@@ -402,7 +415,7 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("text, absent", [
         (SLICE, ("mesh_file", "perturbations")),
-        (MESH_FILE, ("s0", "perturbations")),
+        (MESH_FILE, ("s0", "level", "perturbations")),
     ], ids=["slice", "mesh-file"])
     def test_absent_values_round_trip_as_none(self, text, absent):
         config = parse_config(text)

@@ -73,8 +73,9 @@ class TestAssembly:
         assert pair.min_newton_eig == pytest.approx(0.0, abs=1e-14)
 
     def test_order_out_of_range(self, slice_mesh):
-        with pytest.raises(ValueError):
-            assemble(slice_mesh(1.0, 3), 2)
+        for r in (-1, 2):
+            with pytest.raises(ValueError, match=rf"order r={r} out of range \[0, 1\]"):
+                assemble(slice_mesh(1.0, 3), r)
 
     def test_order_shared_and_reduces_fill(self, graph_mesh):
         surf = graph_mesh(1.0, GRAPH, 5)

@@ -86,8 +86,9 @@ class TestAnalyze:
         assert report.tol_gap_effective == pytest.approx(2 * report.tol_gap)
 
     def test_order_out_of_range(self, slice_mesh):
-        with pytest.raises(ValueError):
-            analyze(slice_mesh(1.0, 3), 2)
+        for r in (-1, 2):
+            with pytest.raises(ValueError, match=rf"order r={r} out of range \[0, 1\]"):
+                analyze(slice_mesh(1.0, 3), r)
 
     def test_one_sided_bound_on_slices(self, slice_mesh):
         # mean-zero support function admissible -> constrained minimum below the constant
