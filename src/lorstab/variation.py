@@ -2,8 +2,7 @@
 variational formulas.
 
 The ambient curvature c = 1 (de Sitter space) and the dimension n = 2 are
-fixed here, not passed in; flows run for |t| <= ``_T_MAX``, and swept
-volumes take ``_N_TIME`` Simpson intervals in time.
+fixed here, not passed in; flows run for |t| <= ``_T_MAX``.
 
 A variation moves every point along its geodesic normal line with a
 prescribed amplitude:  X_t(p) = cosh(t f(p)) p + sinh(t f(p)) N(p).
@@ -11,35 +10,29 @@ For a slice base this flow lands exactly on the height graph s0 + t*f, so
 flowed snapshots stay inside the analytic family and their curvature
 fields are exact.  All first/second derivatives in t are taken by central
 differences on the symmetric stencil {-2h, -h, 0, h, 2h} and compared
-against the closed-form variation formulas evaluated by quadrature.
+against the closed-form variation formulas evaluated by quadrature.  The
+base memoizes its height's jets and a variation keeps its amplitude's, so a
+snapshot is built from base jets + t amplitude jets without evaluating
+harmonics.
 
-The balance-of-volume oracle integrates the pulled-back ambient volume
-form directly (Gram determinants of the flow differential), so it is
-independent of the first-variation lemma it is used to check.  Along a
-normal line the flowed point and its t-derivative span the same plane as
-(N, p), with ch = cosh(t f) and sh = sinh(t f) as the only t-dependence, so
-the orientation determinant is f times a quadratic form in (ch, sh) and the
-Gram determinant is f^2 times the determinant of a 3x3 matrix of such forms.
-With T = tanh(t f) they are f ch^2 q(T) and f^2 ch^6 D(T) for a quadratic q
-and a degree-6 polynomial D (see ``volume_balance``).  The base memoizes
-its height's jets and the coefficient fields of q and D, for every amplitude
-and call; a variation keeps its amplitude's jets, so a snapshot is built from
-base jets + t amplitude jets without evaluating harmonics.  A call of
-``volume_balance`` may take all the times of a stencil at once, and
-evaluates each distinct Simpson node once.
+The balance-of-volume oracle integrates the chart's volume form: in the
+warped chart (cosh s q, sinh s) the metric is -ds^2 + cosh^2 s g_{S^2}, so
+the volume swept between the heights u and u + t f is a sphere integral of
+the antiderivative of cosh^2 s, taken by a fixed Gauss-Legendre x trapezoid
+rule (``volume_balance``).  It uses neither the mesh nor the curvature, so
+it is independent of the first-variation lemma it is used to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .curvature import r_area_integrand, variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
-from .lorentz import mdot_axis0
 from .stability import jacobi_second_variation, stability_field
 from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
@@ -56,14 +49,7 @@ __all__ = [
     "volume_derivative_check",
 ]
 
-# orientation constant of the swept-volume element: chosen once so that the
-# outward face frame, the future normal, and the position vector count
-# positively (pinned by the closed-form slab volumes 4 pi int cosh^2 s ds in
-# TestVolumeBalance::test_sign_flips_with_amplitude)
-_ORIENTATION = -1.0
-
 _T_MAX = 0.1        # largest |t| a flow or a swept volume is taken at
-_N_TIME = 16        # Simpson intervals in time of ``volume_balance`` (even)
 
 
 class FlowError(RuntimeError):
@@ -158,87 +144,16 @@ def r_area(surface: GraphSurface, r: int) -> float:
     return float(np.sum(surface.cache.weights * r_area_integrand(surface.cache.sigma, 1.0, r)))
 
 
-# 4x4 Laplace expansion along columns 0-1: the minor of rows (i, j) meets the
-# complementary minor of rows (k, l) in columns 2-3 with sign (-1)^(i+j+1)
-_LAPLACE = (
-    (0, 1, 2, 3, 1.0), (0, 2, 1, 3, -1.0), (0, 3, 1, 2, 1.0),
-    (1, 2, 0, 3, 1.0), (1, 3, 0, 2, -1.0), (2, 3, 0, 1, 1.0),
-)
-
-
-def _det_np(a: np.ndarray, b: np.ndarray, cofactor) -> np.ndarray:
-    """det(a, b, N, p) for 4-vectors stored along axis 0, given the signed
-    complementary minors of (N, p)."""
-    return sum((a[i] * b[j] - a[j] * b[i]) * cof for i, j, cof in cofactor)
-
-
-def _swept_volume_forms(base: GraphSurface) -> np.ndarray:
-    """A (7, 3, M) array whose rows hold, for det(a1, a2, N, p) and the six
-    Gram entries of (a1, a2, ray), the coefficients of ch^2, ch sh and sh^2
-    (so also of 1, T and T^2 after division by ch^2) at each of the M = 3 F
-    quadrature points (ordered by edge, then face)."""
-    cache = base.cache
-    corners = base.mesh.faces.T                       # (3, F)
-    pos = cache.vertices.T[:, corners]                # (4, 3, F) corner values
-    nrm = cache.normal.T[:, corners]
-    # edge midpoints (v0 + v1)/2, (v1 + v2)/2, (v2 + v0)/2; the edge
-    # differences v1 - v0 and v2 - v0 are constant on a face
-    p = 0.5 * (pos + pos[:, [1, 2, 0]])
-    nv = 0.5 * (nrm + nrm[:, [1, 2, 0]])
-    dp = [(pos[:, k] - pos[:, 0])[:, None] for k in (1, 2)]     # (4, 1, F)
-    dn = [(nrm[:, k] - nrm[:, 0])[:, None] for k in (1, 2)]
-    cofactor = [(i, j, sign * (nv[k] * p[l] - nv[l] * p[k])) for i, j, k, l, sign in _LAPLACE]
-
-    def form(u, v):         # <ch u0 + sh u1, ch v0 + sh v1> as coefficients of ch^2, ch sh, sh^2
-        (u0, u1), (v0, v1) = u, v
-        return mdot_axis0(u0, v0), mdot_axis0(u0, v1) + mdot_axis0(u1, v0), mdot_axis0(u1, v1)
-
-    a1, a2, ray = (dp[0], dn[0]), (dp[1], dn[1]), (nv, p)
-    rows = (
-        (_det_np(dp[0], dp[1], cofactor),
-         _det_np(dp[0], dn[1], cofactor) + _det_np(dn[0], dp[1], cofactor),
-         _det_np(dn[0], dn[1], cofactor)),
-        form(a1, a1), form(a1, a2), form(a1, ray), form(a2, a2), form(a2, ray), form(ray, ray),
-    )
-    coef = np.empty((7, 3) + corners.shape)
-    for k, terms in enumerate(rows):
-        coef[k] = terms
-    return coef.reshape(7, 3, -1)
-
-
-def _swept_volume_fields(variation: NormalVariation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The t-independent data of ``volume_balance``: f at the M quadrature
-    points, and the coefficient fields of q (3, M) and D (7, M), lowest degree
-    first; those two depend only on the base and are memoized on it."""
-    base = variation.base
-    if ("swept_volume",) not in base._memo:
-        q, g11, g12, g13, g22, g23, g33 = _swept_volume_forms(base)
-        det3 = (_polymul(g11, _polymul(g22, g33) - _polymul(g23, g23))
-                - _polymul(g12, _polymul(g12, g33) - _polymul(g23, g13))
-                + _polymul(g13, _polymul(g12, g23) - _polymul(g22, g13)))
-        base._memo[("swept_volume",)] = (q.copy(), det3)
-    amp = variation.values()[base.mesh.faces.T]        # (3, F) corner values
-    return (0.5 * (amp + amp[[1, 2, 0]])).ravel(), *base._memo[("swept_volume",)]
-
-
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two polynomials whose coefficient fields, lowest degree
-    first, run along axis 0."""
-    out = np.zeros((a.shape[0] + b.shape[0] - 1,) + a.shape[1:])
-    for i, ai in enumerate(a):
-        out[i:i + b.shape[0]] += ai * b
-    return out
-
-
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Polynomial of degree >= 1 with coefficient fields ``coef`` (lowest
-    degree first) at x, by Horner's rule in one buffer."""
-    acc = coef[-1] * x
-    for c in coef[-2:0:-1]:
-        acc += c
-        acc *= x
-    acc += coef[0]
-    return acc
+@cache
+def _sphere_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Unit points (3200, 3) and weights (3200,) of the product rule on S^2:
+    40 Gauss-Legendre nodes in cos(theta) times 80 trapezoid nodes in phi.
+    The weights sum to 4 pi; harmonics of degree below 80 integrate exactly."""
+    z, wz = np.polynomial.legendre.leggauss(40)
+    phi = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
+    rho = np.sqrt(1.0 - z * z)[:, None]
+    q = np.stack(np.broadcast_arrays(rho * np.cos(phi), rho * np.sin(phi), z[:, None]), axis=-1)
+    return q.reshape(-1, 3), np.repeat(wz * (2.0 * np.pi / phi.size), phi.size)
 
 
 def volume_balance(variation: NormalVariation, t):
@@ -253,62 +168,20 @@ def volume_balance(variation: NormalVariation, t):
     4 pi int cosh^2 s ds over [s0, s0 + t] for f = 1, and minus that over
     [s0 - t, s0] for f = -1; the slab above s0 is the larger.
 
-    Direct quadrature of the pullback of the ambient volume form over
-    base x [0, t]: edge-midpoint rule on faces (M = 3 points per face),
-    composite Simpson in time on ``_N_TIME`` intervals.  The element at each
-    point is sign(det4) sqrt|det3|, where det4 = det(d1, d2, dt, phi) orients
-    the two edge derivatives, the time derivative and the flowed point, and
-    det3 is the Lorentz Gram determinant of (d1, d2, dt).
-
-    Both reduce to scalar algebra in ch, sh = cosh, sinh(tau f).  With
-    phi = ch p + sh N, ray = sh p + ch N and a_k = ch dp_k + sh dn_k, the
-    edge derivatives are d_k = a_k + tau df_k ray and dt = f ray:
-      * det4: span(ray, phi) = span(N, p) with determinant 1, so the ray
-        terms of d_k drop out and
-        det4 = f (ch^2 D1 + ch sh D2 + sh^2 D3), where D1 = det(dp1, dp2, N, p),
-        D2 = det(dp1, dn2, N, p) + det(dn1, dp2, N, p), D3 = det(dn1, dn2, N, p);
-      * det3: subtracting multiples of dt leaves a_k, so
-        det3 = f^2 det Gram(a1, a2, ray), each Gram entry being
-        c0 ch^2 + c1 ch sh + c2 sh^2.
-    Dividing each quadratic form by ch^2 leaves a quadratic polynomial in
-    T = tanh(tau f): det4 = f ch^2 q(T) and det3 = f^2 ch^6 D(T), where q
-    has the coefficients (D1, D2, D3) and D, the determinant of the 3x3
-    matrix of quadratics, has degree 6.  The element is therefore
-    f sign(q(T)) ch^3 sqrt|D(T)|.  The coefficient fields of q and D depend
-    on neither t nor f: built by polynomial products on a base's first call,
-    they are memoized on the base.  Each Simpson node costs one tanh, one
-    cosh, two Horner passes and a signed square root on (M,) arrays, and a
-    call evaluates each distinct node tau = node h_t once (those of +-h are
-    the even nodes of +-2h bit for bit: 49 of a 5-time stencil's 68).  The
-    identities are linear algebra and hold at the quadrature points, which
-    are not on the hyperquadric (there det3 = -det4^2 would hold).
+    The snapshot at t is the height graph u + t f in the warped chart
+    (cosh s q, sinh s), whose volume form is cosh^2 s ds dA_{S^2}.  So the
+    volume is the ``_sphere_rule`` integral of F(u + t f) - F(u), with
+    F(s) = s / 2 + sinh(2 s) / 4, written as d / 2 + sinh(d) cosh(2 u + d) / 2
+    with d = t f so that small t does not cancel.  The mesh does not enter.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     for tt in times:
         _check_time(float(tt))
-    volumes = np.zeros(times.size)
-    nonzero = np.flatnonzero(times)
-    if nonzero.size:
-        fq, q, det3 = _swept_volume_fields(variation)
-        simpson = np.ones(_N_TIME + 1)
-        simpson[1:-1:2] = 4.0
-        simpson[2:-1:2] = 2.0
-        sums = {}                   # tau -> sum of f * element over the quadrature points
-        for k in nonzero:
-            h_t = times[k] / _N_TIME
-            total = 0.0
-            for node, w_t in enumerate(simpson * (h_t / 3.0)):
-                tau = node * h_t
-                if tau not in sums:
-                    x = tau * fq
-                    tanh = np.tanh(x)
-                    ch = np.cosh(x, out=x)
-                    elem = _horner(det3, tanh)          # then sign(q) ch^3 sqrt|D|, in place
-                    np.copysign(np.sqrt(np.abs(elem, out=elem), out=elem), _horner(q, tanh), out=elem)
-                    elem *= np.multiply(np.multiply(ch, ch, out=tanh), ch, out=tanh)
-                    sums[tau] = float(fq @ elem)
-                total += w_t * _ORIENTATION * sums[tau] / 6.0
-            volumes[k] = total
+    q, w = _sphere_rule()
+    u = variation.base.height.value(q)
+    d = times[:, None] * variation.amplitude.value(q)
+    # a row-wise sum, so that each time's volume is the same in any sequence
+    volumes = np.sum((0.5 * d + 0.5 * np.sinh(d) * np.cosh(2.0 * u + d)) * w, axis=1)
     return float(volumes[0]) if np.ndim(t) == 0 else volumes
 
 

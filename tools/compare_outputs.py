@@ -8,8 +8,9 @@ both trees run the workload's ``lorstab`` invocation on the same generated
 config, as fresh ``python -m lorstab.cli`` processes with one BLAS thread.
 For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
-that moved (a report key, or a CSV column over its rows) and every text
-field that changed.  It ends with each tree's shift-invert applications
+that moved (a report key, a CSV column over its rows, or in ``checks.csv``
+a column over one check's rows, such as ``volume_balance.rel_error``) and
+every text field that changed.  It ends with each tree's shift-invert applications
 summed over the ``report.txt`` files (``stability.eigen_iterations``) and the
 ``sweep.csv`` rows (``eigen_iterations``; "n/a" for a tree whose sweep.csv has
 no such column), the same without the sweeps, and the change's largest
@@ -52,13 +53,18 @@ def run(src: Path, argv: list[str]) -> int:
 
 def fields(path: Path) -> dict[str, list[str]]:
     """Values of each field in file order: every row's value of one CSV
-    column, or every value of one report key under its headers (such as
+    column, keyed by the row's check in a CSV with a ``check`` column (such
+    as ``volume_balance.rel_error``, over that check's rows), or every value
+    of one report key under its headers (such as
     ``variation.first_variation.rhs``, once per check block)."""
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".csv":
-        rows = list(csv.DictReader(text.splitlines()))
-        return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
     out: dict[str, list[str]] = {}
+    if path.suffix == ".csv":
+        for row in csv.DictReader(text.splitlines()):
+            prefix = f"{row.pop('check')}." if "check" in row else ""
+            for key, value in row.items():
+                out.setdefault(prefix + key, []).append(value)
+        return out
     headers: list[str] = []
     for line in text.splitlines():
         depth = (len(line) - len(line.lstrip())) // 2
