@@ -15,20 +15,33 @@ Importing this module sets ``OPENBLAS_NUM_THREADS=1`` before NumPy loads,
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set: the solver's
 vectors are too short to share (on 2 vCPUs, a six-slice level-5 sweep took
 1.4-2.2 s at OpenBLAS's default thread count against 0.76 s on one).
+
+Importing it also turns the cyclic garbage collector off while NumPy and SciPy
+import, then moves every object alive at that point into the permanent
+generation (``gc.freeze``) and turns the collector back on.  The imports leave
+about 70k objects that live as long as the process, and walking them was pure
+cost: ``import lorstab.cli`` ran 84 generation-0 and 7 generation-1
+collections (now one, while the interpreter loads this module's code), and a
+process that only imported it took a median 52-57 ms from its last statement
+to its exit against 14-18 ms frozen (7-10 ms for a bare interpreter).  A run
+allocates few cycles of its own and triggers no collection.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+
+gc.disable()
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import argparse
 import dataclasses
-import os
 import sys
 import time
 from math import log2
 from pathlib import Path
-
-if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -61,6 +74,9 @@ from .variation import (
     verify_sr_evolution,
     volume_derivative_check,
 )
+
+gc.freeze()
+gc.enable()
 
 __all__ = ["main", "run_scenario", "sweep_scenario"]
 
@@ -118,9 +134,17 @@ def _tolerances(config: ScenarioConfig) -> Tolerances:
                       solver=config.solver_tol, seed=config.seed)
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
+def _make_out_dir(out_dir: str | Path) -> Path:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"key '--out': cannot make directory {out}: {err.strerror}", key="--out") from err
+    return out
+
+
+def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
+    out = _make_out_dir(out_dir)
     t0 = time.perf_counter()
 
     surface, extra = _build_surface(config)
@@ -176,8 +200,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
     if param == "amplitude" and not config.perturbations:
         raise ConfigError("key 'perturbations': amplitude sweeps need at least one configured perturbation",
                           key="perturbations")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     t0 = time.perf_counter()
 
     def configure(value: float) -> ScenarioConfig:

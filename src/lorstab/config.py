@@ -254,4 +254,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {p} is not UTF-8: {err.reason} at byte {err.start}") from err
+    return parse_config(text)

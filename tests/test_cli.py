@@ -155,6 +155,26 @@ class TestExitCodes:
             "config error: key 'level': scenario 'mesh-file' takes its surface from mesh_file\n")
         assert not (tmp_path / "out").exists()
 
+    def test_config_not_utf8_exits_four(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_bytes(b"scenario = slice\nr = 1\ns0 = \xff\nlevel = 3\n")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"config error: config file {config} is not UTF-8: invalid start byte at byte 28\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("out, reason", [("file", "File exists"), ("file/out", "Not a directory")],
+                             ids=["existing-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_four(self, tmp_path, capsys, command, out, reason):
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE, encoding="utf-8")
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        extra = ["--param", "s0", "--values", "0.5,1"] if command == "sweep" else []
+        assert main([command, str(config), *extra, "--out", str(tmp_path / out)]) == 4
+        assert capsys.readouterr() == (
+            "", f"config error: key '--out': cannot make directory {tmp_path / out}: {reason}\n")
+
 
 MESH_FILE = "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n"
 NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
@@ -439,6 +459,32 @@ class TestBlasThreads:
         code = "import os, lorstab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == want
+
+
+class TestCollectorPolicy:
+    """``import lorstab.cli`` imports NumPy and SciPy with the cyclic collector
+    off, then freezes what they left and turns the collector back on.  Each
+    test runs in a fresh interpreter, as the two entry points do."""
+
+    def test_cli_import_freezes_and_reenables_the_collector(self):
+        src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
+        code = "import gc, lorstab.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["True", "True"]
+
+    def test_module_entry_point_writes_the_in_process_report(self, tmp_path):
+        src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "lorstab.cli", "run", str(config), "--out", str(tmp_path / "process")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(["run", str(config), "--out", str(tmp_path / "in-process")]) == 0
+        assert (tmp_path / "process" / "report.txt").read_bytes() == (
+            tmp_path / "in-process" / "report.txt").read_bytes()
 
 
 class TestBenchmarkTracerSites:
