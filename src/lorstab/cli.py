@@ -19,12 +19,29 @@ vectors are too short to share (on 2 vCPUs, a six-slice level-5 sweep took
 Importing it also turns the cyclic garbage collector off while NumPy and SciPy
 import, then moves every object alive at that point into the permanent
 generation (``gc.freeze``) and turns the collector back on.  The imports leave
-about 70k objects that live as long as the process, and walking them was pure
+about 54k objects that live as long as the process, and walking them was pure
 cost: ``import lorstab.cli`` ran 84 generation-0 and 7 generation-1
 collections (now one, while the interpreter loads this module's code), and a
 process that only imported it took a median 52-57 ms from its last statement
 to its exit against 14-18 ms frozen (7-10 ms for a bare interpreter).  A run
 allocates few cycles of its own and triggers no collection.
+
+SciPy imports without ``numpy.f2py`` and ``numpy.testing``.  SciPy's vendored
+``array_api_compat.numpy`` clones NumPy's namespace: ``from numpy import *``,
+then ``getattr`` of every name in ``dir(numpy)``.  NumPy 2.x lists its lazily
+loaded submodules in both, so the clone imported every one of them, among
+them the Fortran wrapper generator f2py (which loads ``charset_normalizer``
+and about a hundred codecs) and ``numpy.testing`` (which loads ``unittest``
+and ``difflib``); a run reads neither.  While ``scipy.sparse.linalg`` imports,
+this module takes ``f2py`` and ``testing`` out of ``numpy.__all__`` and
+``dir(numpy)``, then puts NumPy's ``__all__`` and ``__dir__`` back as they
+were.  ``import lorstab.cli`` now leaves 444 entries in ``sys.modules``
+instead of 627 and 53.8k frozen objects instead of 70.3k, and took a median
+236 ms instead of 350 ms (21 interleaved fresh processes, 2 vCPU Intel Xeon,
+NumPy 2.4.6, SciPy 1.17.1).  The one lasting effect: SciPy's cloned namespace
+has no ``f2py`` or ``testing`` attribute.  SciPy reads ``xp.testing`` only in
+its ``xp_assert_*`` test helpers, which lorstab never calls, and
+``import numpy.testing`` still works afterwards.
 """
 
 from __future__ import annotations
@@ -40,10 +57,26 @@ import argparse
 import dataclasses
 import sys
 import time
+from contextlib import contextmanager
 from math import log2
 from pathlib import Path
 
 import numpy as np
+
+# SciPy clones NumPy's namespace on import; keep f2py and testing out of the
+# clone (see the module docstring), then put NumPy's dict back as it was.
+_numpy_vars = vars(np)
+_saved = {key: _numpy_vars[key] for key in ("__all__", "__dir__") if key in _numpy_vars}
+_hidden = {"f2py", "testing"}
+try:
+    np.__all__ = [name for name in np.__all__ if name not in _hidden]
+    np.__dir__ = lambda: [name for name in _saved.get("__dir__", lambda: list(_numpy_vars))()
+                          if name not in _hidden]
+    import scipy.sparse.linalg  # noqa: F401
+finally:
+    _numpy_vars.pop("__all__", None)
+    _numpy_vars.pop("__dir__", None)
+    _numpy_vars.update(_saved)
 
 from .config import ConfigError, ScenarioConfig, check_level, check_nonnegative, load_config, parse_reals
 from .fem import SolverError, shared_spectrum
@@ -143,6 +176,15 @@ def _make_out_dir(out_dir: str | Path) -> Path:
     return out
 
 
+@contextmanager
+def _writing_out():
+    """Report a file under ``--out`` that cannot be written as a config error."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"key '--out': cannot write {err.filename}: {err.strerror}", key="--out") from err
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
     out = _make_out_dir(out_dir)
     t0 = time.perf_counter()
@@ -174,9 +216,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
         variation_checks = _variation_battery(surface, config)
 
     report_text = render_run_report(config, stability_report, scalar_checks, variation_checks, extra)
-    (out / "report.txt").write_text(report_text, encoding="utf-8")
-    if variation_checks:
-        write_checks_csv(out / "checks.csv", variation_checks)
+    with _writing_out():
+        (out / "report.txt").write_text(report_text, encoding="utf-8")
+        if variation_checks:
+            write_checks_csv(out / "checks.csv", variation_checks)
     print(f"report: {out / 'report.txt'}")
     print(f"wall_time_s={time.perf_counter() - t0:.3f}")
 
@@ -237,7 +280,8 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
              rep.gap, rep.lambda_residual, rep.h_next_residual, rep.verdict, order]
         )
         prev_gap = rep.gap
-    write_sweep_csv(out / "sweep.csv", _SWEEP_HEADER, rows)
+    with _writing_out():
+        write_sweep_csv(out / "sweep.csv", _SWEEP_HEADER, rows)
     print(f"sweep: {out / 'sweep.csv'}")
     if orders:
         print(f"empirical_order_mean={fmt(float(np.mean(orders)))}")

@@ -255,7 +255,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ConfigError(f"config file {p} is not UTF-8: {err.reason} at byte {err.start}") from err
     return parse_config(text)

@@ -163,6 +163,23 @@ class TestExitCodes:
             f"config error: config file {config} is not UTF-8: invalid start byte at byte 28\n")
         assert not (tmp_path / "out").exists()
 
+    def test_config_with_a_byte_order_mark_parses(self, tmp_path):
+        config = tmp_path / "bom.txt"
+        config.write_bytes(b"\xef\xbb\xbf" + SLICE.encode("utf-8"))
+        assert main(["run", str(config), "--out", str(tmp_path / "bom")]) == 0
+        assert run(tmp_path, SLICE) == 0
+        assert (tmp_path / "bom" / "report.txt").read_bytes() == (tmp_path / "out" / "report.txt").read_bytes()
+
+    @pytest.mark.parametrize("command, name", [("run", "report.txt"), ("sweep", "sweep.csv")])
+    def test_output_file_that_cannot_be_written_exits_four(self, tmp_path, capsys, command, name):
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE, encoding="utf-8")
+        (tmp_path / "out" / name).mkdir(parents=True)
+        extra = ["--param", "s0", "--values", "0.5,1"] if command == "sweep" else []
+        assert main([command, str(config), *extra, "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr() == (
+            "", f"config error: key '--out': cannot write {tmp_path / 'out' / name}: Is a directory\n")
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("out, reason", [("file", "File exists"), ("file/out", "Not a directory")],
                              ids=["existing-file", "under-a-file"])
@@ -485,6 +502,33 @@ class TestCollectorPolicy:
         assert main(["run", str(config), "--out", str(tmp_path / "in-process")]) == 0
         assert (tmp_path / "process" / "report.txt").read_bytes() == (
             tmp_path / "in-process" / "report.txt").read_bytes()
+
+
+def _fresh_interpreter(code: str) -> str:
+    src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestStartupImports:
+    """``import lorstab.cli`` hides ``f2py`` and ``testing`` from NumPy's
+    ``__all__`` and ``dir`` while SciPy clones NumPy's namespace, then puts
+    them back.  Each test runs in a fresh interpreter."""
+
+    NAMESPACE = "import json, numpy; print(json.dumps([sorted(numpy.__all__), sorted(dir(numpy))]))"
+
+    def test_cli_import_loads_no_f2py_or_testing(self):
+        code = ("import sys, lorstab.cli; print([name for name in ('numpy.f2py', 'numpy.testing', "
+                "'charset_normalizer', 'unittest') if name in sys.modules])")
+        assert _fresh_interpreter(code).split() == ["[]"]
+
+    def test_numpy_namespace_is_put_back(self):
+        assert _fresh_interpreter("import lorstab.cli; " + self.NAMESPACE) == _fresh_interpreter(self.NAMESPACE)
+
+    def test_numpy_testing_imports_afterwards(self):
+        code = "import lorstab.cli, numpy.testing; numpy.testing.assert_equal(1, 1); print('ok')"
+        assert _fresh_interpreter(code).split() == ["ok"]
 
 
 class TestBenchmarkTracerSites:
