@@ -3,9 +3,12 @@
     lorstab run <config> [--out DIR] [--level N] [--seed K]
     lorstab sweep <config> --param {s0,level,amplitude} --values v1,v2,... [--out DIR]
 
-Exit codes: 0 success, 2 hypotheses-violated verdict, 3 construction or
-solver failure, 4 configuration error.  Reports and CSV tables are
-byte-stable for a fixed config and seed; wall times go to stdout only.
+A config holds key = value lines; its scenario is a slice (an umbilical
+slice at height s0) or a graph (s0 plus harmonic perturbations).  Exit
+codes: 0 success, 2 hypotheses-violated verdict, 3 construction or solver
+failure, 4 configuration error.  Reports and CSV tables are byte-stable for
+a fixed config and seed; wall times go to stdout only.
+
 A sweep solves its values in one ``fem.shared_spectrum`` scope, so it solves
 once per family of proportional pencils (an s0 sweep of slices solves once,
 and its other rows carry that eigenpair with 0 applications) and writes each
@@ -96,7 +99,6 @@ from .surfaces import (
     build_graph,
     build_slice,
     support_function,
-    surface_from_mesh_file,
 )
 from .variation import (
     FlowError,
@@ -123,22 +125,12 @@ def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str
     extra: list[tuple[str, object]] = []
     if config.scenario == "slice":
         surface = build_slice(config.s0, level=config.level, axis=config.axis_array)
-    elif config.scenario == "graph":
+    else:
         surface = build_graph(
             config.s0, perturbations=config.perturbations,
             level=config.level, axis=config.axis_array,
         )
         extra.append(("metric_anisotropy", surface.cache.metric_ratio))
-    else:
-        try:
-            surface, residual = surface_from_mesh_file(
-                config.mesh_file, axis=config.axis_array, fit_lmax=config.mesh_fit_lmax
-            )
-        except GraphConstructionError:
-            raise                       # a readable mesh the harmonic fit rejects
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"key 'mesh_file': {err}", key="mesh_file") from err
-        extra.append(("mesh_fit_residual", residual))
     return surface, extra
 
 
@@ -217,9 +209,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
 
     report_text = render_run_report(config, stability_report, scalar_checks, variation_checks, extra)
     with _writing_out():
-        (out / "report.txt").write_text(report_text, encoding="utf-8")
+        # report.txt last: a run that cannot write every output leaves no report
         if variation_checks:
             write_checks_csv(out / "checks.csv", variation_checks)
+        (out / "report.txt").write_text(report_text, encoding="utf-8")
     print(f"report: {out / 'report.txt'}")
     print(f"wall_time_s={time.perf_counter() - t0:.3f}")
 
@@ -235,9 +228,6 @@ _SWEEP_HEADER = [
 
 
 def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_dir: str | Path) -> int:
-    if config.scenario == "mesh-file":
-        raise ConfigError("key 'scenario': a mesh-file surface has no s0, level or amplitude to sweep",
-                          key="scenario")
     if param not in ("s0", "level", "amplitude"):
         raise ConfigError(f"key '--param': expected s0, level or amplitude, got '{param}'", key="--param")
     if param == "amplitude" and not config.perturbations:
@@ -292,7 +282,10 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lorstab", description=__doc__)
+    # the usage paragraphs of the module docstring, not its implementation notes
+    usage = "\n\n".join(__doc__.split("\n\n")[:3])
+    parser = argparse.ArgumentParser(prog="lorstab", description=usage,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario and write its report")
@@ -315,9 +308,6 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "run":
             if args.level is not None:
-                if config.scenario == "mesh-file":
-                    raise ConfigError("key 'level': scenario 'mesh-file' takes its surface from mesh_file",
-                                      key="level")
                 config = dataclasses.replace(config, level=check_level(args.level))
             if args.seed is not None:
                 config = dataclasses.replace(config, seed=check_nonnegative("seed", args.seed))

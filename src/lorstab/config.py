@@ -19,7 +19,7 @@ __all__ = [
     "check_nonnegative",
 ]
 
-_SCENARIOS = ("slice", "graph", "mesh-file")
+_SCENARIOS = ("slice", "graph")
 _CHECKS = ("stability", "killing", "conformal", "variation")
 _LEVELS = (3, 4, 5, 6)
 
@@ -34,12 +34,10 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     scenario: str
     r: int
-    s0: float | None = None
+    s0: float
     axis: tuple[float, ...] | None = None
     perturbations: tuple[tuple[int, int, float], ...] = ()
-    level: int | None = 5              # None for a mesh-file, whose mesh is read
-    mesh_file: str | None = None
-    mesh_fit_lmax: int = 6
+    level: int = 5
     tol_gap: float = 2e-2
     tol_const: float | None = None     # default depends on the scenario
     solver_tol: float = 1e-8
@@ -127,14 +125,13 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"key '{key}' given twice", key=key)
         pairs[key] = value
 
-    # a report writes an absent s0, mesh_file or perturbations as "none", and a mesh-file's level
-    absent = ("s0", "mesh_file", "perturbations") + (("level",) if pairs.get("scenario") == "mesh-file" else ())
-    pairs = {k: v for k, v in pairs.items() if v != "none" or k not in absent}
+    # a report writes absent perturbations as "none"
+    if pairs.get("perturbations") == "none":
+        del pairs["perturbations"]
 
     known = {
-        "scenario", "r", "s0", "axis", "perturbations", "level", "mesh_file",
-        "mesh_fit_lmax", "tol_gap", "tol_const", "solver_tol", "checks",
-        "killing_u", "killing_v", "fd_h", "seed",
+        "scenario", "r", "s0", "axis", "perturbations", "level", "tol_gap", "tol_const",
+        "solver_tol", "checks", "killing_u", "killing_v", "fd_h", "seed",
     }
     for key in pairs:
         if key not in known:
@@ -164,26 +161,19 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"key 'scenario': expected one of {_SCENARIOS}, got '{scenario}'", key="scenario"
         )
-    if "r" not in pairs:
-        raise ConfigError("missing required key 'r'", key="r")
+    for key in ("r", "s0"):
+        if key not in pairs:
+            raise ConfigError(f"missing required key '{key}'", key=key)
 
     r = take_int("r")
     if not 0 <= r <= 1:
         raise ConfigError(f"key 'r': need 0 <= r <= 1, got {r}", key="r")
 
     # a key the scenario's surface does not read would be reported but not used
-    for key in ("s0", "level"):
-        if scenario == "mesh-file" and key in pairs:
-            raise ConfigError(f"key '{key}': scenario 'mesh-file' takes its surface from mesh_file", key=key)
     if scenario != "graph" and "perturbations" in pairs:
         raise ConfigError(f"key 'perturbations': scenario '{scenario}' has no perturbations", key="perturbations")
 
     s0 = take_float("s0")
-    if scenario in ("slice", "graph") and s0 is None:
-        raise ConfigError(f"missing required key 's0' for scenario '{scenario}'", key="s0")
-    mesh_file = pairs.get("mesh_file")
-    if scenario == "mesh-file" and not mesh_file:
-        raise ConfigError("missing required key 'mesh_file'", key="mesh_file")
 
     axis = parse_reals("axis", pairs["axis"]) if "axis" in pairs else None
     if axis is not None:
@@ -196,15 +186,19 @@ def parse_config(text: str) -> ScenarioConfig:
 
     perturbations = _parse_perturbations(pairs.get("perturbations", ""))
 
-    level = None if scenario == "mesh-file" else check_level(take_int("level", 5))
+    level = check_level(take_int("level", 5))
 
     checks_raw = pairs.get("checks", "stability")
     checks = tuple(c.strip() for c in checks_raw.split(",") if c.strip())
-    for c in checks:
+    if not checks:
+        raise ConfigError("key 'checks': expected at least one check", key="checks")
+    for i, c in enumerate(checks):
         if c not in _CHECKS:
             raise ConfigError(f"key 'checks': unknown check '{c}' (known: {_CHECKS})", key="checks")
-    # a graph without perturbations is a slice; the others leave the analytic family when flowed
-    if "variation" in checks and (scenario == "mesh-file" or perturbations):
+        if c in checks[:i]:
+            raise ConfigError(f"key 'checks': check '{c}' given twice", key="checks")
+    # a graph without perturbations is a slice; a perturbed one leaves the analytic family when flowed
+    if "variation" in checks and perturbations:
         raise ConfigError("key 'checks': variation checks need a slice scenario (normal flows of graphs "
                           "leave the analytic family)", key="checks")
 
@@ -225,8 +219,6 @@ def parse_config(text: str) -> ScenarioConfig:
         axis=axis,
         perturbations=perturbations,
         level=level,
-        mesh_file=mesh_file,
-        mesh_fit_lmax=check_nonnegative("mesh_fit_lmax", take_int("mesh_fit_lmax", 6)),
         tol_gap=take_tolerance("tol_gap", 2e-2),
         tol_const=take_tolerance("tol_const", None),
         solver_tol=take_tolerance("solver_tol", 1e-8),

@@ -23,7 +23,7 @@ from math import comb, factorial, pi, sqrt
 
 import numpy as np
 
-__all__ = ["SphericalHarmonic", "HarmonicField", "harmonic_basis"]
+__all__ = ["HarmonicField"]
 
 
 class _Poly:
@@ -209,17 +209,3 @@ class HarmonicField:
         """Value, tangential gradient and intrinsic Hessian at unit points q."""
         return self.value(q), self.sphere_gradient(q), self.sphere_hessian(q)
 
-
-class SphericalHarmonic(HarmonicField):
-    """One orthonormal real harmonic Y_{l,m}: the one-term field."""
-
-    def __init__(self, l: int, m: int):
-        super().__init__(terms=((l, m, 1.0),))
-
-    l = property(lambda self: self.terms[0][0])
-    m = property(lambda self: self.terms[0][1])
-
-
-def harmonic_basis(l_max: int, l_min: int = 0) -> list[SphericalHarmonic]:
-    """All (l, m) with l_min <= l <= l_max, ordered by l then m."""
-    return [SphericalHarmonic(l, m) for l in range(l_min, l_max + 1) for m in range(-l, l + 1)]

@@ -1,18 +1,15 @@
-"""Triangulated unit spheres: icosphere generation, validation, text IO.
+"""Triangulated unit spheres: icosphere generation and validation.
 
 A ``SphereMesh`` holds the directions and faces surfaces are sampled over,
 and computes the sphere's tangent frames, nested-dissection order and P1
 sparsity pattern at most once for all surfaces on it.  The icosphere ladder
-(levels 3..6 in practice) is the only generator; imported meshes (ambient
-vertex coordinates in the text format) just need to be watertight, oriented
-sphere triangulations.
+(levels 3..6 in practice) is the only generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +18,6 @@ __all__ = [
     "icosphere",
     "nested_dissection",
     "validate_closed_oriented",
-    "save_mesh",
-    "load_mesh",
 ]
 
 _LEAF = 32   # largest part nested_dissection leaves unsplit
@@ -33,7 +28,8 @@ _FRAME_TOL = 1e-6
 class SphereMesh:
     """Unit directions ``q`` (V, 3) and outward-oriented ``faces`` (F, 3) of a
     valid sphere triangulation (not checked here); ``level`` is the icosphere
-    depth, None for a mesh file.  It makes its arrays read-only, to be shared.
+    depth, None for a mesh built from given points.  It makes its arrays
+    read-only, to be shared.
 
     Computed on first read and kept: the tangent ``frames``, the
     fill-reducing ``order`` and the P1 sparsity ``pattern``, which every
@@ -252,47 +248,3 @@ def validate_closed_oriented(faces: np.ndarray, nvertices: int) -> None:
             f"boundary or non-manifold edge ({int(tails[e])}, {int(heads[e])}): mesh is not watertight"
         )
 
-
-def save_mesh(path: str | Path, vertices: np.ndarray, faces: np.ndarray) -> None:
-    """Line-oriented text format: 'v x1 x2 x3 x4' then 'f i j k' (0-based)."""
-    lines = ["v " + " ".join(format(x, ".17g") for x in v) for v in vertices]
-    lines += [f"f {a} {b} {c}" for a, b, c in faces]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_mesh(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient vertices (V, 4) and validated faces (F, 3) of a ``save_mesh`` file.
-
-    Every ValueError names the file: a malformed record with its line, a
-    file with no faces, an invalid triangulation with its first bad edge.
-    An unreadable file raises OSError.
-    """
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, *rest = line.split()
-        if tag == "v":
-            if len(rest) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 vertex coordinates")
-            record, kind = verts, float
-        elif tag == "f":
-            if len(rest) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 face indices")
-            record, kind = faces, int
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record '{tag}'")
-        try:
-            record.append([kind(x) for x in rest])
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    if not faces:
-        raise ValueError(f"{path}: no face records")
-    face_arr = np.array(faces, dtype=int)
-    try:
-        validate_closed_oriented(face_arr, len(verts))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    return np.array(verts, dtype=float), face_arr

@@ -37,8 +37,6 @@ def _config_lines(config: ScenarioConfig) -> list[str]:
         ("axis", axis),
         ("perturbations", pert or "none"),
         ("level", config.level),
-        ("mesh_file", config.mesh_file),
-        ("mesh_fit_lmax", config.mesh_fit_lmax),
         ("tol_gap", config.tol_gap),
         ("tol_const", config.constancy_tolerance),
         ("solver_tol", config.solver_tol),

@@ -18,19 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .curvature import batched_eigvalsh2, batched_elementary
-from .harmonics import HarmonicField, harmonic_basis
+from .harmonics import HarmonicField
 from .lorentz import (
     ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, mdot_axis0, minkowski_metric,
     orthonormal_completion,
 )
-# validate_closed_oriented stays bound for perfbench/tracer.py; load_mesh calls it
-from .mesh import SphereMesh, icosphere, load_mesh, validate_closed_oriented  # noqa: F401
+# validate_closed_oriented has no caller here: it stays bound for the
+# mesh.validate layer of perfbench/tracer.py, which rebinds this name
+from .mesh import SphereMesh, icosphere, validate_closed_oriented  # noqa: F401
 
 __all__ = [
     "GraphConstructionError",
@@ -40,12 +40,8 @@ __all__ = [
     "build_graph",
     "support_function",
     "tangential_gradient",
-    "surface_from_mesh_file",
     "scatter_p1",
 ]
-
-_FIT_TOL = 1e-6     # largest height residual of a mesh accepted as a harmonic graph
-
 
 class GraphConstructionError(ValueError):
     """Construction failed; carries the worst offending vertex."""
@@ -319,46 +315,3 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
     comps = np.einsum("vi,via->va", acc * j, cache.frame)
     return np.einsum("via,va->vi", cache.frame, comps)
 
-
-def surface_from_mesh_file(
-    path: str | Path,
-    axis: np.ndarray | None = None,
-    fit_lmax: int = 6,
-) -> tuple[GraphSurface, float]:
-    """Load a mesh and rebuild it as a member of the harmonic height family.
-
-    The vertex heights over the axis sphere are least-squares fitted by
-    harmonics up to ``fit_lmax``; returns the surface (using the file's own
-    connectivity) and the max fit residual.  Meshes that are not graphs in
-    the family within ``_FIT_TOL`` are rejected.
-    """
-    vertices, faces = load_mesh(path)
-    axis = _default_axis() if axis is None else np.asarray(axis, dtype=float)
-    frame_map = orthonormal_completion(axis)
-    j = minkowski_metric(4)
-    inv = j @ frame_map.T @ j
-    can = vertices @ inv.T
-    norms = mdot(vertices, vertices)
-    if np.abs(norms - 1.0).max() > 1e-8:
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        raise GraphConstructionError(f"vertex {worst} is not on the unit hyperquadric", vertex=worst)
-    s = np.arcsinh(can[:, 3])
-    q = can[:, :3] / np.cosh(s)[:, None]
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-
-    basis = harmonic_basis(fit_lmax, l_min=1)
-    design = np.column_stack([np.ones(len(s))] + [h.value(q) for h in basis])
-    coef, *_ = np.linalg.lstsq(design, s, rcond=None)
-    residual = float(np.abs(design @ coef - s).max())
-    if residual > _FIT_TOL:
-        worst = int(np.argmax(np.abs(design @ coef - s)))
-        raise GraphConstructionError(
-            f"mesh is not a harmonic height graph (fit residual {residual:.3g} "
-            f"at vertex {worst}, limit {_FIT_TOL:.3g})",
-            vertex=worst,
-        )
-    terms = tuple(
-        (h.l, h.m, float(a)) for h, a in zip(basis, coef[1:]) if abs(a) > 1e-12
-    )
-    surf = build_graph(float(coef[0]), perturbations=terms, axis=axis, mesh=SphereMesh(q, faces))
-    return surf, residual

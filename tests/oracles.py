@@ -2,7 +2,9 @@
 
 Most functions here are an earlier, plainer form of a library routine that
 was later rewritten for speed; they compute the same quantity by the direct
-method, so the tests can check the fast routine against them.  The last seven
+method, so the tests can check the fast routine against them.
+``SphericalHarmonic`` and ``harmonic_basis`` come first: the tests' names for
+one harmonic and for a basis of them.  The last seven
 are independent cross-checks of the pipeline's geometry, operators and
 curvature algebra, built from the discrete mesh or a closed form rather than
 the analytic path.
@@ -16,9 +18,24 @@ from scipy.sparse.linalg import splu
 
 from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces
 from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
-from lorstab.harmonics import HarmonicField, SphericalHarmonic, _harmonic_poly
+from lorstab.harmonics import HarmonicField, _harmonic_poly
 from lorstab.lorentz import mdot, minkowski_metric
 from lorstab.mesh import _LEAF, _icosahedron
+
+
+class SphericalHarmonic(HarmonicField):
+    """One orthonormal real harmonic Y_{l,m}: the one-term field."""
+
+    def __init__(self, l: int, m: int):
+        super().__init__(terms=((l, m, 1.0),))
+
+    l = property(lambda self: self.terms[0][0])
+    m = property(lambda self: self.terms[0][1])
+
+
+def harmonic_basis(l_max, l_min=0):
+    """All (l, m) with l_min <= l <= l_max, ordered by l then m."""
+    return [SphericalHarmonic(l, m) for l in range(l_min, l_max + 1) for m in range(-l, l + 1)]
 
 
 def _poly_values(poly, q):

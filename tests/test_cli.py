@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 import lorstab.surfaces
 from lorstab.cli import main, run_scenario, sweep_scenario
 from lorstab.config import ConfigError, load_config, parse_config
-from lorstab.mesh import save_mesh
 from lorstab.report import render_run_report
-from lorstab.surfaces import build_graph
 
 SLICE = "scenario = slice\nr = 1\ns0 = 1\nlevel = 3\n"
 GRAPH = "scenario = graph\nr = 1\ns0 = 1\nperturbations = 2,0,0.05;3,1,0.02\nlevel = 3\n"
@@ -125,34 +123,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("command, text, key", [
-        ("run", SLICE + "perturbations = 2,0,0.05\n", "perturbations"),
-        ("run", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\ns0 = 1\n", "s0"),
-        ("run", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\nlevel = 3\n", "level"),
-        ("run", GRAPH + "checks = stability,variation\n", "checks"),
-        ("sweep", "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n", "scenario"),
-    ], ids=["slice-with-perturbations", "mesh-file-with-s0", "mesh-file-with-level", "graph-with-variation",
-            "mesh-file-sweep"])
-    def test_key_the_surface_does_not_read_exits_four(self, tmp_path, capsys, command, text, key):
+    @pytest.mark.parametrize("text, key", [
+        (SLICE + "perturbations = 2,0,0.05\n", "perturbations"),
+        (GRAPH + "checks = stability,variation\n", "checks"),
+    ], ids=["slice-with-perturbations", "graph-with-variation"])
+    def test_key_the_surface_does_not_read_exits_four(self, tmp_path, capsys, text, key):
         """A key that would be reported but change nothing, or a check the
-        surface cannot take, is an error before any output, not a run or a
-        sweep of constant rows."""
-        config = tmp_path / "config.txt"
-        config.write_text(text, encoding="utf-8")
-        extra = ["--param", "s0", "--values", "0.5,1"] if command == "sweep" else []
-        assert main([command, str(config), *extra, "--out", str(tmp_path / "out")]) == 4
+        surface cannot take, is an error before any output."""
+        assert run(tmp_path, text) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"config error: key '{key}': ") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-        if command == "sweep":
-            with pytest.raises(ConfigError) as raised:
-                sweep_scenario(parse_config(text), "level", [3.0], tmp_path / "out")
-            assert raised.value.key == "scenario"
-
-    def test_level_override_on_mesh_file_exits_four(self, tmp_path, capsys):
-        assert run(tmp_path, MESH_FILE, "--level", "6") == 4
-        assert capsys.readouterr().err == (
-            "config error: key 'level': scenario 'mesh-file' takes its surface from mesh_file\n")
         assert not (tmp_path / "out").exists()
 
     def test_config_not_utf8_exits_four(self, tmp_path, capsys):
@@ -180,6 +160,24 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", f"config error: key '--out': cannot write {tmp_path / 'out' / name}: Is a directory\n")
 
+    def test_unwritable_checks_csv_leaves_no_report(self, tmp_path, capsys):
+        """report.txt is written last, so a run that exits 4 on its outputs
+        leaves no complete-looking report behind."""
+        (tmp_path / "out" / "checks.csv").mkdir(parents=True)
+        assert run(tmp_path, SLICE + "checks = stability,variation\n") == 4
+        assert capsys.readouterr() == (
+            "", f"config error: key '--out': cannot write {tmp_path / 'out' / 'checks.csv'}: Is a directory\n")
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_help_prints_usage_not_implementation_notes(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert "\n    lorstab run <config> [--out DIR] [--level N] [--seed K]\n" in out
+        assert "4 configuration error" in out
+        assert "gc.freeze" not in out and "f2py" not in out
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("out, reason", [("file", "File exists"), ("file/out", "Not a directory")],
                              ids=["existing-file", "under-a-file"])
@@ -193,7 +191,6 @@ class TestExitCodes:
             "", f"config error: key '--out': cannot make directory {tmp_path / out}: {reason}\n")
 
 
-MESH_FILE = "scenario = mesh-file\nr = 1\nmesh_file = surface.mesh\n"
 NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
 PLAIN_GRAPH = "scenario = graph\nr = 1\ns0 = 1\nlevel = 3\n"
 
@@ -209,8 +206,6 @@ CONFIG_ERRORS = {
     "s0-not-number": ("s0", "scenario = slice\nr = 1\ns0 = high\n"),
     "s0-nan": ("s0", "scenario = slice\nr = 1\ns0 = nan\n"),
     "s0-inf": ("s0", "scenario = slice\nr = 1\ns0 = inf\n"),
-    "s0-on-mesh-file": ("s0", MESH_FILE + "s0 = 1\n"),
-    "mesh_file-missing": ("mesh_file", "scenario = mesh-file\nr = 1\n"),
     "axis-length": ("axis", SLICE + "axis = 0 0 1\n"),
     "axis-parse": ("axis", SLICE + "axis = 0 0 0 one\n"),
     "axis-nan": ("axis", SLICE + "axis = nan 0 0 1\n"),
@@ -225,18 +220,17 @@ CONFIG_ERRORS = {
     "perturbations-m-above-l": ("perturbations", PLAIN_GRAPH + "perturbations = 2,5,0.1\n"),
     "perturbations-l-negative": ("perturbations", PLAIN_GRAPH + "perturbations = -1,0,0.1\n"),
     "perturbations-on-slice": ("perturbations", SLICE + "perturbations = 2,0,0.05\n"),
-    "perturbations-on-mesh-file": ("perturbations", MESH_FILE + "perturbations = 2,0,0.05\n"),
     "level-out-of-range": ("level", NO_LEVEL + "level = 7\n"),
     "level-not-integer": ("level", NO_LEVEL + "level = 4.5\n"),
-    "level-on-mesh-file": ("level", MESH_FILE + "level = 3\n"),
     "level-none-on-slice": ("level", NO_LEVEL + "level = none\n"),
     "checks-unknown": ("checks", SLICE + "checks = stability,bogus\n"),
     "checks-variation-on-graph": ("checks", GRAPH + "checks = variation\n"),
-    "checks-variation-on-mesh-file": ("checks", MESH_FILE + "checks = variation\n"),
+    "checks-repeated": ("checks", SLICE + "checks = stability,stability\n"),
+    "checks-empty": ("checks", SLICE + "checks = \n"),
     "fd_h-out-of-range": ("fd_h", SLICE + "fd_h = 0.01\n"),
     "fd_h-not-number": ("fd_h", SLICE + "fd_h = small\n"),
-    "mesh_fit_lmax-not-integer": ("mesh_fit_lmax", SLICE + "mesh_fit_lmax = 6.0\n"),
-    "mesh_fit_lmax-negative": ("mesh_fit_lmax", MESH_FILE + "mesh_fit_lmax = -1\n"),
+    "mesh_file-removed": ("mesh_file", SLICE + "mesh_file = surface.mesh\n"),
+    "mesh_fit_lmax-removed": ("mesh_fit_lmax", SLICE + "mesh_fit_lmax = 6\n"),
     "tol_gap-not-number": ("tol_gap", SLICE + "tol_gap = wide\n"),
     "tol_gap-nan": ("tol_gap", SLICE + "tol_gap = nan\n"),
     "tol_gap-negative": ("tol_gap", SLICE + "tol_gap = -1\n"),
@@ -265,53 +259,6 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as err:
             parse_config("scenario = slice\nr 1\ns0 = 1\n")
         assert str(err.value) == "key 'r': line 2: expected 'key = value', got 'r 1'"
-
-
-def write_mesh(path, perturbations=((2, 0, 0.05),), drop_faces=0):
-    surf = build_graph(1.0, perturbations=perturbations, level=3)
-    save_mesh(path, surf.cache.vertices, surf.mesh.faces[drop_faces:])
-
-
-def no_faces(path):
-    write_mesh(path)
-    path.write_text("".join(line for line in path.read_text().splitlines(True) if line.startswith("v ")))
-
-
-def bad_vertex(path):
-    write_mesh(path)
-    lines = path.read_text().splitlines(True)
-    lines[1] = "v 0 0 one 1\n"
-    path.write_text("".join(lines))
-
-
-# (writer, detail the message keeps): each load failure of a mesh file
-MESH_FILE_ERRORS = {
-    "missing-file": (lambda path: None, "No such file"),
-    "no-faces": (no_faces, "no face records"),
-    "malformed-vertex": (bad_vertex, ":2: could not convert string to float: 'one'"),
-    "open-mesh": (lambda path: write_mesh(path, drop_faces=1), "boundary or non-manifold edge"),
-}
-
-
-class TestMeshFileErrors:
-    @pytest.mark.parametrize("writer, detail", MESH_FILE_ERRORS.values(), ids=MESH_FILE_ERRORS.keys())
-    def test_load_failure_exits_four(self, tmp_path, capsys, writer, detail):
-        path = tmp_path / "surface.mesh"
-        writer(path)
-        text = f"scenario = mesh-file\nr = 1\nmesh_file = {path}\n"
-        assert run(tmp_path, text) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("config error: key 'mesh_file': ")
-        assert detail in err and str(path) in err
-        with pytest.raises(ConfigError) as raised:
-            run_scenario(parse_config(text), tmp_path / "out")
-        assert raised.value.key == "mesh_file"
-
-    def test_fit_rejection_exits_three(self, tmp_path, capsys):
-        path = tmp_path / "surface.mesh"
-        write_mesh(path, perturbations=((8, 3, 0.02),))
-        assert run(tmp_path, f"scenario = mesh-file\nr = 1\nmesh_file = {path}\n") == 3
-        assert "mesh is not a harmonic height graph" in capsys.readouterr().err
 
 
 class TestReport:
@@ -396,36 +343,30 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 @st.composite
 def config_texts(draw):
     """A valid config, with every optional key its scenario reads present or
-    absent: perturbations only on a graph, s0 and level never on a mesh-file,
-    the variation check only on a slice."""
-    scenario = draw(st.sampled_from(("slice", "graph", "mesh-file")))
-    lines = {"scenario": scenario, "r": draw(st.integers(0, 1))}
+    absent: perturbations only on a graph, the variation check only on a slice."""
+    scenario = draw(st.sampled_from(("slice", "graph")))
+    lines = {"scenario": scenario, "r": draw(st.integers(0, 1)), "s0": draw(REALS.map(repr))}
     checks = ("stability", "killing", "conformal") + (("variation",) if scenario == "slice" else ())
     optional = {
-        "s0": REALS.map(repr),
         "axis": st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(
             lambda x: " ".join(map(repr, (*x, float(np.sqrt(1.0 + np.dot(x, x))))))),
         "perturbations": st.lists(st.integers(0, 6).flatmap(
             lambda l: st.tuples(st.just(l), st.integers(-l, l), REALS)), max_size=3).map(
             lambda ts: ";".join(f"{l},{m},{a!r}" for l, m, a in ts)),
         "level": st.sampled_from((3, 4, 5, 6)),
-        "mesh_file": st.text("abcxyz_./-0123456789", min_size=1),
-        "mesh_fit_lmax": st.integers(0, 10),
         "tol_gap": POSITIVE.map(repr),
         "tol_const": POSITIVE.map(repr),
         "solver_tol": POSITIVE.map(repr),
-        "checks": st.lists(st.sampled_from(checks), unique=True).map(",".join),
+        "checks": st.lists(st.sampled_from(checks), min_size=1, unique=True).map(",".join),
         "killing_u": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
         "killing_v": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
         "fd_h": st.floats(min_value=0.0, max_value=5e-3, exclude_min=True).map(repr),
         "seed": st.integers(0, 2**63),
     }
-    required = {"slice": ("s0",), "graph": ("s0",), "mesh-file": ("mesh_file",)}[scenario]
-    unread = {"slice": ("perturbations",), "graph": (), "mesh-file": ("s0", "level", "perturbations")}[scenario]
     for key, values in optional.items():
-        if key in unread:
+        if key == "perturbations" and scenario == "slice":
             continue
-        if key in required or draw(st.booleans()):
+        if draw(st.booleans()):
             lines[key] = draw(values)
     return "".join(f"{key} = {value}\n" for key, value in lines.items())
 
@@ -450,14 +391,11 @@ class TestConfigRoundTrip:
         again = parse_config("\n".join(block))
         assert resolved(again) == resolved(config)
 
-    @pytest.mark.parametrize("text, absent", [
-        (SLICE, ("mesh_file", "perturbations")),
-        (MESH_FILE, ("s0", "level", "perturbations")),
-    ], ids=["slice", "mesh-file"])
-    def test_absent_values_round_trip_as_none(self, text, absent):
+    @pytest.mark.parametrize("text", [SLICE], ids=["slice"])
+    def test_absent_values_round_trip_as_none(self, text):
         config = parse_config(text)
         block = render_run_report(config, None, [], []).splitlines()[2:]
-        assert {f"  {key} = none" for key in absent} <= set(block)
+        assert "  perturbations = none" in block
         assert parse_config("\n".join(block)) == dataclasses.replace(
             config, axis=(0.0, 0.0, 0.0, 1.0), tol_const=config.constancy_tolerance,
             killing_v=(0.0, 0.0, 0.0, 1.0))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorstab.harmonics import HarmonicField, SphericalHarmonic, harmonic_basis
+from lorstab.harmonics import HarmonicField
 from lorstab.mesh import icosphere
-from oracles import harmonic_jets_reference
+from oracles import SphericalHarmonic, harmonic_basis, harmonic_jets_reference
 
 
 def quadrature_grid(n_theta=48, n_phi=96):

@@ -1,4 +1,4 @@
-"""Icosphere generation, mesh validation, and the text format."""
+"""Icosphere generation, the shared sphere mesh, and mesh validation."""
 
 import re
 
@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from lorstab.mesh import (
     SphereMesh,
     icosphere,
-    load_mesh,
     nested_dissection,
-    save_mesh,
     validate_closed_oriented,
 )
 from oracles import icosphere_reference, nested_dissection_reference, validate_closed_oriented_reference
@@ -176,28 +174,6 @@ class TestValidation:
         if got[0] in ("orientation", "out of range"):
             # both name the first duplicated directed edge in face order
             assert got[1] == want[1]
-
-
-class TestTextFormat:
-    def test_roundtrip(self, tmp_path):
-        pts, faces = icosphere(1)
-        verts = np.column_stack([pts, np.linspace(-1, 1, pts.shape[0])])
-        path = tmp_path / "m.mesh"
-        save_mesh(path, verts, faces)
-        back_verts, back_faces = load_mesh(path)
-        assert back_verts == pytest.approx(verts, abs=0)
-        assert (back_faces == faces).all()
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("v ") and len(first.split()) == 5
-
-    def test_bad_records(self, tmp_path):
-        path = tmp_path / "bad.mesh"
-        path.write_text("v 1 0 0\n")
-        with pytest.raises(ValueError, match="4 vertex coordinates"):
-            load_mesh(path)
-        path.write_text("x 1 2 3\n")
-        with pytest.raises(ValueError, match="unknown record"):
-            load_mesh(path)
 
 
 class TestSphereMesh:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lorstab.fem import assemble, first_eigenvalue_meanzero
-from lorstab.harmonics import SphericalHarmonic, harmonic_basis
 from lorstab.lorentz import ConformalFieldSpec, KillingFieldSpec
 from lorstab.stability import (
     DegenerateFieldError,
@@ -17,7 +16,7 @@ from lorstab.stability import (
     weighted_mass_matrix,
 )
 from lorstab.surfaces import build_graph, build_slice, support_function
-from oracles import slice_operator_eigenvalue, stability_constant_binomial
+from oracles import SphericalHarmonic, harmonic_basis, slice_operator_eigenvalue, stability_constant_binomial
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 BOOST = KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=1.0)

@@ -7,9 +7,8 @@ import pytest
 
 from lorstab.curvature import batched_elementary
 from lorstab.fem import assemble, first_eigenvalue_meanzero
-from lorstab.harmonics import SphericalHarmonic
 from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot, minkowski_inner
-from lorstab.mesh import SphereMesh, icosphere, save_mesh
+from lorstab.mesh import SphereMesh, icosphere
 from lorstab.stability import analyze
 from lorstab.surfaces import (
     GraphConstructionError,
@@ -19,11 +18,11 @@ from lorstab.surfaces import (
     build_slice,
     support_function,
     scatter_p1,
-    surface_from_mesh_file,
     tangential_gradient,
 )
 from oracles import (
-    scatter_p1_reference, shape_operator_mesh_estimate, slice_operator_eigenvalue, tangential_gradient_reference,
+    SphericalHarmonic, scatter_p1_reference, shape_operator_mesh_estimate, slice_operator_eigenvalue,
+    tangential_gradient_reference,
 )
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
@@ -263,38 +262,6 @@ class TestTangentialGradient:
         assert errs[1] < 0.7 * errs[0]
 
 
-class TestMeshFileSurfaces:
-    def test_roundtrip(self, tmp_path):
-        surf = build_graph(1.0, perturbations=((2, 0, 0.05), (3, 1, 0.01)), level=3)
-        path = tmp_path / "surface.mesh"
-        save_mesh(path, surf.cache.vertices, surf.mesh.faces)
-        back, residual = surface_from_mesh_file(path)
-        assert residual < 1e-10
-        assert back.mesh.level is None and back.mesh is not surf.mesh
-        assert np.array_equal(back.mesh.faces, surf.mesh.faces)
-        assert np.abs(back.cache.vertices - surf.cache.vertices).max() < 1e-10
-        terms = dict(((l, m), a) for l, m, a in back.height.terms)
-        assert terms[(2, 0)] == pytest.approx(0.05, abs=1e-10)
-        assert terms[(3, 1)] == pytest.approx(0.01, abs=1e-10)
-        assert back.height.constant == pytest.approx(1.0, abs=1e-10)
-
-    def test_out_of_family_rejected(self, tmp_path):
-        surf = build_graph(1.0, perturbations=((8, 3, 0.02),), level=3)
-        path = tmp_path / "foreign.mesh"
-        save_mesh(path, surf.cache.vertices, surf.mesh.faces)
-        with pytest.raises(GraphConstructionError, match="harmonic height graph"):
-            surface_from_mesh_file(path, fit_lmax=6)
-
-    def test_off_quadric_rejected(self, tmp_path):
-        surf = build_graph(1.0, perturbations=(), level=3)
-        bad = surf.cache.vertices.copy()
-        bad[5] *= 1.01
-        path = tmp_path / "off.mesh"
-        save_mesh(path, bad, surf.mesh.faces)
-        with pytest.raises(GraphConstructionError, match="hyperquadric"):
-            surface_from_mesh_file(path)
-
-
 class TestSharedMesh:
     def test_one_mesh_and_order_per_level(self):
         tilted = np.array([0.0, 0.0, np.sinh(0.3), np.cosh(0.3)])
@@ -352,11 +319,10 @@ class TestScatter:
     def test_icosphere_matches_reference(self, level):
         self.check(SphereMesh(*icosphere(level), level))
 
-    def test_mesh_file_matches_reference(self, tmp_path):
-        surf = build_graph(1.0, perturbations=((2, 0, 0.05),), level=3)
-        # renumber the vertices, so the file's order is not the icosphere's
-        perm = np.random.default_rng(5).permutation(surf.mesh.nvertices)
-        path = tmp_path / "surface.mesh"
-        save_mesh(path, surf.cache.vertices[perm], np.argsort(perm)[surf.mesh.faces])
-        back, _ = surface_from_mesh_file(path)
-        self.check(back.mesh)
+    def test_renumbered_mesh_matches_reference(self):
+        # renumber the vertices, so the pattern's order is not the icosphere's
+        q, faces = icosphere(3)
+        perm = np.random.default_rng(5).permutation(q.shape[0])
+        mesh = SphereMesh(q[perm], np.argsort(perm)[faces])
+        assert mesh.level is None
+        self.check(mesh)
