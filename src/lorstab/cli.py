@@ -124,12 +124,9 @@ EXIT_CONFIG = 4
 def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str, object]]]:
     extra: list[tuple[str, object]] = []
     if config.scenario == "slice":
-        surface = build_slice(config.s0, level=config.level, axis=config.axis_array)
+        surface = build_slice(config.s0, level=config.level)
     else:
-        surface = build_graph(
-            config.s0, perturbations=config.perturbations,
-            level=config.level, axis=config.axis_array,
-        )
+        surface = build_graph(config.s0, perturbations=config.perturbations, level=config.level)
         extra.append(("metric_anisotropy", surface.cache.metric_ratio))
     return surface, extra
 
@@ -190,9 +187,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
     if "stability" in config.checks:
         stability_report = analyze(surface, config.r, _tolerances(config))
     if "killing" in config.checks:
-        spec = KillingFieldSpec(
-            u=np.array(config.killing_u), v=config.killing_v_array, k=1.0
-        )
+        spec = KillingFieldSpec(u=config.killing_u, v=config.killing_v, k=1.0)
         residual = killing_eigen_check(surface, config.r, spec)
         eta = support_function(surface, spec)
         mean_frac = abs(float(np.sum(surface.cache.weights * eta))) / (
@@ -201,9 +196,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
         scalar_checks.append(("killing_residual", residual))
         scalar_checks.append(("killing_eta_mean_fraction", mean_frac))
     if "conformal" in config.checks:
-        scalar_checks.append(
-            ("conformal_residual", conformal_identity_check(surface, config.r, surface.axis))
-        )
+        scalar_checks.append(("conformal_residual", conformal_identity_check(surface, config.r)))
     if "variation" in config.checks:
         variation_checks = _variation_battery(surface, config)
 

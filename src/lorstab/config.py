@@ -7,12 +7,10 @@ the offending key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .lorentz import ConformalFieldSpec
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "parse_config", "parse_reals", "load_config", "check_level",
@@ -35,37 +33,22 @@ class ScenarioConfig:
     scenario: str
     r: int
     s0: float
-    axis: tuple[float, ...] | None = None
     perturbations: tuple[tuple[int, int, float], ...] = ()
     level: int = 5
     tol_gap: float = 2e-2
     tol_const: float | None = None     # default depends on the scenario
     solver_tol: float = 1e-8
     checks: tuple[str, ...] = ("stability",)
-    killing_u: tuple[float, ...] = field(default=(1.0, 0.0, 0.0, 0.0))
-    killing_v: tuple[float, ...] | None = None   # defaults to the axis
+    killing_u: tuple[float, ...] = (1.0, 0.0, 0.0, 0.0)
+    killing_v: tuple[float, ...] = (0.0, 0.0, 0.0, 1.0)     # the time axis
     fd_h: float = 1e-3
     seed: int = 0
-
-    @property
-    def axis_array(self) -> np.ndarray:
-        if self.axis is not None:
-            return np.array(self.axis, dtype=float)
-        a = np.zeros(4)
-        a[-1] = 1.0
-        return a
 
     @property
     def constancy_tolerance(self) -> float:
         if self.tol_const is not None:
             return self.tol_const
         return 1e-2 if self.scenario == "graph" and self.perturbations else 1e-6
-
-    @property
-    def killing_v_array(self) -> np.ndarray:
-        if self.killing_v is not None:
-            return np.array(self.killing_v, dtype=float)
-        return self.axis_array
 
 
 def _parse_real(key: str, raw: str) -> float:
@@ -130,7 +113,7 @@ def parse_config(text: str) -> ScenarioConfig:
         del pairs["perturbations"]
 
     known = {
-        "scenario", "r", "s0", "axis", "perturbations", "level", "tol_gap", "tol_const",
+        "scenario", "r", "s0", "perturbations", "level", "tol_gap", "tol_const",
         "solver_tol", "checks", "killing_u", "killing_v", "fd_h", "seed",
     }
     for key in pairs:
@@ -175,15 +158,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     s0 = take_float("s0")
 
-    axis = parse_reals("axis", pairs["axis"]) if "axis" in pairs else None
-    if axis is not None:
-        if len(axis) != 4:
-            raise ConfigError("key 'axis': expected 4 components", key="axis")
-        try:
-            ConformalFieldSpec(a=axis)
-        except ValueError as err:
-            raise ConfigError(f"key 'axis': {err}", key="axis") from err
-
     perturbations = _parse_perturbations(pairs.get("perturbations", ""))
 
     level = check_level(take_int("level", 5))
@@ -203,9 +177,9 @@ def parse_config(text: str) -> ScenarioConfig:
                           "leave the analytic family)", key="checks")
 
     killing_u = parse_reals("killing_u", pairs["killing_u"]) if "killing_u" in pairs else (1.0, 0.0, 0.0, 0.0)
-    killing_v = parse_reals("killing_v", pairs["killing_v"]) if "killing_v" in pairs else None
+    killing_v = parse_reals("killing_v", pairs["killing_v"]) if "killing_v" in pairs else (0.0, 0.0, 0.0, 1.0)
     for key, vec in (("killing_u", killing_u), ("killing_v", killing_v)):
-        if vec is not None and len(vec) != 4:
+        if len(vec) != 4:
             raise ConfigError(f"key '{key}': expected 4 components", key=key)
 
     fd_h = take_float("fd_h", 1e-3)
@@ -216,7 +190,6 @@ def parse_config(text: str) -> ScenarioConfig:
         scenario=scenario,
         r=r,
         s0=s0,
-        axis=axis,
         perturbations=perturbations,
         level=level,
         tol_gap=take_tolerance("tol_gap", 2e-2),

@@ -64,7 +64,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
-from .lorentz import minkowski_metric
+from .lorentz import SIGNATURE
 from .surfaces import GraphSurface, _hat_gradients, scatter_p1
 
 __all__ = [
@@ -207,8 +207,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
 
     # Q = (J E) P_r (J E)^T = a pa^T + b pb^T per vertex, with [a, b] = J E and
     # [pa, pb] = (J E) P_r; per face, K_ab = area/3 grad_a . (sum of corner Q) grad_b
-    j = np.diag(minkowski_metric(4))
-    a, b = np.ascontiguousarray((cache.frame * j[None, :, None]).transpose(2, 1, 0))
+    a, b = np.ascontiguousarray((cache.frame * SIGNATURE[None, :, None]).transpose(2, 1, 0))
     p00, p01, p11 = p_vertex[:, 0, 0], p_vertex[:, 0, 1], p_vertex[:, 1, 1]
     pa, pb = p00 * a + p01 * b, p01 * a + p11 * b
     q = np.stack([a[i] * pa[k] + b[i] * pb[k] for i, k in zip(*_UPPER)])    # (10, V)

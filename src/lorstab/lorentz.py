@@ -3,11 +3,11 @@
 The ambient is R^(n+2) with inner product sum(v_i w_i, i <= n+1) - v_last w_last;
 de Sitter space is the hyperquadric <p,p> = 1.  Here: the inner product
 (``minkowski_inner`` on two vectors, ``mdot`` and ``mdot_axis0`` on stacks,
-``minkowski_metric``); the field specs ``ConformalFieldSpec`` (a unit timelike
-axis a, closed conformal field V(p) = a - <p,a> p with factor psi = -<p,a>) and
-``KillingFieldSpec`` (W(p) = k (<u,p> v - <v,p> u)); ``ambient_field``, which
-evaluates either on vertex stacks; and ``orthonormal_completion``, a
-Lorentz-orthonormal frame around a unit timelike axis.  All pure, value-level.
+``SIGNATURE``, the diagonal (1, 1, 1, -1) of the metric); the field specs
+``ConformalFieldSpec`` (a unit timelike axis a, closed conformal field
+V(p) = a - <p,a> p with factor psi = -<p,a>) and ``KillingFieldSpec``
+(W(p) = k (<u,p> v - <v,p> u)); and ``ambient_field``, which evaluates either
+on vertex stacks.  All pure, value-level.
 """
 
 from __future__ import annotations
@@ -18,14 +18,17 @@ import numpy as np
 
 __all__ = [
     "minkowski_inner",
-    "minkowski_metric",
+    "SIGNATURE",
     "mdot",
     "mdot_axis0",
     "ConformalFieldSpec",
     "KillingFieldSpec",
     "ambient_field",
-    "orthonormal_completion",
 ]
+
+# the diagonal of the ambient metric of R^4, timelike last coordinate
+SIGNATURE = np.array([1.0, 1.0, 1.0, -1.0])
+SIGNATURE.flags.writeable = False
 
 
 def minkowski_inner(v, w) -> float:
@@ -35,13 +38,6 @@ def minkowski_inner(v, w) -> float:
     if v.shape != w.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {w.shape}")
     return float(np.dot(v[:-1], w[:-1]) - v[-1] * w[-1])
-
-
-def minkowski_metric(dim: int) -> np.ndarray:
-    """diag(1, ..., 1, -1) of the given total dimension."""
-    j = np.eye(dim)
-    j[-1, -1] = -1.0
-    return j
 
 
 def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,30 +93,3 @@ def ambient_field(spec: ConformalFieldSpec | KillingFieldSpec, points: np.ndarra
     up = mdot(points, spec.u)
     vp = mdot(points, spec.v)
     return spec.k * (up[..., None] * spec.v - vp[..., None] * spec.u)
-
-
-def orthonormal_completion(a: np.ndarray) -> np.ndarray:
-    """Lorentz-orthonormal frame with the unit timelike ``a`` as last column.
-
-    Columns b_1..b_(d-1) span the spacelike complement of a; the returned
-    matrix F satisfies F^T J F = J, so mapping canonical coordinates through
-    F preserves all inner products.  Deterministic: Gram-Schmidt over the
-    canonical basis vectors in order, skipping near-dependent ones.
-    """
-    a = np.asarray(a, dtype=float)
-    d = a.size
-    cols = [a]
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        w = e.copy()
-        for b in cols:
-            w -= (minkowski_inner(e, b) / minkowski_inner(b, b)) * b
-        norm2 = minkowski_inner(w, w)
-        if norm2 < 1e-12:
-            continue
-        cols.append(w / np.sqrt(norm2))
-        if len(cols) == d:
-            break
-    frame = np.column_stack(cols[1:] + [a])
-    return frame

@@ -27,14 +27,12 @@ def fmt(value) -> str:
 
 def _config_lines(config: ScenarioConfig) -> list[str]:
     pert = ";".join(f"{l},{m},{fmt(a)}" for l, m, a in config.perturbations)
-    axis = " ".join(fmt(x) for x in config.axis_array)
-    kv = " ".join(fmt(x) for x in config.killing_v_array)
+    kv = " ".join(fmt(x) for x in config.killing_v)
     ku = " ".join(fmt(x) for x in config.killing_u)
     rows = [
         ("scenario", config.scenario),
         ("r", config.r),
         ("s0", config.s0),
-        ("axis", axis),
         ("perturbations", pert or "none"),
         ("level", config.level),
         ("tol_gap", config.tol_gap),

@@ -22,8 +22,8 @@ import numpy as np
 
 from .curvature import batched_newton_traces
 from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
-from .lorentz import ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot
-from .surfaces import GraphSurface, _consistent_mass, support_function, tangential_gradient
+from .lorentz import KillingFieldSpec, ambient_field, mdot
+from .surfaces import TIME_AXIS, GraphSurface, _consistent_mass, support_function, tangential_gradient
 
 __all__ = [
     "Tolerances",
@@ -111,7 +111,7 @@ def _constancy_residual(values: np.ndarray, mean: float) -> float:
 
 
 def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
-    ap = mdot(surface.cache.vertices, surface.axis.a[None, :])
+    ap = mdot(surface.cache.vertices, TIME_AXIS.a[None, :])
     if (ap < -_PSI_FLOOR).all():
         return "future", ap
     if (ap > _PSI_FLOOR).all():
@@ -231,8 +231,9 @@ def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -
     return weak_residual(pair, eta, lam_mean)
 
 
-def conformal_identity_check(surface: GraphSurface, r: int, spec: ConformalFieldSpec) -> float:
-    """Pointwise residual of the conformal support-function identity.
+def conformal_identity_check(surface: GraphSurface, r: int) -> float:
+    """Pointwise residual of the conformal support-function identity of the
+    field about ``TIME_AXIS``.
 
     Both sides are paired weakly against hat functions, converted back to
     point values through the lumped mass, and compared relative to the
@@ -243,13 +244,13 @@ def conformal_identity_check(surface: GraphSurface, r: int, spec: ConformalField
     cache = surface.cache
     b_r = 2                                      # (n - r) C(n, r) at n = 2, for r = 0 and r = 1
 
-    eta = support_function(surface, spec)
+    eta = support_function(surface, TIME_AXIS)
     p = cache.vertices
-    psi = -mdot(p, spec.a[None, :])
-    n_psi = -mdot(cache.normal, spec.a[None, :])
+    psi = -mdot(p, TIME_AXIS.a[None, :])
+    n_psi = -mdot(cache.normal, TIME_AXIS.a[None, :])
     h_r = cache.mean[:, r]
     h_next = cache.mean[:, r + 1]
-    v_field = ambient_field(spec, p)
+    v_field = ambient_field(TIME_AXIS, p)
     grad_h = tangential_gradient(surface, h_next)
     v_grad = mdot(v_field, grad_h)
 

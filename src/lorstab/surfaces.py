@@ -8,6 +8,11 @@ harmonic height expansion and sampled at the vertices of a shared
 integration and finite elements.
 
 Conventions fixed here and relied on everywhere else:
+  * the closed conformal field's axis is ``TIME_AXIS``, e4 = (0, 0, 0, 1), so
+    the chart coordinates of a surface are its ambient coordinates.  This
+    loses no generality: every unit timelike axis a is carried to e4 by an
+    isometry F of de Sitter space, and a surface with axis a and Killing
+    field (u, v) is isometric to one with axis e4 and (F^-1 u, F^-1 v);
   * the unit normal N is future-pointing (its Lorentz product with the
     time axis is negative);
   * the shape operator is A = -(tangential part of the ambient derivative
@@ -24,15 +29,13 @@ from scipy.sparse import csr_matrix
 
 from .curvature import batched_eigvalsh2, batched_elementary
 from .harmonics import HarmonicField
-from .lorentz import (
-    ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, mdot_axis0, minkowski_metric,
-    orthonormal_completion,
-)
+from .lorentz import SIGNATURE, ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, mdot_axis0
 # validate_closed_oriented has no caller here: it stays bound for the
 # mesh.validate layer of perfbench/tracer.py, which rebinds this name
 from .mesh import SphereMesh, icosphere, validate_closed_oriented  # noqa: F401
 
 __all__ = [
+    "TIME_AXIS",
     "GraphConstructionError",
     "GraphSurface",
     "GeometryCache",
@@ -51,10 +54,9 @@ class GraphConstructionError(ValueError):
         self.vertex = vertex
 
 
-def _default_axis() -> np.ndarray:
-    a = np.zeros(4)
-    a[-1] = 1.0
-    return a
+# the axis a of the closed conformal field a - <p,a> p of every surface
+TIME_AXIS = ConformalFieldSpec(a=np.array([0.0, 0.0, 0.0, 1.0]))
+TIME_AXIS.a.flags.writeable = False
 
 
 @dataclass
@@ -95,7 +97,6 @@ class GraphSurface:
     """Height graph over the unit 2-sphere, embedded in the hyperquadric."""
 
     height: HarmonicField
-    axis: ConformalFieldSpec
     mesh: SphereMesh
     cache: GeometryCache
     _memo: dict = field(default_factory=dict, repr=False)
@@ -180,7 +181,6 @@ def build_graph(
     s0: float,
     perturbations=(),
     level: int = 4,
-    axis: np.ndarray | None = None,
     mesh: SphereMesh | None = None,
     jets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> GraphSurface:
@@ -195,16 +195,13 @@ def build_graph(
     ``jets`` given (a flow snapshot's) replaces the first.
     """
     height = HarmonicField(constant=float(s0), terms=tuple(perturbations))
-    axis = _default_axis() if axis is None else np.asarray(axis, dtype=float)
-    spec = ConformalFieldSpec(a=axis)
     mesh = _icosphere_mesh(level) if mesh is None else mesh
-    return _graph_from_jets(height, spec, mesh, height.jets(mesh.q) if jets is None else jets)
+    return _graph_from_jets(height, mesh, height.jets(mesh.q) if jets is None else jets)
 
 
-def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: SphereMesh, jets) -> GraphSurface:
+def _graph_from_jets(height: HarmonicField, mesh: SphereMesh, jets) -> GraphSurface:
     """The graph surface from its height's jets (u, grad u, Hess u) at the
     mesh points: pointwise geometry, then face areas and lumped weights."""
-    frame_map = orthonormal_completion(spec.a)
     q, faces = mesh.q, mesh.faces
     u, g, hs = jets
     with np.errstate(over="ignore", invalid="ignore"):   # the check below reports an overflow
@@ -240,8 +237,8 @@ def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: Sphe
 
     x1 = chart_vec(sinh_u[:, None] * u1[:, None] * q + phi[:, None] * w1, phi * u1)
     x2 = chart_vec(sinh_u[:, None] * u2[:, None] * q + phi[:, None] * w2, phi * u2)
-    normal_can = alpha[:, None] * chart_vec(sinh_u[:, None] * q + g / phi[:, None], phi)
-    verts_can = chart_vec(phi[:, None] * q, sinh_u)
+    normal = alpha[:, None] * chart_vec(sinh_u[:, None] * q + g / phi[:, None], phi)
+    verts = chart_vec(phi[:, None] * q, sinh_u)
 
     # induced metric and second fundamental form in the (w1, w2) chart frame
     g11m = phi * phi - u1 * u1
@@ -261,12 +258,7 @@ def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: Sphe
     shape[:, 0, 0] = i00 * i00 * b00
     shape[:, 0, 1] = shape[:, 1, 0] = i00 * (i10 * b00 + i11 * b01)
     shape[:, 1, 1] = i10 * (i10 * b00 + i11 * b01) + i11 * (i10 * b01 + i11 * b11)
-    frame_can = np.stack([i00[:, None] * x1, i10[:, None] * x1 + i11[:, None] * x2], axis=2)
-
-    # carry everything to ambient coordinates of the requested axis
-    verts = verts_can @ frame_map.T
-    normal = normal_can @ frame_map.T
-    frame = frame_map @ frame_can
+    frame = np.stack([i00[:, None] * x1, i10[:, None] * x1 + i11[:, None] * x2], axis=2)
 
     eigs = batched_eigvalsh2(shape)
     sigma = batched_elementary(eigs)
@@ -279,12 +271,12 @@ def _graph_from_jets(height: HarmonicField, spec: ConformalFieldSpec, mesh: Sphe
         vertices=verts, normal=normal, frame=frame, shape=shape, shape_eigs=eigs, sigma=sigma, mean=mean,
         weights=weights, area=float(weights.sum()), face_area=face_area, mesh=mesh, metric_ratio=metric_ratio,
     )
-    return GraphSurface(height=height, axis=spec, mesh=mesh, cache=cache)
+    return GraphSurface(height=height, mesh=mesh, cache=cache)
 
 
-def build_slice(s0: float, level: int = 4, axis: np.ndarray | None = None) -> GraphSurface:
+def build_slice(s0: float, level: int = 4) -> GraphSurface:
     """Totally umbilical slice at height s0: the unperturbed graph, A = -tanh(s0) I."""
-    return build_graph(s0, (), level=level, axis=axis)
+    return build_graph(s0, (), level=level)
 
 
 def support_function(surface: GraphSurface, spec: ConformalFieldSpec | KillingFieldSpec) -> np.ndarray:
@@ -311,7 +303,6 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
     acc = np.stack([np.bincount(idx, weights=np.tile(grad_face[i], 3), minlength=nv)
                     for i in range(4)], axis=1)
     acc /= wacc[:, None]
-    j = np.diag(minkowski_metric(4))
-    comps = np.einsum("vi,via->va", acc * j, cache.frame)
+    comps = np.einsum("vi,via->va", acc * SIGNATURE, cache.frame)
     return np.einsum("via,va->vi", cache.frame, comps)
 

@@ -132,8 +132,7 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
         base._memo[("jets",)] = base.height.jets(base.mesh.q)
     jets = tuple(b + t * a for b, a in zip(base._memo[("jets",)], variation.jets))
     try:
-        return build_graph(height.constant, perturbations=height.terms, axis=base.axis.a, mesh=base.mesh,
-                           jets=jets)
+        return build_graph(height.constant, perturbations=height.terms, mesh=base.mesh, jets=jets)
     except GraphConstructionError as err:
         raise FlowError(f"flow at t = {t:.6g} loses spacelikeness: {err}", t=t,
                         vertex=err.vertex) from err

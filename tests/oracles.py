@@ -19,7 +19,7 @@ from scipy.sparse.linalg import splu
 from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces
 from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, _harmonic_poly
-from lorstab.lorentz import mdot, minkowski_metric
+from lorstab.lorentz import SIGNATURE, mdot
 from lorstab.mesh import _LEAF, _icosahedron
 
 
@@ -96,8 +96,7 @@ def assemble_stiffness_reference(surface, r):
     mean of T^T P_r T, and area * G^T P G."""
     cache = surface.cache
     p_vertex = newton_vertex_matrices(surface, r)
-    j = np.diag(minkowski_metric(4))
-    frames = cache.frame * j[None, :, None]
+    frames = cache.frame * SIGNATURE[None, :, None]
     faces = surface.mesh.faces
     face_frame, face_grad = face_frames_reference(surface)
     transport = np.einsum("fcia,fib->fcab", frames[faces], face_frame)
@@ -245,8 +244,7 @@ def tangential_gradient_reference(surface, values, grad_face=None):
         np.add.at(acc, faces[:, corner], grad_face * w[:, None])
         np.add.at(wacc, faces[:, corner], w)
     acc /= wacc[:, None]
-    j = np.diag(minkowski_metric(4))
-    comps = np.einsum("vi,via->va", acc * j, cache.frame)
+    comps = np.einsum("vi,via->va", acc * SIGNATURE, cache.frame)
     return np.einsum("via,va->vi", cache.frame, comps)
 
 
@@ -368,11 +366,10 @@ def shape_operator_mesh_estimate(surface):
     cache = surface.cache
     nv = cache.vertices.shape[0]
     adjacency = _vertex_adjacency(surface.mesh.faces, nv)
-    j = np.diag(minkowski_metric(4))
     out = np.empty((nv, 2, 2))
     for i in range(nv):
         delta = cache.vertices[adjacency[i]] - cache.vertices[i]
-        t = (delta * j) @ cache.frame[i]          # (k, 2) tangential components
+        t = (delta * SIGNATURE) @ cache.frame[i]          # (k, 2) tangential components
         rhs = 2.0 * mdot(delta, np.broadcast_to(cache.normal[i], delta.shape))
         design = np.stack([t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2], axis=1)
         coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)

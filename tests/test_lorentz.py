@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from lorstab.lorentz import (
+    SIGNATURE,
     ConformalFieldSpec,
     KillingFieldSpec,
     ambient_field,
     minkowski_inner,
-    minkowski_metric,
-    orthonormal_completion,
 )
 from lorstab.stability import analyze
 from lorstab.surfaces import build_slice
@@ -63,6 +62,11 @@ class TestInnerProduct:
     def test_null_vector(self):
         v = np.array([1.0, 0.0, 0.0, 1.0])
         assert minkowski_inner(v, v) == 0.0
+
+    def test_signature_is_the_metric_on_the_basis(self):
+        basis = np.eye(4)
+        gram = [[minkowski_inner(v, w) for w in basis] for v in basis]
+        assert np.array_equal(np.diag(SIGNATURE), gram)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -137,7 +141,6 @@ class TestConformalField:
         def field(q):
             return ambient_field(spec, q)
 
-        j = minkowski_metric(4)
         for _ in range(25):
             p = random_hyperquadric_point(rng)
             # Lorentz-orthonormal tangent frame at p (3 vectors, one timelike)
@@ -160,7 +163,6 @@ class TestConformalField:
             )
             psi = -minkowski_inner(p, self.AXIS)
             assert div / 3.0 == pytest.approx(psi, abs=1e-6)
-        assert j[3, 3] == -1.0
 
 
 class TestKillingField:
@@ -193,15 +195,3 @@ class TestKillingField:
             lhs += minkowski_inner(x, covariant_derivative(field, p, y))
             worst = max(worst, abs(lhs) / max(1.0, np.abs(x).max() * np.abs(y).max()))
         assert worst < 1e-6
-
-
-class TestFrameCompletion:
-    def test_lorentz_orthonormal(self, rng):
-        j = minkowski_metric(4)
-        for _ in range(20):
-            a = rng.normal(size=4)
-            a[3] = abs(a[3]) + 2.0   # keep it timelike
-            a = a / np.sqrt(-minkowski_inner(a, a))
-            f = orthonormal_completion(a)
-            assert f.T @ j @ f == pytest.approx(j, abs=1e-12)
-            assert f[:, 3] == pytest.approx(a)

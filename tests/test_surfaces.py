@@ -7,10 +7,11 @@ import pytest
 
 from lorstab.curvature import batched_elementary
 from lorstab.fem import assemble, first_eigenvalue_meanzero
-from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot, minkowski_inner
+from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot
 from lorstab.mesh import SphereMesh, icosphere
 from lorstab.stability import analyze
 from lorstab.surfaces import (
+    TIME_AXIS,
     GraphConstructionError,
     _face_areas,
     _hat_gradients,
@@ -94,16 +95,10 @@ class TestMeshedSliceGeometry:
     def test_h2_positive_off_equator(self, slice_mesh):
         assert slice_mesh(1.0, 3).cache.mean[:, 2].min() > 0
 
-    def test_rotated_axis_equivariance(self):
-        axis = np.array([0.3, -0.1, 0.2, 1.2])
-        axis = axis / np.sqrt(-minkowski_inner(axis, axis))
-        surf = build_slice(1.0, level=3, axis=axis)
-        c = surf.cache
-        assert np.abs(c.shape - (-np.tanh(1.0)) * np.eye(2)).max() < 1e-12
-        assert np.abs(mdot(c.vertices, c.vertices) - 1.0).max() < 1e-12
-        assert abs(c.area - 4 * np.pi * np.cosh(1.0) ** 2) / c.area < 5e-3
-        eta = support_function(surf, surf.axis)
-        assert np.abs(eta + np.cosh(1.0)).max() < 1e-9
+    def test_time_axis_is_e4_and_read_only(self):
+        assert np.array_equal(TIME_AXIS.a, AXIS)
+        with pytest.raises(ValueError, match="read-only"):
+            TIME_AXIS.a[0] = 1.0
 
 
 class TestGraphConstruction:
@@ -168,7 +163,7 @@ class TestMeshShapeEstimate:
 class TestSupportFunction:
     def test_conformal_constant_on_slice(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        eta = support_function(surf, surf.axis)
+        eta = support_function(surf, TIME_AXIS)
         assert np.abs(eta + np.cosh(1.0)).max() < 1e-9
         assert np.abs(eta - eta.mean()).max() < 1e-9
 
@@ -186,12 +181,12 @@ class TestSupportFunction:
 
     def test_equator_unit_support(self):
         surf = build_slice(0.0, level=3)
-        eta = support_function(surf, surf.axis)
+        eta = support_function(surf, TIME_AXIS)
         assert np.abs(np.abs(eta) - 1.0).max() < 1e-12
 
     def test_ambient_field_tangency(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        v = ambient_field(surf.axis, surf.cache.vertices)
+        v = ambient_field(TIME_AXIS, surf.cache.vertices)
         assert np.abs(mdot(v, surf.cache.vertices)).max() < 1e-12
 
 
@@ -264,9 +259,8 @@ class TestTangentialGradient:
 
 class TestSharedMesh:
     def test_one_mesh_and_order_per_level(self):
-        tilted = np.array([0.0, 0.0, np.sinh(0.3), np.cosh(0.3)])
         sl = build_slice(0.7, level=3)
-        graph = build_graph(1.2, perturbations=((2, 0, 0.05),), level=3, axis=tilted)
+        graph = build_graph(1.2, perturbations=((2, 0, 0.05),), level=3)
         assert graph.mesh is sl.mesh
         assert sl.mesh.level == 3
         assert assemble(graph, 1).order is assemble(sl, 0).order is sl.mesh.order

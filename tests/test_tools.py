@@ -1,0 +1,79 @@
+"""The output comparison script in tools/, on hand-written output files."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+REPORT = """lorstab run report
+config:
+  scenario = slice
+{config}stability:
+  verdict = {verdict}
+  lambda1 = {lambda1}
+"""
+
+
+@pytest.fixture(scope="module")
+def compare_outputs():
+    """tools/compare_outputs.py imported by path; the interpreter settings its
+    import changes (no bytecode, perfbench/ on sys.path) are put back after."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "tools" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    return module
+
+
+def write_pair(tmp_path, parent, change, name="report.txt"):
+    paths = []
+    for side, text in (("parent", parent), ("change", change)):
+        path = tmp_path / side / name
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def report(config="", verdict="stable", lambda1="2.5"):
+    return REPORT.format(config=config, verdict=verdict, lambda1=lambda1)
+
+
+class TestCompareFile:
+    def test_equal_bytes(self, compare_outputs, tmp_path, capsys):
+        assert not compare_outputs.compare_file(*write_pair(tmp_path, report(), report()))
+        assert capsys.readouterr().out == "  report.txt: bytes equal\n"
+
+    def test_key_on_one_side_is_removed_or_added(self, compare_outputs, tmp_path, capsys):
+        parent = report(config="  axis = 0 0 0 1\n  seed = 0\n")
+        change = report(config="  seed = 0\n  level = 3\n")
+        assert not compare_outputs.compare_file(*write_pair(tmp_path, parent, change))
+        assert capsys.readouterr().out.splitlines() == [
+            "  report.txt: bytes differ",
+            "    config.axis: removed (0 0 0 1)",
+            "    config.level: added (3)",
+        ]
+
+    def test_column_on_one_side_is_not_an_emptied_value(self, compare_outputs, tmp_path, capsys):
+        parent = "param,value,eigen_iterations,empirical_order\nlevel,4,5,2.0\n"
+        change = "param,value,empirical_order\nlevel,4,\n"
+        assert not compare_outputs.compare_file(*write_pair(tmp_path, parent, change, "sweep.csv"))
+        assert capsys.readouterr().out.splitlines() == [
+            "  sweep.csv: bytes differ",
+            "    eigen_iterations: removed (5)",
+            "    empirical_order: 2.0 -> ",
+        ]
+
+    @pytest.mark.parametrize("change, line", [
+        ({"verdict": "unstable"}, "    stability.verdict: stable -> unstable"),
+        ({"lambda1": "2.6"}, "    stability.lambda1: max relative difference 0.0385  ABOVE 1e-12"),
+    ], ids=["verdict", "lambda1"])
+    def test_moved_verdict_or_lambda1_fails(self, compare_outputs, tmp_path, capsys, change, line):
+        assert compare_outputs.compare_file(*write_pair(tmp_path, report(), report(**change)))
+        assert line in capsys.readouterr().out.splitlines()

@@ -104,7 +104,7 @@ class TestFlow:
         t = 0.02
         snap = flow(var, t)
         height = base.height.plus(Y20, factor=t)
-        want = build_graph(height.constant, perturbations=height.terms, level=3, axis=base.axis.a)
+        want = build_graph(height.constant, perturbations=height.terms, level=3)
         assert snap.mesh is base.mesh is want.mesh
         assert snap.cache.mesh is want.cache.mesh
         assert snap.mesh.level == 3
@@ -125,8 +125,7 @@ class TestFlow:
             snap = flow(var, t)
             height = base.height.plus(amplitude, factor=t)
             jets = tuple(b + t * a for b, a in zip(base.height.jets(base.mesh.q), amplitude.jets(base.mesh.q)))
-            want = build_graph(height.constant, perturbations=height.terms, axis=base.axis.a,
-                               mesh=base.mesh, jets=jets)
+            want = build_graph(height.constant, perturbations=height.terms, mesh=base.mesh, jets=jets)
             assert snap.mesh is base.mesh
             assert snap.height == want.height
             for name in GeometryCache.__dataclass_fields__:

@@ -9,11 +9,13 @@ config, as fresh ``python -m lorstab.cli`` processes with one BLAS thread.
 For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
 that moved (a report key, a CSV column over its rows, or in ``checks.csv``
-a column over one check's rows, such as ``volume_balance.rel_error``) and
-every text field that changed.  It ends with each tree's shift-invert applications
-summed over the ``report.txt`` files (``stability.eigen_iterations``) and the
-``sweep.csv`` rows (``eigen_iterations``; "n/a" for a tree whose sweep.csv has
-no such column), the same without the sweeps, and the change's largest
+a column over one check's rows, such as ``volume_balance.rel_error``),
+every text field that changed, and every field found on one side only, as
+``removed`` or ``added`` with its values.  It ends with each tree's
+shift-invert applications summed over the ``report.txt`` files
+(``stability.eigen_iterations``) and the ``sweep.csv`` rows
+(``eigen_iterations``; "n/a" for a tree whose sweep.csv has no such
+column), the same without the sweeps, and the change's largest
 ``eigen_residual`` as a fraction of its tolerance (a report's ``tol_solver``,
 or the workloads' ``SOLVER_TOL`` for a ``sweep.csv`` row), so a cheaper
 eigensolve is shown with its safety margin.
@@ -114,7 +116,10 @@ def compare_file(parent: Path, change: Path) -> bool:
             print(f"    {key}: max relative difference {max(diffs):.3g}{flag}")
             failed |= moved
         else:
-            print(f"    {key}: {','.join(a)} -> {','.join(b)}")
+            if a and b:
+                print(f"    {key}: {','.join(a)} -> {','.join(b)}")
+            else:       # a field on one side only; a value that became empty keeps its field
+                print(f"    {key}: {'removed' if a else 'added'} ({','.join(a or b)})")
             failed |= key.endswith("verdict") or key in LAMBDA1_FIELDS
     return failed
 
