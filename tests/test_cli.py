@@ -193,7 +193,8 @@ class TestExitCodes:
 NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
 PLAIN_GRAPH = "scenario = graph\nr = 1\ns0 = 1\nlevel = 3\n"
 
-# (key, config text): one rejected value per error site of parse_config
+# (key, config text): one rejected value per error site of parse_config; the
+# removed axis key is an unknown key whatever its value, well-formed or not
 CONFIG_ERRORS = {
     "scenario-missing": ("scenario", "r = 1\ns0 = 1\n"),
     "scenario-invalid": ("scenario", "scenario = cone\nr = 1\ns0 = 1\n"),
@@ -206,6 +207,10 @@ CONFIG_ERRORS = {
     "s0-nan": ("s0", "scenario = slice\nr = 1\ns0 = nan\n"),
     "s0-inf": ("s0", "scenario = slice\nr = 1\ns0 = inf\n"),
     "axis-removed": ("axis", SLICE + "axis = 0 0 0 1\n"),
+    "axis-length": ("axis", SLICE + "axis = 0 0 1\n"),
+    "axis-parse": ("axis", SLICE + "axis = 0 0 0 one\n"),
+    "axis-nan": ("axis", SLICE + "axis = nan 0 0 1\n"),
+    "axis-not-unit-timelike": ("axis", SLICE + "axis = 1 0 0 0\n"),
     "killing_u-length": ("killing_u", SLICE + "killing_u = 1 0 0\n"),
     "killing_u-parse": ("killing_u", SLICE + "killing_u = 1 0 0 x\n"),
     "killing_v-length": ("killing_v", SLICE + "killing_v = 0 0 0 1 0\n"),
