@@ -187,7 +187,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
     if "stability" in config.checks:
         stability_report = analyze(surface, config.r, _tolerances(config))
     if "killing" in config.checks:
-        spec = KillingFieldSpec(u=config.killing_u, v=config.killing_v, k=1.0)
+        spec = KillingFieldSpec(u=config.killing_u, v=config.killing_v)
         residual = killing_eigen_check(surface, config.r, spec)
         eta = support_function(surface, spec)
         mean_frac = abs(float(np.sum(surface.cache.weights * eta))) / (

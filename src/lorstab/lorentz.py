@@ -1,13 +1,11 @@
-"""Lorentz-Minkowski linear algebra and the ambient fields of de Sitter space.
+"""Lorentz-Minkowski linear algebra and the Killing fields of de Sitter space.
 
-The ambient is R^(n+2) with inner product sum(v_i w_i, i <= n+1) - v_last w_last;
-de Sitter space is the hyperquadric <p,p> = 1.  Here: the inner product
-(``minkowski_inner`` on two vectors, ``mdot`` and ``mdot_axis0`` on stacks,
-``SIGNATURE``, the diagonal (1, 1, 1, -1) of the metric); the field specs
-``ConformalFieldSpec`` (a unit timelike axis a, closed conformal field
-V(p) = a - <p,a> p with factor psi = -<p,a>) and ``KillingFieldSpec``
-(W(p) = k (<u,p> v - <v,p> u)); and ``ambient_field``, which evaluates either
-on vertex stacks.  All pure, value-level.
+The ambient is R^4 with inner product v1 w1 + v2 w2 + v3 w3 - v4 w4; de
+Sitter space is the hyperquadric <p,p> = 1.  Here: the inner product on
+stacks (``mdot`` and ``mdot_axis0``) and ``SIGNATURE``, the diagonal
+(1, 1, 1, -1) of the metric; the field spec ``KillingFieldSpec``
+(W(p) = <u,p> v - <v,p> u); and ``ambient_field``, which evaluates it on
+vertex stacks.  All pure, value-level.
 """
 
 from __future__ import annotations
@@ -17,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "minkowski_inner",
     "SIGNATURE",
     "mdot",
     "mdot_axis0",
-    "ConformalFieldSpec",
     "KillingFieldSpec",
     "ambient_field",
 ]
@@ -29,15 +25,6 @@ __all__ = [
 # the diagonal of the ambient metric of R^4, timelike last coordinate
 SIGNATURE = np.array([1.0, 1.0, 1.0, -1.0])
 SIGNATURE.flags.writeable = False
-
-
-def minkowski_inner(v, w) -> float:
-    """Lorentz inner product, timelike last coordinate."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {w.shape}")
-    return float(np.dot(v[:-1], w[:-1]) - v[-1] * w[-1])
 
 
 def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,42 +41,20 @@ def mdot_axis0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConformalFieldSpec:
-    """Unit timelike axis generating the closed conformal field a - <p,a> p."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if abs(minkowski_inner(a, a) + 1.0) > 1e-12:
-            raise ValueError("axis must be unit timelike (<a,a> = -1)")
-        object.__setattr__(self, "a", a)
-
-
-@dataclass(frozen=True)
 class KillingFieldSpec:
-    """Rotation/boost generator: W(p) = k (<u,p> v - <v,p> u)."""
+    """Rotation/boost generator: W(p) = <u,p> v - <v,p> u."""
 
     u: np.ndarray
     v: np.ndarray
-    k: float = 1.0
 
     def __post_init__(self):
-        if self.k == 0.0:
-            raise ValueError("k must be nonzero")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
-def ambient_field(spec: ConformalFieldSpec | KillingFieldSpec, points: np.ndarray) -> np.ndarray:
-    """Field values at one point, (d,), or at a stack of points, (V, d).
-
-    Conformal: V(p) = a - <p,a> p.  Killing: W(p) = k (<u,p> v - <v,p> u).
-    Both are tangent to the hyperquadric.
-    """
-    if isinstance(spec, ConformalFieldSpec):
-        pa = mdot(points, spec.a)
-        return spec.a - pa[..., None] * points
+def ambient_field(spec: KillingFieldSpec, points: np.ndarray) -> np.ndarray:
+    """Killing field values W(p) = <u,p> v - <v,p> u at one point, (4,), or
+    at a stack of points, (V, 4); tangent to the hyperquadric."""
     up = mdot(points, spec.u)
     vp = mdot(points, spec.v)
-    return spec.k * (up[..., None] * spec.v - vp[..., None] * spec.u)
+    return up[..., None] * spec.v - vp[..., None] * spec.u

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import batched_newton_traces
 from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
 from .lorentz import KillingFieldSpec, ambient_field, mdot
-from .surfaces import TIME_AXIS, GraphSurface, _consistent_mass, support_function, tangential_gradient
+from .surfaces import GraphSurface, _consistent_mass, support_function, tangential_gradient
 
 __all__ = [
     "Tolerances",
@@ -97,8 +96,8 @@ def stability_field(surface: GraphSurface, r: int) -> np.ndarray:
     """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r) at c = 1, on the memoized P_r."""
     key = ("stability_field", r)
     if key not in surface._memo:
-        traces = batched_newton_traces(surface.cache.shape, newton_vertex_matrices(surface, r))
-        surface._memo[key] = traces[:, 0] - traces[:, 2]
+        a, p = surface.cache.shape, newton_vertex_matrices(surface, r)
+        surface._memo[key] = np.trace(p, axis1=1, axis2=2) - np.einsum("vij,vji->v", a @ a, p)
     return surface._memo[key]
 
 
@@ -111,12 +110,14 @@ def _constancy_residual(values: np.ndarray, mean: float) -> float:
 
 
 def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
-    ap = mdot(surface.cache.vertices, TIME_AXIS.a[None, :])
-    if (ap < -_PSI_FLOOR).all():
-        return "future", ap
-    if (ap > _PSI_FLOOR).all():
-        return "past", ap
-    return "mixed", ap
+    """The side of the equator p4 = 0 the surface lies on, and the conformal
+    factor psi = p4 per vertex."""
+    psi = surface.cache.vertices[:, 3]
+    if (psi > _PSI_FLOOR).all():
+        return "future", psi
+    if (psi < -_PSI_FLOOR).all():
+        return "past", psi
+    return "mixed", psi
 
 
 def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()) -> StabilityReport:
@@ -143,8 +144,8 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
     h2 = cache.mean[:, 2]
     eigs = cache.shape_eigs
     definite = np.logical_or((eigs > 0).all(axis=1), (eigs < 0).all(axis=1))
-    chronology, ap = _chronology(surface)
-    psi_min_abs = float(np.abs(ap).min())   # conformal factor is -<p, a>
+    chronology, psi = _chronology(surface)
+    psi_min_abs = float(np.abs(psi).min())
 
     tol_gap_eff = tolerances.gap_at_level(surface.mesh.level)
     hypotheses_ok = (
@@ -233,7 +234,7 @@ def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -
 
 def conformal_identity_check(surface: GraphSurface, r: int) -> float:
     """Pointwise residual of the conformal support-function identity of the
-    field about ``TIME_AXIS``.
+    closed conformal field V = e4 + p4 p, whose conformal factor is psi = p4.
 
     Both sides are paired weakly against hat functions, converted back to
     point values through the lumped mass, and compared relative to the
@@ -244,13 +245,13 @@ def conformal_identity_check(surface: GraphSurface, r: int) -> float:
     cache = surface.cache
     b_r = 2                                      # (n - r) C(n, r) at n = 2, for r = 0 and r = 1
 
-    eta = support_function(surface, TIME_AXIS)
     p = cache.vertices
-    psi = -mdot(p, TIME_AXIS.a[None, :])
-    n_psi = -mdot(cache.normal, TIME_AXIS.a[None, :])
+    psi = p[:, 3]
+    n_psi = cache.normal[:, 3]                   # -<N, e4>
+    v_field = np.array([0.0, 0.0, 0.0, 1.0]) + psi[:, None] * p     # V = e4 + psi p
+    eta = mdot(v_field, cache.normal)
     h_r = cache.mean[:, r]
     h_next = cache.mean[:, r + 1]
-    v_field = ambient_field(TIME_AXIS, p)
     grad_h = tangential_gradient(surface, h_next)
     v_grad = mdot(v_field, grad_h)
 

@@ -8,13 +8,14 @@ harmonic height expansion and sampled at the vertices of a shared
 integration and finite elements.
 
 Conventions fixed here and relied on everywhere else:
-  * the closed conformal field's axis is ``TIME_AXIS``, e4 = (0, 0, 0, 1), so
-    the chart coordinates of a surface are its ambient coordinates.  This
-    loses no generality: every unit timelike axis a is carried to e4 by an
-    isometry F of de Sitter space, and a surface with axis a and Killing
-    field (u, v) is isometric to one with axis e4 and (F^-1 u, F^-1 v);
-  * the unit normal N is future-pointing (its Lorentz product with the
-    time axis is negative);
+  * the closed conformal field is V(p) = e4 + p4 p, the field
+    a - <p,a> p about the axis a = e4 = (0, 0, 0, 1), with conformal factor
+    psi = p4; the chart coordinates of a surface are its ambient
+    coordinates.  This loses no generality: every unit timelike axis a is
+    carried to e4 by an isometry F of de Sitter space, and a surface with
+    axis a and Killing field (u, v) is isometric to one with axis e4 and
+    (F^-1 u, F^-1 v);
+  * the unit normal N is future-pointing (<N, e4> = -N4 is negative);
   * the shape operator is A = -(tangential part of the ambient derivative
     of N), so the slice at height s0 has A = -tanh(s0) * identity.
 """
@@ -29,13 +30,12 @@ from scipy.sparse import csr_matrix
 
 from .curvature import batched_eigvalsh2, batched_elementary
 from .harmonics import HarmonicField
-from .lorentz import SIGNATURE, ConformalFieldSpec, KillingFieldSpec, ambient_field, mdot, mdot_axis0
+from .lorentz import SIGNATURE, KillingFieldSpec, ambient_field, mdot, mdot_axis0
 # validate_closed_oriented has no caller here: it stays bound for the
 # mesh.validate layer of perfbench/tracer.py, which rebinds this name
 from .mesh import SphereMesh, icosphere, validate_closed_oriented  # noqa: F401
 
 __all__ = [
-    "TIME_AXIS",
     "GraphConstructionError",
     "GraphSurface",
     "GeometryCache",
@@ -52,11 +52,6 @@ class GraphConstructionError(ValueError):
     def __init__(self, message: str, vertex: int | None = None):
         super().__init__(message)
         self.vertex = vertex
-
-
-# the axis a of the closed conformal field a - <p,a> p of every surface
-TIME_AXIS = ConformalFieldSpec(a=np.array([0.0, 0.0, 0.0, 1.0]))
-TIME_AXIS.a.flags.writeable = False
 
 
 @dataclass
@@ -279,8 +274,8 @@ def build_slice(s0: float, level: int = 4) -> GraphSurface:
     return build_graph(s0, (), level=level)
 
 
-def support_function(surface: GraphSurface, spec: ConformalFieldSpec | KillingFieldSpec) -> np.ndarray:
-    """Normal component of the ambient field along the surface, per vertex."""
+def support_function(surface: GraphSurface, spec: KillingFieldSpec) -> np.ndarray:
+    """Normal component of the Killing field along the surface, per vertex."""
     return mdot(ambient_field(spec, surface.cache.vertices), surface.cache.normal)
 
 

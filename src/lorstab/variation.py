@@ -30,7 +30,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .curvature import r_area_integrand, variation_constant
 from .fem import assemble
 from .harmonics import HarmonicField
 from .stability import jacobi_second_variation, stability_field
@@ -139,8 +138,12 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
 
 
 def r_area(surface: GraphSurface, r: int) -> float:
-    """Order-r area functional: vertex quadrature of F_r against the area weights."""
-    return float(np.sum(surface.cache.weights * r_area_integrand(surface.cache.sigma, 1.0, r)))
+    """Order-r area functional: vertex quadrature of F_r against the area
+    weights, with F_0 = 1 and F_1 = -sigma_1."""
+    if r not in (0, 1):
+        raise ValueError(f"order r={r} out of range [0, 1]")
+    integrand = -surface.cache.sigma[:, 1] if r else 1.0
+    return float(np.sum(surface.cache.weights * integrand))
 
 
 @cache
@@ -187,10 +190,10 @@ def volume_balance(variation: NormalVariation, t):
 def _lagrange_constant(base: GraphSurface, r: int) -> float:
     """Lagrange multiplier of the volume constraint, c_r + b_r mean(H_{r+1}):
     the first variation of the order-r area is the integral of
-    (c_r + b_r H_{r+1}) f, with c_r = ``variation_constant`` and
+    (c_r + b_r H_{r+1}) f, with c_r = 2 r the variation constant and
     b_r = (n - r) C(n, r), which is 2 at n = 2 for both r = 0 and r = 1."""
     h_next_mean = float(np.sum(base.cache.weights * base.cache.mean[:, r + 1]) / base.cache.area)
-    return variation_constant(2, 1.0, r) + 2 * h_next_mean
+    return 2.0 * r + 2 * h_next_mean
 
 
 def verify_first_variation(variation: NormalVariation, r: int, h: float = 1e-3) -> VariationCheck:
@@ -201,7 +204,7 @@ def verify_first_variation(variation: NormalVariation, r: int, h: float = 1e-3) 
     fd = (areas[2] - areas[1]) / (2.0 * h)
     fd_wide = (areas[3] - areas[0]) / (4.0 * h)
 
-    integrand = (-1.0) ** (r + 1) * (r + 1) * base.cache.sigma[:, r + 1] + variation_constant(2, 1.0, r)
+    integrand = (-1.0) ** (r + 1) * (r + 1) * base.cache.sigma[:, r + 1] + 2.0 * r     # + c_r
     f = variation.values()
     rhs = float(np.sum(base.cache.weights * integrand * f))
     scale = max(abs(fd), abs(rhs), float(np.sum(base.cache.weights * np.abs(integrand) * np.abs(f))), 1e-30)

@@ -4,10 +4,13 @@ Most functions here are an earlier, plainer form of a library routine that
 was later rewritten for speed; they compute the same quantity by the direct
 method, so the tests can check the fast routine against them.
 ``SphericalHarmonic`` and ``harmonic_basis`` come first: the tests' names for
-one harmonic and for a basis of them.  The last seven
-are independent cross-checks of the pipeline's geometry, operators and
-curvature algebra, built from the discrete mesh or a closed form rather than
-the analytic path.
+one harmonic and for a basis of them.  ``minkowski_inner`` and the
+shape-operator algebra for any n and c (``elementary_reference`` to
+``variation_constant_reference``) are the references of the closed forms
+the library computes at n = 2, c = 1.  The last seven are independent
+cross-checks of the pipeline's geometry, operators and curvature algebra,
+built from the discrete mesh or a closed form rather than the analytic
+path.
 """
 
 from math import comb
@@ -16,7 +19,6 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from lorstab.curvature import batched_elementary, batched_newton, batched_newton_traces
 from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, _harmonic_poly
 from lorstab.lorentz import SIGNATURE, mdot
@@ -347,6 +349,86 @@ def smallest_eigenvalues_reference(op, k=1, tol=1e-8, maxiter=500, seed=0):
     return values[:k], vectors, iterations, residuals
 
 
+def minkowski_inner(v, w) -> float:
+    """Lorentz inner product of two vectors, timelike last coordinate."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.shape != w.shape:
+        raise ValueError(f"dimension mismatch: {v.shape} vs {w.shape}")
+    return float(np.dot(v[:-1], w[:-1]) - v[-1] * w[-1])
+
+
+# The shape-operator algebra for any dimension n and ambient curvature c, as
+# the library computed it before n = 2 and c = 1 were fixed: the references
+# of the closed forms in ``lorstab.curvature`` and ``lorstab.variation``.
+
+def elementary_reference(eigs):
+    """sigma_0..sigma_n per row of an (V, n) eigenvalue array -> (V, n+1), by
+    the one-pass coefficient recurrence of prod_i (1 + v_i t)."""
+    v, n = eigs.shape
+    coeff = np.zeros((v, n + 1))
+    coeff[:, 0] = 1.0
+    for k in range(n):
+        coeff[:, 1 : k + 2] = coeff[:, 1 : k + 2] + eigs[:, k, None] * coeff[:, 0 : k + 1]
+    return coeff
+
+
+def newton_reference(a, sigma, r):
+    """P_r per point for an (V, n, n) operator stack and its sigma table, by
+    the recurrence P_k = (-1)^k sigma_k I + A P_{k-1}, symmetrized."""
+    v, n, _ = a.shape
+    eye = np.broadcast_to(np.eye(n), (v, n, n))
+    p = np.array(eye)
+    for k in range(1, r + 1):
+        p = (-1.0) ** k * sigma[:, k, None, None] * eye + a @ p
+    return (p + np.transpose(p, (0, 2, 1))) / 2.0
+
+
+def newton_traces_reference(a, p):
+    """(tr P, tr A P, tr A^2 P) per point for an (V, n, n) operator stack and
+    its Newton transformations P -> (V, 3)."""
+    return np.stack([
+        np.trace(p, axis1=1, axis2=2),
+        np.einsum("vij,vji->v", a, p),
+        np.einsum("vij,vji->v", a @ a, p),
+    ], axis=1)
+
+
+def area_integrand_reference(sigma, c, r):
+    """Integrand F_r of the order-r area functional from sigma_0..sigma_n
+    along the last axis: F_0 = 1, F_1 = -sigma_1 and
+    F_r = (-1)^r sigma_r - c (n - r + 1) / (r - 1) * F_{r-2}."""
+    sigma = np.asarray(sigma, dtype=float)
+    n = sigma.shape[-1] - 1
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"order r={r} out of range [0, {n - 1}]")
+    f = [np.ones(sigma.shape[:-1]), -sigma[..., 1]]
+    for k in range(2, r + 1):
+        f.append((-1.0) ** k * sigma[..., k] - c * (n - k + 1) / (k - 1) * f[k - 2])
+    return f[r]
+
+
+def variation_constant_reference(n, c, r):
+    """Additive constant in the first variation of the order-r area: zero for
+    even r, and for odd r
+    -[n (n-2) ... (n-r+1)] / [(r-1) (r-3) ... 2] * (-c)^((r+1)/2)."""
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"order r={r} out of range [0, {n - 1}]")
+    if r % 2 == 0:
+        return 0.0
+    num = 1.0
+    k = n
+    while k >= n - r + 1:
+        num *= k
+        k -= 2
+    den = 1.0
+    k = r - 1
+    while k >= 2:
+        den *= k
+        k -= 2
+    return -(num / den) * (-c) ** ((r + 1) // 2)
+
+
 def _vertex_adjacency(faces, nv):
     neigh = [set() for _ in range(nv)]
     for a, b, c in faces:
@@ -453,8 +535,8 @@ def stability_constant_binomial(a, c, r):
 
 def batched_stability_constant(a, c, r):
     """c*tr(P_r) - tr(A^2 P_r) per point for an (V, n, n) operator stack, by
-    the batched kernels from LAPACK eigenvalues."""
-    traces = batched_newton_traces(a, batched_newton(a, batched_elementary(np.linalg.eigvalsh(a)), r))
+    the any-n references from LAPACK eigenvalues."""
+    traces = newton_traces_reference(a, newton_reference(a, elementary_reference(np.linalg.eigvalsh(a)), r))
     return c * traces[:, 0] - traces[:, 2]
 
 

@@ -1,5 +1,6 @@
 """Shape-operator algebra against brute-force and closed-form oracles: the
-batched kernels, called on one-row stacks where a test checks one point."""
+n = 2 kernels, and the any-n references in ``oracles`` they replaced, called
+on one-row stacks where a test checks one point."""
 
 from itertools import combinations
 from math import comb
@@ -9,22 +10,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorstab.curvature import (
-    batched_eigvalsh2,
-    batched_elementary,
-    batched_newton,
-    batched_newton_traces,
-    r_area_integrand,
-    variation_constant,
-)
+from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton
+from lorstab.fem import newton_vertex_matrices
+from lorstab.lorentz import mdot
+from lorstab.stability import _chronology, stability_field
+from lorstab.variation import NormalVariation, _lagrange_constant, r_area, verify_first_variation
 
 from conftest import random_shape
-from oracles import batched_stability_constant, mean_curvatures_reference, stability_constant_binomial
+from oracles import (
+    SphericalHarmonic,
+    area_integrand_reference,
+    batched_stability_constant,
+    elementary_reference,
+    mean_curvatures_reference,
+    newton_reference,
+    newton_traces_reference,
+    stability_constant_binomial,
+    variation_constant_reference,
+)
+
+
+def stack_elementary(eigs):
+    """sigma per row of an (V, n) eigenvalue stack: the kernel at n = 2, the
+    any-n reference otherwise."""
+    return (batched_elementary if eigs.shape[1] == 2 else elementary_reference)(eigs)
+
+
+def stack_newton(a, sigma, r):
+    """P_r of an (V, n, n) operator stack: the kernel at n = 2 and r <= 1,
+    the any-n reference otherwise."""
+    return (batched_newton if a.shape[1] == 2 and r <= 1 else newton_reference)(a, sigma, r)
 
 
 def elementary(values):
     """sigma_0..sigma_n of one point's principal curvatures."""
-    return batched_elementary(np.asarray(values, dtype=float).reshape(1, -1))[0]
+    return stack_elementary(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def mean_curvatures(values):
@@ -37,12 +57,12 @@ def mean_curvatures(values):
 def newton(a, r):
     """P_r of one symmetric shape operator."""
     stack = np.asarray(a, dtype=float)[None]
-    return batched_newton(stack, batched_elementary(np.linalg.eigvalsh(stack)), r)[0]
+    return stack_newton(stack, stack_elementary(np.linalg.eigvalsh(stack)), r)[0]
 
 
 def traces(a, r):
     """(tr P_r, tr A P_r, tr A^2 P_r) of one symmetric shape operator."""
-    return tuple(batched_newton_traces(np.asarray(a, dtype=float)[None], newton(a, r)[None])[0])
+    return tuple(newton_traces_reference(np.asarray(a, dtype=float)[None], newton(a, r)[None])[0])
 
 
 def stability_constant(a, c, r):
@@ -221,41 +241,43 @@ class TestStabilityConstant:
 class TestAreaIntegrandAndVariationConstant:
     def test_low_orders(self):
         s = elementary((1.0, 2.0, -1.0, 0.5))
-        assert r_area_integrand(s, 1.0, 0) == 1.0
-        assert r_area_integrand(s, 1.0, 1) == pytest.approx(-s[1])
+        assert area_integrand_reference(s, 1.0, 0) == 1.0
+        assert area_integrand_reference(s, 1.0, 1) == pytest.approx(-s[1])
 
     def test_second_order_example(self):
         # n=3, c=1, sigma_2 = 6: F_2 = sigma_2 - c (n-1) F_0
         s = elementary((1.0, 2.0, 0.8))
         s2 = s[2]
-        assert r_area_integrand(s, 1.0, 2) == pytest.approx(s2 - 2.0)
+        assert area_integrand_reference(s, 1.0, 2) == pytest.approx(s2 - 2.0)
         assert s2 == pytest.approx(1 * 2 + 1 * 0.8 + 2 * 0.8)
 
     def test_stack_matches_rows(self, rng):
         # n = 4 reaches r = 3, so the F_{r-2} recurrence runs past r = 1
         n = 4
-        sigma = batched_elementary(rng.uniform(-2.0, 2.0, size=(25, n)))
+        sigma = elementary_reference(rng.uniform(-2.0, 2.0, size=(25, n)))
         for c in (1.0, -0.5):
             for r in range(n):
-                stack = r_area_integrand(sigma, c, r)
+                stack = area_integrand_reference(sigma, c, r)
                 assert stack.shape == (25,)
-                rows = np.array([r_area_integrand(row, c, r) for row in sigma])
+                rows = np.array([area_integrand_reference(row, c, r) for row in sigma])
                 assert np.array_equal(stack, rows)
         # F_3 = -sigma_3 - c (n - 2) / 2 * F_1 with F_1 = -sigma_1, n = 4, c = 1
-        assert r_area_integrand(sigma, 1.0, 3) == pytest.approx(sigma[:, 1] - sigma[:, 3], rel=1e-14)
+        assert area_integrand_reference(sigma, 1.0, 3) == pytest.approx(sigma[:, 1] - sigma[:, 3], rel=1e-14)
 
     def test_variation_constant_values(self):
-        assert variation_constant(2, 1.0, 0) == 0.0
-        assert variation_constant(5, 3.0, 2) == 0.0
-        assert variation_constant(2, 1.0, 1) == pytest.approx(2.0)
-        assert variation_constant(3, 2.0, 1) == pytest.approx(6.0)
-        assert variation_constant(4, 1.0, 3) == pytest.approx(-4.0)
+        assert variation_constant_reference(2, 1.0, 0) == 0.0
+        assert variation_constant_reference(5, 3.0, 2) == 0.0
+        assert variation_constant_reference(2, 1.0, 1) == pytest.approx(2.0)
+        assert variation_constant_reference(3, 2.0, 1) == pytest.approx(6.0)
+        assert variation_constant_reference(4, 1.0, 3) == pytest.approx(-4.0)
 
-    def test_range_errors(self):
+    def test_range_errors(self, slice_mesh):
         with pytest.raises(ValueError):
-            r_area_integrand(elementary((1.0, 2.0)), 1.0, 2)
+            area_integrand_reference(elementary((1.0, 2.0)), 1.0, 2)
         with pytest.raises(ValueError):
-            variation_constant(2, 1.0, 2)
+            variation_constant_reference(2, 1.0, 2)
+        with pytest.raises(ValueError, match=r"order r=2 out of range \[0, 1\]"):
+            r_area(slice_mesh(1.0, 3), 2)
 
 
 class TestBatchedHelpers:
@@ -284,12 +306,12 @@ class TestBatchedHelpers:
         for n in range(2, 7):
             shapes = [random_shape(rng, n) for _ in range(12)]
             stack = np.stack(shapes)
-            sigma = batched_elementary(np.linalg.eigvalsh(stack))
+            sigma = stack_elementary(np.linalg.eigvalsh(stack))
             for i, s in enumerate(shapes):
                 want = [sigma_bruteforce(np.linalg.eigvalsh(s), k) for k in range(n + 1)]
                 assert sigma[i] == pytest.approx(want, rel=1e-10, abs=1e-10)
             for r in range(n + 1):
-                p = batched_newton(stack, sigma, r)
+                p = stack_newton(stack, sigma, r)
                 for i, s in enumerate(shapes):
                     want = newton_bruteforce(s, r)
                     assert np.abs(p[i] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -299,3 +321,73 @@ class TestBatchedHelpers:
                     for i, s in enumerate(shapes):
                         want = stability_constant_binomial(s, c, r)
                         assert abs(lam[i] - want) <= 1e-10 * max(1.0, abs(lam[i]), abs(want))
+
+
+def bits(x):
+    """The bit patterns of a float array or scalar, so that -0.0 != +0.0."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+BENCH_TERMS = ((2, 0, 0.05), (3, 1, 0.02))
+E4 = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+class TestClosedFormsBitwise:
+    """The n = 2, c = 1, e4 closed forms that the pipeline computes, bit for
+    bit against the any-n references and the Lorentz product with e4: on
+    level-4 slices (s0 = 0 has exact zeros) and on the bench graph with its
+    time reflection p4 -> -p4 (s0 and every amplitude negated)."""
+
+    @pytest.fixture(params=["slice-1", "slice0", "slice+1", "graph", "graph-reflected"])
+    def surface(self, request, slice_mesh, graph_mesh):
+        if request.param.startswith("slice"):
+            return slice_mesh(float(request.param[5:]), 4)
+        sign = -1.0 if request.param.endswith("reflected") else 1.0
+        return graph_mesh(sign, tuple((l, m, sign * a) for l, m, a in BENCH_TERMS), 4)
+
+    def test_signed_zeros_match_references(self):
+        """Every symmetric 2x2 operator with entries in {-0, +0, -1, 0.5, 1},
+        and every eigenvalue pair from that set: the closed forms keep the
+        signed zeros of the recurrences."""
+        values = np.array([-0.0, 0.0, -1.0, 0.5, 1.0])
+        entries = np.array(np.meshgrid(values, values, values, indexing="ij")).reshape(3, -1)
+        a = np.stack([entries[[0, 1]], entries[[1, 2]]]).transpose(2, 0, 1)
+        pairs = np.array(np.meshgrid(values, values, indexing="ij")).reshape(2, -1).T
+        for eigs in (batched_eigvalsh2(a), pairs):
+            assert np.array_equal(bits(batched_elementary(eigs)), bits(elementary_reference(eigs)))
+        sigma = elementary_reference(batched_eigvalsh2(a))
+        for r in (0, 1):
+            assert np.array_equal(bits(batched_newton(a, sigma, r)), bits(newton_reference(a, sigma, r)))
+
+    def test_matches_references(self, surface):
+        cache = surface.cache
+        sigma = elementary_reference(cache.shape_eigs)
+        assert np.array_equal(bits(cache.sigma), bits(sigma))
+        assert np.array_equal(bits(batched_elementary(cache.shape_eigs)), bits(sigma))
+        for r in (0, 1):
+            p = newton_reference(cache.shape, sigma, r)
+            assert np.array_equal(bits(newton_vertex_matrices(surface, r)), bits(p))
+            traces = newton_traces_reference(cache.shape, p)
+            assert np.array_equal(bits(stability_field(surface, r)), bits(traces[:, 0] - traces[:, 2]))
+            f_r = area_integrand_reference(sigma, 1.0, r)
+            assert bits(r_area(surface, r)) == bits(float(np.sum(cache.weights * f_r)))
+            h_next_mean = float(np.sum(cache.weights * cache.mean[:, r + 1]) / cache.area)
+            want = variation_constant_reference(2, 1.0, r) + 2 * h_next_mean
+            assert bits(_lagrange_constant(surface, r)) == bits(want)
+            if surface.is_slice:
+                variation = NormalVariation(surface, SphericalHarmonic(1, 0))
+                integrand = (-1.0) ** (r + 1) * (r + 1) * sigma[:, r + 1] + variation_constant_reference(2, 1.0, r)
+                want = float(np.sum(cache.weights * integrand * variation.values()))
+                assert bits(verify_first_variation(variation, r).rhs) == bits(want)
+
+        # psi = p4, <N, e4> = -N4 and V = e4 + p4 p against the Lorentz product
+        # with e4; psi may differ from -<p, e4> in the sign of a zero, which
+        # only |psi| and products with psi read
+        p, normal = cache.vertices, cache.normal
+        _, psi = _chronology(surface)
+        nonzero = p[:, 3] != 0.0
+        assert np.array_equal(bits(psi[nonzero]), bits(-mdot(p, E4)[nonzero]))
+        assert np.array_equal(bits(np.abs(psi)), bits(np.abs(mdot(p, E4))))
+        assert np.array_equal(bits(normal[:, 3]), bits(-mdot(normal, E4)))
+        v_field = E4 + psi[:, None] * p
+        assert np.array_equal(bits(v_field), bits(E4 - mdot(p, E4)[:, None] * p))

@@ -1,17 +1,21 @@
-"""Minkowski linear algebra and the ambient fields on the hyperquadric."""
+"""Minkowski linear algebra and the ambient fields on the hyperquadric: the
+Killing fields of ``lorstab.lorentz`` and the closed conformal field
+V(p) = e4 + p4 p with factor psi = p4, which ``lorstab.stability`` reads."""
 
 import numpy as np
 import pytest
 
-from lorstab.lorentz import (
-    SIGNATURE,
-    ConformalFieldSpec,
-    KillingFieldSpec,
-    ambient_field,
-    minkowski_inner,
-)
+from lorstab.lorentz import SIGNATURE, KillingFieldSpec, ambient_field, mdot
 from lorstab.stability import analyze
 from lorstab.surfaces import build_slice
+from oracles import minkowski_inner
+
+E4 = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def conformal_field(p):
+    """V(p) = e4 + p4 p at one point or a stack of points."""
+    return E4 + p[..., 3, None] * p
 
 
 def random_hyperquadric_point(rng, dim=4):
@@ -84,63 +88,45 @@ class TestInnerProduct:
 
 
 class TestConformalField:
-    AXIS = np.array([0.0, 0.0, 0.0, 1.0])
-
     def test_on_equator_is_axis(self):
-        spec = ConformalFieldSpec(a=self.AXIS)
-        v = ambient_field(spec, np.array([1.0, 0.0, 0.0, 0.0]))
-        assert v == pytest.approx(self.AXIS)
+        assert conformal_field(np.array([1.0, 0.0, 0.0, 0.0])) == pytest.approx(E4)
         assert analyze(build_slice(0.0, level=3), 1).psi_min_abs == 0.0
 
     def test_factor_is_sinh_of_height(self, rng):
-        spec = ConformalFieldSpec(a=self.AXIS)
         for _ in range(10):
             q = rng.normal(size=3)
             q /= np.linalg.norm(q)
             s = float(rng.uniform(-1.5, 1.5))
             p = chart_point(s, q)
-            # V = a - <p,a> p = a + psi p with psi = -<p,a> = sinh(s)
-            want = self.AXIS + np.sinh(s) * p
-            assert ambient_field(spec, p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            # V = a - <p,a> p about a = e4 is e4 + psi p with psi = -<p,e4> = p4 = sinh(s)
+            general = E4 - minkowski_inner(p, E4) * p
+            assert conformal_field(p) == pytest.approx(general, rel=1e-12, abs=1e-12)
+            assert conformal_field(p) == pytest.approx(E4 + np.sinh(s) * p, rel=1e-12, abs=1e-12)
         for s0 in (-1.2, 0.3, 1.5):
             report = analyze(build_slice(s0, level=3), 1)
             assert report.psi_min_abs == pytest.approx(abs(np.sinh(s0)), rel=1e-12)
 
     def test_tangency(self, rng):
-        spec = ConformalFieldSpec(a=self.AXIS)
         for _ in range(30):
             p = random_hyperquadric_point(rng)
-            v = ambient_field(spec, p)
-            assert abs(minkowski_inner(v, p)) < 1e-12
-
-    def test_axis_must_be_unit_timelike(self):
-        with pytest.raises(ValueError):
-            ConformalFieldSpec(a=np.array([1.0, 0.0, 0.0, 0.0]))
+            assert abs(minkowski_inner(conformal_field(p), p)) < 1e-12
+        points = np.stack([random_hyperquadric_point(rng) for _ in range(30)])
+        assert np.abs(mdot(conformal_field(points), points)).max() < 1e-12
 
     def test_conformal_property_finite_difference(self, rng):
-        spec = ConformalFieldSpec(a=self.AXIS)
-
-        def field(q):
-            return ambient_field(spec, q)
-
         worst = 0.0
         for _ in range(100):
             p = random_hyperquadric_point(rng)
             x, y = tangent_at(rng, p), tangent_at(rng, p)
-            lhs = minkowski_inner(covariant_derivative(field, p, x), y)
-            lhs += minkowski_inner(x, covariant_derivative(field, p, y))
-            psi = -minkowski_inner(p, self.AXIS)
+            lhs = minkowski_inner(covariant_derivative(conformal_field, p, x), y)
+            lhs += minkowski_inner(x, covariant_derivative(conformal_field, p, y))
+            psi = p[3]
             rhs = 2.0 * psi * minkowski_inner(x, y)
             scale = max(1.0, abs(rhs))
             worst = max(worst, abs(lhs - rhs) / scale)
         assert worst < 1e-6
 
     def test_divergence_gives_factor(self, rng):
-        spec = ConformalFieldSpec(a=self.AXIS)
-
-        def field(q):
-            return ambient_field(spec, q)
-
         for _ in range(25):
             p = random_hyperquadric_point(rng)
             # Lorentz-orthonormal tangent frame at p (3 vectors, one timelike)
@@ -158,31 +144,26 @@ class TestConformalField:
                 if len(frame) == 3:
                     break
             div = sum(
-                np.sign(minkowski_inner(b, b)) * minkowski_inner(covariant_derivative(field, p, b), b)
+                np.sign(minkowski_inner(b, b)) * minkowski_inner(covariant_derivative(conformal_field, p, b), b)
                 for b in frame
             )
-            psi = -minkowski_inner(p, self.AXIS)
-            assert div / 3.0 == pytest.approx(psi, abs=1e-6)
+            assert div / 3.0 == pytest.approx(p[3], abs=1e-6)
 
 
 class TestKillingField:
     def test_rotation_example(self):
-        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1])
         assert ambient_field(spec, np.eye(4)[0]) == pytest.approx(np.eye(4)[1])
 
     def test_tangency(self, rng):
-        spec = KillingFieldSpec(u=rng.normal(size=4), v=rng.normal(size=4), k=2.0)
+        spec = KillingFieldSpec(u=rng.normal(size=4), v=rng.normal(size=4))
         for _ in range(30):
             p = random_hyperquadric_point(rng)
             w = ambient_field(spec, p)
             assert abs(minkowski_inner(w, p)) < 1e-10
 
-    def test_zero_k_rejected(self):
-        with pytest.raises(ValueError):
-            KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=0.0)
-
     def test_killing_property_finite_difference(self, rng):
-        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[3], k=1.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[3])
 
         def field(q):
             return ambient_field(spec, q)

@@ -19,7 +19,7 @@ from lorstab.surfaces import build_graph, build_slice, support_function
 from oracles import SphericalHarmonic, harmonic_basis, slice_operator_eigenvalue, stability_constant_binomial
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
-BOOST = KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=1.0)
+BOOST = KillingFieldSpec(u=np.eye(4)[0], v=AXIS)
 
 
 class TestAnalyze:
@@ -159,12 +159,12 @@ class TestKillingCheck:
         assert residuals[0] > residuals[1] > residuals[2]
 
     def test_rotation_is_degenerate(self, slice_mesh):
-        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1])
         with pytest.raises(DegenerateFieldError):
             killing_eigen_check(slice_mesh(1.0, 3), 1, spec)
 
     def test_equal_vectors_are_degenerate(self, slice_mesh):
-        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[0], k=1.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[0])
         with pytest.raises(DegenerateFieldError):
             killing_eigen_check(slice_mesh(1.0, 3), 1, spec)
 

@@ -11,7 +11,6 @@ from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot
 from lorstab.mesh import SphereMesh, icosphere
 from lorstab.stability import analyze
 from lorstab.surfaces import (
-    TIME_AXIS,
     GraphConstructionError,
     _face_areas,
     _hat_gradients,
@@ -29,6 +28,13 @@ from oracles import (
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
 
+def conformal_support(surface):
+    """eta = <V, N> of the closed conformal field V = e4 + p4 p, as the
+    conformal identity check computes it."""
+    p = surface.cache.vertices
+    return mdot(AXIS + p[:, 3, None] * p, surface.cache.normal)
+
+
 class TestSliceClosedForms:
     """A slice is the unperturbed graph; its meshed data against the closed forms."""
 
@@ -37,10 +43,10 @@ class TestSliceClosedForms:
         assert np.abs(cache.shape_eigs + np.tanh(1.0)).max() < 1e-12
         for r in range(3):
             assert cache.mean[:, r] == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
-        # any n: C(n,r) H_r = (-1)^r sigma_r = C(n,r) tanh(s0)^r at A = -tanh(s0) I
-        s = batched_elementary(np.full((1, 3), -np.tanh(1.0)))[0]
-        for r in range(4):
-            assert (-1.0) ** r * s[r] / comb(3, r) == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
+        # C(2,r) H_r = (-1)^r sigma_r = C(2,r) tanh(s0)^r at A = -tanh(s0) I
+        s = batched_elementary(np.full((1, 2), -np.tanh(1.0)))[0]
+        for r in range(3):
+            assert (-1.0) ** r * s[r] / comb(2, r) == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
 
     def test_equator_is_geodesic(self):
         assert np.abs(build_slice(0.0, level=3).cache.shape).max() == 0.0
@@ -94,11 +100,6 @@ class TestMeshedSliceGeometry:
 
     def test_h2_positive_off_equator(self, slice_mesh):
         assert slice_mesh(1.0, 3).cache.mean[:, 2].min() > 0
-
-    def test_time_axis_is_e4_and_read_only(self):
-        assert np.array_equal(TIME_AXIS.a, AXIS)
-        with pytest.raises(ValueError, match="read-only"):
-            TIME_AXIS.a[0] = 1.0
 
 
 class TestGraphConstruction:
@@ -163,31 +164,35 @@ class TestMeshShapeEstimate:
 class TestSupportFunction:
     def test_conformal_constant_on_slice(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        eta = support_function(surf, TIME_AXIS)
+        eta = conformal_support(surf)
         assert np.abs(eta + np.cosh(1.0)).max() < 1e-9
         assert np.abs(eta - eta.mean()).max() < 1e-9
+        # eta = <e4, N> = -N4, since <p, N> = 0
+        assert np.abs(eta + surf.cache.normal[:, 3]).max() < 1e-12
 
     def test_killing_boost_degree_one(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        spec = KillingFieldSpec(u=np.eye(4)[0], v=AXIS, k=2.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=AXIS)
         eta = support_function(surf, spec)
-        assert eta == pytest.approx(-2.0 * surf.mesh.q[:, 0], abs=1e-12)
+        assert eta == pytest.approx(-surf.mesh.q[:, 0], abs=1e-12)
         assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
 
     def test_spatial_rotation_is_tangent(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1], k=1.0)
+        spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1])
         assert np.abs(support_function(surf, spec)).max() < 1e-12
 
     def test_equator_unit_support(self):
         surf = build_slice(0.0, level=3)
-        eta = support_function(surf, TIME_AXIS)
+        eta = conformal_support(surf)
         assert np.abs(np.abs(eta) - 1.0).max() < 1e-12
 
     def test_ambient_field_tangency(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        v = ambient_field(TIME_AXIS, surf.cache.vertices)
-        assert np.abs(mdot(v, surf.cache.vertices)).max() < 1e-12
+        p = surf.cache.vertices
+        w = ambient_field(KillingFieldSpec(u=np.eye(4)[0], v=AXIS), p)
+        assert np.abs(mdot(w, p)).max() < 1e-12
+        assert np.abs(mdot(AXIS + p[:, 3, None] * p, p)).max() < 1e-12
 
 
 class TestHatGradients:

@@ -60,6 +60,15 @@ class TestCompareFile:
             "    config.level: added (3)",
         ]
 
+    def test_emptied_report_value_is_not_a_removed_key(self, compare_outputs, tmp_path, capsys):
+        parent = report(config="  seed = 0\n  level = 3\n")
+        change = report(config="  seed = \n  level = 3\n")
+        assert not compare_outputs.compare_file(*write_pair(tmp_path, parent, change))
+        assert capsys.readouterr().out.splitlines() == [
+            "  report.txt: bytes differ",
+            "    config.seed: 0 -> ",
+        ]
+
     def test_column_on_one_side_is_not_an_emptied_value(self, compare_outputs, tmp_path, capsys):
         parent = "param,value,eigen_iterations,empirical_order\nlevel,4,5,2.0\n"
         change = "param,value,empirical_order\nlevel,4,\n"

@@ -71,9 +71,11 @@ def fields(path: Path) -> dict[str, list[str]]:
     for line in text.splitlines():
         depth = (len(line) - len(line.lstrip())) // 2
         body = line.strip()
-        if " = " in body:
-            key, _, value = body.partition(" = ")
-            out.setdefault(".".join(headers[:depth] + [key]), []).append(value)
+        # looked for before the line's end is stripped, so that an emptied
+        # value, "  key = ", still counts as the key's value
+        if " = " in line.lstrip():
+            key, _, value = line.lstrip().partition(" = ")
+            out.setdefault(".".join(headers[:depth] + [key]), []).append(value.rstrip())
         elif body.endswith(":"):
             headers[depth:] = [body[:-1]]
     return out
