@@ -29,22 +29,33 @@ process that only imported it took a median 52-57 ms from its last statement
 to its exit against 14-18 ms frozen (7-10 ms for a bare interpreter).  A run
 allocates few cycles of its own and triggers no collection.
 
-SciPy imports without ``numpy.f2py`` and ``numpy.testing``.  SciPy's vendored
-``array_api_compat.numpy`` clones NumPy's namespace: ``from numpy import *``,
-then ``getattr`` of every name in ``dir(numpy)``.  NumPy 2.x lists its lazily
-loaded submodules in both, so the clone imported every one of them, among
-them the Fortran wrapper generator f2py (which loads ``charset_normalizer``
-and about a hundred codecs) and ``numpy.testing`` (which loads ``unittest``
-and ``difflib``); a run reads neither.  While ``scipy.sparse.linalg`` imports,
-this module takes ``f2py`` and ``testing`` out of ``numpy.__all__`` and
-``dir(numpy)``, then puts NumPy's ``__all__`` and ``__dir__`` back as they
-were.  ``import lorstab.cli`` now leaves 444 entries in ``sys.modules``
-instead of 627 and 53.8k frozen objects instead of 70.3k, and took a median
-236 ms instead of 350 ms (21 interleaved fresh processes, 2 vCPU Intel Xeon,
-NumPy 2.4.6, SciPy 1.17.1).  The one lasting effect: SciPy's cloned namespace
-has no ``f2py`` or ``testing`` attribute.  SciPy reads ``xp.testing`` only in
-its ``xp_assert_*`` test helpers, which lorstab never calls, and
-``import numpy.testing`` still works afterwards.
+SciPy imports without the NumPy submodules that NumPy loads lazily and no
+run reads.  SciPy's vendored ``array_api_compat.numpy`` clones NumPy's
+namespace: ``from numpy import *``, then ``getattr`` of every name in
+``dir(numpy)``.  NumPy 2.x lists its lazily loaded submodules in both, so the
+clone imported every one of them, among them the Fortran wrapper generator
+f2py (which loads ``charset_normalizer`` and about a hundred codecs),
+``numpy.testing`` (which loads ``unittest`` and ``difflib``), ``numpy.ma``,
+``polynomial``, ``ctypeslib``, ``rec``, ``char``, ``strings`` and the
+deprecated ``core`` shim.  While ``scipy.sparse.linalg`` imports, this module
+takes every name that ``dir(numpy)`` lists and NumPy has not loaded yet, except
+``random`` (every solve draws its start vector from it), out of
+``numpy.__all__`` and ``dir(numpy)``, then puts NumPy's ``__all__`` and
+``__dir__`` back as they were.  On NumPy 2.4 that hides ``char``, ``core``,
+``ctypeslib``, ``f2py``, ``fft``, ``ma``, ``polynomial``, ``rec``,
+``strings``, ``testing`` and ``typing``; SciPy imports ``fft`` and ``typing``
+itself.  NumPy 1.x loads only ``testing`` (in some releases also ``Tester``)
+lazily, so there the rule hides no more than that.  A variation run imports
+``numpy.polynomial`` at its first Gauss-Legendre rule.  ``import lorstab.cli``
+now leaves 423 entries in ``sys.modules`` (444 when only f2py and testing
+were hidden, 627 with nothing hidden) and 49.2k frozen objects instead of
+53.6k, and took a median 298 ms instead of 312 ms (40 interleaved pairs of
+fresh processes with compiled bytecode, 2 vCPU Intel Xeon, NumPy 2.4.6, SciPy
+1.17.1; 370 ms instead of 384 ms without a bytecode cache).  The one lasting
+effect: SciPy's cloned namespace has none of the hidden attributes.  SciPy
+reads ``xp.testing`` only in its ``xp_assert_*`` test helpers, which lorstab
+never calls, and every hidden submodule still imports afterwards
+(``numpy.ma``, ``import numpy.testing``).
 """
 
 from __future__ import annotations
@@ -66,11 +77,12 @@ from pathlib import Path
 
 import numpy as np
 
-# SciPy clones NumPy's namespace on import; keep f2py and testing out of the
-# clone (see the module docstring), then put NumPy's dict back as it was.
+# SciPy clones NumPy's namespace on import; keep the lazy submodules no run
+# reads out of the clone (see the module docstring), then put NumPy's dict back
+# as it was.  Every solve reads random for its start vector.
 _numpy_vars = vars(np)
 _saved = {key: _numpy_vars[key] for key in ("__all__", "__dir__") if key in _numpy_vars}
-_hidden = {"f2py", "testing"}
+_hidden = set(dir(np)) - set(_numpy_vars) - {"random"}
 try:
     np.__all__ = [name for name in np.__all__ if name not in _hidden]
     np.__dir__ = lambda: [name for name in _saved.get("__dir__", lambda: list(_numpy_vars))()
@@ -98,7 +110,6 @@ from .surfaces import (
     GraphSurface,
     build_graph,
     build_slice,
-    support_function,
 )
 from .variation import (
     FlowError,
@@ -188,11 +199,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
         stability_report = analyze(surface, config.r, _tolerances(config))
     if "killing" in config.checks:
         spec = KillingFieldSpec(u=config.killing_u, v=config.killing_v)
-        residual = killing_eigen_check(surface, config.r, spec)
-        eta = support_function(surface, spec)
-        mean_frac = abs(float(np.sum(surface.cache.weights * eta))) / (
-            surface.cache.area * max(float(np.abs(eta).max()), 1e-30)
-        )
+        residual, mean_frac = killing_eigen_check(surface, config.r, spec)
         scalar_checks.append(("killing_residual", residual))
         scalar_checks.append(("killing_eta_mean_fraction", mean_frac))
     if "conformal" in config.checks:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
 from .lorentz import KillingFieldSpec, ambient_field, mdot
-from .surfaces import GraphSurface, _consistent_mass, support_function, tangential_gradient
+from .surfaces import GraphSurface, _consistent_mass, tangential_gradient
 
 __all__ = [
     "Tolerances",
@@ -220,16 +220,23 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
     return QuadraticFormSample(values=projected, value=value, scale=scale, projected_mass_fraction=frac)
 
 
-def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -> float:
-    """Weak eigen-defect of the Killing support function at the comparison constant."""
-    eta = support_function(surface, spec)
-    field = ambient_field(spec, surface.cache.vertices)
-    field_scale = float(np.abs(field).max())
-    if float(np.abs(eta).max()) <= 1e-10 * max(field_scale, 1e-30):
+def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -> tuple[float, float]:
+    """Weak eigen-defect of the Killing support function eta at the comparison
+    constant, and the mass-weighted mean of eta relative to area * max|eta|.
+
+    The field is evaluated once; eta = <W, N> has the bits of
+    ``surfaces.support_function``.
+    """
+    cache = surface.cache
+    field = ambient_field(spec, cache.vertices)
+    eta = mdot(field, cache.normal)
+    eta_max = float(np.abs(eta).max())
+    if eta_max <= 1e-10 * max(float(np.abs(field).max()), 1e-30):
         raise DegenerateFieldError("Killing field is tangent everywhere; support function vanishes")
     pair = assemble(surface, r)
-    lam_mean = _weighted_mean(stability_field(surface, r), surface.cache.weights)
-    return weak_residual(pair, eta, lam_mean)
+    lam_mean = _weighted_mean(stability_field(surface, r), cache.weights)
+    mean_fraction = abs(float(np.sum(cache.weights * eta))) / (cache.area * eta_max)
+    return weak_residual(pair, eta, lam_mean), mean_fraction
 
 
 def conformal_identity_check(surface: GraphSurface, r: int) -> float:

@@ -3,6 +3,7 @@ config errors that name their key."""
 
 import dataclasses
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -421,18 +422,28 @@ class TestCollectorPolicy:
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["True", "True"]
 
-    def test_module_entry_point_writes_the_in_process_report(self, tmp_path):
+    @staticmethod
+    def _entry_point_matches_in_process(tmp_path, text, outputs):
         src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
         config = tmp_path / "config.txt"
-        config.write_text(SLICE, encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         done = subprocess.run(
             [sys.executable, "-m", "lorstab.cli", "run", str(config), "--out", str(tmp_path / "process")],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
         assert main(["run", str(config), "--out", str(tmp_path / "in-process")]) == 0
-        assert (tmp_path / "process" / "report.txt").read_bytes() == (
-            tmp_path / "in-process" / "report.txt").read_bytes()
+        for name in outputs:
+            assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
+
+    def test_module_entry_point_writes_the_in_process_report(self, tmp_path):
+        self._entry_point_matches_in_process(tmp_path, SLICE, ["report.txt"])
+
+    def test_module_entry_point_runs_the_variation_battery(self, tmp_path):
+        """A variation run imports ``numpy.polynomial`` mid-run in a fresh
+        process (start-up keeps it out)."""
+        self._entry_point_matches_in_process(tmp_path, SLICE + "checks = stability,variation\n",
+                                             ["report.txt", "checks.csv"])
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -443,11 +454,26 @@ def _fresh_interpreter(code: str) -> str:
 
 
 class TestStartupImports:
-    """``import lorstab.cli`` hides ``f2py`` and ``testing`` from NumPy's
-    ``__all__`` and ``dir`` while SciPy clones NumPy's namespace, then puts
-    them back.  Each test runs in a fresh interpreter."""
+    """``import lorstab.cli`` hides NumPy's not yet loaded lazy submodules but
+    ``random`` from NumPy's ``__all__`` and ``dir`` while SciPy clones NumPy's
+    namespace, then puts them back.  Each test runs in a fresh interpreter."""
 
     NAMESPACE = "import json, numpy; print(json.dumps([sorted(numpy.__all__), sorted(dir(numpy))]))"
+    UNREAD = ("ma", "polynomial", "ctypeslib", "rec", "char", "strings", "core", "f2py", "testing")
+
+    def test_cli_import_loads_no_unread_lazy_submodule(self):
+        lazy = json.loads(_fresh_interpreter(
+            "import json, numpy; print(json.dumps(sorted(set(dir(numpy)) - set(vars(numpy)))))"))
+        unread = {f"numpy.{name}" for name in self.UNREAD if name in lazy}
+        assert unread
+        loaded = json.loads(_fresh_interpreter("import json, sys, lorstab.cli; print(json.dumps(sorted(sys.modules)))"))
+        assert unread.isdisjoint(loaded)
+        assert "numpy.random" in loaded
+
+    def test_hidden_submodules_work_afterwards(self):
+        code = ("import lorstab.cli, numpy as np; "
+                "print(int(np.ma.masked_array([1, 2]).sum()), len(np.polynomial.legendre.leggauss(3)[0]))")
+        assert _fresh_interpreter(code).split() == ["3", "3"]
 
     def test_cli_import_loads_no_f2py_or_testing(self):
         code = ("import sys, lorstab.cli; print([name for name in ('numpy.f2py', 'numpy.testing', "

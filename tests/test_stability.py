@@ -154,9 +154,16 @@ class TestJacobiForm:
 
 class TestKillingCheck:
     def test_residual_small_and_decreasing(self, slice_mesh):
-        residuals = [killing_eigen_check(slice_mesh(1.0, level), 1, BOOST) for level in (3, 4, 5)]
+        residuals = [killing_eigen_check(slice_mesh(1.0, level), 1, BOOST)[0] for level in (3, 4, 5)]
         assert residuals[2] <= 5e-2
         assert residuals[0] > residuals[1] > residuals[2]
+
+    def test_mean_fraction_is_that_of_the_support_function(self, graph_mesh):
+        surface = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 3)
+        eta = support_function(surface, BOOST)
+        cache = surface.cache
+        want = abs(float(np.sum(cache.weights * eta))) / (cache.area * float(np.abs(eta).max()))
+        assert killing_eigen_check(surface, 1, BOOST)[1] == want
 
     def test_rotation_is_degenerate(self, slice_mesh):
         spec = KillingFieldSpec(u=np.eye(4)[0], v=np.eye(4)[1])
