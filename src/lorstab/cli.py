@@ -163,7 +163,7 @@ def _variation_battery(surface: GraphSurface, config: ScenarioConfig) -> list[Va
 
 
 def _tolerances(config: ScenarioConfig) -> Tolerances:
-    return Tolerances(gap=config.tol_gap, constancy=config.constancy_tolerance,
+    return Tolerances(gap=config.tol_gap, constancy=config.tol_const,
                       solver=config.solver_tol, seed=config.seed)
 
 

@@ -36,19 +36,13 @@ class ScenarioConfig:
     perturbations: tuple[tuple[int, int, float], ...] = ()
     level: int = 5
     tol_gap: float = 2e-2
-    tol_const: float | None = None     # default depends on the scenario
+    tol_const: float = 1e-6
     solver_tol: float = 1e-8
     checks: tuple[str, ...] = ("stability",)
     killing_u: tuple[float, ...] = (1.0, 0.0, 0.0, 0.0)
     killing_v: tuple[float, ...] = (0.0, 0.0, 0.0, 1.0)     # the time axis
     fd_h: float = 1e-3
     seed: int = 0
-
-    @property
-    def constancy_tolerance(self) -> float:
-        if self.tol_const is not None:
-            return self.tol_const
-        return 1e-2 if self.scenario == "graph" and self.perturbations else 1e-6
 
 
 def _parse_real(key: str, raw: str) -> float:
@@ -193,7 +187,7 @@ def parse_config(text: str) -> ScenarioConfig:
         perturbations=perturbations,
         level=level,
         tol_gap=take_tolerance("tol_gap", 2e-2),
-        tol_const=take_tolerance("tol_const", None),
+        tol_const=take_tolerance("tol_const", 1e-6),
         solver_tol=take_tolerance("solver_tol", 1e-8),
         checks=checks,
         killing_u=killing_u,

@@ -36,7 +36,7 @@ def _config_lines(config: ScenarioConfig) -> list[str]:
         ("perturbations", pert or "none"),
         ("level", config.level),
         ("tol_gap", config.tol_gap),
-        ("tol_const", config.constancy_tolerance),
+        ("tol_const", config.tol_const),
         ("solver_tol", config.solver_tol),
         ("checks", ",".join(config.checks)),
         ("killing_u", ku),
