@@ -100,7 +100,6 @@ from .lorentz import KillingFieldSpec
 from .report import fmt, render_run_report, write_checks_csv, write_sweep_csv
 from .stability import (
     DegenerateFieldError,
-    Tolerances,
     analyze,
     conformal_identity_check,
     killing_eigen_check,
@@ -162,11 +161,6 @@ def _variation_battery(surface: GraphSurface, config: ScenarioConfig) -> list[Va
     return checks
 
 
-def _tolerances(config: ScenarioConfig) -> Tolerances:
-    return Tolerances(gap=config.tol_gap, constancy=config.tol_const,
-                      solver=config.solver_tol, seed=config.seed)
-
-
 def _make_out_dir(out_dir: str | Path) -> Path:
     out = Path(out_dir)
     try:
@@ -196,7 +190,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
     variation_checks: list[VariationCheck] = []
 
     if "stability" in config.checks:
-        stability_report = analyze(surface, config.r, _tolerances(config))
+        stability_report = analyze(surface, config)
     if "killing" in config.checks:
         spec = KillingFieldSpec(u=config.killing_u, v=config.killing_v)
         residual, mean_frac = killing_eigen_check(surface, config.r, spec)
@@ -252,7 +246,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
     def evaluate(value: float):
         cfg = configure(value)
         surface, _ = _build_surface(cfg)
-        return analyze(surface, cfg.r, _tolerances(cfg))
+        return analyze(surface, cfg)
 
     with shared_spectrum():
         reports = [evaluate(value) for value in values]

@@ -1,13 +1,16 @@
 """Flat key-value scenario configuration.
 
-One `key = value` pair per line, `#` comments, no sections.  Unknown keys
-are hard errors so configs cannot drift silently.  Every parse error names
-the offending key.
+One `key = value` pair per line, `#` comments, no sections.  The fields of
+`ScenarioConfig` are the schema: their order is the key order of a report's
+`config:` block, their defaults are the only defaults, and a field without a
+default is a required key.  `_PARSERS` holds one parser per field.  Unknown
+keys are hard errors so configs cannot drift silently.  Every parse error
+names the offending key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ class ScenarioConfig:
     s0: float
     perturbations: tuple[tuple[int, int, float], ...] = ()
     level: int = 5
-    tol_gap: float = 2e-2
+    tol_gap: float = 2e-2           # relative gap budget at level 5; halves per level
     tol_const: float = 1e-6
     solver_tol: float = 1e-8
     checks: tuple[str, ...] = ("stability",)
@@ -43,6 +46,13 @@ class ScenarioConfig:
     killing_v: tuple[float, ...] = (0.0, 0.0, 0.0, 1.0)     # the time axis
     fd_h: float = 1e-3
     seed: int = 0
+
+
+def _parse_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as err:
+        raise ConfigError(f"key '{key}': expected an integer, got '{raw}'", key=key) from err
 
 
 def _parse_real(key: str, raw: str) -> float:
@@ -60,7 +70,23 @@ def parse_reals(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_real(key, x) for x in raw.replace(",", " ").split())
 
 
-def _parse_perturbations(raw: str) -> tuple[tuple[int, int, float], ...]:
+def _parse_scenario(key: str, raw: str) -> str:
+    if raw not in _SCENARIOS:
+        raise ConfigError(f"key '{key}': expected one of {_SCENARIOS}, got '{raw}'", key=key)
+    return raw
+
+
+def _parse_order(key: str, raw: str) -> int:
+    r = _parse_int(key, raw)
+    if not 0 <= r <= 1:
+        raise ConfigError(f"key '{key}': need 0 <= r <= 1, got {r}", key=key)
+    return r
+
+
+def _parse_perturbations(key: str, raw: str) -> tuple[tuple[int, int, float], ...]:
+    """``l,m,amplitude`` triples separated by ``;``; a report writes none as ``none``."""
+    if raw == "none":
+        return ()
     out = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -68,22 +94,78 @@ def _parse_perturbations(raw: str) -> tuple[tuple[int, int, float], ...]:
             continue
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 3:
-            raise ConfigError(
-                f"key 'perturbations': expected 'l,m,amplitude' triples, got '{chunk}'",
-                key="perturbations",
-            )
+            raise ConfigError(f"key '{key}': expected 'l,m,amplitude' triples, got '{chunk}'", key=key)
         try:
             l, m = int(parts[0]), int(parts[1])
         except ValueError as err:
-            raise ConfigError(
-                f"key 'perturbations': bad triple '{chunk}'", key="perturbations"
-            ) from err
+            raise ConfigError(f"key '{key}': bad triple '{chunk}'", key=key) from err
         if not abs(m) <= l:
-            raise ConfigError(
-                f"key 'perturbations': need |m| <= l in '{chunk}'", key="perturbations"
-            )
-        out.append((l, m, _parse_real("perturbations", parts[2])))
+            raise ConfigError(f"key '{key}': need |m| <= l in '{chunk}'", key=key)
+        out.append((l, m, _parse_real(key, parts[2])))
     return tuple(out)
+
+
+def _parse_tolerance(key: str, raw: str) -> float:
+    value = _parse_real(key, raw)
+    if not value > 0:
+        raise ConfigError(f"key '{key}': expected a positive real, got '{raw}'", key=key)
+    return value
+
+
+def _parse_checks(key: str, raw: str) -> tuple[str, ...]:
+    checks = tuple(c.strip() for c in raw.split(",") if c.strip())
+    if not checks:
+        raise ConfigError(f"key '{key}': expected at least one check", key=key)
+    for i, c in enumerate(checks):
+        if c not in _CHECKS:
+            raise ConfigError(f"key '{key}': unknown check '{c}' (known: {_CHECKS})", key=key)
+        if c in checks[:i]:
+            raise ConfigError(f"key '{key}': check '{c}' given twice", key=key)
+    return checks
+
+
+def _parse_vector(key: str, raw: str) -> tuple[float, ...]:
+    vec = parse_reals(key, raw)
+    if len(vec) != 4:
+        raise ConfigError(f"key '{key}': expected 4 components", key=key)
+    return vec
+
+
+def _parse_step(key: str, raw: str) -> float:
+    fd_h = _parse_real(key, raw)
+    if not 0 < fd_h <= 5e-3:
+        raise ConfigError(f"key '{key}': need 0 < fd_h <= 5e-3 (second-order steps use 10*fd_h)", key=key)
+    return fd_h
+
+
+def check_level(level: int) -> int:
+    if level not in _LEVELS:
+        raise ConfigError(f"key 'level': expected one of {_LEVELS}, got {level}", key="level")
+    return level
+
+
+def check_nonnegative(key: str, value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"key '{key}': expected a nonnegative integer, got {value}", key=key)
+    return value
+
+
+# one parser per ScenarioConfig field: (key, raw value) -> value
+_PARSERS = {
+    "scenario": _parse_scenario,
+    "r": _parse_order,
+    "s0": _parse_real,
+    "perturbations": _parse_perturbations,
+    "level": lambda key, raw: check_level(_parse_int(key, raw)),
+    "tol_gap": _parse_tolerance,
+    "tol_const": _parse_tolerance,
+    "solver_tol": _parse_tolerance,
+    "checks": _parse_checks,
+    "killing_u": _parse_vector,
+    "killing_v": _parse_vector,
+    "fd_h": _parse_step,
+    "seed": lambda key, raw: check_nonnegative(key, _parse_int(key, raw)),
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -102,111 +184,26 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"key '{key}' given twice", key=key)
         pairs[key] = value
 
-    # a report writes absent perturbations as "none"
-    if pairs.get("perturbations") == "none":
-        del pairs["perturbations"]
-
-    known = {
-        "scenario", "r", "s0", "perturbations", "level", "tol_gap", "tol_const",
-        "solver_tol", "checks", "killing_u", "killing_v", "fd_h", "seed",
-    }
     for key in pairs:
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown key '{key}'", key=key)
-
-    def take_int(key: str, default=None):
-        if key not in pairs:
-            return default
-        try:
-            return int(pairs[key])
-        except ValueError as err:
-            raise ConfigError(f"key '{key}': expected an integer, got '{pairs[key]}'", key=key) from err
-
-    def take_float(key: str, default=None):
-        return _parse_real(key, pairs[key]) if key in pairs else default
-
-    def take_tolerance(key: str, default=None):
-        value = take_float(key, default)
-        if value is not None and not value > 0:
-            raise ConfigError(f"key '{key}': expected a positive real, got '{pairs[key]}'", key=key)
-        return value
-
-    if "scenario" not in pairs:
-        raise ConfigError("missing required key 'scenario'", key="scenario")
-    scenario = pairs["scenario"]
-    if scenario not in _SCENARIOS:
-        raise ConfigError(
-            f"key 'scenario': expected one of {_SCENARIOS}, got '{scenario}'", key="scenario"
-        )
-    for key in ("r", "s0"):
-        if key not in pairs:
-            raise ConfigError(f"missing required key '{key}'", key=key)
-
-    r = take_int("r")
-    if not 0 <= r <= 1:
-        raise ConfigError(f"key 'r': need 0 <= r <= 1, got {r}", key="r")
+    values = {}
+    for field in fields(ScenarioConfig):
+        if field.name in pairs:
+            values[field.name] = _PARSERS[field.name](field.name, pairs[field.name])
+        elif field.default is MISSING:
+            raise ConfigError(f"missing required key '{field.name}'", key=field.name)
+    config = ScenarioConfig(**values)
 
     # a key the scenario's surface does not read would be reported but not used
-    if scenario != "graph" and "perturbations" in pairs:
-        raise ConfigError(f"key 'perturbations': scenario '{scenario}' has no perturbations", key="perturbations")
-
-    s0 = take_float("s0")
-
-    perturbations = _parse_perturbations(pairs.get("perturbations", ""))
-
-    level = check_level(take_int("level", 5))
-
-    checks_raw = pairs.get("checks", "stability")
-    checks = tuple(c.strip() for c in checks_raw.split(",") if c.strip())
-    if not checks:
-        raise ConfigError("key 'checks': expected at least one check", key="checks")
-    for i, c in enumerate(checks):
-        if c not in _CHECKS:
-            raise ConfigError(f"key 'checks': unknown check '{c}' (known: {_CHECKS})", key="checks")
-        if c in checks[:i]:
-            raise ConfigError(f"key 'checks': check '{c}' given twice", key="checks")
+    if config.scenario != "graph" and config.perturbations:
+        raise ConfigError(f"key 'perturbations': scenario '{config.scenario}' has no perturbations",
+                          key="perturbations")
     # a graph without perturbations is a slice; a perturbed one leaves the analytic family when flowed
-    if "variation" in checks and perturbations:
+    if "variation" in config.checks and config.perturbations:
         raise ConfigError("key 'checks': variation checks need a slice scenario (normal flows of graphs "
                           "leave the analytic family)", key="checks")
-
-    killing_u = parse_reals("killing_u", pairs["killing_u"]) if "killing_u" in pairs else (1.0, 0.0, 0.0, 0.0)
-    killing_v = parse_reals("killing_v", pairs["killing_v"]) if "killing_v" in pairs else (0.0, 0.0, 0.0, 1.0)
-    for key, vec in (("killing_u", killing_u), ("killing_v", killing_v)):
-        if len(vec) != 4:
-            raise ConfigError(f"key '{key}': expected 4 components", key=key)
-
-    fd_h = take_float("fd_h", 1e-3)
-    if not 0 < fd_h <= 5e-3:
-        raise ConfigError("key 'fd_h': need 0 < fd_h <= 5e-3 (second-order steps use 10*fd_h)", key="fd_h")
-
-    return ScenarioConfig(
-        scenario=scenario,
-        r=r,
-        s0=s0,
-        perturbations=perturbations,
-        level=level,
-        tol_gap=take_tolerance("tol_gap", 2e-2),
-        tol_const=take_tolerance("tol_const", 1e-6),
-        solver_tol=take_tolerance("solver_tol", 1e-8),
-        checks=checks,
-        killing_u=killing_u,
-        killing_v=killing_v,
-        fd_h=fd_h,
-        seed=check_nonnegative("seed", take_int("seed", 0)),
-    )
-
-
-def check_level(level: int) -> int:
-    if level not in _LEVELS:
-        raise ConfigError(f"key 'level': expected one of {_LEVELS}, got {level}", key="level")
-    return level
-
-
-def check_nonnegative(key: str, value: int) -> int:
-    if value < 0:
-        raise ConfigError(f"key '{key}': expected a nonnegative integer, got {value}", key=key)
-    return value
+    return config
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

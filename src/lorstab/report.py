@@ -6,6 +6,7 @@ formatting, fixed ordering, LF line endings, no timestamps.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .config import ScenarioConfig
@@ -25,26 +26,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _config_lines(config: ScenarioConfig) -> list[str]:
-    pert = ";".join(f"{l},{m},{fmt(a)}" for l, m, a in config.perturbations)
-    kv = " ".join(fmt(x) for x in config.killing_v)
-    ku = " ".join(fmt(x) for x in config.killing_u)
-    rows = [
-        ("scenario", config.scenario),
-        ("r", config.r),
-        ("s0", config.s0),
-        ("perturbations", pert or "none"),
-        ("level", config.level),
-        ("tol_gap", config.tol_gap),
-        ("tol_const", config.tol_const),
-        ("solver_tol", config.solver_tol),
-        ("checks", ",".join(config.checks)),
-        ("killing_u", ku),
-        ("killing_v", kv),
-        ("fd_h", config.fd_h),
-        ("seed", config.seed),
-    ]
-    return [f"  {k} = {fmt(v)}" for k, v in rows]
+def _config_value(value) -> str:
+    """A config value as its key's parser reads it: ``none`` for no
+    perturbations, ``;``-joined triples, ``,``-joined checks, space-joined vectors."""
+    if not isinstance(value, tuple):
+        return fmt(value)
+    if not value:
+        return "none"
+    if isinstance(value[0], tuple):
+        return ";".join(",".join(fmt(x) for x in triple) for triple in value)
+    return ("," if isinstance(value[0], str) else " ").join(fmt(x) for x in value)
 
 
 def _stability_lines(report: StabilityReport) -> list[str]:
@@ -83,7 +74,7 @@ def render_run_report(
     extra: list[tuple[str, object]] = (),
 ) -> str:
     lines: list[str] = ["lorstab run report", "config:"]
-    lines.extend(_config_lines(config))
+    lines.extend(f"  {field.name} = {_config_value(getattr(config, field.name))}" for field in fields(config))
     if extra:
         lines.append("scenario:")
         lines.extend(f"  {k} = {fmt(v)}" for k, v in extra)

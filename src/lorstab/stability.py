@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ScenarioConfig
 from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
 from .lorentz import KillingFieldSpec, ambient_field, mdot
 from .surfaces import GraphSurface, _consistent_mass, tangential_gradient
 
 __all__ = [
-    "Tolerances",
     "StabilityReport",
     "QuadraticFormSample",
     "DegenerateFieldError",
@@ -41,19 +41,6 @@ _PSI_FLOOR = 1e-10
 
 class DegenerateFieldError(ValueError):
     """The ambient field is tangent everywhere; its support function vanishes."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    gap: float = 2e-2          # relative gap budget at level 5; halves per level
-    constancy: float = 1e-6
-    solver: float = 1e-8
-    seed: int = 0
-
-    def gap_at_level(self, level: int | None) -> float:
-        if level is None:
-            return self.gap
-        return self.gap * 2.0 ** (5 - level)
 
 
 @dataclass(frozen=True)
@@ -120,9 +107,11 @@ def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
     return "mixed", psi
 
 
-def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()) -> StabilityReport:
-    """Full stability analysis of a built surface at order r (ambient c = 1)."""
+def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
+    """Full stability analysis of a built surface (ambient c = 1) at the
+    config's order r, with its tolerances and solver seed."""
     cache = surface.cache
+    r = config.r
     if r not in (0, 1):
         raise ValueError(f"order r={r} out of range [0, 1]")
 
@@ -136,7 +125,7 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
 
     pair = assemble(surface, r)
     if pair.min_newton_eig > 0.0:
-        eigen = first_eigenvalue_meanzero(pair, tol=tolerances.solver, seed=tolerances.seed)
+        eigen = first_eigenvalue_meanzero(pair, tol=config.solver_tol, seed=config.seed)
     else:
         eigen = EigenResult(lambda1=np.nan, eigenfunction=np.empty(0), iterations=0, residual=np.nan)
     gap = lam_mean - eigen.lambda1
@@ -147,11 +136,12 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
     chronology, psi = _chronology(surface)
     psi_min_abs = float(np.abs(psi).min())
 
-    tol_gap_eff = tolerances.gap_at_level(surface.mesh.level)
+    level = surface.mesh.level
+    tol_gap_eff = config.tol_gap if level is None else config.tol_gap * 2.0 ** (5 - level)
     hypotheses_ok = (
         h_next.min() > 0.0
-        and h_next_residual <= tolerances.constancy
-        and lam_residual <= tolerances.constancy
+        and h_next_residual <= config.tol_const
+        and lam_residual <= config.tol_const
         and chronology in ("future", "past")
         and psi_min_abs > _PSI_FLOOR
         and pair.min_newton_eig > 0.0
@@ -165,7 +155,7 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
 
     return StabilityReport(
         r=r,
-        level=surface.mesh.level,
+        level=level,
         h_next_mean=h_next_mean,
         h_next_min=float(h_next.min()),
         h_next_max=float(h_next.max()),
@@ -180,10 +170,10 @@ def analyze(surface: GraphSurface, r: int, tolerances: Tolerances = Tolerances()
         psi_min_abs=psi_min_abs,
         chronology=chronology,
         verdict=verdict,
-        tol_gap=tolerances.gap,
+        tol_gap=config.tol_gap,
         tol_gap_effective=tol_gap_eff,
-        tol_constancy=tolerances.constancy,
-        tol_solver=tolerances.solver,
+        tol_constancy=config.tol_const,
+        tol_solver=config.solver_tol,
     )
 
 
@@ -224,8 +214,8 @@ def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -
     """Weak eigen-defect of the Killing support function eta at the comparison
     constant, and the mass-weighted mean of eta relative to area * max|eta|.
 
-    The field is evaluated once; eta = <W, N> has the bits of
-    ``surfaces.support_function``.
+    The field is evaluated once, and eta = <W, N> is the support function
+    of the Killing field W.
     """
     cache = surface.cache
     field = ambient_field(spec, cache.vertices)

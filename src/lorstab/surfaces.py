@@ -30,7 +30,7 @@ from scipy.sparse import csr_matrix
 
 from .curvature import batched_eigvalsh2, batched_elementary
 from .harmonics import HarmonicField
-from .lorentz import SIGNATURE, KillingFieldSpec, ambient_field, mdot, mdot_axis0
+from .lorentz import SIGNATURE, mdot_axis0
 # validate_closed_oriented has no caller here: it stays bound for the
 # mesh.validate layer of perfbench/tracer.py, which rebinds this name
 from .mesh import SphereMesh, icosphere, validate_closed_oriented  # noqa: F401
@@ -41,7 +41,6 @@ __all__ = [
     "GeometryCache",
     "build_slice",
     "build_graph",
-    "support_function",
     "tangential_gradient",
     "scatter_p1",
 ]
@@ -272,11 +271,6 @@ def _graph_from_jets(height: HarmonicField, mesh: SphereMesh, jets) -> GraphSurf
 def build_slice(s0: float, level: int = 4) -> GraphSurface:
     """Totally umbilical slice at height s0: the unperturbed graph, A = -tanh(s0) I."""
     return build_graph(s0, (), level=level)
-
-
-def support_function(surface: GraphSurface, spec: KillingFieldSpec) -> np.ndarray:
-    """Normal component of the Killing field along the surface, per vertex."""
-    return mdot(ambient_field(spec, surface.cache.vertices), surface.cache.normal)
 
 
 def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray:

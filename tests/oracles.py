@@ -3,8 +3,9 @@
 Most functions here are an earlier, plainer form of a library routine that
 was later rewritten for speed; they compute the same quantity by the direct
 method, so the tests can check the fast routine against them.
-``SphericalHarmonic`` and ``harmonic_basis`` come first: the tests' names for
-one harmonic and for a basis of them.  ``minkowski_inner`` and the
+``SphericalHarmonic``, ``harmonic_basis`` and ``support_function`` come
+first: the tests' names for one harmonic, for a basis of them and for the
+normal component of a Killing field.  ``minkowski_inner`` and the
 shape-operator algebra for any n and c (``elementary_reference`` to
 ``variation_constant_reference``) are the references of the closed forms
 the library computes at n = 2, c = 1.  The last seven are independent
@@ -21,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, _harmonic_poly
-from lorstab.lorentz import SIGNATURE, mdot
+from lorstab.lorentz import SIGNATURE, ambient_field, mdot
 from lorstab.mesh import _LEAF, _icosahedron
 
 
@@ -38,6 +39,11 @@ class SphericalHarmonic(HarmonicField):
 def harmonic_basis(l_max, l_min=0):
     """All (l, m) with l_min <= l <= l_max, ordered by l then m."""
     return [SphericalHarmonic(l, m) for l in range(l_min, l_max + 1) for m in range(-l, l + 1)]
+
+
+def support_function(surface, spec):
+    """Normal component <W, N> of the Killing field W along the surface, per vertex."""
+    return mdot(ambient_field(spec, surface.cache.vertices), surface.cache.normal)
 
 
 def _poly_values(poly, q):

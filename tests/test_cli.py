@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, byte-stable reports, overrides and
 config errors that name their key."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -9,12 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import lorstab.surfaces
 from lorstab.cli import main, run_scenario, sweep_scenario
-from lorstab.config import ConfigError, load_config, parse_config
+from lorstab.config import _PARSERS, ConfigError, ScenarioConfig, load_config, parse_config
 from lorstab.report import render_run_report
 
 SLICE = "scenario = slice\nr = 1\ns0 = 1\nlevel = 3\n"
@@ -399,6 +400,18 @@ class TestConfigRoundTrip:
         block = render_run_report(config, None, [], []).splitlines()[2:]
         assert "  perturbations = none" in block
         assert parse_config("\n".join(block)) == config
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(ScenarioConfig)])
+    def test_texts_draw_every_field(self, name):
+        find(config_texts(), lambda text: f"\n{name} = " in f"\n{text}",
+             settings=settings(database=None, phases=[Phase.generate]))
+
+    def test_one_parser_per_field_in_field_order(self):
+        assert list(_PARSERS) == [field.name for field in dataclasses.fields(ScenarioConfig)]
+
+    @pytest.mark.parametrize("scenario, r, s0", [("slice", 1, 1.0), ("graph", 0, -0.5)])
+    def test_absent_keys_take_the_field_defaults(self, scenario, r, s0):
+        assert parse_config(f"scenario = {scenario}\nr = {r}\ns0 = {s0}\n") == ScenarioConfig(scenario, r, s0)
 
 
 class TestBlasThreads:

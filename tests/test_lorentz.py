@@ -5,6 +5,7 @@ V(p) = e4 + p4 p with factor psi = p4, which ``lorstab.stability`` reads."""
 import numpy as np
 import pytest
 
+from lorstab.config import ScenarioConfig
 from lorstab.lorentz import SIGNATURE, KillingFieldSpec, ambient_field, mdot
 from lorstab.stability import analyze
 from lorstab.surfaces import build_slice
@@ -90,7 +91,7 @@ class TestInnerProduct:
 class TestConformalField:
     def test_on_equator_is_axis(self):
         assert conformal_field(np.array([1.0, 0.0, 0.0, 0.0])) == pytest.approx(E4)
-        assert analyze(build_slice(0.0, level=3), 1).psi_min_abs == 0.0
+        assert analyze(build_slice(0.0, level=3), ScenarioConfig("slice", 1, 0.0, level=3)).psi_min_abs == 0.0
 
     def test_factor_is_sinh_of_height(self, rng):
         for _ in range(10):
@@ -103,7 +104,7 @@ class TestConformalField:
             assert conformal_field(p) == pytest.approx(general, rel=1e-12, abs=1e-12)
             assert conformal_field(p) == pytest.approx(E4 + np.sinh(s) * p, rel=1e-12, abs=1e-12)
         for s0 in (-1.2, 0.3, 1.5):
-            report = analyze(build_slice(s0, level=3), 1)
+            report = analyze(build_slice(s0, level=3), ScenarioConfig("slice", 1, s0, level=3))
             assert report.psi_min_abs == pytest.approx(abs(np.sinh(s0)), rel=1e-12)
 
     def test_tangency(self, rng):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from lorstab.config import ScenarioConfig
 from lorstab.fem import assemble, first_eigenvalue_meanzero
 from lorstab.lorentz import KillingFieldSpec
 from lorstab.stability import (
     DegenerateFieldError,
-    Tolerances,
     analyze,
     conformal_identity_check,
     jacobi_second_variation,
@@ -15,16 +15,23 @@ from lorstab.stability import (
     stability_field,
     weighted_mass_matrix,
 )
-from lorstab.surfaces import build_graph, build_slice, support_function
-from oracles import SphericalHarmonic, harmonic_basis, slice_operator_eigenvalue, stability_constant_binomial
+from lorstab.surfaces import build_graph, build_slice
+from oracles import (
+    SphericalHarmonic, harmonic_basis, slice_operator_eigenvalue, stability_constant_binomial, support_function,
+)
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 BOOST = KillingFieldSpec(u=np.eye(4)[0], v=AXIS)
 
 
+def at_order(r, **keys):
+    """A config of order r; analyze reads no other field but the tolerances and the seed."""
+    return ScenarioConfig("slice", r, 1.0, **keys)
+
+
 class TestAnalyze:
     def test_slice_is_threshold_stable(self, slice_mesh):
-        report = analyze(slice_mesh(1.0, 5), 1)
+        report = analyze(slice_mesh(1.0, 5), at_order(1))
         assert report.verdict == "stable"
         want = 2 * np.tanh(1.0) / np.cosh(1.0) ** 2
         assert report.lambda_mean == pytest.approx(want, rel=1e-10)
@@ -34,7 +41,7 @@ class TestAnalyze:
         assert report.h_next_residual < 1e-10 and report.lambda_residual < 1e-10
 
     def test_equator_violates_hypotheses(self):
-        report = analyze(build_slice(0.0, level=3), 1)
+        report = analyze(build_slice(0.0, level=3), at_order(1))
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_mean == pytest.approx(0.0, abs=1e-14)
         assert report.psi_min_abs == pytest.approx(0.0, abs=1e-12)
@@ -42,7 +49,7 @@ class TestAnalyze:
         assert np.isnan(report.lambda1) and report.eigen.iterations == 0
 
     def test_past_slice_r0_violates_positivity(self):
-        report = analyze(build_slice(-1.0, level=3), 0)
+        report = analyze(build_slice(-1.0, level=3), at_order(0))
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_max < 0
         assert report.chronology == "past"
@@ -50,7 +57,7 @@ class TestAnalyze:
     def test_past_slice_r1_violates_ellipticity(self):
         # P_1 = -tanh(1) I is negative definite: the spectrum of L_1 is
         # unbounded below, so its bottom decides nothing
-        report = analyze(build_slice(-1.0, level=3), 1)
+        report = analyze(build_slice(-1.0, level=3), at_order(1))
         assert report.verdict == "hypotheses-violated"
         assert report.min_newton_eig == pytest.approx(-np.tanh(1.0), rel=1e-10)
         assert report.h_next_min > 0 and report.chronology == "past"
@@ -64,30 +71,35 @@ class TestAnalyze:
             raise AssertionError("a non-elliptic pencil was solved")
 
         monkeypatch.setattr("lorstab.stability.first_eigenvalue_meanzero", refuse)
-        report = analyze(build_slice(s0, level=3), 1)
+        report = analyze(build_slice(s0, level=3), at_order(1))
         assert report.verdict == "hypotheses-violated"
         assert not report.min_newton_eig > 0.0
         assert np.isnan(report.lambda1) and np.isnan(report.gap) and np.isnan(report.eigen.residual)
         assert report.eigen.iterations == 0
 
     def test_graph_violates_constancy(self, graph_mesh):
-        report = analyze(graph_mesh(1.0, ((2, 0, 0.05),), 4), 1)
+        report = analyze(graph_mesh(1.0, ((2, 0, 0.05),), 4), at_order(1))
         assert report.verdict == "hypotheses-violated"
         assert report.h_next_residual > 1e-2
         assert report.h_next_min > 0
 
     def test_tight_budget_reports_unstable(self, slice_mesh):
-        report = analyze(slice_mesh(1.0, 4), 1, Tolerances(gap=1e-9))
+        report = analyze(slice_mesh(1.0, 4), at_order(1, tol_gap=1e-9))
         assert report.verdict == "unstable"
 
     def test_gap_tolerance_scales_with_level(self, slice_mesh):
-        report = analyze(slice_mesh(1.0, 4), 1)
+        report = analyze(slice_mesh(1.0, 4), at_order(1))
         assert report.tol_gap_effective == pytest.approx(2 * report.tol_gap)
+
+    def test_tolerances_come_from_the_config(self, slice_mesh):
+        report = analyze(slice_mesh(1.0, 4), at_order(1, tol_gap=3e-2, tol_const=1e-7, solver_tol=1e-9))
+        assert (report.tol_gap, report.tol_constancy, report.tol_solver) == (3e-2, 1e-7, 1e-9)
+        assert report.tol_gap_effective == 6e-2
 
     def test_order_out_of_range(self, slice_mesh):
         for r in (-1, 2):
             with pytest.raises(ValueError, match=rf"order r={r} out of range \[0, 1\]"):
-                analyze(slice_mesh(1.0, 3), r)
+                analyze(slice_mesh(1.0, 3), at_order(r))
 
     def test_one_sided_bound_on_slices(self, slice_mesh):
         # mean-zero support function admissible -> constrained minimum below the constant
@@ -95,7 +107,7 @@ class TestAnalyze:
             surf = slice_mesh(s0, 4)
             eta = support_function(surf, BOOST)
             assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
-            report = analyze(surf, 1)
+            report = analyze(surf, at_order(1))
             assert report.eigen.lambda1 <= report.lambda_mean + report.tol_gap_effective
 
 
@@ -217,7 +229,7 @@ class TestInvariants:
         # P1 eigenvalues converge as h^2: both the lambda1 error against the
         # closed form and the report gap measure order 1.999 and 2.000
         exact = slice_operator_eigenvalue(s0, r)
-        reports = [analyze(slice_mesh(s0, level), r) for level in (3, 4, 5)]
+        reports = [analyze(slice_mesh(s0, level), at_order(r)) for level in (3, 4, 5)]
         errors = np.array([abs(rep.eigen.lambda1 - exact) for rep in reports])
         gaps = np.array([abs(rep.gap) for rep in reports])
         assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()

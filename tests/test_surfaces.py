@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from lorstab.config import ScenarioConfig
 from lorstab.curvature import batched_elementary
 from lorstab.fem import assemble, first_eigenvalue_meanzero
 from lorstab.lorentz import KillingFieldSpec, ambient_field, mdot
@@ -16,13 +17,12 @@ from lorstab.surfaces import (
     _hat_gradients,
     build_graph,
     build_slice,
-    support_function,
     scatter_p1,
     tangential_gradient,
 )
 from oracles import (
     SphericalHarmonic, scatter_p1_reference, shape_operator_mesh_estimate, slice_operator_eigenvalue,
-    tangential_gradient_reference,
+    support_function, tangential_gradient_reference,
 )
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
@@ -295,7 +295,7 @@ class TestSharedMesh:
 
     def test_no_mesh_data_in_memo(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
-        analyze(surf, 1)
+        analyze(surf, ScenarioConfig("graph", 1, 1.0, ((2, 0, 0.05),), level=3))
         assert all(key[0] in ("newton", "operator", "stability_field") for key in surf._memo)
 
 
