@@ -96,7 +96,6 @@ finally:
 from .config import ConfigError, ScenarioConfig, check_level, check_nonnegative, load_config, parse_reals
 from .fem import SolverError, shared_spectrum
 from .harmonics import HarmonicField
-from .lorentz import KillingFieldSpec
 from .report import fmt, render_run_report, write_checks_csv, write_sweep_csv
 from .stability import (
     DegenerateFieldError,
@@ -192,8 +191,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> int:
     if "stability" in config.checks:
         stability_report = analyze(surface, config)
     if "killing" in config.checks:
-        spec = KillingFieldSpec(u=config.killing_u, v=config.killing_v)
-        residual, mean_frac = killing_eigen_check(surface, config.r, spec)
+        residual, mean_frac = killing_eigen_check(surface, config.r)
         scalar_checks.append(("killing_residual", residual))
         scalar_checks.append(("killing_eta_mean_fraction", mean_frac))
     if "conformal" in config.checks:

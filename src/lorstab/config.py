@@ -42,8 +42,6 @@ class ScenarioConfig:
     tol_const: float = 1e-6
     solver_tol: float = 1e-8
     checks: tuple[str, ...] = ("stability",)
-    killing_u: tuple[float, ...] = (1.0, 0.0, 0.0, 0.0)
-    killing_v: tuple[float, ...] = (0.0, 0.0, 0.0, 1.0)     # the time axis
     fd_h: float = 1e-3
     seed: int = 0
 
@@ -124,13 +122,6 @@ def _parse_checks(key: str, raw: str) -> tuple[str, ...]:
     return checks
 
 
-def _parse_vector(key: str, raw: str) -> tuple[float, ...]:
-    vec = parse_reals(key, raw)
-    if len(vec) != 4:
-        raise ConfigError(f"key '{key}': expected 4 components", key=key)
-    return vec
-
-
 def _parse_step(key: str, raw: str) -> float:
     fd_h = _parse_real(key, raw)
     if not 0 < fd_h <= 5e-3:
@@ -161,8 +152,6 @@ _PARSERS = {
     "tol_const": _parse_tolerance,
     "solver_tol": _parse_tolerance,
     "checks": _parse_checks,
-    "killing_u": _parse_vector,
-    "killing_v": _parse_vector,
     "fd_h": _parse_step,
     "seed": lambda key, raw: check_nonnegative(key, _parse_int(key, raw)),
 }

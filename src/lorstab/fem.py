@@ -64,8 +64,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
-from .lorentz import SIGNATURE
-from .surfaces import GraphSurface, _hat_gradients, scatter_p1
+from .surfaces import SIGNATURE, GraphSurface, _hat_gradients, scatter_p1
 
 __all__ = [
     "OperatorPair",

@@ -28,14 +28,14 @@ def fmt(value) -> str:
 
 def _config_value(value) -> str:
     """A config value as its key's parser reads it: ``none`` for no
-    perturbations, ``;``-joined triples, ``,``-joined checks, space-joined vectors."""
+    perturbations, ``;``-joined triples, ``,``-joined checks."""
     if not isinstance(value, tuple):
         return fmt(value)
     if not value:
         return "none"
     if isinstance(value[0], tuple):
         return ";".join(",".join(fmt(x) for x in triple) for triple in value)
-    return ("," if isinstance(value[0], str) else " ").join(fmt(x) for x in value)
+    return ",".join(value)
 
 
 def _stability_lines(report: StabilityReport) -> list[str]:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
-from .lorentz import KillingFieldSpec, ambient_field, mdot
-from .surfaces import GraphSurface, _consistent_mass, tangential_gradient
+from .surfaces import GraphSurface, _consistent_mass, mdot, tangential_gradient
 
 __all__ = [
     "StabilityReport",
@@ -210,18 +209,15 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
     return QuadraticFormSample(values=projected, value=value, scale=scale, projected_mass_fraction=frac)
 
 
-def killing_eigen_check(surface: GraphSurface, r: int, spec: KillingFieldSpec) -> tuple[float, float]:
-    """Weak eigen-defect of the Killing support function eta at the comparison
-    constant, and the mass-weighted mean of eta relative to area * max|eta|.
-
-    The field is evaluated once, and eta = <W, N> is the support function
-    of the Killing field W.
-    """
+def killing_eigen_check(surface: GraphSurface, r: int) -> tuple[float, float]:
+    """Weak eigen-defect of the support function eta = <W, N> = p4 N1 - p1 N4
+    of the boost W(p) = p4 e1 + p1 e4 at the comparison constant, and the
+    mass-weighted mean of eta relative to area * max|eta|."""
     cache = surface.cache
-    field = ambient_field(spec, cache.vertices)
-    eta = mdot(field, cache.normal)
+    p, normal = cache.vertices, cache.normal
+    eta = p[:, 3] * normal[:, 0] - p[:, 0] * normal[:, 3]
     eta_max = float(np.abs(eta).max())
-    if eta_max <= 1e-10 * max(float(np.abs(field).max()), 1e-30):
+    if eta_max <= 1e-10 * max(float(np.abs(p[:, ::3]).max()), 1e-30):
         raise DegenerateFieldError("Killing field is tangent everywhere; support function vanishes")
     pair = assemble(surface, r)
     lam_mean = _weighted_mean(stability_field(surface, r), cache.weights)

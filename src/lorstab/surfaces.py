@@ -8,13 +8,20 @@ harmonic height expansion and sampled at the vertices of a shared
 integration and finite elements.
 
 Conventions fixed here and relied on everywhere else:
+  * the ambient is R^4 with the Lorentz inner product ``mdot``,
+    v1 w1 + v2 w2 + v3 w3 - v4 w4 (``SIGNATURE`` is its diagonal), and de
+    Sitter space is the hyperquadric <p,p> = 1;
   * the closed conformal field is V(p) = e4 + p4 p, the field
     a - <p,a> p about the axis a = e4 = (0, 0, 0, 1), with conformal factor
     psi = p4; the chart coordinates of a surface are its ambient
     coordinates.  This loses no generality: every unit timelike axis a is
-    carried to e4 by an isometry F of de Sitter space, and a surface with
-    axis a and Killing field (u, v) is isometric to one with axis e4 and
-    (F^-1 u, F^-1 v);
+    carried to e4 by an isometry of de Sitter space;
+  * the Killing field whose support function the Killing check tests is the
+    boost W(p) = <e1,p> e4 - <e4,p> e1 = p4 e1 + p1 e4.  On the slice at
+    height s0 its support function is -q1, an l = 1 eigenfunction at the
+    comparison constant.  That is all a slice can show: the rotations of
+    e1, e2, e3 fix e4, are tangent to every slice (support function zero)
+    and carry e1^e4 to every other boost;
   * the unit normal N is future-pointing (<N, e4> = -N4 is negative);
   * the shape operator is A = -(tangential part of the ambient derivative
     of N), so the slice at height s0 has A = -tanh(s0) * identity.
@@ -30,12 +37,13 @@ from scipy.sparse import csr_matrix
 
 from .curvature import batched_eigvalsh2, batched_elementary
 from .harmonics import HarmonicField
-from .lorentz import SIGNATURE, mdot_axis0
 # validate_closed_oriented has no caller here: it stays bound for the
 # mesh.validate layer of perfbench/tracer.py, which rebinds this name
 from .mesh import SphereMesh, icosphere, validate_closed_oriented  # noqa: F401
 
 __all__ = [
+    "SIGNATURE",
+    "mdot",
     "GraphConstructionError",
     "GraphSurface",
     "GeometryCache",
@@ -44,6 +52,16 @@ __all__ = [
     "tangential_gradient",
     "scatter_p1",
 ]
+
+# the diagonal of the ambient metric of R^4, timelike last coordinate
+SIGNATURE = np.array([1.0, 1.0, 1.0, -1.0])
+SIGNATURE.flags.writeable = False
+
+
+def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lorentz inner product v1 w1 + v2 w2 + v3 w3 - v4 w4 along the last axis."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3]
+
 
 class GraphConstructionError(ValueError):
     """Construction failed; carries the worst offending vertex."""
@@ -107,13 +125,11 @@ class GraphSurface:
 def _face_edges(vertices: np.ndarray, faces: np.ndarray):
     """Edge vectors e1 = v1 - v0, e2 = v2 - v0 of every face, as (F, 4)
     arrays, and their Lorentz products g11, g12, g22.  ``np.take`` gathers
-    rows several times faster than fancy indexing, and ``mdot_axis0`` on the
-    transposed edges is several times faster than ``mdot``, with the same
-    values."""
+    rows several times faster than fancy indexing."""
     p0 = np.take(vertices, faces[:, 0], axis=0)
     e1 = np.take(vertices, faces[:, 1], axis=0) - p0
     e2 = np.take(vertices, faces[:, 2], axis=0) - p0
-    return e1, e2, mdot_axis0(e1.T, e1.T), mdot_axis0(e1.T, e2.T), mdot_axis0(e2.T, e2.T)
+    return e1, e2, mdot(e1, e1), mdot(e1, e2), mdot(e2, e2)
 
 
 def _hat_gradients(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:

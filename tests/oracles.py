@@ -3,9 +3,10 @@
 Most functions here are an earlier, plainer form of a library routine that
 was later rewritten for speed; they compute the same quantity by the direct
 method, so the tests can check the fast routine against them.
-``SphericalHarmonic``, ``harmonic_basis`` and ``support_function`` come
-first: the tests' names for one harmonic, for a basis of them and for the
-normal component of a Killing field.  ``minkowski_inner`` and the
+``SphericalHarmonic``, ``harmonic_basis``, ``killing_field`` and
+``support_function`` come first: the tests' names for one harmonic, for a
+basis of them, for any Killing field of de Sitter space and for its normal
+component (the library's Killing check reads only the boost u = e1, v = e4).  ``minkowski_inner`` and the
 shape-operator algebra for any n and c (``elementary_reference`` to
 ``variation_constant_reference``) are the references of the closed forms
 the library computes at n = 2, c = 1.  The last seven are independent
@@ -22,8 +23,8 @@ from scipy.sparse.linalg import splu
 
 from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
 from lorstab.harmonics import HarmonicField, _harmonic_poly
-from lorstab.lorentz import SIGNATURE, ambient_field, mdot
 from lorstab.mesh import _LEAF, _icosahedron
+from lorstab.surfaces import SIGNATURE, mdot
 
 
 class SphericalHarmonic(HarmonicField):
@@ -41,9 +42,18 @@ def harmonic_basis(l_max, l_min=0):
     return [SphericalHarmonic(l, m) for l in range(l_min, l_max + 1) for m in range(-l, l + 1)]
 
 
-def support_function(surface, spec):
-    """Normal component <W, N> of the Killing field W along the surface, per vertex."""
-    return mdot(ambient_field(spec, surface.cache.vertices), surface.cache.normal)
+def killing_field(u, v, points):
+    """The rotation or boost generator W(p) = <u,p> v - <v,p> u at one point,
+    (4,), or at a stack of points, (V, 4); tangent to the hyperquadric."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    up, vp = np.asarray(mdot(points, u)), np.asarray(mdot(points, v))
+    return up[..., None] * v - vp[..., None] * u
+
+
+def support_function(surface, u, v):
+    """Normal component <W, N> of the Killing field W = <u,p> v - <v,p> u
+    along the surface, per vertex."""
+    return mdot(killing_field(u, v, surface.cache.vertices), surface.cache.normal)
 
 
 def _poly_values(poly, q):

@@ -207,7 +207,8 @@ NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
 PLAIN_GRAPH = "scenario = graph\nr = 1\ns0 = 1\nlevel = 3\n"
 
 # (key, config text): one rejected value per error site of parse_config; the
-# removed axis key is an unknown key whatever its value, well-formed or not
+# removed axis, killing_u and killing_v keys are unknown keys whatever their
+# values, well-formed or not
 CONFIG_ERRORS = {
     "scenario-missing": ("scenario", "r = 1\ns0 = 1\n"),
     "scenario-invalid": ("scenario", "scenario = cone\nr = 1\ns0 = 1\n"),
@@ -224,8 +225,10 @@ CONFIG_ERRORS = {
     "axis-parse": ("axis", SLICE + "axis = 0 0 0 one\n"),
     "axis-nan": ("axis", SLICE + "axis = nan 0 0 1\n"),
     "axis-not-unit-timelike": ("axis", SLICE + "axis = 1 0 0 0\n"),
+    "killing_u-removed": ("killing_u", SLICE + "killing_u = 1 0 0 0\n"),
     "killing_u-length": ("killing_u", SLICE + "killing_u = 1 0 0\n"),
     "killing_u-parse": ("killing_u", SLICE + "killing_u = 1 0 0 x\n"),
+    "killing_v-removed": ("killing_v", SLICE + "killing_v = 0 0 0 1\n"),
     "killing_v-length": ("killing_v", SLICE + "killing_v = 0 0 0 1 0\n"),
     "killing_v-parse": ("killing_v", SLICE + "killing_v = 0,0,0,y\n"),
     "perturbations-not-triple": ("perturbations", PLAIN_GRAPH + "perturbations = 2,0\n"),
@@ -370,8 +373,6 @@ def config_texts(draw):
         "tol_const": POSITIVE.map(repr),
         "solver_tol": POSITIVE.map(repr),
         "checks": st.lists(st.sampled_from(checks), min_size=1, unique=True).map(",".join),
-        "killing_u": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
-        "killing_v": st.lists(REALS, min_size=4, max_size=4).map(lambda v: " ".join(map(repr, v))),
         "fd_h": st.floats(min_value=0.0, max_value=5e-3, exclude_min=True).map(repr),
         "seed": st.integers(0, 2**63),
     }

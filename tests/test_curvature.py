@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton
 from lorstab.fem import newton_vertex_matrices
-from lorstab.lorentz import mdot
 from lorstab.stability import _chronology, stability_field
+from lorstab.surfaces import mdot
 from lorstab.variation import NormalVariation, _lagrange_constant, r_area, verify_first_variation
 
 from conftest import random_shape

@@ -6,8 +6,7 @@ import pytest
 import lorstab.surfaces
 import lorstab.variation
 from lorstab.harmonics import HarmonicField
-from lorstab.lorentz import mdot
-from lorstab.surfaces import GeometryCache, build_graph, build_slice
+from lorstab.surfaces import GeometryCache, build_graph, build_slice, mdot
 from lorstab.variation import (
     _T_MAX,
     FlowError,
