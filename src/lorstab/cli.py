@@ -1,13 +1,14 @@
 """Command-line entry point.
 
-    lorstab run <config> [--out DIR] [--level N] [--seed K]
+    lorstab run <config> [--out DIR] [--level N]
     lorstab sweep <config> --param {s0,level,amplitude} --values v1,v2,... [--out DIR]
 
 A config holds key = value lines; its scenario is a slice (an umbilical
 slice at height s0) or a graph (s0 plus harmonic perturbations).  Exit
 codes: 0 success, 2 hypotheses-violated verdict, 3 construction or solver
-failure, 4 configuration error.  Reports and CSV tables are byte-stable for
-a fixed config and seed; wall times go to stdout only.
+failure, 4 configuration error (command-line usage errors too).  Reports
+and CSV tables are byte-stable for a fixed config and seed; wall times go
+to stdout only.
 
 A sweep solves its values in one ``fem.shared_spectrum`` scope, so it solves
 once per family of proportional pencils (an s0 sweep of slices solves once,
@@ -93,16 +94,11 @@ finally:
     _numpy_vars.pop("__dir__", None)
     _numpy_vars.update(_saved)
 
-from .config import ConfigError, ScenarioConfig, check_level, check_nonnegative, load_config, parse_reals
+from .config import ConfigError, ScenarioConfig, check_level, load_config, parse_reals
 from .fem import SolverError, shared_spectrum
 from .harmonics import HarmonicField
 from .report import fmt, render_run_report, write_checks_csv, write_sweep_csv
-from .stability import (
-    DegenerateFieldError,
-    analyze,
-    conformal_identity_check,
-    killing_eigen_check,
-)
+from .stability import analyze, conformal_identity_check, killing_eigen_check
 from .surfaces import (
     GraphConstructionError,
     GraphSurface,
@@ -273,18 +269,26 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error exits 4, a configuration error, not argparse's 2, which
+    is the code of a hypotheses-violated verdict; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
     # the usage paragraphs of the module docstring, not its implementation notes
     usage = "\n\n".join(__doc__.split("\n\n")[:3])
-    parser = argparse.ArgumentParser(prog="lorstab", description=usage,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="lorstab", description=usage,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario and write its report")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="lorstab-out")
     p_run.add_argument("--level", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over a value list")
     p_sweep.add_argument("config")
@@ -301,8 +305,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             if args.level is not None:
                 config = dataclasses.replace(config, level=check_level(args.level))
-            if args.seed is not None:
-                config = dataclasses.replace(config, seed=check_nonnegative("seed", args.seed))
             return run_scenario(config, args.out)
         values = list(parse_reals("--values", args.values))
         if not values:
@@ -311,7 +313,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GraphConstructionError, FlowError, SolverError, DegenerateFieldError) as err:
+    except (GraphConstructionError, FlowError, SolverError) as err:
         print(f"computation failed: {err}", file=sys.stderr)
         return EXIT_SOLVER
 

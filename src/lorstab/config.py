@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "parse_config", "parse_reals", "load_config", "check_level",
-    "check_nonnegative",
 ]
 
 _SCENARIOS = ("slice", "graph")
@@ -135,7 +134,8 @@ def check_level(level: int) -> int:
     return level
 
 
-def check_nonnegative(key: str, value: int) -> int:
+def _parse_seed(key: str, raw: str) -> int:
+    value = _parse_int(key, raw)
     if value < 0:
         raise ConfigError(f"key '{key}': expected a nonnegative integer, got {value}", key=key)
     return value
@@ -153,7 +153,7 @@ _PARSERS = {
     "solver_tol": _parse_tolerance,
     "checks": _parse_checks,
     "fd_h": _parse_step,
-    "seed": lambda key, raw: check_nonnegative(key, _parse_int(key, raw)),
+    "seed": _parse_seed,
 }
 
 

@@ -260,12 +260,7 @@ def weak_residual(op: OperatorPair, f: np.ndarray, mu: float) -> float:
     return float(np.sqrt(np.sum(rho * rho / lump)) / fnorm)
 
 
-def first_eigenvalue_meanzero(
-    op: OperatorPair,
-    tol: float = 1e-8,
-    maxiter: int = 500,
-    seed: int = 0,
-) -> EigenResult:
+def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxiter: int = 500) -> EigenResult:
     """Constrained first eigenvalue: min of the Rayleigh quotient over
     mean-zero functions, with the constant kernel deflated.
 

@@ -10,6 +10,14 @@ is computed only where P_r is positive definite: without ellipticity the
 discrete bottom eigenvalue of div(P_r grad) falls without bound as the mesh
 is refined, so lambda1 and the gap are nan there and nothing is solved.
 
+The Killing check reads the support function eta of the one boost
+W(p) = p4 e1 + p1 e4 (see ``surfaces``), a Jacobi field at the comparison
+constant, and reports its weak eigen-defect.  eta comes from the chart
+(``GeometryCache.boost_support``), so its rounding error does not grow like
+cosh(s0)^2 as the ambient form's does.  It cannot vanish everywhere: boost
+orbits off the circle p1 = p4 = 0 are unbounded, so no closed spacelike
+surface is invariant under W.
+
 The ambient curvature c = 1 (de Sitter space) and the dimension n = 2, so
 r in {0, 1}, are fixed here, not passed in.
 """
@@ -27,7 +35,6 @@ from .surfaces import GraphSurface, _consistent_mass, mdot, tangential_gradient
 __all__ = [
     "StabilityReport",
     "QuadraticFormSample",
-    "DegenerateFieldError",
     "stability_field",
     "analyze",
     "jacobi_second_variation",
@@ -36,10 +43,6 @@ __all__ = [
 ]
 
 _PSI_FLOOR = 1e-10
-
-
-class DegenerateFieldError(ValueError):
-    """The ambient field is tangent everywhere; its support function vanishes."""
 
 
 @dataclass(frozen=True)
@@ -210,15 +213,18 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
 
 
 def killing_eigen_check(surface: GraphSurface, r: int) -> tuple[float, float]:
-    """Weak eigen-defect of the support function eta = <W, N> = p4 N1 - p1 N4
-    of the boost W(p) = p4 e1 + p1 e4 at the comparison constant, and the
-    mass-weighted mean of eta relative to area * max|eta|."""
+    """Weak eigen-defect of the support function eta = <W, N> of the boost
+    W(p) = p4 e1 + p1 e4 at the comparison constant, and the mass-weighted
+    mean of eta relative to area * max|eta|.
+
+    eta is the cache's ``boost_support``, alpha (tanh(u) g1 - q1) in the
+    chart (g the sphere gradient of the height u, alpha = cosh(u) /
+    sqrt(cosh(u)^2 - |g|^2)); the ambient form p4 N1 - p1 N4 subtracts two
+    terms of size cosh(u)^2 and loses cosh(u)^2 eps.
+    """
     cache = surface.cache
-    p, normal = cache.vertices, cache.normal
-    eta = p[:, 3] * normal[:, 0] - p[:, 0] * normal[:, 3]
+    eta = cache.boost_support
     eta_max = float(np.abs(eta).max())
-    if eta_max <= 1e-10 * max(float(np.abs(p[:, ::3]).max()), 1e-30):
-        raise DegenerateFieldError("Killing field is tangent everywhere; support function vanishes")
     pair = assemble(surface, r)
     lam_mean = _weighted_mean(stability_field(surface, r), cache.weights)
     mean_fraction = abs(float(np.sum(cache.weights * eta))) / (cache.area * eta_max)

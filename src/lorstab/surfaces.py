@@ -92,6 +92,7 @@ class GeometryCache:
     shape_eigs: np.ndarray        # (V, 2) principal curvatures
     sigma: np.ndarray             # (V, 3) elementary symmetric values
     mean: np.ndarray              # (V, 3) normalized mean curvatures
+    boost_support: np.ndarray     # (V,) <W, N> of the boost W = p4 e1 + p1 e4
     weights: np.ndarray           # (V,) lumped area weights
     area: float
     face_area: np.ndarray         # (F,)
@@ -241,6 +242,8 @@ def _graph_from_jets(height: HarmonicField, mesh: SphereMesh, jets) -> GraphSurf
     v = q.shape[0]
     alpha = phi / np.sqrt(margin)
     tanh_u = sinh_u / phi
+    # p4 N1 - p1 N4 in the chart, without its two terms of size cosh(u)^2
+    boost_support = alpha * (tanh_u * g[:, 0] - q[:, 0])
 
     def chart_vec(spatial: np.ndarray, time: np.ndarray) -> np.ndarray:
         return np.concatenate([spatial, time[:, None]], axis=1)
@@ -279,7 +282,8 @@ def _graph_from_jets(height: HarmonicField, mesh: SphereMesh, jets) -> GraphSurf
 
     cache = GeometryCache(
         vertices=verts, normal=normal, frame=frame, shape=shape, shape_eigs=eigs, sigma=sigma, mean=mean,
-        weights=weights, area=float(weights.sum()), face_area=face_area, mesh=mesh, metric_ratio=metric_ratio,
+        boost_support=boost_support, weights=weights, area=float(weights.sum()), face_area=face_area, mesh=mesh,
+        metric_ratio=metric_ratio,
     )
     return GraphSurface(height=height, mesh=mesh, cache=cache)
 

@@ -196,7 +196,7 @@ def _lagrange_constant(base: GraphSurface, r: int) -> float:
     return 2.0 * r + 2 * h_next_mean
 
 
-def verify_first_variation(variation: NormalVariation, r: int, h: float = 1e-3) -> VariationCheck:
+def verify_first_variation(variation: NormalVariation, r: int, *, h: float) -> VariationCheck:
     """Central difference of the order-r area against its first-variation formula."""
     base = variation.base
     t_nodes = [-2.0 * h, -h, h, 2.0 * h]
@@ -219,7 +219,7 @@ def verify_first_variation(variation: NormalVariation, r: int, h: float = 1e-3) 
     )
 
 
-def verify_sr_evolution(variation: NormalVariation, r: int, h: float = 1e-3) -> VariationCheck:
+def verify_sr_evolution(variation: NormalVariation, r: int, *, h: float) -> VariationCheck:
     """Per-vertex time derivative of the next elementary symmetric field
     against the weak evaluation of its evolution formula (ambient c = 1)."""
     base = variation.base
@@ -252,7 +252,7 @@ def verify_sr_evolution(variation: NormalVariation, r: int, h: float = 1e-3) -> 
     )
 
 
-def verify_second_variation(variation: NormalVariation, r: int, h: float = 1e-2) -> VariationCheck:
+def verify_second_variation(variation: NormalVariation, r: int, *, h: float) -> VariationCheck:
     """Second difference of the constrained functional J = A_r - lambda V on
     the stencil {-2h, -h, 0, h, 2h} against the second-variation quadratic
     form; the amplitude must be mean-zero."""
@@ -282,7 +282,7 @@ def verify_second_variation(variation: NormalVariation, r: int, h: float = 1e-2)
     )
 
 
-def volume_derivative_check(variation: NormalVariation, h: float = 1e-3) -> VariationCheck:
+def volume_derivative_check(variation: NormalVariation, *, h: float) -> VariationCheck:
     """Balance-of-volume derivative at t = 0 against the area integral of f."""
     base = variation.base
     volumes = volume_balance(variation, (-h, h))

@@ -5,7 +5,17 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import lorstab.fem
+from lorstab.config import ScenarioConfig
 from lorstab.surfaces import GraphSurface, build_graph, build_slice
+
+# a config's defaults, for the library calls a test makes below the config layer
+DEFAULTS = ScenarioConfig("slice", 1, 1.0)
+
+
+def solve(pair, **keys):
+    """``first_eigenvalue_meanzero`` at the config's default ``solver_tol``
+    and ``seed``; ``keys`` replace either or set ``maxiter``."""
+    return lorstab.fem.first_eigenvalue_meanzero(pair, **{"tol": DEFAULTS.solver_tol, "seed": DEFAULTS.seed, **keys})
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,27 @@ class TestExitCodes:
         assert "  verdict = hypotheses-violated" in lines
         assert "  tol_const = 9.9999999999999995e-07" in lines
 
+    def test_killing_check_on_a_far_slice_exits_zero(self, tmp_path):
+        """At s0 = 20 the ambient form p4 N1 - p1 N4 of the boost's support
+        function cancels two terms of size cosh(20)^2 = 5.9e16 to rounding;
+        the chart form the check reads is -q1 on every slice."""
+        assert run(tmp_path, SLICE.replace("s0 = 1", "s0 = 20") + "checks = stability,killing\n") == 0
+        assert any(line.startswith("  killing_residual = ") for line in report_lines(tmp_path))
+
+    @pytest.mark.parametrize("extra", [[], ["CONFIG", "--seed", "1"], ["CONFIG", "--level", "x"]],
+                             ids=["no-config", "unknown-flag", "level-not-integer"])
+    def test_usage_error_exits_four(self, tmp_path, capsys, extra):
+        """argparse's own status, 2, is the code of a hypotheses-violated verdict."""
+        config = tmp_path / "config.txt"
+        config.write_text(SLICE, encoding="utf-8")
+        argv = ["run", *(str(config) if arg == "CONFIG" else arg for arg in extra), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lorstab ") and ": error: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_construction_failure_exits_three(self, tmp_path, capsys):
         assert run(tmp_path, STEEP) == 3
         assert "not spacelike at vertex 0" in capsys.readouterr().err
@@ -96,10 +117,6 @@ class TestExitCodes:
         with pytest.raises(ConfigError) as err:
             load_config(tmp_path / "config.txt")
         assert err.value.key == "bogus"
-
-    def test_negative_seed_override_exits_four(self, tmp_path, capsys):
-        assert run(tmp_path, SLICE, "--seed", "-1") == 4
-        assert capsys.readouterr().err == "config error: key 'seed': expected a nonnegative integer, got -1\n"
 
     def test_unknown_sweep_param_names_its_key(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -186,7 +203,7 @@ class TestExitCodes:
             main(["--help"])
         assert done.value.code == 0
         out = capsys.readouterr().out
-        assert "\n    lorstab run <config> [--out DIR] [--level N] [--seed K]\n" in out
+        assert "\n    lorstab run <config> [--out DIR] [--level N]\n" in out
         assert "4 configuration error" in out
         assert "gc.freeze" not in out and "f2py" not in out
 
@@ -307,11 +324,10 @@ class TestReport:
         assert lines[first + 6] == "    max_error = nan"
         assert sum(line.startswith("    max_error = ") for line in lines) == 8
 
-    def test_level_and_seed_overrides_reach_the_report(self, tmp_path):
-        assert run(tmp_path, SLICE, "--level", "4", "--seed", "11") == 0
+    def test_level_override_reaches_the_report(self, tmp_path):
+        assert run(tmp_path, SLICE, "--level", "4") == 0
         lines = report_lines(tmp_path)
         assert "  level = 4" in lines
-        assert "  seed = 11" in lines
         assert "  level = 3" not in lines
 
 

@@ -16,7 +16,7 @@ from lorstab.stability import _chronology, stability_field
 from lorstab.surfaces import mdot
 from lorstab.variation import NormalVariation, _lagrange_constant, r_area, verify_first_variation
 
-from conftest import random_shape
+from conftest import DEFAULTS, random_shape
 from oracles import (
     SphericalHarmonic,
     area_integrand_reference,
@@ -378,7 +378,7 @@ class TestClosedFormsBitwise:
                 variation = NormalVariation(surface, SphericalHarmonic(1, 0))
                 integrand = (-1.0) ** (r + 1) * (r + 1) * sigma[:, r + 1] + variation_constant_reference(2, 1.0, r)
                 want = float(np.sum(cache.weights * integrand * variation.values()))
-                assert bits(verify_first_variation(variation, r).rhs) == bits(want)
+                assert bits(verify_first_variation(variation, r, h=DEFAULTS.fd_h).rhs) == bits(want)
 
         # psi = p4, <N, e4> = -N4 and V = e4 + p4 p against the Lorentz product
         # with e4; psi may differ from -<p, e4> in the sign of a zero, which

@@ -13,13 +13,14 @@ from lorstab.fem import (
     _carried,
     _fix_signs,
     assemble,
-    first_eigenvalue_meanzero,
     shared_spectrum,
     weak_residual,
 )
 from lorstab.harmonics import HarmonicField
 from lorstab.mesh import SphereMesh, icosphere
 from lorstab.surfaces import build_graph, build_slice
+
+from conftest import solve
 from oracles import assemble_stiffness_reference, smallest_eigenvalues_reference, strong_form_check
 
 GRAPH = ((2, 0, 0.05), (3, 1, 0.02))
@@ -120,20 +121,20 @@ class TestAssemblyOracle:
 class TestEigenvalues:
     def test_laplace_baseline(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        res = first_eigenvalue_meanzero(assemble(surf, 0))
+        res = solve(assemble(surf, 0))
         want = 2 / np.cosh(1.0) ** 2
         assert abs(res.lambda1 - want) / want < 0.01
         assert res.residual <= 1e-8
 
     def test_first_order_baseline(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
-        res = first_eigenvalue_meanzero(assemble(surf, 1))
+        res = solve(assemble(surf, 1))
         want = 2 * np.tanh(1.0) / np.cosh(1.0) ** 2
         assert abs(res.lambda1 - want) / want < 0.01
 
     def test_eigenfunction_mean_zero_normalized(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 0)
-        res = first_eigenvalue_meanzero(pair)
+        res = solve(pair)
         ones = np.ones(pair.nvertices)
         assert abs(ones @ (pair.mass @ res.eigenfunction)) < 1e-10
         assert res.eigenfunction @ (pair.mass @ res.eigenfunction) == pytest.approx(1.0)
@@ -143,7 +144,7 @@ class TestEigenvalues:
         first eigenvalue."""
         pair = assemble(build_slice(0.0, level=3), 1)
         with pytest.raises(SolverError, match="stiffness matrix is zero") as err:
-            first_eigenvalue_meanzero(pair)
+            solve(pair)
         assert err.value.residual is None
 
     def test_small_operator_is_not_taken_for_zero(self, slice_mesh):
@@ -152,7 +153,7 @@ class TestEigenvalues:
         acceptance is relative to the spectrum's scale (lam_scale = 4.1e-15),
         which a projected random vector, weak residual 4.6e-15 against 0, fails."""
         pair = assemble(slice_mesh(20.0, 3), 1)
-        res = first_eigenvalue_meanzero(pair)
+        res = solve(pair)
         want = 2 * np.tanh(20.0) / np.cosh(20.0) ** 2
         assert res.lambda1 == pytest.approx(want, rel=1e-2, abs=0)
         lumped = pair.lumped()
@@ -164,8 +165,8 @@ class TestEigenvalues:
 
     def test_deterministic(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 1)
-        a = first_eigenvalue_meanzero(pair, seed=0)
-        b = first_eigenvalue_meanzero(pair, seed=0)
+        a = solve(pair, seed=0)
+        b = solve(pair, seed=0)
         assert a.lambda1 == b.lambda1
         assert (a.eigenfunction == b.eigenfunction).all()
 
@@ -173,10 +174,10 @@ class TestEigenvalues:
         """A solve takes 11 shift-invert applications on a level-5 slice
         (its first convergence test, at a full 10-vector basis) and 16 on the
         level-5 test graph (one implicit restart), with seeds 0 and 7."""
-        assert first_eigenvalue_meanzero(assemble(slice_mesh(1.0, 5), 1)).iterations <= 12
+        assert solve(assemble(slice_mesh(1.0, 5), 1)).iterations <= 12
         pair = assemble(graph_mesh(1.0, GRAPH, 5), 1)
         for seed in (0, 7):
-            assert first_eigenvalue_meanzero(pair, seed=seed).iterations <= 16
+            assert solve(pair, seed=seed).iterations <= 16
 
     @pytest.mark.parametrize("level", [3, 4])
     @pytest.mark.parametrize("r", [0, 1])
@@ -189,12 +190,12 @@ class TestEigenvalues:
         into a SolverError on some other surface."""
         pair = assemble(graph_mesh(s0, shape, level), r)
         for seed in (0, 7):
-            assert first_eigenvalue_meanzero(pair, tol=1e-8, seed=seed).residual <= 1e-8 / 20
+            assert solve(pair, tol=1e-8, seed=seed).residual <= 1e-8 / 20
 
     def test_nonconvergence_raises(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 0)
         with pytest.raises(SolverError) as err:
-            first_eigenvalue_meanzero(pair, maxiter=2, tol=1e-14)
+            solve(pair, maxiter=2, tol=1e-14)
         assert err.value.residual is not None
 
     def test_restart_limit_raises(self):
@@ -211,7 +212,7 @@ class TestEigenvalues:
         )
         for tol in (1e-12, 1e-8):
             with pytest.raises(SolverError, match="did not converge in 1 restarts") as err:
-                first_eigenvalue_meanzero(pair, tol=tol, maxiter=1)
+                solve(pair, tol=tol, maxiter=1)
             assert err.value.residual == np.inf   # no eigenpair converged
 
     def test_bottom_spectrum_multiplicities(self, slice_mesh):
@@ -241,10 +242,10 @@ class TestSharedFactor:
     @pytest.mark.parametrize("r", [0, 1])
     def test_slices_on_one_mesh_share_one_factor(self, slice_mesh, factors, r):
         pairs = [assemble(slice_mesh(s0, 4), r) for s0 in (0.3, 1.0, 1.9)]
-        fresh = [first_eigenvalue_meanzero(pair) for pair in pairs]
+        fresh = [solve(pair) for pair in pairs]
         assert len(factors) == 3
         with shared_spectrum():
-            shared = [first_eigenvalue_meanzero(pair) for pair in pairs]
+            shared = [solve(pair) for pair in pairs]
         assert len(factors) == 4
         assert shared[0].lambda1 == fresh[0].lambda1     # the scope's first solve is ARPACK's
         assert shared[0].iterations == fresh[0].iterations > 0
@@ -266,18 +267,18 @@ class TestSharedFactor:
             return replace(doubled, stiffness=stiffness)
 
         with shared_spectrum():
-            base = first_eigenvalue_meanzero(pair)
-            carried = first_eigenvalue_meanzero(doubled)
+            base = solve(pair)
+            carried = solve(doubled)
             assert carried.lambda1 == pytest.approx(base.lambda1, rel=1e-13, abs=0)
             assert carried.eigenfunction == pytest.approx(base.eigenfunction / np.sqrt(2.0), rel=1e-15)
-            assert first_eigenvalue_meanzero(bumped(1e-14)).iterations == 0
+            assert solve(bumped(1e-14)).iterations == 0
             assert len(factors) == 1
-            assert first_eigenvalue_meanzero(bumped(1e-10)).iterations > 0
+            assert solve(bumped(1e-10)).iterations > 0
             assert len(factors) == 2
 
     def test_a_ratio_not_positive_is_not_carried(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 3), 1)
-        solved = first_eigenvalue_meanzero(pair)
+        solved = solve(pair)
         same = _carried(pair, solved, pair, np.inf)
         assert (same.lambda1, same.iterations) == (solved.lambda1, 0)
         assert np.array_equal(same.eigenfunction, solved.eigenfunction)
@@ -295,12 +296,12 @@ class TestSharedFactor:
         jittered.sort_indices()
         op = replace(pair, stiffness=2.0 * jittered, mass=2.0 * pair.mass)
         with shared_spectrum():
-            first_eigenvalue_meanzero(pair)
-            carried = first_eigenvalue_meanzero(op, tol=1e-11)
+            solve(pair)
+            carried = solve(op, tol=1e-11)
             assert carried.iterations == 0 and 1e-12 < carried.residual < 1e-11
         with shared_spectrum():
-            first_eigenvalue_meanzero(pair)
-            solved = first_eigenvalue_meanzero(op, tol=1e-12)
+            solve(pair)
+            solved = solve(op, tol=1e-12)
         assert solved.iterations > 0 and solved.residual < 1e-12
         assert len(factors) == 3
         assert solved.lambda1 == pytest.approx(carried.lambda1, rel=1e-12, abs=0)
@@ -309,10 +310,10 @@ class TestSharedFactor:
         slice_pair = assemble(slice_mesh(1.0, 4), 1)
         graph_pair = assemble(graph_mesh(1.0, GRAPH, 4), 1)
         assert (slice_pair.stiffness.indices == graph_pair.stiffness.indices).all()
-        alone = first_eigenvalue_meanzero(graph_pair)
+        alone = solve(graph_pair)
         with shared_spectrum():
-            first_eigenvalue_meanzero(slice_pair)
-            scoped = first_eigenvalue_meanzero(graph_pair)
+            solve(slice_pair)
+            scoped = solve(graph_pair)
         assert len(factors) == 3
         assert scoped.lambda1 == alone.lambda1
         assert scoped.iterations == alone.iterations
@@ -322,14 +323,14 @@ class TestSharedFactor:
         """A scope holds a solved pencil and its eigenpair, never a factor; an
         inner scope starts empty and leaves the outer one's pencil held."""
         pair = assemble(slice_mesh(1.0, 3), 1)
-        first_eigenvalue_meanzero(pair)
+        solve(pair)
         assert factors.held() == []
         with shared_spectrum():
-            first_eigenvalue_meanzero(pair)
+            solve(pair)
             assert factors.held() == []
             with shared_spectrum():
-                assert first_eigenvalue_meanzero(pair).iterations > 0
-            assert first_eigenvalue_meanzero(pair).iterations == 0
+                assert solve(pair).iterations > 0
+            assert solve(pair).iterations == 0
         assert len(factors) == 3
         assert factors.held() == []
 
@@ -345,7 +346,7 @@ class TestSubspaceIterationOracle:
     @pytest.mark.parametrize("r", [0, 1])
     def test_slice_matches_oracle(self, slice_mesh, r, level):
         pair = assemble(slice_mesh(1.0, level), r)
-        res = first_eigenvalue_meanzero(pair)
+        res = solve(pair)
         values, vectors, _, _ = smallest_eigenvalues_reference(pair, k=3)
         assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
         # lambda1 is the l = 1 triplet on a slice: the eigenfunction is any
@@ -356,7 +357,7 @@ class TestSubspaceIterationOracle:
     @pytest.mark.parametrize("level", [3, 4])
     def test_graph_matches_oracle(self, graph_mesh, level):
         pair = assemble(graph_mesh(1.0, GRAPH, level), 1)
-        res = first_eigenvalue_meanzero(pair)
+        res = solve(pair)
         values, vectors, _, _ = smallest_eigenvalues_reference(pair)
         assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
         # this eigenfunction is odd under a mesh symmetry, so |f| has maxima
@@ -368,7 +369,7 @@ class TestSubspaceIterationOracle:
     def test_sign_rule_breaks_roundoff_ties(self, graph_mesh):
         """At level 3 the r = 1 eigenfunction takes +-0.31845 at vertices 25
         and 28, 1.7e-16 apart: the lower index is made positive, for v and -v."""
-        res = first_eigenvalue_meanzero(assemble(graph_mesh(1.0, GRAPH, 3), 1))
+        res = solve(assemble(graph_mesh(1.0, GRAPH, 3), 1))
         f = res.eigenfunction
         assert f[25] == pytest.approx(-f[28], rel=1e-14) and f[25] > 0
         assert np.abs(f).max() == pytest.approx(f[25], rel=1e-14)
@@ -384,7 +385,7 @@ class TestSubspaceIterationOracle:
 class TestWeakResidual:
     def test_eigenpair_residual_small(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 1)
-        res = first_eigenvalue_meanzero(pair)
+        res = solve(pair)
         assert weak_residual(pair, res.eigenfunction, res.lambda1) <= 1e-8
 
     def test_generic_vector_not_eigen(self, slice_mesh):
@@ -420,7 +421,7 @@ class TestEllipticityBookkeeping:
     def test_slice_elliptic_and_definite(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 1)
         assert pair.min_newton_eig == pytest.approx(np.tanh(1.0), rel=1e-10)
-        res = first_eigenvalue_meanzero(pair)
+        res = solve(pair)
         assert pair.min_newton_eig > 0.0 and res.lambda1 > 0.0
 
     def test_equator_flag_consistency(self):

@@ -7,7 +7,7 @@ import pytest
 
 from lorstab.config import ScenarioConfig
 from lorstab.curvature import batched_elementary
-from lorstab.fem import assemble, first_eigenvalue_meanzero
+from lorstab.fem import assemble
 from lorstab.mesh import SphereMesh, icosphere
 from lorstab.stability import analyze
 from lorstab.surfaces import (
@@ -20,12 +20,15 @@ from lorstab.surfaces import (
     scatter_p1,
     tangential_gradient,
 )
+
+from conftest import solve
 from oracles import (
     SphericalHarmonic, killing_field, scatter_p1_reference, shape_operator_mesh_estimate, slice_operator_eigenvalue,
     support_function, tangential_gradient_reference,
 )
 
 AXIS = np.array([0.0, 0.0, 0.0, 1.0])
+BENCH_TERMS = ((2, 0, 0.05), (3, 1, 0.02))
 
 
 def conformal_support(surface):
@@ -62,7 +65,7 @@ class TestSliceClosedForms:
         assert slice_operator_eigenvalue(0.7, 0) == pytest.approx(2 / np.cosh(0.7) ** 2)
         assert slice_operator_eigenvalue(0.7, 1) == pytest.approx(2 * np.tanh(0.7) / np.cosh(0.7) ** 2)
         for r in (0, 1):
-            lam = first_eigenvalue_meanzero(assemble(surf, r)).lambda1
+            lam = solve(assemble(surf, r)).lambda1
             assert lam == pytest.approx(slice_operator_eigenvalue(0.7, r), rel=1e-3)
 
 
@@ -191,6 +194,24 @@ class TestSupportFunction:
         w = killing_field(np.eye(4)[0], AXIS, p)
         assert np.abs(mdot(w, p)).max() < 1e-12
         assert np.abs(mdot(AXIS + p[:, 3, None] * p, p)).max() < 1e-12
+
+
+class TestBoostSupport:
+    """The cache's support function of the boost W = p4 e1 + p1 e4, which
+    the chart gives without the cancellation of p4 N1 - p1 N4."""
+
+    @pytest.mark.parametrize("s0", [1.0, 8.0, 16.0, 20.0])
+    def test_is_minus_q1_on_slices(self, slice_mesh, s0):
+        """Here the ambient form p4 N1 - p1 N4 is off by 6.8e-3 at s0 = 16, and by 2.2 at s0 = 19."""
+        surf = slice_mesh(s0, 3)
+        assert np.abs(surf.cache.boost_support + surf.mesh.q[:, 0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["s0=1", "s0=-1"])
+    def test_matches_the_oracle_on_the_bench_graph(self, graph_mesh, sign):
+        """On the bench graph and its time reflection (s0 and every amplitude negated)."""
+        surf = graph_mesh(sign, tuple((l, m, sign * a) for l, m, a in BENCH_TERMS), 4)
+        want = support_function(surf, np.eye(4)[0], AXIS)
+        assert np.abs(surf.cache.boost_support - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestHatGradients:
