@@ -254,7 +254,7 @@ def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_
             order = log2(abs(prev_gap) / abs(rep.gap))
             orders.append(order)
         rows.append(
-            [param, value, rep.lambda_mean, rep.eigen.lambda1, rep.eigen.residual, rep.eigen.iterations,
+            [param, value, rep.lambda_mean, rep.lambda1, rep.eigen_residual, rep.eigen_iterations,
              rep.gap, rep.lambda_residual, rep.h_next_residual, rep.verdict, order]
         )
         prev_gap = rep.gap

@@ -101,10 +101,6 @@ _UPPER = np.triu_indices(4)
 _SYM = np.empty((4, 4), dtype=np.intp)
 _SYM[_UPPER] = _SYM[_UPPER[::-1]] = np.arange(10)
 
-# ties of the eigenvector sign: 150x the largest relative entrywise disagreement
-# (6.7e-9) between this solver and the oracle on the level 3-5 test graphs
-_SIGN_TOL = 1e-6
-
 
 class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
@@ -235,15 +231,6 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     return pair
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's leading entry, the first within a relative ``_SIGN_TOL``
-    of its largest magnitude, positive in place; v and -v give one result."""
-    mag = np.abs(vectors)
-    lead = np.argmax(mag >= (1.0 - _SIGN_TOL) * mag.max(axis=0), axis=0)
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return vectors
-
-
 def _project_meanzero(x: np.ndarray, mass_column: np.ndarray, total: float) -> np.ndarray:
     return x - (mass_column @ x) / total
 
@@ -288,8 +275,8 @@ def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxite
     for the last pencil ARPACK solved takes its eigenpair scaled, with 0
     applications, if that pair passes the same residual test.
 
-    The eigenfunction is mass-normalized, mean-zero and signed by
-    ``_fix_signs``; ``iterations`` is the number of shift-invert applications.
+    The eigenfunction is mass-normalized and mean-zero, with ARPACK's sign;
+    ``iterations`` is the number of shift-invert applications.
     """
     kk = op.stiffness
     mm = op.mass
@@ -348,7 +335,7 @@ def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxite
         )
     result = EigenResult(
         lambda1=float(values[0]),
-        eigenfunction=_fix_signs(vectors)[:, 0],
+        eigenfunction=vectors[:, 0],
         iterations=iterations,
         residual=residual,
     )

@@ -27,9 +27,9 @@ _FRAME_TOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class SphereMesh:
     """Unit directions ``q`` (V, 3) and outward-oriented ``faces`` (F, 3) of a
-    valid sphere triangulation (not checked here); ``level`` is the icosphere
-    depth, None for a mesh built from given points.  It makes its arrays
-    read-only, to be shared.
+    valid sphere triangulation (not checked here); ``level`` is the depth of
+    the icosphere the directions come from.  It makes its arrays read-only,
+    to be shared.
 
     Computed on first read and kept: the tangent ``frames``, the
     fill-reducing ``order`` and the P1 sparsity ``pattern``, which every
@@ -38,7 +38,7 @@ class SphereMesh:
 
     q: np.ndarray
     faces: np.ndarray
-    level: int | None = None
+    level: int
 
     def __post_init__(self):
         self.q.flags.writeable = self.faces.flags.writeable = False

@@ -1,5 +1,10 @@
 """Report rendering: hierarchical text with stable key order and CSV tables.
 
+A block's keys are its record's fields, in order: the ``config:`` block is
+``ScenarioConfig``, the ``stability:`` block ``StabilityReport``, each check
+of the ``variation:`` block ``VariationCheck`` (less ``check``, its header,
+and ``level``), and ``checks.csv``'s columns ``VariationCheck`` again.
+
 Reports are byte-stable for a fixed config and seed: full-precision float
 formatting, fixed ordering, LF line endings, no timestamps.
 """
@@ -21,8 +26,6 @@ def fmt(value) -> str:
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     return str(value)
 
 
@@ -38,32 +41,10 @@ def _config_value(value) -> str:
     return ",".join(value)
 
 
-def _stability_lines(report: StabilityReport) -> list[str]:
-    rows = [
-        ("verdict", report.verdict),
-        ("r", report.r),
-        ("level", report.level),
-        ("h_next_mean", report.h_next_mean),
-        ("h_next_min", report.h_next_min),
-        ("h_next_max", report.h_next_max),
-        ("h_next_residual", report.h_next_residual),
-        ("lambda_mean", report.lambda_mean),
-        ("lambda_residual", report.lambda_residual),
-        ("lambda1", report.eigen.lambda1),
-        ("gap", report.gap),
-        ("eigen_iterations", report.eigen.iterations),
-        ("eigen_residual", report.eigen.residual),
-        ("min_newton_eig", report.min_newton_eig),
-        ("h2_positive", report.h2_positive),
-        ("has_elliptic_point", report.has_elliptic_point),
-        ("psi_min_abs", report.psi_min_abs),
-        ("chronology", report.chronology),
-        ("tol_gap", report.tol_gap),
-        ("tol_gap_effective", report.tol_gap_effective),
-        ("tol_constancy", report.tol_constancy),
-        ("tol_solver", report.tol_solver),
-    ]
-    return [f"  {k} = {fmt(v)}" for k, v in rows]
+def _block(record, indent: str, value=fmt, skip: tuple[str, ...] = ()) -> list[str]:
+    """``key = value`` lines of a record's fields, in their order."""
+    return [f"{indent}{f.name} = {value(getattr(record, f.name))}"
+            for f in fields(record) if f.name not in skip]
 
 
 def render_run_report(
@@ -74,13 +55,13 @@ def render_run_report(
     extra: list[tuple[str, object]] = (),
 ) -> str:
     lines: list[str] = ["lorstab run report", "config:"]
-    lines.extend(f"  {field.name} = {_config_value(getattr(config, field.name))}" for field in fields(config))
+    lines.extend(_block(config, "  ", _config_value))
     if extra:
         lines.append("scenario:")
         lines.extend(f"  {k} = {fmt(v)}" for k, v in extra)
     if stability is not None:
         lines.append("stability:")
-        lines.extend(_stability_lines(stability))
+        lines.extend(_block(stability, "  "))
     if scalar_checks:
         lines.append("checks:")
         lines.extend(f"  {name} = {fmt(value)}" for name, value in scalar_checks)
@@ -88,27 +69,20 @@ def render_run_report(
         lines.append("variation:")
         for chk in variation_checks:
             lines.append(f"  {chk.check}:")
-            lines.append(f"    h = {fmt(chk.h)}")
-            lines.append(f"    lhs = {fmt(chk.lhs)}")
-            lines.append(f"    rhs = {fmt(chk.rhs)}")
-            lines.append(f"    rel_error = {fmt(chk.rel_error)}")
-            lines.append(f"    richardson = {fmt(chk.richardson)}")
-            lines.append(f"    max_error = {fmt(chk.max_error)}")
+            lines.extend(_block(chk, "    ", skip=("check", "level")))
     return "\n".join(lines) + "\n"
 
 
 def write_checks_csv(path: str | Path, checks: list[VariationCheck]) -> None:
-    """One row per check; ``richardson`` and ``max_error`` are nan where the
-    check does not estimate them."""
-    lines = ["check,h,level,lhs,rhs,rel_error,richardson,max_error"]
-    for chk in checks:
-        row = [chk.h, chk.level, chk.lhs, chk.rhs, chk.rel_error, chk.richardson, chk.max_error]
-        lines.append(",".join([chk.check] + [fmt(x) for x in row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per check, one column per ``VariationCheck`` field;
+    ``richardson`` and ``max_error`` are nan where the check does not
+    estimate them."""
+    names = [f.name for f in fields(VariationCheck)]
+    write_sweep_csv(path, names, [[getattr(chk, name) for name in names] for chk in checks])
 
 
 def write_sweep_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    """The header line, then one line of ``fmt`` values per row; the check
+    table is written through it too."""
+    lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

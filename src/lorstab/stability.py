@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .fem import EigenResult, assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
+from .fem import assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
 from .surfaces import GraphSurface, _consistent_mass, mdot, tangential_gradient
 
 __all__ = [
     "StabilityReport",
-    "QuadraticFormSample",
     "stability_field",
     "analyze",
     "jacobi_second_variation",
@@ -47,38 +46,31 @@ _PSI_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The verdict and what it rests on, in the order of the report's
+    ``stability:`` block."""
+
+    verdict: str
     r: int
-    level: int | None
+    level: int
     h_next_mean: float
     h_next_min: float
     h_next_max: float
     h_next_residual: float
     lambda_mean: float
     lambda_residual: float
-    eigen: EigenResult
+    lambda1: float
     gap: float
+    eigen_iterations: int
+    eigen_residual: float
     min_newton_eig: float
     h2_positive: bool
     has_elliptic_point: bool
     psi_min_abs: float
     chronology: str
-    verdict: str
     tol_gap: float
     tol_gap_effective: float
     tol_constancy: float
     tol_solver: float
-
-    @property
-    def lambda1(self) -> float:
-        return self.eigen.lambda1
-
-
-@dataclass(frozen=True)
-class QuadraticFormSample:
-    values: np.ndarray            # mean-zero test function (projected)
-    value: float                  # second-variation quadratic form
-    scale: float                  # magnitude of the two competing terms
-    projected_mass_fraction: float
 
 
 def stability_field(surface: GraphSurface, r: int) -> np.ndarray:
@@ -128,9 +120,10 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
     pair = assemble(surface, r)
     if pair.min_newton_eig > 0.0:
         eigen = first_eigenvalue_meanzero(pair, tol=config.solver_tol, seed=config.seed)
+        lambda1, iterations, residual = eigen.lambda1, eigen.iterations, eigen.residual
     else:
-        eigen = EigenResult(lambda1=np.nan, eigenfunction=np.empty(0), iterations=0, residual=np.nan)
-    gap = lam_mean - eigen.lambda1
+        lambda1, iterations, residual = np.nan, 0, np.nan
+    gap = lam_mean - lambda1
 
     h2 = cache.mean[:, 2]
     eigs = cache.shape_eigs
@@ -139,7 +132,7 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
     psi_min_abs = float(np.abs(psi).min())
 
     level = surface.mesh.level
-    tol_gap_eff = config.tol_gap if level is None else config.tol_gap * 2.0 ** (5 - level)
+    tol_gap_eff = config.tol_gap * 2.0 ** (5 - level)
     hypotheses_ok = (
         h_next.min() > 0.0
         and h_next_residual <= config.tol_const
@@ -156,6 +149,7 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
         verdict = "unstable"
 
     return StabilityReport(
+        verdict=verdict,
         r=r,
         level=level,
         h_next_mean=h_next_mean,
@@ -164,14 +158,15 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
         h_next_residual=h_next_residual,
         lambda_mean=lam_mean,
         lambda_residual=lam_residual,
-        eigen=eigen,
+        lambda1=lambda1,
         gap=gap,
+        eigen_iterations=iterations,
+        eigen_residual=residual,
         min_newton_eig=pair.min_newton_eig,
         h2_positive=bool(h2.min() > 0.0),
         has_elliptic_point=bool(definite.any()),
         psi_min_abs=psi_min_abs,
         chronology=chronology,
-        verdict=verdict,
         tol_gap=config.tol_gap,
         tol_gap_effective=tol_gap_eff,
         tol_constancy=config.tol_const,
@@ -185,12 +180,12 @@ def weighted_mass_matrix(surface: GraphSurface, vertex_weights: np.ndarray):
     return _consistent_mass(surface.mesh, face_weight)
 
 
-def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -> QuadraticFormSample:
-    """Second variation of the constrained functional at a mean-zero function.
+def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -> tuple[float, float]:
+    """Second variation of the constrained functional at a mean-zero function,
+    and the magnitude of its two competing terms.
 
     (r+1) * [ - f'Kf + f' M_lam f ] with the comparison field integrated
-    consistently; the input is projected onto mean-zero first and the
-    removed mass fraction recorded.
+    consistently; the input is projected onto mean-zero first.
     """
     cache = surface.cache
     values = np.asarray(values, dtype=float)
@@ -200,7 +195,6 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
     projected = values - mean
     if np.abs(projected).max() <= 1e-14 * max(1.0, norm_before):
         raise ValueError("test function vanishes after mean-zero projection")
-    frac = abs(mean) / max(norm_before, 1e-30)
 
     pair = assemble(surface, r)
     lam_field = stability_field(surface, r)
@@ -209,7 +203,7 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
     quad_lam = float(projected @ (m_lam @ projected))
     value = (r + 1) * (-quad_k + quad_lam)
     scale = (r + 1) * max(abs(quad_k), abs(quad_lam), 1e-30)
-    return QuadraticFormSample(values=projected, value=value, scale=scale, projected_mass_fraction=frac)
+    return value, scale
 
 
 def killing_eigen_check(surface: GraphSurface, r: int) -> tuple[float, float]:

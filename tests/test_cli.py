@@ -17,6 +17,7 @@ import lorstab.surfaces
 from lorstab.cli import main, run_scenario, sweep_scenario
 from lorstab.config import _PARSERS, ConfigError, ScenarioConfig, load_config, parse_config
 from lorstab.report import render_run_report
+from lorstab.stability import StabilityReport
 
 SLICE = "scenario = slice\nr = 1\ns0 = 1\nlevel = 3\n"
 GRAPH = "scenario = graph\nr = 1\ns0 = 1\nperturbations = 2,0,0.05;3,1,0.02\nlevel = 3\n"
@@ -323,6 +324,28 @@ class TestReport:
         assert lines[first + 5] == f"    richardson = {rows[0].split(',')[6]}"
         assert lines[first + 6] == "    max_error = nan"
         assert sum(line.startswith("    max_error = ") for line in lines) == 8
+
+    def test_key_order_is_the_records_field_order(self, tmp_path):
+        assert run(tmp_path, SLICE + "checks = stability,killing,conformal,variation\n") == 0
+        lines = report_lines(tmp_path)
+        start = lines.index("stability:") + 1
+        block = lines[start:lines.index("checks:")]
+        keys = [line.split(" = ")[0].strip() for line in block]
+        assert keys == [
+            "verdict", "r", "level", "h_next_mean", "h_next_min", "h_next_max", "h_next_residual",
+            "lambda_mean", "lambda_residual", "lambda1", "gap", "eigen_iterations", "eigen_residual",
+            "min_newton_eig", "h2_positive", "has_elliptic_point", "psi_min_abs", "chronology",
+            "tol_gap", "tol_gap_effective", "tol_constancy", "tol_solver",
+        ]
+        assert keys == [f.name for f in dataclasses.fields(StabilityReport)]
+        variation = lines[lines.index("variation:") + 1:]
+        assert len(variation) == 8 * 7
+        for at in range(0, len(variation), 7):
+            assert variation[at].startswith("  ") and variation[at].endswith(":")
+            assert [line.split(" = ")[0] for line in variation[at + 1:at + 7]] == [
+                "    h", "    lhs", "    rhs", "    rel_error", "    richardson", "    max_error"]
+        header = (tmp_path / "out" / "checks.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "check,h,level,lhs,rhs,rel_error,richardson,max_error"
 
     def test_level_override_reaches_the_report(self, tmp_path):
         assert run(tmp_path, SLICE, "--level", "4") == 0

@@ -11,7 +11,6 @@ from lorstab.fem import (
     OperatorPair,
     SolverError,
     _carried,
-    _fix_signs,
     assemble,
     shared_spectrum,
     weak_residual,
@@ -93,11 +92,11 @@ class TestAssembly:
 
 def jittered_graph():
     """The level-3 graph over tangentially jittered icosphere directions: an
-    irregular mesh without a level."""
+    irregular mesh of level 3."""
     q, faces = icosphere(3)
     q = q + 0.02 * np.random.default_rng(5).standard_normal(q.shape)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return build_graph(1.0, perturbations=GRAPH, mesh=SphereMesh(q, faces))
+    return build_graph(1.0, perturbations=GRAPH, mesh=SphereMesh(q, faces, 3))
 
 
 class TestAssemblyOracle:
@@ -110,7 +109,6 @@ class TestAssemblyOracle:
     def test_graph_matches_einsum_oracle(self, graph_mesh, r, level):
         if level == "jittered":
             surf = jittered_graph()
-            assert surf.mesh.level is None
         else:
             surf = graph_mesh(1.0, GRAPH, level)
         got = assemble(surf, r).stiffness
@@ -360,26 +358,9 @@ class TestSubspaceIterationOracle:
         res = solve(pair)
         values, vectors, _, _ = smallest_eigenvalues_reference(pair)
         assert res.lambda1 == pytest.approx(values[0], rel=1e-10, abs=0)
-        # this eigenfunction is odd under a mesh symmetry, so |f| has maxima
-        # of opposite sign tied up to roundoff; the oracle vector, re-signed by
-        # the solver's rule, agrees in sign too
-        f, g = res.eigenfunction, _fix_signs(vectors[:, :1].copy())[:, 0]
-        assert self.m_norm(pair, f - g) <= 1e-6
-
-    def test_sign_rule_breaks_roundoff_ties(self, graph_mesh):
-        """At level 3 the r = 1 eigenfunction takes +-0.31845 at vertices 25
-        and 28, 1.7e-16 apart: the lower index is made positive, for v and -v."""
-        res = solve(assemble(graph_mesh(1.0, GRAPH, 3), 1))
-        f = res.eigenfunction
-        assert f[25] == pytest.approx(-f[28], rel=1e-14) and f[25] > 0
-        assert np.abs(f).max() == pytest.approx(f[25], rel=1e-14)
-        for v in (f, -f):
-            assert np.array_equal(_fix_signs(v[:, None].copy())[:, 0], f)
-        # a tie within the relative tolerance counts; a wider gap does not
-        assert np.array_equal(_fix_signs(np.array([[0.5], [-0.5 * (1 + 1e-7)]]))[:, 0],
-                              [0.5, -0.5 * (1 + 1e-7)])
-        assert np.array_equal(_fix_signs(np.array([[0.5], [-0.5 * (1 + 1e-5)]]))[:, 0],
-                              [-0.5, 0.5 * (1 + 1e-5)])
+        # a simple eigenvalue: the eigenfunction is the oracle's up to sign
+        f, g = res.eigenfunction, vectors[:, 0]
+        assert min(self.m_norm(pair, f - g), self.m_norm(pair, f + g)) <= 1e-6
 
 
 class TestWeakResidual:

@@ -216,10 +216,11 @@ class TestSphereMesh:
 
     def test_frames_at_axis_directions(self):
         # every axis pair degenerates somewhere on the coordinate circles;
-        # the fallback still gives each unit direction a frame
+        # the fallback still gives each unit direction a frame (the axis
+        # directions are level-1 icosphere points)
         q = np.concatenate([np.eye(3), -np.eye(3), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
                                                               [1.0, 0.0, 1.0]]) / np.sqrt(2.0)])
-        w1, w2 = SphereMesh(q, np.zeros((0, 3), dtype=int)).frames
+        w1, w2 = SphereMesh(q, np.zeros((0, 3), dtype=int), 1).frames
         assert np.abs(np.linalg.norm(w1, axis=1) - 1.0).max() < 1e-15
         assert np.abs(np.linalg.norm(w2, axis=1) - 1.0).max() < 1e-15
         assert np.abs(np.einsum("vi,vi->v", w1, q)).max() < 1e-15

@@ -341,6 +341,5 @@ class TestScatter:
         # renumber the vertices, so the pattern's order is not the icosphere's
         q, faces = icosphere(3)
         perm = np.random.default_rng(5).permutation(q.shape[0])
-        mesh = SphereMesh(q[perm], np.argsort(perm)[faces])
-        assert mesh.level is None
+        mesh = SphereMesh(q[perm], np.argsort(perm)[faces], 3)
         self.check(mesh)
