@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     lorstab run <config> [--out DIR] [--level N]
-    lorstab sweep <config> --param {s0,level,amplitude} --values v1,v2,... [--out DIR]
+    lorstab sweep <config> --param {s0,level} --values v1,v2,... [--out DIR]
 
 A config holds key = value lines; its scenario is a slice (an umbilical
 slice at height s0) or a graph (s0 plus harmonic perturbations).  Exit
@@ -132,28 +132,28 @@ def _build_surface(config: ScenarioConfig) -> tuple[GraphSurface, list[tuple[str
         surface = build_slice(config.s0, level=config.level)
     else:
         surface = build_graph(config.s0, perturbations=config.perturbations, level=config.level)
-        extra.append(("metric_anisotropy", surface.cache.metric_ratio))
+        extra.append(("metric_anisotropy", surface.metric_ratio))
     return surface, extra
 
 
+_FD_H = 1e-3        # first-difference step (second differences take 10x); perfbench's FD_BOUNDS assume it
+
+
 def _variation_battery(surface: GraphSurface, config: ScenarioConfig) -> list[VariationCheck]:
-    r = config.r
-    h1 = config.fd_h
-    h2 = 10.0 * config.fd_h
+    r, h = config.r, _FD_H
     const = NormalVariation(base=surface, amplitude=HarmonicField(constant=1.0))
     y10 = NormalVariation(base=surface, amplitude=HarmonicField(terms=((1, 0, 1.0),)))
     y20 = NormalVariation(base=surface, amplitude=HarmonicField(terms=((2, 0, 1.0),)))
-    checks = [
-        verify_first_variation(const, r, h=h1),
-        verify_first_variation(y20, r, h=h1),
-        verify_sr_evolution(const, r, h=h1),
-        verify_sr_evolution(y10, r, h=h1),
-        volume_derivative_check(const, h=h1),
-        volume_derivative_check(y10, h=h1),
-        verify_second_variation(y10, r, h=h2),
-        verify_second_variation(y20, r, h=h2),
+    return [
+        verify_first_variation(const, r, h=h),
+        verify_first_variation(y20, r, h=h),
+        verify_sr_evolution(const, r, h=h),
+        verify_sr_evolution(y10, r, h=h),
+        volume_derivative_check(const, h=h),
+        volume_derivative_check(y10, h=h),
+        verify_second_variation(y10, r, h=10.0 * h),
+        verify_second_variation(y20, r, h=10.0 * h),
     ]
-    return checks
 
 
 def _make_out_dir(out_dir: str | Path) -> Path:
@@ -216,26 +216,17 @@ _SWEEP_HEADER = [
 
 
 def sweep_scenario(config: ScenarioConfig, param: str, values: list[float], out_dir: str | Path) -> int:
-    if param not in ("s0", "level", "amplitude"):
-        raise ConfigError(f"key '--param': expected s0, level or amplitude, got '{param}'", key="--param")
-    if param == "amplitude" and not config.perturbations:
-        raise ConfigError("key 'perturbations': amplitude sweeps need at least one configured perturbation",
-                          key="perturbations")
+    if param not in ("s0", "level"):
+        raise ConfigError(f"key '--param': expected s0 or level, got '{param}'", key="--param")
     out = _make_out_dir(out_dir)
     t0 = time.perf_counter()
 
     def configure(value: float) -> ScenarioConfig:
         if param == "s0":
             return dataclasses.replace(config, s0=float(value))
-        if param == "level":
-            if not float(value).is_integer():
-                raise ConfigError(f"key 'level': expected an integer, got {value}", key="level")
-            return dataclasses.replace(config, level=check_level(int(value)))
-        first = config.perturbations[0]
-        rest = config.perturbations[1:]
-        return dataclasses.replace(
-            config, perturbations=((first[0], first[1], float(value)),) + rest
-        )
+        if not float(value).is_integer():
+            raise ConfigError(f"key 'level': expected an integer, got {value}", key="level")
+        return dataclasses.replace(config, level=check_level(int(value)))
 
     def evaluate(value: float):
         cfg = configure(value)

@@ -38,10 +38,7 @@ class ScenarioConfig:
     perturbations: tuple[tuple[int, int, float], ...] = ()
     level: int = 5
     tol_gap: float = 2e-2           # relative gap budget at level 5; halves per level
-    tol_const: float = 1e-6
-    solver_tol: float = 1e-8
     checks: tuple[str, ...] = ("stability",)
-    fd_h: float = 1e-3
     seed: int = 0
 
 
@@ -121,13 +118,6 @@ def _parse_checks(key: str, raw: str) -> tuple[str, ...]:
     return checks
 
 
-def _parse_step(key: str, raw: str) -> float:
-    fd_h = _parse_real(key, raw)
-    if not 0 < fd_h <= 5e-3:
-        raise ConfigError(f"key '{key}': need 0 < fd_h <= 5e-3 (second-order steps use 10*fd_h)", key=key)
-    return fd_h
-
-
 def check_level(level: int) -> int:
     if level not in _LEVELS:
         raise ConfigError(f"key 'level': expected one of {_LEVELS}, got {level}", key="level")
@@ -149,10 +139,7 @@ _PARSERS = {
     "perturbations": _parse_perturbations,
     "level": lambda key, raw: check_level(_parse_int(key, raw)),
     "tol_gap": _parse_tolerance,
-    "tol_const": _parse_tolerance,
-    "solver_tol": _parse_tolerance,
     "checks": _parse_checks,
-    "fd_h": _parse_step,
     "seed": _parse_seed,
 }
 

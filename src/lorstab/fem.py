@@ -172,8 +172,7 @@ def newton_vertex_matrices(surface: GraphSurface, r: int) -> np.ndarray:
     """P_r at every vertex, in each vertex frame; memoized on the surface."""
     key = ("newton", r)
     if key not in surface._memo:
-        cache = surface.cache
-        surface._memo[key] = batched_newton(cache.shape, cache.sigma, r)
+        surface._memo[key] = batched_newton(surface.shape, surface.sigma, r)
     return surface._memo[key]
 
 
@@ -191,30 +190,29 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     key = ("operator", r)
     if key in surface._memo:
         return surface._memo[key]
-    cache = surface.cache
     faces = surface.mesh.faces
     if faces.size == 0:
         raise ValueError("surface mesh has no faces")
 
-    mass = cache.mass       # before the stiffness temporaries, which keeps peak RSS down
+    mass = surface.mass     # before the stiffness temporaries, which keeps peak RSS down
     p_vertex = newton_vertex_matrices(surface, r)
     min_eig = float(batched_eigvalsh2(p_vertex).min())
 
     # Q = (J E) P_r (J E)^T = a pa^T + b pb^T per vertex, with [a, b] = J E and
     # [pa, pb] = (J E) P_r; per face, K_ab = area/3 grad_a . (sum of corner Q) grad_b
-    a, b = np.ascontiguousarray((cache.frame * SIGNATURE[None, :, None]).transpose(2, 1, 0))
+    a, b = np.ascontiguousarray((surface.frame * SIGNATURE[None, :, None]).transpose(2, 1, 0))
     p00, p01, p11 = p_vertex[:, 0, 0], p_vertex[:, 0, 1], p_vertex[:, 1, 1]
     pa, pb = p00 * a + p01 * b, p01 * a + p11 * b
     q = np.stack([a[i] * pa[k] + b[i] * pb[k] for i, k in zip(*_UPPER)])    # (10, V)
-    third = cache.face_area / 3.0
-    nv, nf = cache.vertices.shape[0], faces.shape[0]
+    third = surface.face_area / 3.0
+    nv, nf = surface.vertices.shape[0], faces.shape[0]
     k_local = np.empty((nf, 3, 3))
     for start in range(0, nf, _BLOCK):
         f = slice(start, start + _BLOCK)
         q_face = np.take(q, faces[f, 0], axis=1)
         q_face += np.take(q, faces[f, 1], axis=1)
         q_face += np.take(q, faces[f, 2], axis=1)
-        g = _hat_gradients(cache.vertices, faces[f])
+        g = _hat_gradients(surface.vertices, faces[f])
         k_sub = np.einsum("aib,cib->acb", g, np.einsum("ikb,ckb->cib", q_face[_SYM], g))
         k_sub[1, 0] = k_sub[0, 1]           # exactly symmetric, as scatter_p1 requires
         k_sub *= third[f]                   # (2, 2, B): the rows and columns of corners 1, 2

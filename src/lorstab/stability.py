@@ -13,7 +13,7 @@ is refined, so lambda1 and the gap are nan there and nothing is solved.
 The Killing check reads the support function eta of the one boost
 W(p) = p4 e1 + p1 e4 (see ``surfaces``), a Jacobi field at the comparison
 constant, and reports its weak eigen-defect.  eta comes from the chart
-(``GeometryCache.boost_support``), so its rounding error does not grow like
+(``GraphSurface.boost_support``), so its rounding error does not grow like
 cosh(s0)^2 as the ambient form's does.  It cannot vanish everywhere: boost
 orbits off the circle p1 = p4 = 0 are unbounded, so no closed spacelike
 surface is invariant under W.
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 _PSI_FLOOR = 1e-10
+# the largest relative spread of H_{r+1} and of the comparison field that counts
+# as constant, and the eigensolver tolerance that fem's stop rule is calibrated at
+_TOL_CONSTANCY = 1e-6
+_TOL_SOLVER = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,18 @@ def stability_field(surface: GraphSurface, r: int) -> np.ndarray:
     """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r) at c = 1, on the memoized P_r."""
     key = ("stability_field", r)
     if key not in surface._memo:
-        a, p = surface.cache.shape, newton_vertex_matrices(surface, r)
+        a, p = surface.shape, newton_vertex_matrices(surface, r)
         surface._memo[key] = np.trace(p, axis1=1, axis2=2) - np.einsum("vij,vji->v", a @ a, p)
     return surface._memo[key]
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(values * weights) / np.sum(weights))
+
+
+def _mean_fraction(surface: GraphSurface, values: np.ndarray) -> float:
+    """|integral of f| / (area * max|f|): how far f is from mean-zero."""
+    return abs(float(np.sum(surface.weights * values))) / (surface.area * max(float(np.abs(values).max()), 1e-30))
 
 
 def _constancy_residual(values: np.ndarray, mean: float) -> float:
@@ -93,7 +102,7 @@ def _constancy_residual(values: np.ndarray, mean: float) -> float:
 def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
     """The side of the equator p4 = 0 the surface lies on, and the conformal
     factor psi = p4 per vertex."""
-    psi = surface.cache.vertices[:, 3]
+    psi = surface.vertices[:, 3]
     if (psi > _PSI_FLOOR).all():
         return "future", psi
     if (psi < -_PSI_FLOOR).all():
@@ -103,30 +112,29 @@ def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
 
 def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
     """Full stability analysis of a built surface (ambient c = 1) at the
-    config's order r, with its tolerances and solver seed."""
-    cache = surface.cache
+    config's order r, gap budget and solver seed."""
     r = config.r
     if r not in (0, 1):
         raise ValueError(f"order r={r} out of range [0, 1]")
 
-    h_next = cache.mean[:, r + 1]
-    h_next_mean = _weighted_mean(h_next, cache.weights)
+    h_next = surface.mean[:, r + 1]
+    h_next_mean = _weighted_mean(h_next, surface.weights)
     h_next_residual = _constancy_residual(h_next, h_next_mean)
 
     lam_field = stability_field(surface, r)
-    lam_mean = _weighted_mean(lam_field, cache.weights)
+    lam_mean = _weighted_mean(lam_field, surface.weights)
     lam_residual = _constancy_residual(lam_field, lam_mean)
 
     pair = assemble(surface, r)
     if pair.min_newton_eig > 0.0:
-        eigen = first_eigenvalue_meanzero(pair, tol=config.solver_tol, seed=config.seed)
+        eigen = first_eigenvalue_meanzero(pair, tol=_TOL_SOLVER, seed=config.seed)
         lambda1, iterations, residual = eigen.lambda1, eigen.iterations, eigen.residual
     else:
         lambda1, iterations, residual = np.nan, 0, np.nan
     gap = lam_mean - lambda1
 
-    h2 = cache.mean[:, 2]
-    eigs = cache.shape_eigs
+    h2 = surface.mean[:, 2]
+    eigs = surface.shape_eigs
     definite = np.logical_or((eigs > 0).all(axis=1), (eigs < 0).all(axis=1))
     chronology, psi = _chronology(surface)
     psi_min_abs = float(np.abs(psi).min())
@@ -135,8 +143,8 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
     tol_gap_eff = config.tol_gap * 2.0 ** (5 - level)
     hypotheses_ok = (
         h_next.min() > 0.0
-        and h_next_residual <= config.tol_const
-        and lam_residual <= config.tol_const
+        and h_next_residual <= _TOL_CONSTANCY
+        and lam_residual <= _TOL_CONSTANCY
         and chronology in ("future", "past")
         and psi_min_abs > _PSI_FLOOR
         and pair.min_newton_eig > 0.0
@@ -169,14 +177,14 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
         chronology=chronology,
         tol_gap=config.tol_gap,
         tol_gap_effective=tol_gap_eff,
-        tol_constancy=config.tol_const,
-        tol_solver=config.solver_tol,
+        tol_constancy=_TOL_CONSTANCY,
+        tol_solver=_TOL_SOLVER,
     )
 
 
 def weighted_mass_matrix(surface: GraphSurface, vertex_weights: np.ndarray):
     """Consistent mass matrix with a per-face weight (corner average)."""
-    face_weight = vertex_weights[surface.mesh.faces].mean(axis=1) * surface.cache.face_area
+    face_weight = vertex_weights[surface.mesh.faces].mean(axis=1) * surface.face_area
     return _consistent_mass(surface.mesh, face_weight)
 
 
@@ -187,10 +195,8 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
     (r+1) * [ - f'Kf + f' M_lam f ] with the comparison field integrated
     consistently; the input is projected onto mean-zero first.
     """
-    cache = surface.cache
     values = np.asarray(values, dtype=float)
-    total = float(cache.weights.sum())
-    mean = float(cache.weights @ values) / total
+    mean = float(surface.weights @ values) / surface.area
     norm_before = float(np.abs(values).max())
     projected = values - mean
     if np.abs(projected).max() <= 1e-14 * max(1.0, norm_before):
@@ -211,18 +217,15 @@ def killing_eigen_check(surface: GraphSurface, r: int) -> tuple[float, float]:
     W(p) = p4 e1 + p1 e4 at the comparison constant, and the mass-weighted
     mean of eta relative to area * max|eta|.
 
-    eta is the cache's ``boost_support``, alpha (tanh(u) g1 - q1) in the
+    eta is the surface's ``boost_support``, alpha (tanh(u) g1 - q1) in the
     chart (g the sphere gradient of the height u, alpha = cosh(u) /
     sqrt(cosh(u)^2 - |g|^2)); the ambient form p4 N1 - p1 N4 subtracts two
     terms of size cosh(u)^2 and loses cosh(u)^2 eps.
     """
-    cache = surface.cache
-    eta = cache.boost_support
-    eta_max = float(np.abs(eta).max())
+    eta = surface.boost_support
     pair = assemble(surface, r)
-    lam_mean = _weighted_mean(stability_field(surface, r), cache.weights)
-    mean_fraction = abs(float(np.sum(cache.weights * eta))) / (cache.area * eta_max)
-    return weak_residual(pair, eta, lam_mean), mean_fraction
+    lam_mean = _weighted_mean(stability_field(surface, r), surface.weights)
+    return weak_residual(pair, eta, lam_mean), _mean_fraction(surface, eta)
 
 
 def conformal_identity_check(surface: GraphSurface, r: int) -> float:
@@ -235,16 +238,15 @@ def conformal_identity_check(surface: GraphSurface, r: int) -> float:
     required; the gradient term is evaluated with the discrete tangential
     gradient.
     """
-    cache = surface.cache
     b_r = 2                                      # (n - r) C(n, r) at n = 2, for r = 0 and r = 1
 
-    p = cache.vertices
+    p = surface.vertices
     psi = p[:, 3]
-    n_psi = cache.normal[:, 3]                   # -<N, e4>
+    n_psi = surface.normal[:, 3]                 # -<N, e4>
     v_field = np.array([0.0, 0.0, 0.0, 1.0]) + psi[:, None] * p     # V = e4 + psi p
-    eta = mdot(v_field, cache.normal)
-    h_r = cache.mean[:, r]
-    h_next = cache.mean[:, r + 1]
+    eta = mdot(v_field, surface.normal)
+    h_r = surface.mean[:, r]
+    h_next = surface.mean[:, r + 1]
     grad_h = tangential_gradient(surface, h_next)
     v_grad = mdot(v_field, grad_h)
 
@@ -258,6 +260,6 @@ def conformal_identity_check(surface: GraphSurface, r: int) -> float:
     pair = assemble(surface, r)
     lhs_weak = -(pair.stiffness @ eta)
     rhs_weak = pair.mass @ rhs_values
-    defect = (lhs_weak - rhs_weak) / cache.weights
+    defect = (lhs_weak - rhs_weak) / surface.weights
     scale = float((np.abs(term1) + np.abs(term2) + np.abs(term3) + np.abs(term4)).max())
     return float(np.abs(defect).max() / max(scale, 1e-30))

@@ -46,7 +46,6 @@ __all__ = [
     "mdot",
     "GraphConstructionError",
     "GraphSurface",
-    "GeometryCache",
     "build_slice",
     "build_graph",
     "tangential_gradient",
@@ -72,10 +71,10 @@ class GraphConstructionError(ValueError):
 
 
 @dataclass
-class GeometryCache:
-    """Per-vertex and per-face geometric data of a built graph surface.
+class GraphSurface:
+    """Height graph over the unit 2-sphere in the hyperquadric, with its geometric data.
 
-    The fields are computed when the surface is built.  ``mass`` is computed
+    The data are computed when the surface is built.  ``mass`` is computed
     from ``face_area`` and the mesh the first time it is read and kept from
     then on; the flow snapshots of a variation read only ``sigma`` and
     ``weights``, and never pay for it.  ``weights`` are the per-vertex sums
@@ -85,6 +84,8 @@ class GeometryCache:
     the peak memory of a level-6 run lower.
     """
 
+    height: HarmonicField
+    mesh: SphereMesh
     vertices: np.ndarray          # (V, 4) ambient positions
     normal: np.ndarray            # (V, 4) future unit normals
     frame: np.ndarray             # (V, 4, 2) orthonormal tangent frames
@@ -96,22 +97,7 @@ class GeometryCache:
     weights: np.ndarray           # (V,) lumped area weights
     area: float
     face_area: np.ndarray         # (F,)
-    mesh: SphereMesh              # the surface's mesh
     metric_ratio: float           # max induced-metric anisotropy over vertices
-
-    @cached_property
-    def mass(self):
-        """Consistent P1 mass matrix (scipy CSR) on the mesh's ``pattern``."""
-        return _consistent_mass(self.mesh, self.face_area)
-
-
-@dataclass
-class GraphSurface:
-    """Height graph over the unit 2-sphere, embedded in the hyperquadric."""
-
-    height: HarmonicField
-    mesh: SphereMesh
-    cache: GeometryCache
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -121,6 +107,11 @@ class GraphSurface:
     @property
     def is_slice(self) -> bool:
         return not self.height.terms
+
+    @cached_property
+    def mass(self):
+        """Consistent P1 mass matrix (scipy CSR) on the mesh's ``pattern``."""
+        return _consistent_mass(self.mesh, self.face_area)
 
 
 def _face_edges(vertices: np.ndarray, faces: np.ndarray):
@@ -280,12 +271,11 @@ def _graph_from_jets(height: HarmonicField, mesh: SphereMesh, jets) -> GraphSurf
     face_area = _face_areas(verts, faces)
     weights = np.bincount(faces.ravel(), weights=np.repeat(face_area / 3.0, 3), minlength=v)
 
-    cache = GeometryCache(
-        vertices=verts, normal=normal, frame=frame, shape=shape, shape_eigs=eigs, sigma=sigma, mean=mean,
-        boost_support=boost_support, weights=weights, area=float(weights.sum()), face_area=face_area, mesh=mesh,
-        metric_ratio=metric_ratio,
+    return GraphSurface(
+        height=height, mesh=mesh, vertices=verts, normal=normal, frame=frame, shape=shape, shape_eigs=eigs,
+        sigma=sigma, mean=mean, boost_support=boost_support, weights=weights, area=float(weights.sum()),
+        face_area=face_area, metric_ratio=metric_ratio,
     )
-    return GraphSurface(height=height, mesh=mesh, cache=cache)
 
 
 def build_slice(s0: float, level: int = 4) -> GraphSurface:
@@ -296,9 +286,8 @@ def build_slice(s0: float, level: int = 4) -> GraphSurface:
 def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray:
     """Piecewise-linear surface gradient of a vertex field, averaged onto
     vertices, as ambient tangent vectors (V, 4)."""
-    cache = surface.cache
     faces = surface.mesh.faces
-    grad = _hat_gradients(cache.vertices, faces)
+    grad = _hat_gradients(surface.vertices, faces)
     v0 = values[faces[:, 0]]
     grad_face = grad[0] * (values[faces[:, 1]] - v0)    # (4, F)
     grad_face += grad[1] * (values[faces[:, 2]] - v0)
@@ -306,12 +295,12 @@ def tangential_gradient(surface: GraphSurface, values: np.ndarray) -> np.ndarray
     # adds in the order of three np.add.at passes, one per corner
     nv = values.shape[0]
     idx = faces.T.ravel()
-    w = cache.face_area
+    w = surface.face_area
     grad_face *= w
     wacc = np.bincount(idx, weights=np.tile(w, 3), minlength=nv)
     acc = np.stack([np.bincount(idx, weights=np.tile(grad_face[i], 3), minlength=nv)
                     for i in range(4)], axis=1)
     acc /= wacc[:, None]
-    comps = np.einsum("vi,via->va", acc * SIGNATURE, cache.frame)
-    return np.einsum("via,va->vi", cache.frame, comps)
+    comps = np.einsum("vi,via->va", acc * SIGNATURE, surface.frame)
+    return np.einsum("via,va->vi", surface.frame, comps)
 

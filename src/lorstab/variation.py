@@ -32,7 +32,7 @@ import numpy as np
 
 from .fem import assemble
 from .harmonics import HarmonicField
-from .stability import jacobi_second_variation, stability_field
+from .stability import _mean_fraction, _weighted_mean, jacobi_second_variation, stability_field
 from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
 __all__ = [
@@ -142,8 +142,8 @@ def r_area(surface: GraphSurface, r: int) -> float:
     weights, with F_0 = 1 and F_1 = -sigma_1."""
     if r not in (0, 1):
         raise ValueError(f"order r={r} out of range [0, 1]")
-    integrand = -surface.cache.sigma[:, 1] if r else 1.0
-    return float(np.sum(surface.cache.weights * integrand))
+    integrand = -surface.sigma[:, 1] if r else 1.0
+    return float(np.sum(surface.weights * integrand))
 
 
 @cache
@@ -192,8 +192,7 @@ def _lagrange_constant(base: GraphSurface, r: int) -> float:
     the first variation of the order-r area is the integral of
     (c_r + b_r H_{r+1}) f, with c_r = 2 r the variation constant and
     b_r = (n - r) C(n, r), which is 2 at n = 2 for both r = 0 and r = 1."""
-    h_next_mean = float(np.sum(base.cache.weights * base.cache.mean[:, r + 1]) / base.cache.area)
-    return 2.0 * r + 2 * h_next_mean
+    return 2.0 * r + 2 * _weighted_mean(base.mean[:, r + 1], base.weights)
 
 
 def verify_first_variation(variation: NormalVariation, r: int, *, h: float) -> VariationCheck:
@@ -204,10 +203,10 @@ def verify_first_variation(variation: NormalVariation, r: int, *, h: float) -> V
     fd = (areas[2] - areas[1]) / (2.0 * h)
     fd_wide = (areas[3] - areas[0]) / (4.0 * h)
 
-    integrand = (-1.0) ** (r + 1) * (r + 1) * base.cache.sigma[:, r + 1] + 2.0 * r     # + c_r
+    integrand = (-1.0) ** (r + 1) * (r + 1) * base.sigma[:, r + 1] + 2.0 * r     # + c_r
     f = variation.values()
-    rhs = float(np.sum(base.cache.weights * integrand * f))
-    scale = max(abs(fd), abs(rhs), float(np.sum(base.cache.weights * np.abs(integrand) * np.abs(f))), 1e-30)
+    rhs = float(np.sum(base.weights * integrand * f))
+    scale = max(abs(fd), abs(rhs), float(np.sum(base.weights * np.abs(integrand) * np.abs(f))), 1e-30)
     return VariationCheck(
         check="first_variation",
         h=h,
@@ -224,8 +223,8 @@ def verify_sr_evolution(variation: NormalVariation, r: int, *, h: float) -> Vari
     against the weak evaluation of its evolution formula (ambient c = 1)."""
     base = variation.base
     snaps = [flow(variation, t) for t in (-h, h)]
-    s_minus = snaps[0].cache.sigma[:, r + 1]
-    s_plus = snaps[1].cache.sigma[:, r + 1]
+    s_minus = snaps[0].sigma[:, r + 1]
+    s_plus = snaps[1].sigma[:, r + 1]
     lhs = (s_plus - s_minus) / (2.0 * h)
 
     f = variation.values()
@@ -238,9 +237,9 @@ def verify_sr_evolution(variation: NormalVariation, r: int, *, h: float) -> Vari
     scale = float((np.abs(weak_l) + np.abs(lam_field * f)).max())
     scale = max(scale, 1e-30)
     err = np.abs(lhs - rhs) / scale
-    w = base.cache.weights
-    lhs_rms = float(np.sqrt(np.sum(w * lhs * lhs) / base.cache.area))
-    rhs_rms = float(np.sqrt(np.sum(w * rhs * rhs) / base.cache.area))
+    w = base.weights
+    lhs_rms = float(np.sqrt(np.sum(w * lhs * lhs) / base.area))
+    rhs_rms = float(np.sqrt(np.sum(w * rhs * rhs) / base.area))
     return VariationCheck(
         check="sr_evolution",
         h=h,
@@ -258,9 +257,7 @@ def verify_second_variation(variation: NormalVariation, r: int, *, h: float) -> 
     form; the amplitude must be mean-zero."""
     base = variation.base
     f = variation.values()
-    w = base.cache.weights
-    mean_frac = abs(float(np.sum(w * f))) / (base.cache.area * max(float(np.abs(f).max()), 1e-30))
-    if mean_frac > 1e-8:
+    if _mean_fraction(base, f) > 1e-8:
         raise ValueError("second-variation amplitudes must be mean-zero")
 
     t_nodes = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
@@ -287,8 +284,8 @@ def volume_derivative_check(variation: NormalVariation, *, h: float) -> Variatio
     volumes = volume_balance(variation, (-h, h))
     fd = float(volumes[1] - volumes[0]) / (2.0 * h)
     f = variation.values()
-    rhs = float(np.sum(base.cache.weights * f))
-    scale = abs(rhs) + base.cache.area * float(np.abs(f).max())
+    rhs = float(np.sum(base.weights * f))
+    scale = abs(rhs) + base.area * float(np.abs(f).max())
     return VariationCheck(
         check="volume_balance",
         h=h,

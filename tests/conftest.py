@@ -6,6 +6,7 @@ from scipy.sparse.linalg import splu
 
 import lorstab.fem
 from lorstab.config import ScenarioConfig
+from lorstab.stability import _TOL_SOLVER
 from lorstab.surfaces import GraphSurface, build_graph, build_slice
 
 # a config's defaults, for the library calls a test makes below the config layer
@@ -13,9 +14,10 @@ DEFAULTS = ScenarioConfig("slice", 1, 1.0)
 
 
 def solve(pair, **keys):
-    """``first_eigenvalue_meanzero`` at the config's default ``solver_tol``
-    and ``seed``; ``keys`` replace either or set ``maxiter``."""
-    return lorstab.fem.first_eigenvalue_meanzero(pair, **{"tol": DEFAULTS.solver_tol, "seed": DEFAULTS.seed, **keys})
+    """``first_eigenvalue_meanzero`` at the tolerance ``analyze`` solves to
+    and the config's default ``seed``; ``keys`` replace either or set
+    ``maxiter``."""
+    return lorstab.fem.first_eigenvalue_meanzero(pair, **{"tol": _TOL_SOLVER, "seed": DEFAULTS.seed, **keys})
 
 
 @pytest.fixture(scope="session")

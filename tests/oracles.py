@@ -53,7 +53,7 @@ def killing_field(u, v, points):
 def support_function(surface, u, v):
     """Normal component <W, N> of the Killing field W = <u,p> v - <v,p> u
     along the surface, per vertex."""
-    return mdot(killing_field(u, v, surface.cache.vertices), surface.cache.normal)
+    return mdot(killing_field(u, v, surface.vertices), surface.normal)
 
 
 def _poly_values(poly, q):
@@ -92,7 +92,7 @@ def face_frames_reference(surface):
     hat-function gradients (F, 2, 3) in them, from the 2D vertex coordinates
     (0, 0), (l1, 0), (g12 / l1, h) with h the height of e2 over e1."""
     faces = surface.mesh.faces
-    p = surface.cache.vertices[faces]
+    p = surface.vertices[faces]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     g11, g12, g22 = mdot(e1, e1), mdot(e1, e2), mdot(e2, e2)
     l1 = np.sqrt(g11)
@@ -112,16 +112,15 @@ def assemble_stiffness_reference(surface, r):
     """Order-r stiffness matrix by three einsum contractions on (F, 3, 2, 2)
     stacks: transport of each corner frame into the face frame, the corner
     mean of T^T P_r T, and area * G^T P G."""
-    cache = surface.cache
     p_vertex = newton_vertex_matrices(surface, r)
-    frames = cache.frame * SIGNATURE[None, :, None]
+    frames = surface.frame * SIGNATURE[None, :, None]
     faces = surface.mesh.faces
     face_frame, face_grad = face_frames_reference(surface)
     transport = np.einsum("fcia,fib->fcab", frames[faces], face_frame)
     p_face = np.einsum("fcab,fcad,fcde->fcbe", transport, p_vertex[faces], transport).mean(axis=1)
     p_face = (p_face + np.transpose(p_face, (0, 2, 1))) / 2.0
-    k_local = np.einsum("f,fam,fab,fbn->fmn", cache.face_area, face_grad, p_face, face_grad)
-    return scatter_p1_reference(faces, k_local, cache.vertices.shape[0])
+    k_local = np.einsum("f,fam,fab,fbn->fmn", surface.face_area, face_grad, p_face, face_grad)
+    return scatter_p1_reference(faces, k_local, surface.vertices.shape[0])
 
 
 def scatter_p1_reference(faces, local, nv):
@@ -191,12 +190,12 @@ def volume_balance_reference(variation, t, n_time=16):
     (M, 4) point-major arrays.  Second order in the mesh size."""
     if t == 0.0:
         return 0.0
-    cache = variation.base.cache
+    base = variation.base
     faces = variation.base.mesh.faces
     f_vertex = variation.values()
 
-    pos = cache.vertices[faces]        # (F, 3, 4)
-    nrm = cache.normal[faces]
+    pos = base.vertices[faces]        # (F, 3, 4)
+    nrm = base.normal[faces]
     amp = f_vertex[faces]              # (F, 3)
 
     # barycentric quadrature data, flattened over (face, point)
@@ -248,7 +247,6 @@ def tangential_gradient_reference(surface, values, grad_face=None):
     corner by corner.  ``grad_face`` is the (F, 4) ambient gradient of
     ``values`` on each face; by default it is formed from face-frame
     components."""
-    cache = surface.cache
     faces = surface.mesh.faces
     if grad_face is None:
         face_frame, face_grad = face_frames_reference(surface)
@@ -257,13 +255,13 @@ def tangential_gradient_reference(surface, values, grad_face=None):
     nv = values.shape[0]
     acc = np.zeros((nv, 4))
     wacc = np.zeros(nv)
-    w = cache.face_area
+    w = surface.face_area
     for corner in range(3):
         np.add.at(acc, faces[:, corner], grad_face * w[:, None])
         np.add.at(wacc, faces[:, corner], w)
     acc /= wacc[:, None]
-    comps = np.einsum("vi,via->va", acc * SIGNATURE, cache.frame)
-    return np.einsum("via,va->vi", cache.frame, comps)
+    comps = np.einsum("vi,via->va", acc * SIGNATURE, surface.frame)
+    return np.einsum("via,va->vi", surface.frame, comps)
 
 
 def validate_closed_oriented_reference(faces, nvertices):
@@ -461,14 +459,13 @@ def shape_operator_mesh_estimate(surface):
     the one-ring in the cached tangent frame.  Used to cross-check the
     analytic shape operators.
     """
-    cache = surface.cache
-    nv = cache.vertices.shape[0]
+    nv = surface.vertices.shape[0]
     adjacency = _vertex_adjacency(surface.mesh.faces, nv)
     out = np.empty((nv, 2, 2))
     for i in range(nv):
-        delta = cache.vertices[adjacency[i]] - cache.vertices[i]
-        t = (delta * SIGNATURE) @ cache.frame[i]          # (k, 2) tangential components
-        rhs = 2.0 * mdot(delta, np.broadcast_to(cache.normal[i], delta.shape))
+        delta = surface.vertices[adjacency[i]] - surface.vertices[i]
+        t = (delta * SIGNATURE) @ surface.frame[i]          # (k, 2) tangential components
+        rhs = 2.0 * mdot(delta, np.broadcast_to(surface.normal[i], delta.shape))
         design = np.stack([t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2], axis=1)
         coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
         out[i] = [[coef[0], coef[1]], [coef[1], coef[2]]]
@@ -486,7 +483,6 @@ def strong_form_check(surface, r, test_field, battery=None):
     """
     if not surface.is_slice:
         raise ValueError("analytic operator action is only closed-form on slices")
-    cache = surface.cache
     pair = assemble(surface, r)
     factor = comb(1, r) * np.tanh(surface.s0) ** r
     radius2 = np.cosh(surface.s0) ** 2
@@ -506,7 +502,7 @@ def strong_form_check(surface, r, test_field, battery=None):
     rhs = []
     for g in battery:
         g_vals = g.value(q)
-        lhs.append(float(np.sum(cache.weights * g_vals * lf)))
+        lhs.append(float(np.sum(surface.weights * g_vals * lf)))
         rhs.append(float(-(g_vals @ (pair.stiffness @ f_vals))))
     lhs = np.array(lhs)
     rhs = np.array(rhs)
@@ -518,9 +514,9 @@ def strong_form_check(surface, r, test_field, battery=None):
 
 def flow_rule_positions(variation, t):
     """cosh(t f) p + sinh(t f) N from the base data; the flow must match it."""
-    cache = variation.base.cache
+    base = variation.base
     tf = t * variation.values()
-    return np.cosh(tf)[:, None] * cache.vertices + np.sinh(tf)[:, None] * cache.normal
+    return np.cosh(tf)[:, None] * base.vertices + np.sinh(tf)[:, None] * base.normal
 
 
 def mean_curvatures_reference(a):

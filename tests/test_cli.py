@@ -49,11 +49,11 @@ class TestExitCodes:
         """H_{r+1} varies over this graph by 2.3e-3 (r = 0) and 4.6e-3 (r = 1)
         of its mean.  A closed spacelike surface of constant H_{r+1} in de
         Sitter space is a round sphere, so the theorem does not cover it, and
-        the one constancy default of 1e-6 says so."""
+        the one constancy tolerance of 1e-6 says so."""
         assert run(tmp_path, SMALL_GRAPH + f"r = {r}\n") == 2
         lines = report_lines(tmp_path)
         assert "  verdict = hypotheses-violated" in lines
-        assert "  tol_const = 9.9999999999999995e-07" in lines
+        assert "  tol_constancy = 9.9999999999999995e-07" in lines
 
     def test_killing_check_on_a_far_slice_exits_zero(self, tmp_path):
         """At s0 = 20 the ambient form p4 N1 - p1 N4 of the boost's support
@@ -142,9 +142,9 @@ class TestExitCodes:
         ("level", "3.7", "key 'level': expected an integer, got 3.7"),
         ("s0", "1,x", "key '--values': expected a real, got 'x'"),
         ("s0", ",", "key '--values': expected a nonempty list"),
-        ("bogus", "1", "key '--param': expected s0, level or amplitude, got 'bogus'"),
-        ("amplitude", "0.1", "key 'perturbations': amplitude sweeps need at least one configured perturbation"),
-    ], ids=["fractional-level", "not-a-number", "empty-values", "unknown-param", "amplitude-without-perturbation"])
+        ("bogus", "1", "key '--param': expected s0 or level, got 'bogus'"),
+        ("amplitude", "0.1", "key '--param': expected s0 or level, got 'amplitude'"),
+    ], ids=["fractional-level", "not-a-number", "empty-values", "unknown-param", "amplitude"])
     def test_bad_sweep_value_exits_four(self, tmp_path, capsys, param, values, message):
         config = tmp_path / "config.txt"
         config.write_text(SLICE, encoding="utf-8")
@@ -225,8 +225,8 @@ NO_LEVEL = "scenario = slice\nr = 1\ns0 = 1\n"
 PLAIN_GRAPH = "scenario = graph\nr = 1\ns0 = 1\nlevel = 3\n"
 
 # (key, config text): one rejected value per error site of parse_config; the
-# removed axis, killing_u and killing_v keys are unknown keys whatever their
-# values, well-formed or not
+# removed axis, killing_u, killing_v, fd_h, tol_const and solver_tol keys are
+# unknown keys whatever their values, well-formed or not
 CONFIG_ERRORS = {
     "scenario-missing": ("scenario", "r = 1\ns0 = 1\n"),
     "scenario-invalid": ("scenario", "scenario = cone\nr = 1\ns0 = 1\n"),
@@ -262,6 +262,7 @@ CONFIG_ERRORS = {
     "checks-variation-on-graph": ("checks", GRAPH + "checks = variation\n"),
     "checks-repeated": ("checks", SLICE + "checks = stability,stability\n"),
     "checks-empty": ("checks", SLICE + "checks = \n"),
+    "fd_h-removed": ("fd_h", SLICE + "fd_h = 1e-3\n"),
     "fd_h-out-of-range": ("fd_h", SLICE + "fd_h = 0.01\n"),
     "fd_h-not-number": ("fd_h", SLICE + "fd_h = small\n"),
     "mesh_file-removed": ("mesh_file", SLICE + "mesh_file = surface.mesh\n"),
@@ -269,8 +270,10 @@ CONFIG_ERRORS = {
     "tol_gap-not-number": ("tol_gap", SLICE + "tol_gap = wide\n"),
     "tol_gap-nan": ("tol_gap", SLICE + "tol_gap = nan\n"),
     "tol_gap-negative": ("tol_gap", SLICE + "tol_gap = -1\n"),
+    "tol_const-removed": ("tol_const", SLICE + "tol_const = 1e-6\n"),
     "tol_const-not-number": ("tol_const", SLICE + "tol_const = 1e-6x\n"),
     "tol_const-negative": ("tol_const", SLICE + "tol_const = -1\n"),
+    "solver_tol-removed": ("solver_tol", SLICE + "solver_tol = 1e-8\n"),
     "solver_tol-not-number": ("solver_tol", SLICE + "solver_tol = tight\n"),
     "solver_tol-zero": ("solver_tol", SLICE + "solver_tol = 0\n"),
     "solver_tol-negative": ("solver_tol", SLICE + "solver_tol = -1\n"),
@@ -409,10 +412,7 @@ def config_texts(draw):
             lambda ts: ";".join(f"{l},{m},{a!r}" for l, m, a in ts)),
         "level": st.sampled_from((3, 4, 5, 6)),
         "tol_gap": POSITIVE.map(repr),
-        "tol_const": POSITIVE.map(repr),
-        "solver_tol": POSITIVE.map(repr),
         "checks": st.lists(st.sampled_from(checks), min_size=1, unique=True).map(",".join),
-        "fd_h": st.floats(min_value=0.0, max_value=5e-3, exclude_min=True).map(repr),
         "seed": st.integers(0, 2**63),
     }
     for key, values in optional.items():

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorstab.cli import _FD_H
 from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton
 from lorstab.fem import newton_vertex_matrices
 from lorstab.stability import _chronology, stability_field
 from lorstab.surfaces import mdot
 from lorstab.variation import NormalVariation, _lagrange_constant, r_area, verify_first_variation
 
-from conftest import DEFAULTS, random_shape
+from conftest import random_shape
 from oracles import (
     SphericalHarmonic,
     area_integrand_reference,
@@ -360,30 +361,29 @@ class TestClosedFormsBitwise:
             assert np.array_equal(bits(batched_newton(a, sigma, r)), bits(newton_reference(a, sigma, r)))
 
     def test_matches_references(self, surface):
-        cache = surface.cache
-        sigma = elementary_reference(cache.shape_eigs)
-        assert np.array_equal(bits(cache.sigma), bits(sigma))
-        assert np.array_equal(bits(batched_elementary(cache.shape_eigs)), bits(sigma))
+        sigma = elementary_reference(surface.shape_eigs)
+        assert np.array_equal(bits(surface.sigma), bits(sigma))
+        assert np.array_equal(bits(batched_elementary(surface.shape_eigs)), bits(sigma))
         for r in (0, 1):
-            p = newton_reference(cache.shape, sigma, r)
+            p = newton_reference(surface.shape, sigma, r)
             assert np.array_equal(bits(newton_vertex_matrices(surface, r)), bits(p))
-            traces = newton_traces_reference(cache.shape, p)
+            traces = newton_traces_reference(surface.shape, p)
             assert np.array_equal(bits(stability_field(surface, r)), bits(traces[:, 0] - traces[:, 2]))
             f_r = area_integrand_reference(sigma, 1.0, r)
-            assert bits(r_area(surface, r)) == bits(float(np.sum(cache.weights * f_r)))
-            h_next_mean = float(np.sum(cache.weights * cache.mean[:, r + 1]) / cache.area)
+            assert bits(r_area(surface, r)) == bits(float(np.sum(surface.weights * f_r)))
+            h_next_mean = float(np.sum(surface.weights * surface.mean[:, r + 1]) / surface.area)
             want = variation_constant_reference(2, 1.0, r) + 2 * h_next_mean
             assert bits(_lagrange_constant(surface, r)) == bits(want)
             if surface.is_slice:
                 variation = NormalVariation(surface, SphericalHarmonic(1, 0))
                 integrand = (-1.0) ** (r + 1) * (r + 1) * sigma[:, r + 1] + variation_constant_reference(2, 1.0, r)
-                want = float(np.sum(cache.weights * integrand * variation.values()))
-                assert bits(verify_first_variation(variation, r, h=DEFAULTS.fd_h).rhs) == bits(want)
+                want = float(np.sum(surface.weights * integrand * variation.values()))
+                assert bits(verify_first_variation(variation, r, h=_FD_H).rhs) == bits(want)
 
         # psi = p4, <N, e4> = -N4 and V = e4 + p4 p against the Lorentz product
         # with e4; psi may differ from -<p, e4> in the sign of a zero, which
         # only |psi| and products with psi read
-        p, normal = cache.vertices, cache.normal
+        p, normal = surface.vertices, surface.normal
         _, psi = _chronology(surface)
         nonzero = p[:, 3] != 0.0
         assert np.array_equal(bits(psi[nonzero]), bits(-mdot(p, E4)[nonzero]))

@@ -48,7 +48,7 @@ class TestAssembly:
         for _ in range(10):
             x = rng.normal(size=pair.nvertices)
             assert x @ (pair.mass @ x) > 0
-        assert pair.mass.sum() == pytest.approx(surf.cache.area)
+        assert pair.mass.sum() == pytest.approx(surf.area)
 
     def test_stiffness_psd_when_elliptic(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 3), 1)

@@ -6,6 +6,8 @@ import pytest
 from lorstab.config import ScenarioConfig
 from lorstab.fem import assemble
 from lorstab.stability import (
+    _TOL_CONSTANCY,
+    _TOL_SOLVER,
     analyze,
     conformal_identity_check,
     jacobi_second_variation,
@@ -92,8 +94,8 @@ class TestAnalyze:
         assert report.tol_gap_effective == pytest.approx(2 * report.tol_gap)
 
     def test_tolerances_come_from_the_config(self, slice_mesh):
-        report = analyze(slice_mesh(1.0, 4), at_order(1, tol_gap=3e-2, tol_const=1e-7, solver_tol=1e-9))
-        assert (report.tol_gap, report.tol_constancy, report.tol_solver) == (3e-2, 1e-7, 1e-9)
+        report = analyze(slice_mesh(1.0, 4), at_order(1, tol_gap=3e-2))
+        assert (report.tol_gap, report.tol_constancy, report.tol_solver) == (3e-2, _TOL_CONSTANCY, _TOL_SOLVER)
         assert report.tol_gap_effective == 6e-2
 
     def test_order_out_of_range(self, slice_mesh):
@@ -106,7 +108,7 @@ class TestAnalyze:
         for s0 in (0.5, 1.0):
             surf = slice_mesh(s0, 4)
             eta = support_function(surf, *BOOST)
-            assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
+            assert abs(np.sum(surf.weights * eta)) < 1e-10 * surf.area
             report = analyze(surf, at_order(1))
             assert report.lambda1 <= report.lambda_mean + report.tol_gap_effective
 
@@ -116,7 +118,7 @@ class TestJacobiForm:
         surf = slice_mesh(1.0, 5)
         res = solve(assemble(surf, 1))
         value, _ = jacobi_second_variation(surf, 1, res.eigenfunction)
-        norm2 = res.eigenfunction @ (surf.cache.mass @ res.eigenfunction)
+        norm2 = res.eigenfunction @ (surf.mass @ res.eigenfunction)
         assert abs(value) <= 1e-3 * 2 * norm2
 
     def test_higher_mode_negative(self, slice_mesh):
@@ -134,7 +136,7 @@ class TestJacobiForm:
     def test_mean_is_projected_out(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
         f = 1.0 + SphericalHarmonic(2, 0).value(surf.mesh.q)
-        w = surf.cache.weights
+        w = surf.weights
         value, _ = jacobi_second_variation(surf, 1, f)
         projected, _ = jacobi_second_variation(surf, 1, f - np.sum(w * f) / np.sum(w))
         assert value == pytest.approx(projected, rel=1e-12, abs=0)
@@ -142,7 +144,7 @@ class TestJacobiForm:
     def test_constant_rejected(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
         with pytest.raises(ValueError):
-            jacobi_second_variation(surf, 1, np.ones(surf.cache.vertices.shape[0]))
+            jacobi_second_variation(surf, 1, np.ones(surf.vertices.shape[0]))
 
     def test_mean_zero_battery_nonpositive(self, slice_mesh):
         surf = slice_mesh(1.0, 5)
@@ -159,8 +161,8 @@ class TestJacobiForm:
 
     def test_unit_weights_give_the_mass_matrix(self, graph_mesh):
         surface = graph_mesh(1.0, ((2, 0, 0.05),), 3)
-        got = weighted_mass_matrix(surface, np.ones(surface.cache.vertices.shape[0]))
-        want = surface.cache.mass
+        got = weighted_mass_matrix(surface, np.ones(surface.vertices.shape[0]))
+        want = surface.mass
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
@@ -172,14 +174,13 @@ class TestKillingCheck:
         assert residuals[0] > residuals[1] > residuals[2]
 
     def test_mean_fraction_is_that_of_the_support_function(self, graph_mesh):
-        """The cache's support function, bit for bit; the oracle field's to the
+        """The surface's support function, bit for bit; the oracle field's to the
         rounding of its ambient form, which this cancelling sum amplifies
         (3.5e-12 relative here)."""
         surface = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 3)
-        cache = surface.cache
         got = killing_eigen_check(surface, 1)[1]
-        for eta, rel in ((cache.boost_support, 0.0), (support_function(surface, *BOOST), 1e-10)):
-            want = abs(float(np.sum(cache.weights * eta))) / (cache.area * float(np.abs(eta).max()))
+        for eta, rel in ((surface.boost_support, 0.0), (support_function(surface, *BOOST), 1e-10)):
+            want = abs(float(np.sum(surface.weights * eta))) / (surface.area * float(np.abs(eta).max()))
             assert got == pytest.approx(want, rel=rel, abs=0.0)
 
 
@@ -213,7 +214,7 @@ class TestStabilityField:
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
         field = stability_field(surf, 1)
         for idx in (0, 100, 500):
-            want = stability_constant_binomial(surf.cache.shape[idx], 1.0, 1)
+            want = stability_constant_binomial(surf.shape[idx], 1.0, 1)
             assert field[idx] == pytest.approx(want, rel=1e-10)
 
 

@@ -34,34 +34,34 @@ BENCH_TERMS = ((2, 0, 0.05), (3, 1, 0.02))
 def conformal_support(surface):
     """eta = <V, N> of the closed conformal field V = e4 + p4 p, as the
     conformal identity check computes it."""
-    p = surface.cache.vertices
-    return mdot(AXIS + p[:, 3, None] * p, surface.cache.normal)
+    p = surface.vertices
+    return mdot(AXIS + p[:, 3, None] * p, surface.normal)
 
 
 class TestSliceClosedForms:
     """A slice is the unperturbed graph; its meshed data against the closed forms."""
 
     def test_umbilicity_and_curvatures(self, slice_mesh):
-        cache = slice_mesh(1.0, 3).cache
-        assert np.abs(cache.shape_eigs + np.tanh(1.0)).max() < 1e-12
+        surface = slice_mesh(1.0, 3)
+        assert np.abs(surface.shape_eigs + np.tanh(1.0)).max() < 1e-12
         for r in range(3):
-            assert cache.mean[:, r] == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
+            assert surface.mean[:, r] == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
         # C(2,r) H_r = (-1)^r sigma_r = C(2,r) tanh(s0)^r at A = -tanh(s0) I
         s = batched_elementary(np.full((1, 2), -np.tanh(1.0)))[0]
         for r in range(3):
             assert (-1.0) ** r * s[r] / comb(2, r) == pytest.approx(np.tanh(1.0) ** r, rel=1e-12)
 
     def test_equator_is_geodesic(self):
-        assert np.abs(build_slice(0.0, level=3).cache.shape).max() == 0.0
+        assert np.abs(build_slice(0.0, level=3).shape).max() == 0.0
 
     def test_reference_values(self, slice_mesh):
-        mean = slice_mesh(1.0, 3).cache.mean
+        mean = slice_mesh(1.0, 3).mean
         assert mean[:, 1] == pytest.approx(0.76159, abs=1e-5)
         assert mean[:, 2] == pytest.approx(0.58002, abs=1e-5)
 
     def test_area_and_eigenvalues(self, slice_mesh):
         surf = slice_mesh(0.7, 4)
-        assert surf.cache.area == pytest.approx(4 * np.pi * np.cosh(0.7) ** 2, rel=2e-3)
+        assert surf.area == pytest.approx(4 * np.pi * np.cosh(0.7) ** 2, rel=2e-3)
         assert slice_operator_eigenvalue(0.7, 0) == pytest.approx(2 / np.cosh(0.7) ** 2)
         assert slice_operator_eigenvalue(0.7, 1) == pytest.approx(2 * np.tanh(0.7) / np.cosh(0.7) ** 2)
         for r in (0, 1):
@@ -73,25 +73,24 @@ class TestMeshedSliceGeometry:
     def test_shape_operator_exact(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
         want = -np.tanh(1.0) * np.eye(2)
-        assert np.abs(surf.cache.shape - want).max() < 1e-12
-        assert np.array_equal(surf.cache.shape, surf.cache.shape.transpose(0, 2, 1))
-        assert surf.cache.shape[17] == pytest.approx(want, abs=1e-12)
+        assert np.abs(surf.shape - want).max() < 1e-12
+        assert np.array_equal(surf.shape, surf.shape.transpose(0, 2, 1))
+        assert surf.shape[17] == pytest.approx(want, abs=1e-12)
 
     def test_cache_invariants(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
-        c = surf.cache
-        assert np.abs(mdot(c.vertices, c.vertices) - 1.0).max() < 1e-12
-        assert np.abs(mdot(c.normal, c.normal) + 1.0).max() < 1e-9
+        assert np.abs(mdot(surf.vertices, surf.vertices) - 1.0).max() < 1e-12
+        assert np.abs(mdot(surf.normal, surf.normal) + 1.0).max() < 1e-9
         for a in range(2):
-            assert np.abs(mdot(c.normal, c.frame[:, :, a])).max() < 1e-9
-            assert np.abs(mdot(c.frame[:, :, a], c.frame[:, :, a]) - 1.0).max() < 1e-9
+            assert np.abs(mdot(surf.normal, surf.frame[:, :, a])).max() < 1e-9
+            assert np.abs(mdot(surf.frame[:, :, a], surf.frame[:, :, a]) - 1.0).max() < 1e-9
         # future-pointing: negative product against the future cone generator
-        assert (mdot(c.normal, np.broadcast_to(AXIS, c.normal.shape)) < 0).all()
+        assert (mdot(surf.normal, np.broadcast_to(AXIS, surf.normal.shape)) < 0).all()
 
     def test_area_converges_quadratically(self):
         exact = 4 * np.pi * np.cosh(1.0) ** 2
         errs = [
-            abs(build_slice(1.0, level=level).cache.area - exact) / exact
+            abs(build_slice(1.0, level=level).area - exact) / exact
             for level in (3, 4, 5)
         ]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -99,22 +98,22 @@ class TestMeshedSliceGeometry:
 
     def test_chronology_of_future_slice(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        assert (mdot(surf.cache.vertices, np.broadcast_to(AXIS, surf.cache.vertices.shape)) < 0).all()
+        assert (mdot(surf.vertices, np.broadcast_to(AXIS, surf.vertices.shape)) < 0).all()
 
     def test_h2_positive_off_equator(self, slice_mesh):
-        assert slice_mesh(1.0, 3).cache.mean[:, 2].min() > 0
+        assert slice_mesh(1.0, 3).mean[:, 2].min() > 0
 
 
 class TestGraphConstruction:
     def test_zero_amplitude_matches_slice(self, slice_mesh):
         graph = build_graph(1.0, perturbations=(), level=3)
-        assert graph.cache.vertices == pytest.approx(slice_mesh(1.0, 3).cache.vertices, abs=0)
+        assert graph.vertices == pytest.approx(slice_mesh(1.0, 3).vertices, abs=0)
         assert graph.is_slice
 
     def test_small_perturbation_is_spacelike(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 4)
-        assert surf.cache.metric_ratio > 1.0
-        assert surf.cache.metric_ratio < 1.01
+        assert surf.metric_ratio > 1.0
+        assert surf.metric_ratio < 1.01
 
     def test_large_amplitude_fails_with_vertex(self):
         with pytest.raises(GraphConstructionError, match="not spacelike at vertex") as err:
@@ -141,11 +140,11 @@ class TestGraphConstruction:
 
     def test_vertex_count_matches_level(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 4)
-        assert surf.cache.vertices.shape[0] == 10 * 4**4 + 2
+        assert surf.vertices.shape[0] == 10 * 4**4 + 2
 
     def test_shape_eigenvalues_near_umbilic(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 4)
-        assert np.abs(surf.cache.shape_eigs + np.tanh(1.0)).max() < 0.15
+        assert np.abs(surf.shape_eigs + np.tanh(1.0)).max() < 0.15
 
 
 class TestMeshShapeEstimate:
@@ -154,14 +153,14 @@ class TestMeshShapeEstimate:
         for level in (3, 4, 5):
             surf = build_slice(1.0, level=level)
             est = shape_operator_mesh_estimate(surf)
-            errs.append(np.abs(est - surf.cache.shape).max())
+            errs.append(np.abs(est - surf.shape).max())
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert (orders > 1.8).all()
 
     def test_graph_agreement(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 4)
         est = shape_operator_mesh_estimate(surf)
-        assert np.abs(est - surf.cache.shape).max() < 5e-3
+        assert np.abs(est - surf.shape).max() < 5e-3
 
 
 class TestSupportFunction:
@@ -171,13 +170,13 @@ class TestSupportFunction:
         assert np.abs(eta + np.cosh(1.0)).max() < 1e-9
         assert np.abs(eta - eta.mean()).max() < 1e-9
         # eta = <e4, N> = -N4, since <p, N> = 0
-        assert np.abs(eta + surf.cache.normal[:, 3]).max() < 1e-12
+        assert np.abs(eta + surf.normal[:, 3]).max() < 1e-12
 
     def test_killing_boost_degree_one(self, slice_mesh):
         surf = slice_mesh(1.0, 4)
         eta = support_function(surf, np.eye(4)[0], AXIS)
         assert eta == pytest.approx(-surf.mesh.q[:, 0], abs=1e-12)
-        assert abs(np.sum(surf.cache.weights * eta)) < 1e-10 * surf.cache.area
+        assert abs(np.sum(surf.weights * eta)) < 1e-10 * surf.area
 
     def test_spatial_rotation_is_tangent(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
@@ -190,34 +189,34 @@ class TestSupportFunction:
 
     def test_ambient_field_tangency(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        p = surf.cache.vertices
+        p = surf.vertices
         w = killing_field(np.eye(4)[0], AXIS, p)
         assert np.abs(mdot(w, p)).max() < 1e-12
         assert np.abs(mdot(AXIS + p[:, 3, None] * p, p)).max() < 1e-12
 
 
 class TestBoostSupport:
-    """The cache's support function of the boost W = p4 e1 + p1 e4, which
+    """The surface's support function of the boost W = p4 e1 + p1 e4, which
     the chart gives without the cancellation of p4 N1 - p1 N4."""
 
     @pytest.mark.parametrize("s0", [1.0, 8.0, 16.0, 20.0])
     def test_is_minus_q1_on_slices(self, slice_mesh, s0):
         """Here the ambient form p4 N1 - p1 N4 is off by 6.8e-3 at s0 = 16, and by 2.2 at s0 = 19."""
         surf = slice_mesh(s0, 3)
-        assert np.abs(surf.cache.boost_support + surf.mesh.q[:, 0]).max() <= 1e-12
+        assert np.abs(surf.boost_support + surf.mesh.q[:, 0]).max() <= 1e-12
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["s0=1", "s0=-1"])
     def test_matches_the_oracle_on_the_bench_graph(self, graph_mesh, sign):
         """On the bench graph and its time reflection (s0 and every amplitude negated)."""
         surf = graph_mesh(sign, tuple((l, m, sign * a) for l, m, a in BENCH_TERMS), 4)
         want = support_function(surf, np.eye(4)[0], AXIS)
-        assert np.abs(surf.cache.boost_support - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(surf.boost_support - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestHatGradients:
     def test_lorentz_dual_to_edges_and_sum_to_zero(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
-        verts, faces = surf.cache.vertices, surf.mesh.faces
+        verts, faces = surf.vertices, surf.mesh.faces
         grad = _hat_gradients(verts, faces)
         assert grad.shape == (2, 4, faces.shape[0])
         e1, e2 = verts[faces[:, 1]] - verts[faces[:, 0]], verts[faces[:, 2]] - verts[faces[:, 0]]
@@ -235,7 +234,7 @@ class TestHatGradients:
 class TestTangentialGradient:
     def test_constant_field_vanishes(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        grad = tangential_gradient(surf, np.full(surf.cache.vertices.shape[0], 3.7))
+        grad = tangential_gradient(surf, np.full(surf.vertices.shape[0], 3.7))
         assert np.abs(grad).max() < 1e-12
 
     def test_degree_one_norm(self, slice_mesh):
@@ -250,10 +249,10 @@ class TestTangentialGradient:
 
     def test_matches_add_at_accumulation(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
-        values = surf.cache.vertices[:, 0] * surf.cache.vertices[:, 3]
+        values = surf.vertices[:, 0] * surf.vertices[:, 3]
         # the same face gradients, accumulated by np.add.at corner by corner: the same bits
         faces = surf.mesh.faces
-        grad = _hat_gradients(surf.cache.vertices, faces)
+        grad = _hat_gradients(surf.vertices, faces)
         v0 = values[faces[:, 0]]
         grad_face = grad[0] * (values[faces[:, 1]] - v0) + grad[1] * (values[faces[:, 2]] - v0)
         assert np.array_equal(tangential_gradient(surf, values),
@@ -261,7 +260,7 @@ class TestTangentialGradient:
 
     def test_matches_face_frame_oracle(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)
-        values = surf.cache.vertices[:, 0] * surf.cache.vertices[:, 3]
+        values = surf.vertices[:, 0] * surf.vertices[:, 3]
         # the reference takes face gradients in face frames, so they agree to rounding
         got, want = tangential_gradient(surf, values), tangential_gradient_reference(surf, values)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -310,7 +309,7 @@ class TestSharedMesh:
         sl = build_slice(1.0, level=3)
         again = build_graph(1.0, level=5, mesh=sl.mesh)
         assert again.mesh is sl.mesh
-        assert np.array_equal(again.cache.vertices, sl.cache.vertices)
+        assert np.array_equal(again.vertices, sl.vertices)
 
     def test_no_mesh_data_in_memo(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)

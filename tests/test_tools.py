@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from lorstab.config import parse_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 REPORT = """lorstab run report
@@ -86,3 +88,13 @@ class TestCompareFile:
     def test_moved_verdict_or_lambda1_fails(self, compare_outputs, tmp_path, capsys, change, line):
         assert compare_outputs.compare_file(*write_pair(tmp_path, report(), report(**change)))
         assert line in capsys.readouterr().out.splitlines()
+
+
+class TestMatrix:
+    def test_every_config_parses(self, compare_outputs):
+        """The 19 configs the tool runs after the workloads are all valid, so
+        each one compares outputs, not the same config error twice."""
+        assert len(compare_outputs.MATRIX) == 19
+        assert len({case.name for case in compare_outputs.MATRIX}) == 19
+        for case in compare_outputs.MATRIX:
+            parse_config(case.config_text)

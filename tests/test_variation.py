@@ -1,12 +1,14 @@
 """Flows and finite-difference verification of the variation formulas."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import lorstab.surfaces
 import lorstab.variation
 from lorstab.harmonics import HarmonicField
-from lorstab.surfaces import GeometryCache, build_graph, build_slice, mdot
+from lorstab.surfaces import GraphSurface, build_graph, build_slice, mdot
 from lorstab.variation import (
     _T_MAX,
     FlowError,
@@ -28,7 +30,9 @@ NEG_CONST = HarmonicField(constant=-1.0)
 Y10 = HarmonicField(terms=((1, 0, 1.0),))
 Y20 = HarmonicField(terms=((2, 0, 1.0),))
 MIXED = HarmonicField(constant=0.3, terms=((1, 1, 0.7), (2, 0, -0.5), (3, 2, 0.4)))
-# GeometryCache fields computed on first read, outside __dataclass_fields__
+# the geometric data of a built surface: its fields less the height, the mesh
+# and the memo, and those computed on first read
+GEOMETRY_FIELDS = tuple(f.name for f in fields(GraphSurface) if f.name not in ("height", "mesh", "_memo"))
 LAZY_FIELDS = ("mass",)
 
 
@@ -41,25 +45,25 @@ class TestFlow:
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=CONST)
         snap = flow(var, 0.05)
         want = build_slice(1.05, level=3)
-        assert np.abs(snap.cache.vertices - want.cache.vertices).max() < 1e-10
+        assert np.abs(snap.vertices - want.vertices).max() < 1e-10
 
     def test_matches_flow_rule(self, slice_mesh):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
         for t in (0.01, -0.03):
             snap = flow(var, t)
-            assert np.abs(snap.cache.vertices - flow_rule_positions(var, t)).max() < 1e-10
+            assert np.abs(snap.vertices - flow_rule_positions(var, t)).max() < 1e-10
 
     def test_stays_on_hyperquadric(self, slice_mesh):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y10)
         snap = flow(var, 0.01)
-        assert np.abs(mdot(snap.cache.vertices, snap.cache.vertices) - 1.0).max() < 1e-10
+        assert np.abs(mdot(snap.vertices, snap.vertices) - 1.0).max() < 1e-10
 
     def test_variational_field_is_normal_amplitude(self, slice_mesh):
         base = slice_mesh(1.0, 3)
         var = NormalVariation(base=base, amplitude=Y20)
         h = 1e-4
-        vel = (flow(var, h).cache.vertices - flow(var, -h).cache.vertices) / (2 * h)
-        want = var.values()[:, None] * base.cache.normal
+        vel = (flow(var, h).vertices - flow(var, -h).vertices) / (2 * h)
+        want = var.values()[:, None] * base.normal
         assert np.abs(vel - want).max() < 1e-8
 
     def test_t_max_enforced(self, slice_mesh):
@@ -93,7 +97,7 @@ class TestFlow:
         grad, cosh_u = spacelike_data(mild)
         assert (grad / cosh_u).max() < 1.0
         snap = flow(NormalVariation(base=base, amplitude=mild), t)
-        assert snap.cache.vertices.shape == base.cache.vertices.shape
+        assert snap.vertices.shape == base.vertices.shape
 
     def test_snapshot_equals_fresh_build_at_base_level(self, slice_mesh):
         # the snapshot's jets are base jets + t amplitude jets, which agree
@@ -105,12 +109,10 @@ class TestFlow:
         height = base.height.plus(Y20, factor=t)
         want = build_graph(height.constant, perturbations=height.terms, level=3)
         assert snap.mesh is base.mesh is want.mesh
-        assert snap.cache.mesh is want.cache.mesh
+        assert snap.mesh is want.mesh
         assert snap.mesh.level == 3
-        for name in [*GeometryCache.__dataclass_fields__, *LAZY_FIELDS]:
-            if name == "mesh":
-                continue
-            got, ref = getattr(snap.cache, name), getattr(want.cache, name)
+        for name in [*GEOMETRY_FIELDS, *LAZY_FIELDS]:
+            got, ref = getattr(snap, name), getattr(want, name)
             if name == "mass":
                 assert np.array_equal(got.indices, ref.indices) and np.array_equal(got.indptr, ref.indptr)
                 got, ref = got.data, ref.data
@@ -127,9 +129,8 @@ class TestFlow:
             want = build_graph(height.constant, perturbations=height.terms, mesh=base.mesh, jets=jets)
             assert snap.mesh is base.mesh
             assert snap.height == want.height
-            for name in GeometryCache.__dataclass_fields__:
-                if name != "mesh":
-                    assert np.array_equal(getattr(snap.cache, name), getattr(want.cache, name)), name
+            for name in GEOMETRY_FIELDS:
+                assert np.array_equal(getattr(snap, name), getattr(want, name)), name
 
     def test_flow_evaluates_no_harmonics(self, slice_mesh, monkeypatch):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=MIXED)
@@ -148,14 +149,14 @@ class TestFlow:
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
         snap = flow(var, 0.02)
         assert r_area(snap, 1) > 0
-        assert not set(LAZY_FIELDS) & vars(snap.cache).keys()
+        assert not set(LAZY_FIELDS) & vars(snap).keys()
         # read once, then kept
-        assert snap.cache.mass is snap.cache.mass
+        assert snap.mass is snap.mass
 
     def test_weights_are_mass_row_sums(self, slice_mesh, graph_mesh):
         for surf in (slice_mesh(1.0, 3), graph_mesh(1.0, ((2, 0, 0.05), (3, 1, 0.02)), 4)):
-            rows = np.asarray(surf.cache.mass.sum(axis=1)).ravel()
-            assert np.abs(surf.cache.weights - rows).max() <= 1e-15 * np.abs(rows).max()
+            rows = np.asarray(surf.mass.sum(axis=1)).ravel()
+            assert np.abs(surf.weights - rows).max() <= 1e-15 * np.abs(rows).max()
 
     def test_snapshots_skip_mesh_validation(self, slice_mesh, monkeypatch):
         var = NormalVariation(base=slice_mesh(1.0, 3), amplitude=Y20)
@@ -258,7 +259,7 @@ class TestVolumeBalance:
     def test_mean_zero_amplitude_preserves_volume(self, slice_mesh):
         var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=Y10)
         chk = volume_derivative_check(var, h=1e-3)
-        area = var.base.cache.area
+        area = var.base.area
         assert abs(chk.lhs) <= 1e-4 * area
 
     def test_sign_flips_with_amplitude(self, slice_mesh):
@@ -326,7 +327,7 @@ class TestSrEvolution:
         # S_1 of the slice family has derivative -n sech^2 in the flow time
         var = NormalVariation(base=slice_mesh(1.0, 4), amplitude=CONST)
         snaps = [flow(var, t) for t in (-1e-3, 1e-3)]
-        lhs = (snaps[1].cache.sigma[:, 1] - snaps[0].cache.sigma[:, 1]) / 2e-3
+        lhs = (snaps[1].sigma[:, 1] - snaps[0].sigma[:, 1]) / 2e-3
         want = -2.0 / np.cosh(1.0) ** 2
         assert np.abs(lhs - want).max() < 1e-5
 

@@ -6,6 +6,9 @@ Each argument is a directory holding the ``lorstab`` package (a checkout's
 ``src``).  For seeds 7 and 21 of every workload in ``perfbench/workloads.py``
 both trees run the workload's ``lorstab`` invocation on the same generated
 config, as fresh ``python -m lorstab.cli`` processes with one BLAS thread.
+Then both run the fixed ``MATRIX`` of configs that no workload reaches:
+slices on both sides of the equator and far from it, near-umbilical graphs
+at r = 0 and r = 1, and a level sweep.
 For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
 that moved (a report key, a CSV column over its rows, or in ``checks.csv``
@@ -15,7 +18,7 @@ every text field that changed, and every field found on one side only, as
 shift-invert applications summed over the ``report.txt`` files
 (``stability.eigen_iterations``) and the ``sweep.csv`` rows
 (``eigen_iterations``; "n/a" for a tree whose sweep.csv has no such
-column), the same without the sweeps, and the change's largest
+column) of the workloads, the same without the sweeps, and the change's largest
 ``eigen_residual`` as a fraction of its tolerance (a report's ``tol_solver``,
 or the workloads' ``SOLVER_TOL`` for a ``sweep.csv`` row), so a cheaper
 eigensolve is shown with its safety margin.
@@ -35,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 21)
@@ -45,6 +49,47 @@ LAMBDA1_RTOL = 1e-12
 sys.dont_write_bytecode = True      # leave no cache files under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import SOLVER_TOL, WORKLOADS, make_case  # noqa: E402
+
+
+class MatrixCase(NamedTuple):
+    """One ``lorstab`` invocation of the matrix: the command, the config, the
+    arguments after the config path and the outputs compared."""
+
+    name: str
+    config_text: str
+    command: str = "run"
+    options: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ("report.txt",)
+
+    def argv(self, config: Path, out: Path) -> list[str]:
+        return [self.command, str(config), *self.options, "--out", str(out)]
+
+
+def _matrix() -> tuple[MatrixCase, ...]:
+    cases = []
+    for s0 in ("-1", "0", "0.3", "1"):         # level 3, all four checks
+        for r in (0, 1):
+            cases.append(MatrixCase(
+                f"slice level 3 s0 {s0} r {r}",
+                f"scenario = slice\nr = {r}\ns0 = {s0}\nlevel = 3\nchecks = stability,killing,conformal,variation\n",
+                outputs=("report.txt", "checks.csv")))
+    for s0 in ("1", "-1"):                     # a near-umbilical graph on both sides of the equator
+        for r in (0, 1):
+            cases.append(MatrixCase(
+                f"graph level 4 s0 {s0} r {r}",
+                f"scenario = graph\nr = {r}\ns0 = {s0}\nperturbations = 2,0,0.002;3,1,0.0008\nlevel = 4\n"
+                "checks = stability,killing,conformal\n"))
+    for s0 in ("3", "5", "20"):                # far slices
+        for r in (0, 1):
+            cases.append(MatrixCase(
+                f"slice level 4 s0 {s0} r {r}",
+                f"scenario = slice\nr = {r}\ns0 = {s0}\nlevel = 4\nchecks = stability,killing\n"))
+    cases.append(MatrixCase("slice s0 1 level sweep", "scenario = slice\nr = 1\ns0 = 1\n", "sweep",
+                            ("--param", "level", "--values", "3,4,5"), ("sweep.csv",)))
+    return tuple(cases)
+
+
+MATRIX = _matrix()
 
 
 def run(src: Path, argv: list[str]) -> int:
@@ -155,42 +200,42 @@ def main(argv: list[str]) -> int:
             print(f"{side} tree {src} holds no lorstab package", file=sys.stderr)
             return 2
     failed = False
-    reports = dict.fromkeys(trees, 0)       # applications summed over report.txt
+    reports = dict.fromkeys(trees, 0)       # the workloads' applications summed over report.txt
     sweeps: dict[str, int | None] = dict.fromkeys(trees, 0)     # and over sweep.csv
     worst_ratio = 0.0
+    # (label, case, whether its applications count in the sums)
+    runs = [(f"{workload} seed {seed}", make_case(workload, seed), True) for workload in WORKLOADS for seed in SEEDS]
+    runs += [(case.name, case, False) for case in MATRIX]
     with tempfile.TemporaryDirectory() as scratch:
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                case = make_case(workload, seed)
-                base = Path(scratch) / f"{workload}-{seed}"
-                base.mkdir()
-                config = base / "config.txt"
-                config.write_text(case.config_text, encoding="utf-8")
-                codes = {side: run(src, case.argv(config, base / side)) for side, src in trees.items()}
-                same = codes["parent"] == codes["change"]
-                print(f"{workload} seed {seed}: exit {codes['parent']} -> {codes['change']}"
-                      f"{'' if same else '  EXIT CODE DIFFERS'}")
-                failed |= not same
-                for name in case.outputs:
-                    failed |= compare_file(base / "parent" / name, base / "change" / name)
-                for side in trees:
-                    count, ratios = solver_fields(base / side)
-                    if case.outputs[0] != "sweep.csv":
-                        reports[side] += count
-                    elif sweeps[side] is not None:
-                        sweeps[side] = None if count is None else sweeps[side] + count
-                    if ratios is None:
-                        if side == "change":
-                            print("  sweep.csv: no eigen_residual column on the change side")
-                            failed = True
-                        continue
-                    if side == "change" and ratios:
-                        worst_ratio = max(worst_ratio, *ratios)
-                        if any(ratio >= 1.0 for ratio in ratios):
-                            print(f"  {case.outputs[0]}: change-side eigen_residual at or above its tolerance")
-                            failed = True
+        for index, (label, case, counted) in enumerate(runs):
+            base = Path(scratch) / str(index)
+            base.mkdir()
+            config = base / "config.txt"
+            config.write_text(case.config_text, encoding="utf-8")
+            codes = {side: run(src, case.argv(config, base / side)) for side, src in trees.items()}
+            same = codes["parent"] == codes["change"]
+            print(f"{label}: exit {codes['parent']} -> {codes['change']}{'' if same else '  EXIT CODE DIFFERS'}")
+            failed |= not same
+            for name in case.outputs:
+                failed |= compare_file(base / "parent" / name, base / "change" / name)
+            for side in trees:
+                count, ratios = solver_fields(base / side)
+                if counted and case.outputs[0] != "sweep.csv":
+                    reports[side] += count
+                elif counted and sweeps[side] is not None:
+                    sweeps[side] = None if count is None else sweeps[side] + count
+                if ratios is None:
+                    if side == "change":
+                        print("  sweep.csv: no eigen_residual column on the change side")
+                        failed = True
+                    continue
+                if side == "change" and ratios:
+                    worst_ratio = max(worst_ratio, *ratios)
+                    if any(ratio >= 1.0 for ratio in ratios):
+                        print(f"  {case.outputs[0]}: change-side eigen_residual at or above its tolerance")
+                        failed = True
     total = {side: "n/a" if sweeps[side] is None else reports[side] + sweeps[side] for side in trees}
-    print(f"eigen_iterations summed over report.txt and sweep.csv: {total['parent']} -> {total['change']} "
+    print(f"workloads' eigen_iterations summed over report.txt and sweep.csv: {total['parent']} -> {total['change']} "
           f"(report.txt alone: {reports['parent']} -> {reports['change']})")
     print(f"largest change-side eigen_residual / tolerance (reports and sweep rows): {worst_ratio:.3g}")
     print("FAIL: an exit code or a verdict differs, a lambda1 moved above "
