@@ -4,6 +4,13 @@ A ``SphereMesh`` holds the directions and faces surfaces are sampled over,
 and computes the sphere's tangent frames, nested-dissection order and P1
 sparsity pattern at most once for all surfaces on it.  The icosphere ladder
 (levels 3..6 in practice) is the only generator.
+
+The nested-dissection separators cover the edges cut by a median split with
+one end each, the end nearer the cut: a vertex cover of the cut edges, as
+small as a minimum one on the icosphere (384 vertices against 448 for all
+lower ends at level 6's first split), so the level-6 factor is smaller.
+The mesh's sorts of integer keys are single ``np.sort`` calls over distinct
+packed values (``_sort_packed``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ _FRAME_TOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class SphereMesh:
     """Unit directions ``q`` (V, 3) and outward-oriented ``faces`` (F, 3) of a
-    valid sphere triangulation (not checked here); ``level`` is the depth of
+    valid sphere triangulation (not checked here, but ``pattern`` raises on
+    a directed edge that repeats or has no reverse); ``level`` is the depth of
     the icosphere the directions come from.  It makes its arrays read-only,
     to be shared.
 
@@ -65,15 +73,40 @@ class SphereMesh:
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR ``indptr`` and ``indices`` of the vertex-adjacency pattern (every
         vertex with itself and its edge neighbours), and ``slots`` (F, 3, 3): the
-        position in ``indices`` of entry (faces[f, a], faces[f, b]), as int32."""
+        position in ``indices`` of entry (faces[f, a], faces[f, b]), as int32.
+
+        The faces must be closed and consistently oriented, so that every
+        undirected edge is listed once in each direction: the entries are then
+        the 3F directed edges and the V diagonals, all distinct, and an entry
+        (b, a) of a face is the directed edge (b, a) of its neighbour.  Raises
+        ``ValueError`` naming a directed edge that repeats or has no reverse.
+        """
         nv = self.nvertices
         faces = self.faces.astype(np.int64)
-        keys = (faces[:, :, None] * nv + faces[:, None, :]).ravel()
-        entries, slots = np.unique(keys, return_inverse=True)
+        tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+        diagonal = np.arange(nv) * (nv + 1)
+        forward = np.concatenate([tails * nv + heads, diagonal])
+        order, entries = _sort_packed(forward)
+        repeats = np.flatnonzero(entries[1:] == entries[:-1])
+        if repeats.size:
+            key = int(entries[repeats[0]])
+            raise ValueError(f"directed edge ({key // nv}, {key % nv}) repeats: inconsistent orientation")
+        reverse_order, reverse = _sort_packed(np.concatenate([heads * nv + tails, diagonal]))
+        if not np.array_equal(reverse, entries):
+            e = int(np.flatnonzero(~np.isin(heads * nv + tails, forward))[0])
+            raise ValueError(f"directed edge ({int(tails[e])}, {int(heads[e])}) has no reverse: mesh is not watertight")
+        slot = np.empty((2, forward.size), dtype=np.int32)
+        slot[0, order] = slot[1, reverse_order] = np.arange(forward.size)
+        edge, back = slot[:, : tails.size].reshape(2, -1, 3)
+        slots = np.empty(faces.shape + (3,), dtype=np.int32)
+        corner = np.arange(3)
+        slots[:, corner, corner] = slot[0, tails.size :][faces]
+        slots[:, corner, (corner + 1) % 3] = edge      # (a, b) along the face
+        slots[:, (corner + 1) % 3, corner] = back      # (b, a): the reverse of (a, b)
         indptr = np.zeros(nv + 1, dtype=np.int32)
         np.cumsum(np.bincount(entries // nv, minlength=nv), out=indptr[1:])
         indices = (entries % nv).astype(np.int32)
-        arrays = (indptr, indices, slots.astype(np.int32).reshape(faces.shape + (3,)))
+        arrays = (indptr, indices, slots)
         for array in arrays:
             array.flags.writeable = False
         return arrays
@@ -81,31 +114,35 @@ class SphereMesh:
 
 def _sphere_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent frames on the unit sphere from projected fixed axis
-    pairs, falling back to the next pair near degeneracy.  Pair (i, j) is
-    degenerate only where |q_i| ~ 1 or q_k ~ 0 (k the third axis), so the pair
-    whose k has the largest |q_k| qualifies at every unit direction."""
-    v = q.shape[0]
-    w1 = np.zeros((v, 3))
-    w2 = np.zeros((v, 3))
-    done = np.zeros(v, dtype=bool)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        todo = ~done
-        cand1 = -q[todo, i : i + 1] * q[todo]
-        cand1[:, i] += 1.0
-        n1 = np.linalg.norm(cand1, axis=1)
-        cand2 = -q[todo, j : j + 1] * q[todo]
-        cand2[:, j] += 1.0
-        safe1 = n1 >= _FRAME_TOL
-        cand1[safe1] /= n1[safe1, None]
+    pairs: pair (0, 1) at every direction, then (1, 2) and (2, 0) at the few
+    where the previous pairs degenerate.  Pair (i, j) is degenerate only where
+    |q_i| ~ 1 or q_k ~ 0 (k the third axis), so the pair whose k has the
+    largest |q_k| qualifies at every unit direction."""
+    w1, w2, ok = _axis_pair_frames(q, 0, 1)
+    todo = np.flatnonzero(~ok)
+    for i, j in ((1, 2), (2, 0)):
+        cand1, cand2, ok = _axis_pair_frames(q[todo], i, j)
+        w1[todo[ok]] = cand1[ok]
+        w2[todo[ok]] = cand2[ok]
+        todo = todo[~ok]
+    return w1, w2
+
+
+def _axis_pair_frames(q: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes i and j projected onto the tangent planes at ``q`` and
+    orthonormalized in that order, and where neither projection is
+    degenerate (elsewhere the frame holds no meaning)."""
+    cand1 = -q[:, i : i + 1] * q
+    cand1[:, i] += 1.0
+    n1 = np.linalg.norm(cand1, axis=1)
+    cand2 = -q[:, j : j + 1] * q
+    cand2[:, j] += 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand1 /= n1[:, None]
         cand2 -= np.einsum("vi,vi->v", cand2, cand1)[:, None] * cand1
         n2 = np.linalg.norm(cand2, axis=1)
-        ok = safe1 & (n2 >= _FRAME_TOL)
-        cand2[ok] /= n2[ok, None]
-        idx = np.flatnonzero(todo)[ok]
-        w1[idx] = cand1[ok]
-        w2[idx] = cand2[ok]
-        done[idx] = True
-    return w1, w2
+        cand2 /= n2[:, None]
+    return cand1, cand2, (n1 >= _FRAME_TOL) & (n2 >= _FRAME_TOL)
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -132,47 +169,69 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-sphere points (V, 3) and outward-oriented faces for 10*4^level + 2 vertices.
 
-    Each subdivision splits every face (a, b, c) into (a, ab, ca), (b, bc, ab),
-    (c, ca, bc) and (ab, bc, ca), all faces at once.  An edge is keyed by
-    min * V + max of its ends; midpoints are appended in the order their edges
-    are first met along (a, b), (b, c), (c, a), face by face, and scaled by
-    1 / sqrt(m . m), so the points equal the one-face-at-a-time construction
-    bit for bit.
+    The 20 icosahedron faces are oriented outward (positive triple product)
+    once.  Each subdivision splits every face (a, b, c) into (a, ab, ca),
+    (b, bc, ab), (c, ca, bc) and (ab, bc, ca), all faces at once; each child
+    keeps its parent's orientation.  An edge is keyed by min * V + max of its
+    ends; midpoints are appended in the order their edges are first met along
+    (a, b), (b, c), (c, a), face by face, and scaled by 1 / sqrt(m . m), so
+    the points equal the one-face-at-a-time construction bit for bit.
     """
     if level < 0:
         raise ValueError("subdivision level must be nonnegative")
     pts, faces = _icosahedron()
+    p0, p1, p2 = pts[faces[:, 0]], pts[faces[:, 1]], pts[faces[:, 2]]
+    flip = np.einsum("fi,fi->f", np.cross(p1 - p0, p2 - p0), p0) < 0
+    faces[flip] = faces[flip][:, ::-1]
     for _ in range(level):
         nv = pts.shape[0]
         tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-        keys = np.minimum(tails, heads) * np.int64(nv) + np.maximum(tails, heads)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        met = np.argsort(first)                  # edges in first-encounter order
-        number = np.empty_like(met)
-        number[met] = np.arange(nv, nv + met.size)
-        ab, bc, ca = number[inverse].reshape(-1, 3).T
-        m = pts[tails[first[met]]] + pts[heads[first[met]]]
+        order, keys = _sort_packed(np.minimum(tails, heads) * np.int64(nv) + np.maximum(tails, heads))
+        new = np.ones(keys.size, dtype=bool)     # sorted position starts an edge
+        new[1:] = keys[1:] != keys[:-1]
+        first = np.zeros(keys.size, dtype=bool)  # face edge is its edge's first encounter
+        first[order[new]] = True
+        met = np.flatnonzero(first)              # edges in first-encounter order
+        label = nv - 1 + np.cumsum(first)        # at a first encounter, its midpoint's number
+        number = np.empty_like(label)
+        number[order] = label[order[new]][np.cumsum(new) - 1]
+        ab, bc, ca = number.reshape(-1, 3).T
+        m = pts[tails[met]] + pts[heads[met]]
         m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
         pts = np.concatenate([pts, m])
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-    # enforce outward orientation (positive triple product for a convex body)
-    p0, p1, p2 = pts[faces[:, 0]], pts[faces[:, 1]], pts[faces[:, 2]]
-    flip = np.einsum("fi,fi->f", np.cross(p1 - p0, p2 - p0), p0) < 0
-    faces[flip] = faces[flip][:, ::-1]
     return pts, faces
 
 
+def _sort_packed(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort and sorted values of nonnegative integer ``keys``, from
+    one ``np.sort`` of the distinct values (key << b) | index, b the bits of
+    the largest index.  Raises ``ValueError`` if those need more than 63 bits."""
+    n = keys.size
+    shift = max(n - 1, 0).bit_length()
+    if n and int(keys.max()).bit_length() + shift > 63:
+        raise ValueError(f"keys up to {int(keys.max())} with {n} indices do not pack into 63 bits")
+    packed = np.sort((keys.astype(np.int64, copy=False) << shift) | np.arange(n))
+    return packed & ((1 << shift) - 1), packed >> shift
+
+
 def nested_dissection(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Fill-reducing elimination order of the mesh vertices (George 1973).
+    """Fill-reducing elimination order of the vertices of a closed, oriented
+    mesh (George 1973).
 
     Recursive median bisection: every part with more than ``_LEAF`` vertices
-    is split at the median of its widest coordinate axis, and the vertices of
-    the lower half that share an edge with the upper half become the
-    separator.  A separator is numbered after both halves it separates, so
-    the order is the post-order of the bisection tree.  All parts of one
-    level are split together.  Returns ``order``, a permutation of
-    ``range(V)``: vertex ``order[i]`` is eliminated i-th.
+    is split at the median of its widest coordinate axis, and the part's cut
+    is the midpoint between the last lower and the first upper coordinate on
+    that axis.  Each edge joining the two halves puts into the separator the
+    end whose coordinate is nearer the cut, the lower end on a tie, so every
+    such edge loses an end and no edge joins what remains of the halves.  The
+    mesh lists each undirected edge in both directions, so the edges from the
+    lower half to the upper one are all of them.  A separator is numbered
+    after both halves it separates, so the order is the post-order of the
+    bisection tree.  All parts of one level are split together.  Returns
+    ``order``, a permutation of ``range(V)``: vertex ``order[i]`` is
+    eliminated i-th.
     """
     nv = points.shape[0]
     tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
@@ -195,15 +254,22 @@ def nested_dissection(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
         sizes = np.diff(starts, append=split.size)
         gathered = coords[:, split]
         extent = np.maximum.reduceat(gathered, starts, axis=1) - np.minimum.reduceat(gathered, starts, axis=1)
+        axis = np.argmax(extent, axis=0)
         seg = np.repeat(np.arange(starts.size), sizes)
-        split = split[np.argsort(seg * nv + rank[np.argmax(extent, axis=0)[seg], split])]
+        split = split[_sort_packed(seg * nv + rank[axis[seg], split])[0]]
+        mid = starts + sizes // 2               # position of each part's first upper vertex
         upper = np.zeros(nv, dtype=bool)
-        upper[split[np.arange(split.size) - starts[seg] >= sizes[seg] // 2]] = True
+        upper[split[np.arange(split.size) >= mid[seg]]] = True
         lower = np.zeros(nv, dtype=bool)
         lower[split] = ~upper[split]
-        separator = np.concatenate(
-            [tails[lower[tails] & upper[heads]], heads[lower[heads] & upper[tails]]]
-        )
+        # each vertex's coordinate on its part's axis, less the part's cut
+        offset = np.zeros(nv)
+        offset[split] = coords[axis[seg], split] - (
+            0.5 * (coords[axis, split[mid - 1]] + coords[axis, split[mid]])
+        )[seg]
+        crossing = lower[tails] & upper[heads]
+        low, high = tails[crossing], heads[crossing]
+        separator = np.where(-offset[low] <= offset[high], low, high)   # the end nearer the cut
         active[separator] = False
         depth[active] = height + 1
         part[active] = 2 * part[active] + upper[active]
@@ -211,8 +277,7 @@ def nested_dissection(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     # post-order key: a node's path padded with ones to the full depth, then
     # deeper nodes first, so a node follows the last leaf below it
     below = height - depth
-    key = ((part << below) | ((1 << below) - 1)) * (height + 1) + below
-    return np.argsort(key, kind="stable")
+    return _sort_packed(((part << below) | ((1 << below) - 1)) * (height + 1) + below)[0]
 
 
 def validate_closed_oriented(faces: np.ndarray, nvertices: int) -> None:

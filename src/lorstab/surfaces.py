@@ -182,22 +182,26 @@ def _icosphere_mesh(level: int) -> SphereMesh:
 def build_graph(
     s0: float,
     perturbations=(),
-    level: int = 4,
+    level: int | None = None,
     mesh: SphereMesh | None = None,
     jets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> GraphSurface:
     """Build the graph surface with height s0 + sum of harmonic perturbations.
 
     ``perturbations`` is a sequence of (l, m, amplitude).  The surface is
-    sampled over ``mesh`` as given, without validation, or by default over
-    the process's shared icosphere of ``level``.  It must be spacelike at
-    every vertex; otherwise construction fails naming the worst vertex.
+    sampled over ``mesh`` as given, without validation, or else over the
+    process's shared icosphere of ``level``; one of the two is required.  It
+    must be spacelike at every vertex; otherwise construction fails naming
+    the worst vertex.
 
     Two stages: the height's jets at the mesh points, then ``_graph_from_jets``;
     ``jets`` given (a flow snapshot's) replaces the first.
     """
     height = HarmonicField(constant=float(s0), terms=tuple(perturbations))
-    mesh = _icosphere_mesh(level) if mesh is None else mesh
+    if mesh is None:
+        if level is None:
+            raise TypeError("build_graph needs a mesh or a level")
+        mesh = _icosphere_mesh(level)
     return _graph_from_jets(height, mesh, height.jets(mesh.q) if jets is None else jets)
 
 
@@ -278,7 +282,7 @@ def _graph_from_jets(height: HarmonicField, mesh: SphereMesh, jets) -> GraphSurf
     )
 
 
-def build_slice(s0: float, level: int = 4) -> GraphSurface:
+def build_slice(s0: float, level: int) -> GraphSurface:
     """Totally umbilical slice at height s0: the unperturbed graph, A = -tanh(s0) I."""
     return build_graph(s0, (), level=level)
 

@@ -133,10 +133,14 @@ def scatter_p1_reference(faces, local, nv):
     return (m + m.T) / 2.0
 
 
-def nested_dissection_reference(points, faces):
+def nested_dissection_reference(points, faces, halves=None):
     """Nested-dissection order with a lexsort of (coordinate, part) per tree
     level over every vertex still being split, each level's parts found by
-    a stable argsort of the part numbers."""
+    a stable argsort of the part numbers.  Each directed edge from a lower
+    half to its upper half puts the end nearer the part's cut (the midpoint
+    of the coordinates on either side of the median) into the separator, the
+    lower end on a tie.  If ``halves`` is a list, each level's (lower, upper)
+    masks of what is left of the halves without the separator are appended."""
     nv = points.shape[0]
     tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
     part = np.zeros(nv, dtype=np.int64)
@@ -154,21 +158,42 @@ def nested_dissection_reference(points, faces):
         extent = np.maximum.reduceat(points[split], starts) - np.minimum.reduceat(points[split], starts)
         seg = np.repeat(np.arange(starts.size), sizes)
         coord = points[split, np.argmax(extent, axis=1)[seg]]
-        split = split[np.lexsort((coord, seg))]
+        by_coord = np.lexsort((coord, seg))
+        split, coord = split[by_coord], coord[by_coord]
+        median = starts + sizes // 2
+        cut = (coord[median - 1] + coord[median]) / 2
         upper = np.zeros(nv, dtype=bool)
-        upper[split[np.arange(split.size) - starts[seg] >= sizes[seg] // 2]] = True
+        upper[split[np.arange(split.size) >= median[seg]]] = True
         lower = np.zeros(nv, dtype=bool)
         lower[split] = ~upper[split]
-        separator = np.concatenate(
-            [tails[lower[tails] & upper[heads]], heads[lower[heads] & upper[tails]]]
-        )
-        active[separator] = False
+        value = np.zeros(nv)
+        value[split] = coord
+        cut_at = np.zeros(nv)
+        cut_at[split] = cut[seg]
+        crossing = lower[tails] & upper[heads]
+        low, high = tails[crossing], heads[crossing]
+        near_low = cut_at[low] - value[low] <= value[high] - cut_at[high]
+        active[low[near_low]] = False
+        active[high[~near_low]] = False
+        if halves is not None:
+            halves.append((lower & active, upper & active))
         depth[active] = height + 1
         part[active] = 2 * part[active] + upper[active]
         height += 1
     below = height - depth
     key = ((part << below) | ((1 << below) - 1)) * (height + 1) + below
     return np.argsort(key, kind="stable")
+
+
+def pattern_reference(faces, nv):
+    """P1 pattern by ``np.unique`` over the 9F corner-pair keys a * V + b:
+    CSR indptr and indices, and the (F, 3, 3) slots of the corner pairs."""
+    faces = faces.astype(np.int64)
+    keys = (faces[:, :, None] * nv + faces[:, None, :]).ravel()
+    entries, slots = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(np.bincount(entries // nv, minlength=nv), out=indptr[1:])
+    return indptr, (entries % nv).astype(np.int32), slots.astype(np.int32).reshape(faces.shape + (3,))
 
 
 # edge-midpoint quadrature rule: barycentric coordinates of the three points

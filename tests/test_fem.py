@@ -89,6 +89,16 @@ class TestAssembly:
         nested = splu(a[order][:, order].tocsc(), permc_spec="NATURAL")
         assert nested.L.nnz + nested.U.nnz <= 0.85 * (colamd.L.nnz + colamd.U.nnz)
 
+    def test_nested_dissection_fill_bound(self, graph_mesh):
+        # separators that take the end of each cut edge nearer the cut give
+        # 838,820 entries; taking every lower end of a cut edge gave 903,240
+        pair = assemble(graph_mesh(1.0, GRAPH, 5), 1)
+        kk, mm = pair.stiffness, pair.mass
+        shift = 1e-5 * np.abs(kk.diagonal()).max() / mm.sum(axis=1).min()   # the solver's
+        order = pair.order
+        lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
+        assert lu.L.nnz + lu.U.nnz <= 845_000
+
 
 def jittered_graph():
     """The level-3 graph over tangentially jittered icosphere directions: an

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from lorstab.mesh import (
     SphereMesh,
+    _sort_packed,
     icosphere,
     nested_dissection,
     validate_closed_oriented,
 )
-from oracles import icosphere_reference, nested_dissection_reference, validate_closed_oriented_reference
+from oracles import (
+    icosphere_reference,
+    nested_dissection_reference,
+    pattern_reference,
+    validate_closed_oriented_reference,
+)
 
 EDGE = re.compile(r"\((\d+), (\d+)\)")
 CATEGORIES = ("orientation", "watertight", "out of range")
@@ -96,6 +102,19 @@ class TestIcosphere:
         assert np.array_equal(faces, want_faces)
 
 
+class TestSortPacked:
+    @pytest.mark.parametrize("n, top", [(0, 1), (1, 5), (1000, 7), (1000, 2**40)])
+    def test_matches_stable_argsort(self, n, top):
+        keys = np.random.default_rng(n).integers(0, top, n)
+        order, ordered = _sort_packed(keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(ordered, np.sort(keys))
+
+    def test_rejects_keys_that_do_not_pack(self):
+        with pytest.raises(ValueError, match="63 bits"):
+            _sort_packed(np.array([2**62, 0, 1]))
+
+
 class TestNestedDissection:
     @pytest.mark.parametrize("level", range(7))
     def test_permutation(self, level):
@@ -116,6 +135,20 @@ class TestNestedDissection:
         pts, faces = icosphere(3)
         pts = pts + 1e-3 * np.random.default_rng(2).standard_normal(pts.shape)
         assert np.array_equal(nested_dissection(pts, faces), nested_dissection_reference(pts, faces))
+
+    @pytest.mark.parametrize("level", [2, 4, 6, "jittered"])
+    def test_no_edge_joins_the_halves_left_by_a_separator(self, level):
+        pts, faces = icosphere(3 if level == "jittered" else level)
+        if level == "jittered":
+            pts = pts + 1e-3 * np.random.default_rng(2).standard_normal(pts.shape)
+        halves = []
+        nested_dissection_reference(pts, faces, halves)
+        tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+        assert halves
+        for lower, upper in halves:
+            assert lower.any() and upper.any()
+            assert not (lower[tails] & upper[heads]).any()
+            assert not (upper[tails] & lower[heads]).any()
 
 
 class TestValidation:
@@ -206,6 +239,34 @@ class TestSphereMesh:
         # every vertex and its neighbours, each once: 7V - 12 entries on a closed mesh
         assert indices.size == np.unique(slots).size == 7 * mesh.nvertices - 12
         assert np.all(np.diff(indices)[np.diff(rows) == 0] > 0)
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_pattern_matches_unique_oracle(self, level):
+        pts, faces = icosphere(level)
+        got = SphereMesh(pts, faces, level).pattern
+        want = pattern_reference(faces, pts.shape[0])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_pattern_without_faces_is_the_diagonal(self):
+        indptr, indices, slots = SphereMesh(np.eye(3), np.zeros((0, 3), dtype=int), 0).pattern
+        assert np.array_equal(indptr, np.arange(4)) and np.array_equal(indices, np.arange(3))
+        assert slots.shape == (0, 3, 3)
+
+    def test_pattern_rejects_a_flipped_or_missing_face(self):
+        pts, faces = icosphere(2)
+        flipped = faces.copy()
+        flipped[7] = flipped[7][::-1]
+        for bad, message in ((flipped, "repeats"), (faces[1:], "has no reverse")):
+            with pytest.raises(ValueError, match=message) as err:
+                SphereMesh(pts, bad, 2).pattern
+            found = EDGE.search(str(err.value))
+            i, j = int(found[1]), int(found[2])
+            directed = [tuple(int(x) for x in e) for f in bad for e in zip(f, np.roll(f, -1))]
+            if message == "repeats":
+                assert directed.count((i, j)) == 2
+            else:
+                assert (i, j) in directed and (j, i) not in directed
 
     @pytest.mark.parametrize("level", [0, 3, 6])
     def test_frames_orthonormal_tangent(self, level):

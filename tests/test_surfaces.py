@@ -311,6 +311,10 @@ class TestSharedMesh:
         assert again.mesh is sl.mesh
         assert np.array_equal(again.vertices, sl.vertices)
 
+    def test_mesh_or_level_required(self):
+        with pytest.raises(TypeError, match="a mesh or a level"):
+            build_graph(1.0)
+
     def test_no_mesh_data_in_memo(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
         analyze(surf, ScenarioConfig("graph", 1, 1.0, ((2, 0, 0.05),), level=3))

@@ -21,14 +21,18 @@ config:
 
 @pytest.fixture(scope="module")
 def compare_outputs():
-    """tools/compare_outputs.py imported by path; the interpreter settings its
-    import changes (no bytecode, perfbench/ on sys.path) are put back after."""
+    """tools/compare_outputs.py imported by path.  It is in ``sys.modules``
+    while it executes, as a dataclass needs; that entry and the interpreter
+    settings its import changes (no bytecode, perfbench/ on sys.path) are
+    put back after."""
     saved = sys.dont_write_bytecode, list(sys.path)
     spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "tools" / "compare_outputs.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
     finally:
+        del sys.modules[spec.name]
         sys.dont_write_bytecode, sys.path[:] = saved
     return module
 
