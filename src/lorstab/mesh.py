@@ -3,7 +3,8 @@
 A ``SphereMesh`` holds the directions and faces surfaces are sampled over,
 and computes the sphere's tangent frames, nested-dissection order and P1
 sparsity pattern at most once for all surfaces on it.  The icosphere ladder
-(levels 3..6 in practice) is the only generator.
+(levels 3..6 in practice) is the only generator.  A tangent frame comes
+from one closed form at every unit direction, with no fallback or tolerance.
 
 The nested-dissection separators cover the edges cut by a median split with
 one end each, the end nearer the cut: a vertex cover of the cut edges, as
@@ -28,7 +29,6 @@ __all__ = [
 ]
 
 _LEAF = 32   # largest part nested_dissection leaves unsplit
-_FRAME_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +39,10 @@ class SphereMesh:
     the icosphere the directions come from.  It makes its arrays read-only,
     to be shared.
 
-    Computed on first read and kept: the tangent ``frames``, the
-    fill-reducing ``order`` and the P1 sparsity ``pattern``, which every
-    stiffness and mass matrix on the mesh shares.
+    Computed on first read and kept: the right-handed tangent ``frames``
+    (w1 from the least-aligned axis, w2 = q x w1), the fill-reducing
+    ``order`` and the P1 sparsity ``pattern``, which every stiffness and
+    mass matrix on the mesh shares.
     """
 
     q: np.ndarray
@@ -57,8 +58,15 @@ class SphereMesh:
 
     @cached_property
     def frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal tangent frames (w1, w2) of the sphere at each direction."""
-        w1, w2 = _sphere_frames(self.q)
+        """Right-handed orthonormal tangent frames (w1, w2) of the sphere at
+        each direction q (Hughes & Moeller 1999): w1 is the axis e_k of the
+        smallest |q_k|, the first on a tie, projected onto the tangent plane
+        and normalized, and w2 = q x w1.  As q_k^2 <= 1/3, the projection
+        e_k - q_k q has norm sqrt(1 - q_k^2) >= sqrt(2/3) at every unit q."""
+        w1 = np.eye(3)[np.argmin(np.abs(self.q), axis=1)]      # e_k
+        w1 -= np.einsum("vi,vi->v", w1, self.q)[:, None] * self.q
+        w1 /= np.linalg.norm(w1, axis=1, keepdims=True)
+        w2 = np.cross(self.q, w1)
         w1.flags.writeable = w2.flags.writeable = False
         return w1, w2
 
@@ -110,39 +118,6 @@ class SphereMesh:
         for array in arrays:
             array.flags.writeable = False
         return arrays
-
-
-def _sphere_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent frames on the unit sphere from projected fixed axis
-    pairs: pair (0, 1) at every direction, then (1, 2) and (2, 0) at the few
-    where the previous pairs degenerate.  Pair (i, j) is degenerate only where
-    |q_i| ~ 1 or q_k ~ 0 (k the third axis), so the pair whose k has the
-    largest |q_k| qualifies at every unit direction."""
-    w1, w2, ok = _axis_pair_frames(q, 0, 1)
-    todo = np.flatnonzero(~ok)
-    for i, j in ((1, 2), (2, 0)):
-        cand1, cand2, ok = _axis_pair_frames(q[todo], i, j)
-        w1[todo[ok]] = cand1[ok]
-        w2[todo[ok]] = cand2[ok]
-        todo = todo[~ok]
-    return w1, w2
-
-
-def _axis_pair_frames(q: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axes i and j projected onto the tangent planes at ``q`` and
-    orthonormalized in that order, and where neither projection is
-    degenerate (elsewhere the frame holds no meaning)."""
-    cand1 = -q[:, i : i + 1] * q
-    cand1[:, i] += 1.0
-    n1 = np.linalg.norm(cand1, axis=1)
-    cand2 = -q[:, j : j + 1] * q
-    cand2[:, j] += 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand1 /= n1[:, None]
-        cand2 -= np.einsum("vi,vi->v", cand2, cand1)[:, None] * cand1
-        n2 = np.linalg.norm(cand2, axis=1)
-        cand2 /= n2[:, None]
-    return cand1, cand2, (n1 >= _FRAME_TOL) & (n2 >= _FRAME_TOL)
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:

@@ -126,6 +126,41 @@ class TestAssemblyOracle:
         assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
+def turned_frames_mesh(level):
+    """The level's icosphere with its cached tangent frames turned at every
+    vertex by a seeded angle, and reflected (w2 -> -w2) at about half of them."""
+    q, faces = icosphere(level)
+    mesh = SphereMesh(q, faces, level)
+    w1, w2 = mesh.frames
+    rng = np.random.default_rng(level)
+    theta = rng.uniform(0.0, 2.0 * np.pi, (q.shape[0], 1))
+    sign = np.where(rng.random((q.shape[0], 1)) < 0.5, -1.0, 1.0)
+    turned = (np.cos(theta) * w1 + np.sin(theta) * w2, sign * (np.cos(theta) * w2 - np.sin(theta) * w1))
+    mesh.__dict__["frames"] = turned      # where cached_property keeps it
+    return mesh
+
+
+class TestFrameIndependence:
+    """Nothing that leaves the chart depends on the tangent frame.  Each
+    bound is 10x the largest difference from the unturned build measured
+    over levels 3 and 4 and r = 0 and 1, relative to the largest entry:
+    sigma 7.0e-16, K 7.8e-16 and lambda1 1.5e-15.  M is the same bits, as
+    it reads only the vertices."""
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_operator_and_lambda1_unchanged(self, level):
+        q, faces = icosphere(level)
+        base = build_graph(1.0, perturbations=GRAPH, mesh=SphereMesh(q, faces, level))
+        turned = build_graph(1.0, perturbations=GRAPH, mesh=turned_frames_mesh(level))
+        assert np.abs(turned.mesh.frames[0] - base.mesh.frames[0]).max() > 1.0
+        assert np.abs(turned.sigma - base.sigma).max() <= 7e-15 * np.abs(base.sigma).max()
+        for r in (0, 1):
+            a, b = assemble(base, r), assemble(turned, r)
+            assert abs(b.stiffness - a.stiffness).max() <= 8e-15 * abs(a.stiffness).max()
+            assert (b.mass != a.mass).nnz == 0
+            assert solve(b).lambda1 == pytest.approx(solve(a).lambda1, rel=1.5e-14, abs=0.0)
+
+
 class TestEigenvalues:
     def test_laplace_baseline(self, slice_mesh):
         surf = slice_mesh(1.0, 5)

@@ -1,5 +1,6 @@
 """Icosphere generation, the shared sphere mesh, and mesh validation."""
 
+import itertools
 import re
 
 import numpy as np
@@ -276,9 +277,9 @@ class TestSphereMesh:
             assert np.abs(np.einsum("vi,vi->v", a, b) - want).max() < 1e-13
 
     def test_frames_at_axis_directions(self):
-        # every axis pair degenerates somewhere on the coordinate circles;
-        # the fallback still gives each unit direction a frame (the axis
-        # directions are level-1 icosphere points)
+        # on the axes and the coordinate circles one or two components vanish;
+        # the one frame rule covers them like every other unit direction (the
+        # axis directions are level-1 icosphere points)
         q = np.concatenate([np.eye(3), -np.eye(3), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
                                                               [1.0, 0.0, 1.0]]) / np.sqrt(2.0)])
         w1, w2 = SphereMesh(q, np.zeros((0, 3), dtype=int), 1).frames
@@ -286,3 +287,48 @@ class TestSphereMesh:
         assert np.abs(np.linalg.norm(w2, axis=1) - 1.0).max() < 1e-15
         assert np.abs(np.einsum("vi,vi->v", w1, q)).max() < 1e-15
         assert np.abs(np.einsum("vi,vi->v", w2, q)).max() < 1e-15
+
+
+def frame_directions():
+    """10^5 seeded random unit directions, the 6 axis, 12 edge-midpoint and
+    8 corner directions of the cube, and 3000 directions where two |q_i|
+    tie: the two smallest, with either sign, or the two largest."""
+    rng = np.random.default_rng(11)
+    random = rng.standard_normal((100_000, 3))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    edges = np.array([np.roll(s * [1.0, 1.0, 0.0], k) for k in range(3) for s in signs[::2]])
+    a, b = rng.uniform(0.0, 1.0, (2, 1000))
+    ties = np.concatenate([np.stack([a, a, b], 1), np.stack([a, -a, b], 1), np.stack([b, a, -a], 1)])
+    q = np.concatenate([random, np.eye(3), -np.eye(3), edges, signs, ties])
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+class TestFrameRule:
+    """``SphereMesh.frames``: w1 is the axis of q's smallest |q_k| projected
+    onto the tangent plane, w2 = q x w1."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        q = frame_directions()
+        assert q.shape == (100_000 + 6 + 12 + 8 + 3000, 3)
+        return (q, *SphereMesh(q, np.zeros((0, 3), dtype=int), 0).frames)
+
+    def test_right_handed_orthonormal(self, frames):
+        q, w1, w2 = frames
+        for got, want in ((np.einsum("vi,vi->v", w1, q), 0.0), (np.einsum("vi,vi->v", w2, q), 0.0),
+                          (np.einsum("vi,vi->v", w1, w2), 0.0),
+                          (np.linalg.norm(w1, axis=1), 1.0), (np.linalg.norm(w2, axis=1), 1.0)):
+            assert np.abs(got - want).max() <= 1e-15
+        assert np.abs(np.cross(w1, w2) - q).max() <= 1e-15
+
+    def test_w1_from_least_aligned_axis(self, frames):
+        """w1 lies in the plane of q and e_k, on e_k's side, for k the first
+        index of the smallest |q_k|."""
+        q, w1, _ = frames
+        k = np.argmin(np.abs(q), axis=1)
+        rows = np.arange(q.shape[0])
+        assert w1[rows, k].min() >= np.sqrt(2.0 / 3.0) - 1e-15
+        assert np.abs(np.einsum("vi,vi->v", w1, np.cross(q, np.eye(3)[k]))).max() <= 1e-15
+        # on a tie the first index wins: the corners all take e_0
+        corners = np.all(np.isclose(np.abs(q), 1.0 / np.sqrt(3.0)), axis=1)
+        assert corners.sum() == 8 and np.all(k[corners] == 0)

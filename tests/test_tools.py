@@ -85,6 +85,21 @@ class TestCompareFile:
             "    empirical_order: 2.0 -> ",
         ]
 
+    def test_column_with_empty_cells_is_compared_as_numbers(self, compare_outputs, tmp_path, capsys):
+        parent = "param,value,lambda1,empirical_order\nlevel,3,0.64,\nlevel,4,0.64,1.9990413283848185\n"
+        change = "param,value,lambda1,empirical_order\nlevel,3,0.64,\nlevel,4,0.64,1.9990413283838957\n"
+        assert not compare_outputs.compare_file(*write_pair(tmp_path, parent, change, "sweep.csv"))
+        assert capsys.readouterr().out.splitlines() == [
+            "  sweep.csv: bytes differ",
+            "    empirical_order: max relative difference 4.62e-13",
+        ]
+
+    def test_equal_text_is_no_difference_and_one_empty_cell_is_text(self, compare_outputs):
+        assert compare_outputs.relative_difference("", "") == 0.0
+        assert compare_outputs.relative_difference("n/a", "n/a") == 0.0
+        assert compare_outputs.relative_difference("", "2.0") is None
+        assert compare_outputs.relative_difference("2.0", "") is None
+
     @pytest.mark.parametrize("change, line", [
         ({"verdict": "unstable"}, "    stability.verdict: stable -> unstable"),
         ({"lambda1": "2.6"}, "    stability.lambda1: max relative difference 0.0385  ABOVE 1e-12"),
@@ -102,3 +117,21 @@ class TestMatrix:
         assert len({case.name for case in compare_outputs.MATRIX}) == 19
         for case in compare_outputs.MATRIX:
             parse_config(case.config_text)
+
+
+class TestSummaryLine:
+    """The one line the tool prints per config, from two hand-written result sets."""
+
+    def test_report(self, compare_outputs, tmp_path):
+        text = "stability:\n  verdict = {}\n  lambda1 = {}\n  gap = -0.0012\n  tol_gap_effective = 0.08\n"
+        parent, change = write_pair(tmp_path, text.format("stable", "0.64"), text.format("unstable", "0.65"))
+        assert compare_outputs.summary_line({"parent": 0, "change": 3}, parent, change) == (
+            "  summary: exit 0 -> 3; verdict stable -> unstable; lambda1 0.64 -> 0.65; "
+            "gap -0.0012 -> -0.0012; tol_gap_effective 0.08 -> 0.08")
+
+    def test_sweep_rows_and_a_missing_side(self, compare_outputs, tmp_path):
+        parent = "param,value,lambda1,verdict\nlevel,3,0.641,stable\nlevel,4,0.640,stable\n"
+        paths = write_pair(tmp_path, parent, parent, "sweep.csv")
+        paths[1].unlink()
+        assert compare_outputs.summary_line({"parent": 0, "change": 1}, *paths) == (
+            "  summary: exit 0 -> 1; verdict stable,stable -> -; lambda1 0.641,0.640 -> -")

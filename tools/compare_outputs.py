@@ -14,7 +14,10 @@ where they are not, the largest relative difference of each numeric field
 that moved (a report key, a CSV column over its rows, or in ``checks.csv``
 a column over one check's rows, such as ``volume_balance.rel_error``),
 every text field that changed, and every field found on one side only, as
-``removed`` or ``added`` with its values.  It ends with each tree's
+``removed`` or ``added`` with its values.  After a config's files it prints
+one summary line: the exit code, verdict, lambda1, gap and
+tol_gap_effective of its report, or the verdicts and lambda1 values of its
+sweep's rows, parent -> change.  It ends with each tree's
 shift-invert applications summed over the ``report.txt`` files
 (``stability.eigen_iterations``) and the ``sweep.csv`` rows
 (``eigen_iterations``; "n/a" for a tree whose sweep.csv has no such
@@ -127,13 +130,15 @@ def fields(path: Path) -> dict[str, list[str]]:
 
 
 def relative_difference(a: str, b: str) -> float | None:
-    """|a - b| / max(|a|, |b|) of two numbers (0 where both print alike), None
-    if either is not a number."""
+    """|a - b| / max(|a|, |b|) of two numbers, 0 for equal text (two empty
+    cells included), None if the texts differ and either is not a number."""
+    if a == b:
+        return 0.0
     try:
         x, y = float(a), float(b)
     except ValueError:
         return None
-    if a == b or x == y:
+    if x == y:
         return 0.0
     if math.isnan(x) or math.isnan(y) or math.isinf(x) or math.isinf(y):
         return math.inf
@@ -169,6 +174,25 @@ def compare_file(parent: Path, change: Path) -> bool:
                 print(f"    {key}: {'removed' if a else 'added'} ({','.join(a or b)})")
             failed |= key.endswith("verdict") or key in LAMBDA1_FIELDS
     return failed
+
+
+# the fields of a config's summary line, by its first output file
+SUMMARY_FIELDS = {
+    "report.txt": ("stability.verdict", "stability.lambda1", "stability.gap", "stability.tol_gap_effective"),
+    "sweep.csv": ("verdict", "lambda1"),
+}
+
+
+def summary_line(codes: dict[str, int], parent: Path, change: Path) -> str:
+    """One line for a config: its exit code and its summary fields, parent ->
+    change, read from one output file per side; a sweep's rows are joined by
+    commas and a field with no value on a side prints as "-"."""
+    sides = [fields(path) if path.is_file() else {} for path in (parent, change)]
+    parts = [f"exit {codes['parent']} -> {codes['change']}"]
+    for key in SUMMARY_FIELDS[parent.name]:
+        old, new = (",".join(values.get(key, [])) or "-" for values in sides)
+        parts.append(f"{key.rpartition('.')[2]} {old} -> {new}")
+    return "  summary: " + "; ".join(parts)
 
 
 def solver_fields(out: Path) -> tuple[int | None, list[float] | None]:
@@ -218,6 +242,7 @@ def main(argv: list[str]) -> int:
             failed |= not same
             for name in case.outputs:
                 failed |= compare_file(base / "parent" / name, base / "change" / name)
+            print(summary_line(codes, base / "parent" / case.outputs[0], base / "change" / case.outputs[0]))
             for side in trees:
                 count, ratios = solver_fields(base / side)
                 if counted and case.outputs[0] != "sweep.csv":
