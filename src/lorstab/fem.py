@@ -1,14 +1,18 @@
-"""Weak-form discretization of the curvature operators and the constrained
-eigenvalue solver.
+"""Weak-form discretization of the order-r Jacobi operator and the
+constrained eigenvalue solver.
 
-The order-r operator div(P_r grad f) is assembled as a pair of sparse
-symmetric forms on piecewise-linear mesh functions:
+The Jacobi operator J_r f = div(P_r grad f) + (c tr P_r - tr A^2 P_r) f
+(c = 1) is discretized once per surface and order as one record,
+``OperatorPair``: a pair of sparse symmetric forms on piecewise-linear mesh
+functions,
 
     K[f, g] ~ integral of <P_r grad f, grad g>        (stiffness)
     M[f, g] ~ integral of f g                         (consistent mass)
 
-so that the constrained first eigenvalue is the minimum of (f'Kf)/(f'Mf)
-over mean-zero f, matching the Rayleigh quotient of the stability
+with the row sums of M (the lumped mass) and the potential
+c tr P_r - tr A^2 P_r per vertex and its mean, the comparison constant.
+The constrained first eigenvalue is the minimum of (f'Kf)/(f'Mf) over
+mean-zero f, which matches the Rayleigh quotient of the stability
 criterion after one integration by parts.  Constants are annihilated by K
 up to roundoff and deflated.  K is assembled in ambient coordinates (Dziuk
 & Elliott, Acta Numerica 2013): P_r becomes a form on ambient vectors once
@@ -59,6 +63,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -111,15 +116,20 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Stiffness/mass pair for one operator order on one surface."""
+    """The order-r Jacobi operator of one surface, discretized: K and M, the
+    lumped mass, and the potential c tr P_r - tr A^2 P_r (c = 1) per vertex
+    with its mean against the surface's area weights."""
 
     stiffness: csr_matrix
     mass: csr_matrix
-    nvertices: int
+    lam_field: np.ndarray   # c tr P_r - tr A^2 P_r per vertex
+    lam_mean: float         # its mean against surface.weights: the comparison constant
     min_newton_eig: float   # smallest vertex eigenvalue of P_r (ellipticity bookkeeping)
     order: np.ndarray       # fill-reducing vertex order for factorizations
 
+    @cached_property
     def lumped(self) -> np.ndarray:
+        """The row sums of M."""
         return np.asarray(self.mass.sum(axis=1)).ravel()
 
 
@@ -169,35 +179,31 @@ def _carried(ref: OperatorPair, solved: EigenResult, op: OperatorPair,
     return EigenResult(lambda1, f, 0, residual) if residual < accept else None
 
 
-def newton_vertex_matrices(surface: GraphSurface, r: int) -> np.ndarray:
-    """P_r at every vertex, in each vertex frame; memoized on the surface."""
-    key = ("newton", r)
-    if key not in surface._memo:
-        surface._memo[key] = batched_newton(surface.shape, surface.sigma, r)
-    return surface._memo[key]
-
-
 def assemble(surface: GraphSurface, r: int) -> OperatorPair:
-    """Assemble the order-r stiffness/mass pair on a built surface.
+    """The order-r Jacobi operator of a built surface, discretized once and
+    kept on the surface (``surface._memo[r]``): K, M, the lumped mass and the
+    potential c tr P_r - tr A^2 P_r with its mean.
 
-    Per face, P_r is the mean of the corner forms Q = (J E) P_r (J E)^T (E the
-    vertex frame, J the metric; first-order transport), and stiffness entries
+    P_r is formed per vertex, in the vertex frame, and not kept.  Per face,
+    P_r is the mean of the corner forms Q = (J E) P_r (J E)^T (E the vertex
+    frame, J the metric; first-order transport), and stiffness entries
     integrate <P_r grad phi_a, grad phi_b> = grad_a . Q grad_b with the
-    ambient hat gradients of each block of faces.  The pair carries the
+    ambient hat gradients of each block of faces.  The record carries the
     mesh's nested-dissection order, ``SphereMesh.order``.
     """
     if r not in (0, 1):
         raise ValueError(f"order r={r} out of range [0, 1]")
-    key = ("operator", r)
-    if key in surface._memo:
-        return surface._memo[key]
+    if r in surface._memo:
+        return surface._memo[r]
     faces = surface.mesh.faces
     if faces.size == 0:
         raise ValueError("surface mesh has no faces")
 
     mass = surface.mass     # before the stiffness temporaries, which keeps peak RSS down
-    p_vertex = newton_vertex_matrices(surface, r)
+    shape = surface.shape
+    p_vertex = batched_newton(shape, surface.sigma, r)
     min_eig = float(batched_eigvalsh2(p_vertex).min())
+    lam_field = np.trace(p_vertex, axis1=1, axis2=2) - np.einsum("vij,vji->v", shape @ shape, p_vertex)
 
     # Q = (J E) P_r (J E)^T = a pa^T + b pb^T per vertex, with [a, b] = J E and
     # [pa, pb] = (J E) P_r; per face, K_ab = area/3 grad_a . (sum of corner Q) grad_b
@@ -206,7 +212,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     pa, pb = p00 * a + p01 * b, p01 * a + p11 * b
     q = np.stack([a[i] * pa[k] + b[i] * pb[k] for i, k in zip(*_UPPER)])    # (10, V)
     third = surface.face_area / 3.0
-    nv, nf = surface.vertices.shape[0], faces.shape[0]
+    nf = faces.shape[0]
     k_local = np.empty((nf, 3, 3))
     for start in range(0, nf, _BLOCK):
         f = slice(start, start + _BLOCK)
@@ -223,10 +229,11 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
         block[:, 0, 0] = -(block[:, 0, 1] + block[:, 0, 2])
     k = scatter_p1(surface.mesh, k_local)
     pair = OperatorPair(
-        stiffness=k, mass=mass, nvertices=nv, min_newton_eig=min_eig,
-        order=surface.mesh.order,
+        stiffness=k, mass=mass, lam_field=lam_field,
+        lam_mean=float(np.sum(lam_field * surface.weights) / np.sum(surface.weights)),
+        min_newton_eig=min_eig, order=surface.mesh.order,
     )
-    surface._memo[key] = pair
+    surface._memo[r] = pair
     return pair
 
 
@@ -242,8 +249,7 @@ def weak_residual(op: OperatorPair, f: np.ndarray, mu: float) -> float:
     if fnorm == 0.0:
         raise ValueError("zero function")
     rho = op.stiffness @ f - mu * (op.mass @ f)
-    lump = op.lumped()
-    return float(np.sqrt(np.sum(rho * rho / lump)) / fnorm)
+    return float(np.sqrt(np.sum(rho * rho / op.lumped)) / fnorm)
 
 
 def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxiter: int = 500) -> EigenResult:
@@ -279,8 +285,8 @@ def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxite
     """
     kk = op.stiffness
     mm = op.mass
-    nv = op.nvertices
-    mass_column = np.asarray(mm.sum(axis=1)).ravel()
+    nv = kk.shape[0]
+    mass_column = op.lumped
     total = float(mass_column.sum())
     lam_scale = float(np.abs(kk.diagonal()).max() / mass_column.min())
     if lam_scale == 0.0:

@@ -50,16 +50,18 @@ class _Poly:
         return _Poly(terms)
 
 
-def _legendre_core(l: int, m: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _legendre_core(l: int, m: int) -> tuple[Fraction, ...]:
     """Coefficients c_k of the degree-(l-m) homogeneous Legendre core
-    sum_k c_k z^(l-m-2k) (x^2+y^2+z^2)^k."""
+    sum_k c_k z^(l-m-2k) (x^2+y^2+z^2)^k.  Each core is computed once, so
+    the three-term recurrence costs O(l) cores rather than O(1.6^l)."""
     if l == m:
         dfact = Fraction(1)
         for i in range(3, 2 * m, 2):
             dfact *= i
-        return [dfact]
+        return (dfact,)
     if l == m + 1:
-        return [(2 * m + 1) * c for c in _legendre_core(m, m)]
+        return tuple((2 * m + 1) * c for c in _legendre_core(m, m))
     prev = _legendre_core(l - 1, m)    # degree l-1-m
     prev2 = _legendre_core(l - 2, m)   # degree l-2-m
     out = [Fraction(0)] * (len(prev2) + 1)
@@ -67,7 +69,7 @@ def _legendre_core(l: int, m: int) -> list[Fraction]:
         out[k] += Fraction(2 * l - 1) * c
     for k, c in enumerate(prev2):
         out[k + 1] -= Fraction(l - 1 + m) * c
-    return [c / (l - m) for c in out]
+    return tuple(c / (l - m) for c in out)
 
 
 def _sector(m: int) -> dict[tuple[int, int, int], Fraction]:

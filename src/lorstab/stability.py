@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .fem import assemble, first_eigenvalue_meanzero, newton_vertex_matrices, weak_residual
+from .fem import assemble, first_eigenvalue_meanzero, weak_residual
 from .surfaces import GraphSurface, _consistent_mass, mdot, tangential_gradient
 
 __all__ = [
     "StabilityReport",
-    "stability_field",
     "analyze",
     "jacobi_second_variation",
     "killing_eigen_check",
@@ -77,15 +76,6 @@ class StabilityReport:
     tol_solver: float
 
 
-def stability_field(surface: GraphSurface, r: int) -> np.ndarray:
-    """Per-vertex comparison constant c tr(P_r) - tr(A^2 P_r) at c = 1, on the memoized P_r."""
-    key = ("stability_field", r)
-    if key not in surface._memo:
-        a, p = surface.shape, newton_vertex_matrices(surface, r)
-        surface._memo[key] = np.trace(p, axis1=1, axis2=2) - np.einsum("vij,vji->v", a @ a, p)
-    return surface._memo[key]
-
-
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(values * weights) / np.sum(weights))
 
@@ -121,11 +111,9 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
     h_next_mean = _weighted_mean(h_next, surface.weights)
     h_next_residual = _constancy_residual(h_next, h_next_mean)
 
-    lam_field = stability_field(surface, r)
-    lam_mean = _weighted_mean(lam_field, surface.weights)
-    lam_residual = _constancy_residual(lam_field, lam_mean)
-
     pair = assemble(surface, r)
+    lam_mean = pair.lam_mean
+    lam_residual = _constancy_residual(pair.lam_field, lam_mean)
     if pair.min_newton_eig > 0.0:
         eigen = first_eigenvalue_meanzero(pair, tol=_TOL_SOLVER, seed=config.seed)
         lambda1, iterations, residual = eigen.lambda1, eigen.iterations, eigen.residual
@@ -203,8 +191,7 @@ def jacobi_second_variation(surface: GraphSurface, r: int, values: np.ndarray) -
         raise ValueError("test function vanishes after mean-zero projection")
 
     pair = assemble(surface, r)
-    lam_field = stability_field(surface, r)
-    m_lam = weighted_mass_matrix(surface, lam_field)
+    m_lam = weighted_mass_matrix(surface, pair.lam_field)
     quad_k = float(projected @ (pair.stiffness @ projected))
     quad_lam = float(projected @ (m_lam @ projected))
     value = (r + 1) * (-quad_k + quad_lam)
@@ -224,8 +211,7 @@ def killing_eigen_check(surface: GraphSurface, r: int) -> tuple[float, float]:
     """
     eta = surface.boost_support
     pair = assemble(surface, r)
-    lam_mean = _weighted_mean(stability_field(surface, r), surface.weights)
-    return weak_residual(pair, eta, lam_mean), _mean_fraction(surface, eta)
+    return weak_residual(pair, eta, pair.lam_mean), _mean_fraction(surface, eta)
 
 
 def conformal_identity_check(surface: GraphSurface, r: int) -> float:
@@ -250,14 +236,13 @@ def conformal_identity_check(surface: GraphSurface, r: int) -> float:
     grad_h = tangential_gradient(surface, h_next)
     v_grad = mdot(v_field, grad_h)
 
-    lam_field = stability_field(surface, r)      # c tr(P_r) - tr(A^2 P_r)
-    term1 = -lam_field * eta                     # {tr(A^2 P_r) - c tr(P_r)} eta
+    pair = assemble(surface, r)
+    term1 = -pair.lam_field * eta                # {tr(A^2 P_r) - c tr(P_r)} eta
     term2 = -b_r * h_r * n_psi
     term3 = b_r * h_next * psi
     term4 = (b_r / (r + 1)) * v_grad
     rhs_values = term1 + term2 + term3 + term4
 
-    pair = assemble(surface, r)
     lhs_weak = -(pair.stiffness @ eta)
     rhs_weak = pair.mass @ rhs_values
     defect = (lhs_weak - rhs_weak) / surface.weights

@@ -74,11 +74,14 @@ class GraphConstructionError(ValueError):
 class GraphSurface:
     """Height graph over the unit 2-sphere in the hyperquadric, with its geometric data.
 
-    The data are computed when the surface is built.  ``mass`` is computed
-    from ``face_area`` and the mesh the first time it is read and kept from
-    then on; the flow snapshots of a variation read only ``sigma`` and
-    ``weights``, and never pay for it.  ``weights`` are the per-vertex sums
-    of face_area / 3, which are the row sums of ``mass`` up to rounding.
+    The data are computed when the surface is built.  ``mass`` (from
+    ``face_area`` and the mesh) and ``jets`` (the height's, which a
+    variation's flow reads from its base) are computed the first time they
+    are read and kept from then on; the flow snapshots of a variation read
+    only ``sigma`` and ``weights``, and never pay for them.  ``_memo`` holds
+    the discretized operators, keyed by order, that ``fem.assemble`` builds.
+    ``weights`` are the per-vertex sums of face_area / 3, which are the row
+    sums of ``mass`` up to rounding.
     Hat-function gradients are not kept: ``_hat_gradients`` computes them
     where they are read, a block of faces at a time in assembly, which keeps
     the peak memory of a level-6 run lower.
@@ -112,6 +115,11 @@ class GraphSurface:
     def mass(self):
         """Consistent P1 mass matrix (scipy CSR) on the mesh's ``pattern``."""
         return _consistent_mass(self.mesh, self.face_area)
+
+    @cached_property
+    def jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The height's value, sphere gradient and sphere Hessian at the mesh points."""
+        return self.height.jets(self.mesh.q)
 
 
 def _face_edges(vertices: np.ndarray, faces: np.ndarray):

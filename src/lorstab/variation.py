@@ -11,7 +11,7 @@ flowed snapshots stay inside the analytic family and their curvature
 fields are exact.  All first/second derivatives in t are taken by central
 differences on the symmetric stencil {-2h, -h, 0, h, 2h} and compared
 against the closed-form variation formulas evaluated by quadrature.  The
-base memoizes its height's jets and a variation keeps its amplitude's, so a
+base keeps its height's jets and a variation keeps its amplitude's, so a
 snapshot is built from base jets + t amplitude jets without evaluating
 harmonics.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .fem import assemble
 from .harmonics import HarmonicField
-from .stability import _mean_fraction, _weighted_mean, jacobi_second_variation, stability_field
+from .stability import _mean_fraction, _weighted_mean, jacobi_second_variation
 from .surfaces import GraphConstructionError, GraphSurface, build_graph
 
 __all__ = [
@@ -116,7 +116,7 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
     The snapshot is the height graph u = s0 + t f built on the base's own
     mesh object (``build_graph(..., mesh=base.mesh)``): it shares the base's
     directions, faces, level, sphere frames and order; its jets are the base's
-    (memoized on the base) plus t times the amplitude's.  It is
+    (``base.jets``, kept on the base) plus t times the amplitude's.  It is
     spacelike where |grad u| = |t grad f| < cosh(s0 + t f), checked at the
     vertices; where |t grad f| >= cosh(s0 + t f) at some vertex, FlowError is
     raised naming the vertex with the smallest margin cosh^2(u) - |grad u|^2.
@@ -127,9 +127,7 @@ def flow(variation: NormalVariation, t: float) -> GraphSurface:
     if t == 0.0:
         return base
     height = base.height.plus(variation.amplitude, factor=t)
-    if ("jets",) not in base._memo:
-        base._memo[("jets",)] = base.height.jets(base.mesh.q)
-    jets = tuple(b + t * a for b, a in zip(base._memo[("jets",)], variation.jets))
+    jets = tuple(b + t * a for b, a in zip(base.jets, variation.jets))
     try:
         return build_graph(height.constant, perturbations=height.terms, mesh=base.mesh, jets=jets)
     except GraphConstructionError as err:
@@ -229,9 +227,8 @@ def verify_sr_evolution(variation: NormalVariation, r: int, *, h: float) -> Vari
 
     f = variation.values()
     pair = assemble(base, r)
-    lump = pair.lumped()
-    weak_l = -(pair.stiffness @ f) / lump
-    lam_field = stability_field(base, r)
+    weak_l = -(pair.stiffness @ f) / pair.lumped
+    lam_field = pair.lam_field
     rhs = (-1.0) ** (r + 1) * (weak_l + lam_field * f)
 
     scale = float((np.abs(weak_l) + np.abs(lam_field * f)).max())

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from lorstab.fem import SolverError, assemble, newton_vertex_matrices, weak_residual
+from lorstab.curvature import batched_newton
+from lorstab.fem import SolverError, assemble, weak_residual
 from lorstab.harmonics import HarmonicField, _harmonic_poly
 from lorstab.mesh import _LEAF, _icosahedron
 from lorstab.surfaces import SIGNATURE, mdot
@@ -112,7 +113,7 @@ def assemble_stiffness_reference(surface, r):
     """Order-r stiffness matrix by three einsum contractions on (F, 3, 2, 2)
     stacks: transport of each corner frame into the face frame, the corner
     mean of T^T P_r T, and area * G^T P G."""
-    p_vertex = newton_vertex_matrices(surface, r)
+    p_vertex = batched_newton(surface.shape, surface.sigma, r)
     frames = surface.frame * SIGNATURE[None, :, None]
     faces = surface.mesh.faces
     face_frame, face_grad = face_frames_reference(surface)
@@ -345,7 +346,7 @@ def smallest_eigenvalues_reference(op, k=1, tol=1e-8, maxiter=500, seed=0):
     and the COLAMD factorization of K + shift M; K positive semidefinite."""
     kk = op.stiffness
     mm = op.mass
-    nv = op.nvertices
+    nv = op.stiffness.shape[0]
     mass_column = np.asarray(mm.sum(axis=1)).ravel()
     total = float(mass_column.sum())
 

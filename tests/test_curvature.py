@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lorstab.cli import _FD_H
 from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton
-from lorstab.fem import newton_vertex_matrices
-from lorstab.stability import _chronology, stability_field
+from lorstab.fem import assemble
+from lorstab.stability import _chronology
 from lorstab.surfaces import mdot
 from lorstab.variation import NormalVariation, _lagrange_constant, r_area, verify_first_variation
 
@@ -366,9 +366,9 @@ class TestClosedFormsBitwise:
         assert np.array_equal(bits(batched_elementary(surface.shape_eigs)), bits(sigma))
         for r in (0, 1):
             p = newton_reference(surface.shape, sigma, r)
-            assert np.array_equal(bits(newton_vertex_matrices(surface, r)), bits(p))
+            assert np.array_equal(bits(batched_newton(surface.shape, surface.sigma, r)), bits(p))
             traces = newton_traces_reference(surface.shape, p)
-            assert np.array_equal(bits(stability_field(surface, r)), bits(traces[:, 0] - traces[:, 2]))
+            assert np.array_equal(bits(assemble(surface, r).lam_field), bits(traces[:, 0] - traces[:, 2]))
             f_r = area_integrand_reference(sigma, 1.0, r)
             assert bits(r_area(surface, r)) == bits(float(np.sum(surface.weights * f_r)))
             h_next_mean = float(np.sum(surface.weights * surface.mean[:, r + 1]) / surface.area)

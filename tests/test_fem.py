@@ -37,7 +37,7 @@ class TestAssembly:
     def test_constants_in_kernel(self, slice_mesh):
         for r in (0, 1):
             pair = assemble(slice_mesh(1.0, 4), r)
-            ones = np.ones(pair.nvertices)
+            ones = np.ones(pair.stiffness.shape[0])
             scale = np.abs(pair.stiffness.data).max()
             assert np.abs(pair.stiffness @ ones).max() <= 1e-10 * max(1.0, scale)
 
@@ -46,7 +46,7 @@ class TestAssembly:
         pair = assemble(surf, 0)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            x = rng.normal(size=pair.nvertices)
+            x = rng.normal(size=pair.stiffness.shape[0])
             assert x @ (pair.mass @ x) > 0
         assert pair.mass.sum() == pytest.approx(surf.area)
 
@@ -55,7 +55,7 @@ class TestAssembly:
         assert pair.min_newton_eig > 0.0
         rng = np.random.default_rng(4)
         for _ in range(10):
-            x = rng.normal(size=pair.nvertices)
+            x = rng.normal(size=pair.stiffness.shape[0])
             assert x @ (pair.stiffness @ x) >= -1e-10
 
     def test_umbilical_scaling_exact(self, slice_mesh):
@@ -175,10 +175,16 @@ class TestEigenvalues:
         want = 2 * np.tanh(1.0) / np.cosh(1.0) ** 2
         assert abs(res.lambda1 - want) / want < 0.01
 
+    def test_lumped_is_mass_row_sums(self, slice_mesh, graph_mesh):
+        for surf in (slice_mesh(1.0, 3), graph_mesh(1.0, GRAPH, 3)):
+            pair = assemble(surf, 1)
+            assert np.array_equal(pair.lumped, np.asarray(pair.mass.sum(axis=1)).ravel())
+            assert pair.lumped is pair.lumped      # computed once
+
     def test_eigenfunction_mean_zero_normalized(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 4), 0)
         res = solve(pair)
-        ones = np.ones(pair.nvertices)
+        ones = np.ones(pair.stiffness.shape[0])
         assert abs(ones @ (pair.mass @ res.eigenfunction)) < 1e-10
         assert res.eigenfunction @ (pair.mass @ res.eigenfunction) == pytest.approx(1.0)
 
@@ -199,10 +205,10 @@ class TestEigenvalues:
         res = solve(pair)
         want = 2 * np.tanh(20.0) / np.cosh(20.0) ** 2
         assert res.lambda1 == pytest.approx(want, rel=1e-2, abs=0)
-        lumped = pair.lumped()
+        lumped = pair.lumped
         bound = 1e-8 * pair.stiffness.diagonal().max() / lumped.min()
         assert res.residual < bound
-        x = np.random.default_rng(0).standard_normal(pair.nvertices)
+        x = np.random.default_rng(0).standard_normal(pair.stiffness.shape[0])
         x -= (lumped @ x) / lumped.sum()
         assert weak_residual(pair, x, 0.0) > bound
 
@@ -251,7 +257,7 @@ class TestEigenvalues:
         spectrum = np.concatenate([[0.0], 1.0 + 1e-6 * np.arange(1, n)])
         pair = OperatorPair(
             stiffness=csr_matrix((q * spectrum) @ q.T), mass=identity(n, format="csr"),
-            nvertices=n, min_newton_eig=1.0, order=np.arange(n),
+            lam_field=np.zeros(n), lam_mean=0.0, min_newton_eig=1.0, order=np.arange(n),
         )
         for tol in (1e-12, 1e-8):
             with pytest.raises(SolverError, match="did not converge in 1 restarts") as err:
@@ -334,7 +340,7 @@ class TestSharedFactor:
         tol = 1e-11 it is carried, at tol = 1e-12 the pencil is solved afresh."""
         pair = assemble(slice_mesh(1.0, 3), 1)
         k = pair.stiffness
-        signs = np.where(np.random.default_rng(0).random(pair.nvertices) < 0.5, -1.0, 1.0)
+        signs = np.where(np.random.default_rng(0).random(pair.stiffness.shape[0]) < 0.5, -1.0, 1.0)
         jittered = (k + diags(4e-14 * signs * k.diagonal())).tocsr()
         jittered.sort_indices()
         op = replace(pair, stiffness=2.0 * jittered, mass=2.0 * pair.mass)
@@ -418,13 +424,13 @@ class TestWeakResidual:
         surf = slice_mesh(1.0, 4)
         pair = assemble(surf, 1)
         rng = np.random.default_rng(7)
-        f = rng.normal(size=pair.nvertices)
+        f = rng.normal(size=pair.stiffness.shape[0])
         assert weak_residual(pair, f, 0.0) > 1e-2
 
     def test_zero_vector_rejected(self, slice_mesh):
         pair = assemble(slice_mesh(1.0, 3), 0)
         with pytest.raises(ValueError):
-            weak_residual(pair, np.zeros(pair.nvertices), 1.0)
+            weak_residual(pair, np.zeros(pair.stiffness.shape[0]), 1.0)
 
 
 class TestStrongFormCheck:
@@ -460,6 +466,6 @@ class TestEllipticityBookkeeping:
         assert past.min_newton_eig < 0.0
         rng = np.random.default_rng(4)
         for _ in range(10):
-            x = rng.normal(size=past.nvertices)
+            x = rng.normal(size=past.stiffness.shape[0])
             assert x @ (past.stiffness @ x) <= 1e-10
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lorstab.harmonics import HarmonicField
 from lorstab.mesh import icosphere
+from lorstab.variation import _sphere_rule
 from oracles import SphericalHarmonic, harmonic_basis, harmonic_jets_reference
 
 
@@ -45,6 +46,15 @@ class TestValues:
         values = np.stack([h.value(pts) for h in basis])
         gram = (values * w) @ values.T
         assert gram == pytest.approx(np.eye(len(basis)), abs=1e-12)
+
+    def test_degree_39_orthonormal(self):
+        """Degree 39 builds in a fraction of a second, each Legendre core being
+        computed once, and is orthonormal under the volume check's product
+        rule, which is exact below degree 80."""
+        q, w = _sphere_rule()
+        values = np.stack([SphericalHarmonic(l, m).value(q) for l, m in ((39, 3), (39, -3), (38, 3), (39, 39))])
+        gram = (values * w) @ values.T
+        assert np.abs(gram - np.eye(4)).max() < 1e-10
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):

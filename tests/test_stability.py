@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lorstab.config import ScenarioConfig
-from lorstab.fem import assemble
+from lorstab.fem import assemble, weak_residual
 from lorstab.stability import (
     _TOL_CONSTANCY,
     _TOL_SOLVER,
@@ -12,7 +12,6 @@ from lorstab.stability import (
     conformal_identity_check,
     jacobi_second_variation,
     killing_eigen_check,
-    stability_field,
     weighted_mass_matrix,
 )
 from lorstab.surfaces import build_graph, build_slice
@@ -203,16 +202,33 @@ class TestConformalIdentity:
         assert residuals[0] > residuals[1] > residuals[2]
 
 
+class TestOperatorRecord:
+    """analyze and the field checks read the comparison field and its mean
+    from the one operator record that ``assemble`` keeps per surface and order."""
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_checks_read_the_record(self, r):
+        surf = build_graph(1.0, perturbations=((2, 0, 0.05), (3, 1, 0.02)), level=3)
+        report = analyze(surf, at_order(r))
+        killing_residual, _ = killing_eigen_check(surf, r)
+        conformal_identity_check(surf, r)
+        pair = assemble(surf, r)
+        assert list(surf._memo) == [r] and surf._memo[r] is pair
+        assert report.lambda_mean == pair.lam_mean
+        assert pair.lam_mean == float(np.sum(pair.lam_field * surf.weights) / np.sum(surf.weights))
+        assert killing_residual == weak_residual(pair, surf.boost_support, pair.lam_mean)
+
+
 class TestStabilityField:
     def test_slice_constant_field(self, slice_mesh):
         surf = slice_mesh(1.0, 3)
-        field = stability_field(surf, 1)
+        field = assemble(surf, 1).lam_field
         want = 2 * np.tanh(1.0) / np.cosh(1.0) ** 2
         assert np.abs(field - want).max() < 1e-12
 
     def test_matches_pointwise_scalar_path(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
-        field = stability_field(surf, 1)
+        field = assemble(surf, 1).lam_field
         for idx in (0, 100, 500):
             want = stability_constant_binomial(surf.shape[idx], 1.0, 1)
             assert field[idx] == pytest.approx(want, rel=1e-10)

@@ -318,7 +318,7 @@ class TestSharedMesh:
     def test_no_mesh_data_in_memo(self, graph_mesh):
         surf = graph_mesh(1.0, ((2, 0, 0.05),), 3)
         analyze(surf, ScenarioConfig("graph", 1, 1.0, ((2, 0, 0.05),), level=3))
-        assert all(key[0] in ("newton", "operator", "stability_field") for key in surf._memo)
+        assert set(surf._memo) <= {0, 1}
 
 
 class TestScatter:

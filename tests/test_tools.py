@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lorstab.config import parse_config
@@ -91,8 +92,23 @@ class TestCompareFile:
         assert not compare_outputs.compare_file(*write_pair(tmp_path, parent, change, "sweep.csv"))
         assert capsys.readouterr().out.splitlines() == [
             "  sweep.csv: bytes differ",
-            "    empirical_order: max relative difference 4.62e-13",
+            "    empirical_order: max relative difference 4.62e-13 (largest |value| 2 -> 2)",
         ]
+
+    def test_a_move_shows_the_field_magnitudes(self, compare_outputs, tmp_path, capsys):
+        """A residual at rounding level that moves by rounding reads as a large
+        relative difference; the magnitudes beside it show the field's scale."""
+        parent = "lorstab run report\nconformal:\n  conformal_residual = 1.48e-14\n"
+        change = "lorstab run report\nconformal:\n  conformal_residual = 1.25e-14\n"
+        assert not compare_outputs.compare_file(*write_pair(tmp_path, parent, change))
+        assert capsys.readouterr().out.splitlines() == [
+            "  report.txt: bytes differ",
+            "    conformal.conformal_residual: max relative difference 0.155 (largest |value| 1.48e-14 -> 1.25e-14)",
+        ]
+
+    def test_largest_magnitude_skips_text_and_nan(self, compare_outputs):
+        assert compare_outputs.largest_magnitude(["", "-3.5", "nan", "n/a", "2"]) == 3.5
+        assert np.isnan(compare_outputs.largest_magnitude(["", "nan"]))
 
     def test_equal_text_is_no_difference_and_one_empty_cell_is_text(self, compare_outputs):
         assert compare_outputs.relative_difference("", "") == 0.0
@@ -102,7 +118,8 @@ class TestCompareFile:
 
     @pytest.mark.parametrize("change, line", [
         ({"verdict": "unstable"}, "    stability.verdict: stable -> unstable"),
-        ({"lambda1": "2.6"}, "    stability.lambda1: max relative difference 0.0385  ABOVE 1e-12"),
+        ({"lambda1": "2.6"},
+         "    stability.lambda1: max relative difference 0.0385 (largest |value| 2.5 -> 2.6)  ABOVE 1e-12"),
     ], ids=["verdict", "lambda1"])
     def test_moved_verdict_or_lambda1_fails(self, compare_outputs, tmp_path, capsys, change, line):
         assert compare_outputs.compare_file(*write_pair(tmp_path, report(), report(**change)))

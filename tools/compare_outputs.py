@@ -12,7 +12,9 @@ at r = 0 and r = 1, and a level sweep.
 For every output file the script prints whether the bytes are equal and,
 where they are not, the largest relative difference of each numeric field
 that moved (a report key, a CSV column over its rows, or in ``checks.csv``
-a column over one check's rows, such as ``volume_balance.rel_error``),
+a column over one check's rows, such as ``volume_balance.rel_error``) with
+the field's largest |value| on each side, so that a move at rounding level
+in a field that is itself at rounding level shows as one,
 every text field that changed, and every field found on one side only, as
 ``removed`` or ``added`` with its values.  After a config's files it prints
 one summary line: the exit code, verdict, lambda1, gap and
@@ -145,6 +147,19 @@ def relative_difference(a: str, b: str) -> float | None:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def largest_magnitude(values: list[str]) -> float:
+    """The largest |value| among a field's numbers; nan where it has none."""
+    magnitudes = []
+    for value in values:
+        try:
+            magnitude = abs(float(value))
+        except ValueError:
+            continue
+        if not math.isnan(magnitude):
+            magnitudes.append(magnitude)
+    return max(magnitudes, default=math.nan)
+
+
 def compare_file(parent: Path, change: Path) -> bool:
     """Print how one output file differs; True if a verdict changed or a
     lambda1 moved beyond ``LAMBDA1_RTOL``."""
@@ -165,7 +180,8 @@ def compare_file(parent: Path, change: Path) -> bool:
         if len(a) == len(b) and None not in diffs:
             moved = key in LAMBDA1_FIELDS and max(diffs) > LAMBDA1_RTOL
             flag = f"  ABOVE {LAMBDA1_RTOL:g}" if moved else ""
-            print(f"    {key}: max relative difference {max(diffs):.3g}{flag}")
+            print(f"    {key}: max relative difference {max(diffs):.3g} "
+                  f"(largest |value| {largest_magnitude(a):.3g} -> {largest_magnitude(b):.3g}){flag}")
             failed |= moved
         else:
             if a and b:
