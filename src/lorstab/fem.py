@@ -21,28 +21,52 @@ quadratic form, computed elementwise on blocks of faces and summed onto the
 mesh's one P1 sparsity pattern (``SphereMesh.pattern``), which M shares.
 
 The spectrum is computed by ARPACK's shift-invert Lanczos (Lehoucq, Sorensen
-& Yang, ARPACK Users' Guide, SIAM 1998) with a shift just below zero.  ARPACK
-stops a Ritz pair when its residual is at most its relative tolerance times
-the Ritz value, which leaves a weak residual of about that tolerance times
-the Rayleigh quotient of the Lanczos residual direction.  That direction lies
-at the bottom of the spectrum, not near the largest eigenvalue: over 648
-measured solves the weak residual is at most 0.97 x tolerance x lambda1.  And
-lambda1 is 3.9-5.4 x lam_scale / V, with lam_scale = max K_ii / min lumped
-mass and V vertices.  So the tolerance is derived from lam_scale / V, and a
-solve stops at a weak residual about 50x below what it accepts.
+& Yang, ARPACK Users' Guide, SIAM 1998), the spectral transformation of
+Ericsson & Ruhe (Math. Comp. 35, 1980), with the shift sigma = 0.9 lam_mean
+just below the comparison constant, where lambda1 is sought: over the 648
+solves below, lambda1 / lam_mean is 0.90-1.03.  ARPACK finds the eigenvalue
+nearest the shift, which is the smallest mean-zero one only if none lies
+below sigma.  That is certified by inertia (Sylvester's law; Grimes, Lewis &
+Simon, SIAM J. Matrix Anal. Appl. 15, 1994): K - sigma M is factored with
+diagonal pivots only, so U's diagonal is the D of an LDL^T factor, and its
+negative entries count the pencil's eigenvalues below sigma.  At sigma > 0
+the count must be exactly 1, the constant mode.  Any other count (a surface
+with lambda1 < 0.9 lam_mean, such as the level-4 graph (2,0,0.3) at r = 1,
+count 2), a swapped row or an exactly singular factor drops that factor for
+the bottom shift -1e-5 lam_scale, just below zero, where the count must be 0;
+a K that is not positive semidefinite fails there and raises
+``SolverError``.  The near shift is tried only when it is at least as far
+above zero as the bottom shift is below.
+
+ARPACK stops a Ritz pair when its residual is at most its relative tolerance
+times the Ritz value, which leaves a weak residual of about that tolerance
+times the Rayleigh quotient of the Lanczos residual direction.  That
+direction lies at the bottom of the spectrum, not near the largest
+eigenvalue: over 648 measured solves at the bottom shift the weak residual is
+at most 0.97 x tolerance x lambda1.  And lambda1 is 3.9-5.4 x lam_scale / V,
+with lam_scale = max K_ii / min lumped mass and V vertices.  So the tolerance
+is derived from lam_scale / V and the bottom shift, and a solve there stops at
+a weak residual about 50x below what it accepts.  The near shift converges
+further within the same stop: over the same 648 solves (levels 3-5, r = 0
+and 1, s0 in {0.5, 1, 2}, a slice and five graphs, seeds 0-5) its weak
+residual is at most 0.09 x tolerance x lambda1 (1.76e-11 at tol = 1e-8,
+against 1.69e-10), lambda1 equals the bottom shift's to 2.9e-14 relative,
+and none falls back.
 
 The pencil must be elliptic: K positive semidefinite with the constants as
 its kernel, which holds where P_r is positive definite (``stability.analyze``
 solves only there); a zero K raises ``SolverError``.  Each application of the
-inverse is one sparse LU solve with K + shift M followed by the mass-orthogonal
-projection onto mean-zero functions, so the constant mode is deflated
-exactly.  The LU factor is computed on the matrix permuted by the mesh's
-nested-dissection order, which ``assemble`` attaches to the operator pair,
-with no further column permutation: on the level-6 test graph at r = 1,
-nnz(L+U) is 4,022,806.  A single eigenvalue is sought in a
-10-vector Lanczos basis rather than ARPACK's default 20: ARPACK fills the
-basis before it first tests convergence, so a level-5 slice converges after
-11 applications instead of 21.
+inverse is one sparse LU solve with K - sigma M followed by the
+mass-orthogonal projection onto mean-zero functions, so the constant mode is
+deflated exactly.  The LU factor is computed on the matrix permuted by the
+mesh's nested-dissection order, which ``assemble`` attaches to the operator
+pair, with no further column permutation: on the level-6 test graph at
+r = 1, nnz(L+U) is 4,022,806.  A single eigenvalue is sought in an 8-vector
+Lanczos basis rather than ARPACK's default 20: ARPACK fills the basis before
+it first tests convergence, and at the near shift slices and the test graph
+converge at that test, after 9 applications at levels 4-6 (4 or 6 vectors
+take 7 on slices but up to 11 and 10 on the graph, 10 vectors take 16 on
+slices; at the bottom shift, 10 vectors took 11 and 16).
 
 Within a ``shared_spectrum`` scope (a ``lorstab sweep``) the solver keeps the
 last pencil that ARPACK solved and its eigenpair (lambda1_ref, f).  A pencil
@@ -60,6 +84,7 @@ afresh, and nothing outlives the scope.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -67,7 +92,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
 from .surfaces import SIGNATURE, GraphSurface, _hat_gradients, scatter_p1
@@ -84,13 +109,13 @@ __all__ = [
 
 
 # Lanczos basis: ARPACK tests convergence only once the basis is full
-_NCV = 10
+_NCV = 8
 
 # ARPACK's stop is the acceptance bound / (_STOP_BOTTOM * (lam_scale / V +
-# shift)): lambda1 is 3.9-5.4 x lam_scale / V on the slices and graphs measured,
-# so this asks for a weak residual near bound / 50; the worst of 648 solves (levels
-# 3-5, r = 0 and 1, s0 in {0.5, 1, 2}, a slice and five graphs, seeds 0-5) was
-# 1.69e-10 at tol = 1e-8
+# 1e-5 lam_scale)): lambda1 is 3.9-5.4 x lam_scale / V on the slices and graphs
+# measured, so this asks for a weak residual near bound / 50; the worst of 648
+# solves (levels 3-5, r = 0 and 1, s0 in {0.5, 1, 2}, a slice and five graphs,
+# seeds 0-5) was 1.69e-10 at tol = 1e-8 at the bottom shift, 1.76e-11 near lam_mean
 _STOP_BOTTOM = 250.0
 
 # the carry test (module docstring): slice matrices on one mesh are multiples
@@ -241,6 +266,100 @@ def _project_meanzero(x: np.ndarray, mass_column: np.ndarray, total: float) -> n
     return x - (mass_column @ x) / total
 
 
+class _SuperMatrix(ctypes.Structure):
+    """SuperLU's ``SuperMatrix`` header (supermatrix.h)."""
+
+    _fields_ = [(name, ctypes.c_int) for name in ("Stype", "Dtype", "Mtype", "nrow", "ncol")] + [
+        ("Store", ctypes.c_void_p)]
+
+
+class _SCformat(ctypes.Structure):
+    """SuperLU's supernodal storage of L (supermatrix.h); the diagonal block
+    of each supernode also holds that block of U, and so U's diagonal."""
+
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int)] + [
+        (name, ctypes.c_void_p) for name in
+        ("nzval", "nzval_colptr", "rowind", "rowind_colptr", "col_to_sup", "sup_to_col")]
+
+
+class _SuperLUHead(ctypes.Structure):
+    """The head of SciPy's ``SuperLU`` object, up to ``perm_r``
+    (_superluobject.h)."""
+
+    _fields_ = [("refcnt", ctypes.c_ssize_t), ("type", ctypes.c_void_p),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix), ("perm_r", ctypes.c_void_p)]
+
+
+# (Stype, Dtype, Mtype) of a double-precision L: SLU_SC, SLU_D, SLU_TRLU
+_SUPERNODAL_L = (3, 1, 1)
+
+
+def _view(address: int, dtype, count: int) -> np.ndarray:
+    """``count`` items of ``dtype`` at a native address, not copied."""
+    return np.frombuffer((ctypes.c_char * (count * np.dtype(dtype).itemsize)).from_address(address), dtype)
+
+
+def _pivots(lu: SuperLU) -> np.ndarray:
+    """The diagonal of U, copied from the diagonal blocks of L's supernodes,
+    where SuperLU keeps it.  ``lu.U`` would convert all of L and U to CSC and
+    keep both on the object (on the level-6 test graph, 2-vCPU Xeon: 40 ms,
+    and the run's peak RSS 155 -> 186 MB), so it is read only when the
+    object's head or the supernodes' row indices are not laid out as read
+    here."""
+    n = lu.shape[0]
+    head = _SuperLUHead.from_address(id(lu))
+    low = head.L
+    if not (head.m == head.n == low.nrow == low.ncol == n
+            and (low.Stype, low.Dtype, low.Mtype) == _SUPERNODAL_L
+            and head.perm_r == lu.perm_r.__array_interface__["data"][0]):
+        return lu.U.diagonal()
+    sc = _SCformat.from_address(low.Store)
+    at = np.arange(n)
+    first = _view(sc.sup_to_col, np.intc, sc.nsuper + 2)[_view(sc.col_to_sup, np.intc, n)]
+    rows = _view(sc.rowind_colptr, np.intc, n + 1)
+    if not np.array_equal(_view(sc.rowind, np.intc, rows[n])[rows[first] + at - first], at):
+        return lu.U.diagonal()
+    values = _view(sc.nzval_colptr, np.intc, n + 1)
+    return _view(sc.nzval, np.float64, values[n])[values[:n] + at - first]
+
+
+def _negative_pivots(lu: SuperLU) -> int | None:
+    """The number of negative eigenvalues of a factored symmetric matrix, or
+    None if a row was swapped.  With the rows permuted as the columns, the LU
+    factor is an LDL^T factor of the matrix permuted symmetrically, U's
+    diagonal is D, and D has the matrix's inertia (Sylvester's law)."""
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(_pivots(lu) < 0.0))
+
+
+def _certified_factor(op: OperatorPair, bottom: float) -> tuple[float, SuperLU]:
+    """(sigma, the LU factor of K - sigma M in the operator's order), with no
+    eigenvalue of the mean-zero pencil below sigma: the shift 0.9 lam_mean
+    where K - sigma M has exactly one negative pivot (the constant mode),
+    else ``bottom`` < 0, where it must have none.  The near shift is tried
+    only if it is at least as far above zero as ``bottom`` is below."""
+    kk, mm, order = op.stiffness, op.mass, op.order
+    near = 0.9 * op.lam_mean
+    for sigma in (near, bottom) if near >= -bottom else (bottom,):
+        lu = None                       # released before the next factor is made
+        try:
+            lu = splu((kk - sigma * mm)[order][:, order].tocsc(), permc_spec="NATURAL",
+                      diag_pivot_thresh=0.0)
+        except RuntimeError:            # an exactly singular factor
+            if sigma == bottom:
+                raise
+            continue
+        below = _negative_pivots(lu)
+        if below == int(sigma > 0.0):
+            return sigma, lu
+    raise SolverError(
+        f"K + {-bottom:.3e} M has {'a swapped row' if below is None else f'{below} negative pivots'}, "
+        f"not 0: the stiffness is not positive semidefinite"
+    )
+
+
 def weak_residual(op: OperatorPair, f: np.ndarray, mu: float) -> float:
     """Scaled eigen-defect |K f - mu M f| in the (diagonally approximated)
     inverse-mass norm, relative to the mass norm of f."""
@@ -256,29 +375,29 @@ def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxite
     """Constrained first eigenvalue: min of the Rayleigh quotient over
     mean-zero functions, with the constant kernel deflated.
 
-    K must be positive semidefinite, so that the bottom of its mean-zero
-    spectrum lies nearest a shift just below zero; a zero K raises
-    ``SolverError``.  ARPACK shift-invert Lanczos (``eigsh`` with
-    ``sigma = -shift``, the eigenvalue nearest the shift) on the pencil
-    (K, M).  The inverse operator is one LU solve with K + shift M, which
-    has the P1 pattern that K and M share on a mesh, factorized in the
-    operator's nested-dissection order with the NATURAL column order,
-    followed by the mass-orthogonal projection onto mean-zero functions;
-    the start vector is the projected standard normal vector of
-    ``default_rng(seed)``, so runs are deterministic.  The Lanczos basis
-    has ``ncv`` = 10 vectors instead of ARPACK's default 20, which ARPACK
-    fills before its first convergence test: 11 applications instead of 21
-    on a level-5 slice.  The eigenpair is accepted only if its
+    ARPACK shift-invert Lanczos on the pencil (K, M) at sigma = 0.9 lam_mean
+    if K - sigma M has exactly one negative pivot, the constant mode, so that
+    no mean-zero eigenvalue lies below sigma; else at the bottom shift
+    sigma = -1e-5 lam_scale, where it must have none (the module docstring).
+    K must be positive semidefinite: a zero K, or a negative pivot at the
+    bottom shift, raises ``SolverError``.  The inverse operator is one LU
+    solve with K - sigma M, which has the P1 pattern that K and M share on a
+    mesh, factorized in the operator's nested-dissection order with the
+    NATURAL column order and diagonal pivots, followed by the mass-orthogonal
+    projection onto mean-zero functions; the start vector is the projected
+    standard normal vector of ``default_rng(seed)``, so runs are
+    deterministic.  The Lanczos basis has ``ncv`` = 8 vectors, which ARPACK
+    fills before its first convergence test: 9 applications on slices and on
+    the level-6 test graph.  The eigenpair is accepted only if its
     ``weak_residual`` is below tol * min(1, lam_scale), with
     lam_scale = max K_ii / min lumped mass, so the test is scale-free on a
     tiny spectrum.  ARPACK stops at relative accuracy that bound divided by
-    ``_STOP_BOTTOM`` * (lam_scale / V + shift), the bottom of the spectrum
-    rather than its top (see the module docstring): 16 applications instead
-    of 21 on the level-6 test graph, with the worst of 648 measured
-    residuals 59x below tol, within ``maxiter`` restarts.  Inside a
-    ``shared_spectrum`` scope a pencil that is (a K_ref, b M_ref), a, b > 0,
-    for the last pencil ARPACK solved takes its eigenpair scaled, with 0
-    applications, if that pair passes the same residual test.
+    ``_STOP_BOTTOM`` * (lam_scale / V + 1e-5 lam_scale), the bottom of the
+    spectrum rather than its top, within ``maxiter`` restarts: the worst of
+    648 measured residuals is 568x below tol.  Inside a ``shared_spectrum``
+    scope a pencil that is (a K_ref, b M_ref), a, b > 0, for the last pencil
+    ARPACK solved takes its eigenpair scaled, with 0 applications and no
+    factor, if that pair passes the same residual test.
 
     The eigenfunction is mass-normalized and mean-zero, with ARPACK's sign;
     ``iterations`` is the number of shift-invert applications.
@@ -302,8 +421,8 @@ def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxite
     rng = np.random.default_rng(seed)
     x0 = _project_meanzero(rng.standard_normal(nv), mass_column, total)
     shift = 1e-5 * lam_scale
+    sigma, lu = _certified_factor(op, -shift)
     order = op.order
-    lu = splu((kk + shift * mm)[order][:, order].tocsc(), permc_spec="NATURAL")
     iterations = 0
 
     def shift_invert(b: np.ndarray) -> np.ndarray:
@@ -315,7 +434,7 @@ def first_eigenvalue_meanzero(op: OperatorPair, *, tol: float, seed: int, maxite
 
     try:
         values, vectors = eigsh(
-            kk, 1, M=mm, sigma=-shift, which="LM", v0=x0,
+            kk, 1, M=mm, sigma=sigma, which="LM", v0=x0,
             OPinv=LinearOperator((nv, nv), matvec=shift_invert, dtype=float),
             ncv=min(nv, _NCV), tol=accept / (_STOP_BOTTOM * (lam_scale / nv + shift)),
             maxiter=maxiter,

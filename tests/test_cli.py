@@ -119,6 +119,16 @@ class TestExitCodes:
             load_config(tmp_path / "config.txt")
         assert err.value.key == "bogus"
 
+    @pytest.mark.parametrize("line", [
+        "axis = 0 0 0 1", "killing_u = 1 0 0 0", "tol_const = 1e-3", "solver_tol = 1e-3", "fd_h = 1e-3",
+    ], ids=lambda line: line.split()[0])
+    def test_removed_key_exits_four_naming_it(self, tmp_path, capsys, line):
+        """The Killing check's field is the boost e1^e4, and the tolerances
+        and the finite-difference step are constants: their keys are gone."""
+        assert run(tmp_path, SLICE + line + "\n") == 4
+        assert f"'{line.split()[0]}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_sweep_param_names_its_key(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             sweep_scenario(parse_config(SLICE), "bogus", [1.0], tmp_path / "out")
@@ -393,6 +403,56 @@ class TestSharedFactor:
         assert run(tmp_path, SLICE) == 0
         assert len(factors) == 1
         assert factors.held() == []
+
+
+class TestSecondRunSameBytes:
+    """Two runs of one config, each a fresh ``python -m lorstab.cli`` process
+    as the installed script is, write the same bytes."""
+
+    SWEEP_HEADER = ("param,value,lambda,lambda1,eigen_residual,eigen_iterations,gap,"
+                    "lambda_residual,h_next_residual,verdict,empirical_order")
+
+    @staticmethod
+    def twice(tmp_path, text, *argv, status=0):
+        src = Path(importlib.import_module("lorstab").__file__).resolve().parents[1]
+        config = tmp_path / "config.txt"
+        config.write_text(text, encoding="utf-8")
+        for out in ("a", "b"):
+            done = subprocess.run(
+                [sys.executable, "-m", "lorstab.cli", argv[0], str(config), *argv[1:], "--out", str(tmp_path / out)],
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            )
+            assert done.returncode == status, done.stderr
+
+    @staticmethod
+    def same(tmp_path, name) -> str:
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes()
+        return first.decode("utf-8")
+
+    def test_graph_report(self, tmp_path):
+        """A graph runs the Killing and conformal checks; its H_2 is not
+        constant, so it exits 2."""
+        self.twice(tmp_path, GRAPH + "checks = stability,killing,conformal\n", "run", status=2)
+        lines = self.same(tmp_path, "report.txt").splitlines()
+        assert "  verdict = hypotheses-violated" in lines
+        for key in ("killing_residual", "conformal_residual"):
+            assert any(line.startswith(f"  {key} = ") for line in lines)
+
+    def test_variation_outputs(self, tmp_path):
+        """Its finite-difference columns divide rounding by h."""
+        self.twice(tmp_path, SLICE + "checks = stability,variation\n", "run")
+        assert "  second_variation:" in self.same(tmp_path, "report.txt").splitlines()
+        assert self.same(tmp_path, "checks.csv").splitlines()[0] == "check,h,level,lhs,rhs,rel_error,richardson,max_error"
+
+    def test_s0_sweep(self, tmp_path):
+        """The second and third eigenpairs are carried from the first, with 0
+        shift-invert applications."""
+        self.twice(tmp_path, SLICE, "sweep", "--param", "s0", "--values", "0.5,1,2")
+        header, *rows = self.same(tmp_path, "sweep.csv").splitlines()
+        assert header == self.SWEEP_HEADER
+        iterations = [row.split(",")[header.split(",").index("eigen_iterations")] for row in rows]
+        assert int(iterations[0]) > 0 and iterations[1:] == ["0", "0"]
 
 
 REALS = st.floats(allow_nan=False, allow_infinity=False)

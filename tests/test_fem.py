@@ -11,6 +11,8 @@ from lorstab.fem import (
     OperatorPair,
     SolverError,
     _carried,
+    _negative_pivots,
+    _pivots,
     assemble,
     shared_spectrum,
     weak_residual,
@@ -220,13 +222,26 @@ class TestEigenvalues:
         assert (a.eigenfunction == b.eigenfunction).all()
 
     def test_applications_guard(self, slice_mesh, graph_mesh):
-        """A solve takes 11 shift-invert applications on a level-5 slice
-        (its first convergence test, at a full 10-vector basis) and 16 on the
-        level-5 test graph (one implicit restart), with seeds 0 and 7."""
-        assert solve(assemble(slice_mesh(1.0, 5), 1)).iterations <= 12
+        """A solve takes 9 shift-invert applications on a level-5 slice and on
+        the level-5 test graph, with seeds 0 and 7: at the shift 0.9 lam_mean
+        both converge at ARPACK's first test, at a full 8-vector basis."""
+        assert solve(assemble(slice_mesh(1.0, 5), 1)).iterations <= 9
         pair = assemble(graph_mesh(1.0, GRAPH, 5), 1)
         for seed in (0, 7):
-            assert solve(pair, seed=seed).iterations <= 16
+            assert solve(pair, seed=seed).iterations <= 9
+
+    def test_a_lambda1_below_the_near_shift_falls_back(self, graph_mesh, factors):
+        """On the level-4 graph (2,0,0.3) at r = 1, lambda1 = 0.8425 lam_mean:
+        K - 0.9 lam_mean M has two negative pivots, so that factor is dropped
+        and the pencil is solved at the bottom shift, which returns the
+        smallest eigenvalue, not the one nearest 0.9 lam_mean."""
+        pair = assemble(graph_mesh(1.0, ((2, 0, 0.3),), 4), 1)
+        res = solve(pair)
+        assert len(factors) == 2
+        assert factors.held() == []
+        assert res.lambda1 < 0.9 * pair.lam_mean
+        values, *_ = smallest_eigenvalues_reference(pair)
+        assert res.lambda1 == pytest.approx(values[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("level", [3, 4])
     @pytest.mark.parametrize("r", [0, 1])
@@ -281,6 +296,57 @@ class TestEigenvalues:
         assert residuals.max() <= 1e-8
         gram = vectors.T @ (pair.mass @ vectors)
         assert gram == pytest.approx(np.eye(10), abs=1e-8)
+
+
+class TestInertia:
+    """The solver's certificate: with diagonal pivots only, U's diagonal is
+    the D of K - sigma M = L D L^T and counts its negative eigenvalues."""
+
+    @staticmethod
+    def factor(a):
+        return splu(a.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    @pytest.mark.parametrize("kind", ["slice", "graph"])
+    def test_pivots_count_the_eigenvalues_below_the_shift(self, slice_mesh, graph_mesh, kind):
+        """Against a dense eigensolve at level 3: 0 below the bottom shift, 1
+        (the constants) below 0.9 lam_mean, and 4 on the slice below
+        1.2 lam_mean, the constants and the l = 1 triplet."""
+        surf = slice_mesh(1.0, 3) if kind == "slice" else graph_mesh(1.0, GRAPH, 3)
+        pair = assemble(surf, 1)
+        lam_scale = pair.stiffness.diagonal().max() / pair.lumped.min()
+        counts = []
+        for sigma in (-1e-5 * lam_scale, 0.9 * pair.lam_mean, 1.2 * pair.lam_mean):
+            a = (pair.stiffness - sigma * pair.mass)[pair.order][:, pair.order]
+            lu = self.factor(a)
+            assert np.array_equal(_pivots(lu), lu.U.diagonal())
+            counts.append(_negative_pivots(lu))
+            assert counts[-1] == np.count_nonzero(np.linalg.eigvalsh(a.toarray()) < 0.0)
+        assert counts[:2] == [0, 1]
+        if kind == "slice":
+            assert counts[2] == 4
+
+    def test_a_swapped_row_has_no_count(self):
+        lu = self.factor(csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
+        assert _negative_pivots(lu) is None
+
+
+class TestSliceLambda1:
+    """lambda1 / lambda_exact - 1 on slices, the discretization error, which
+    is the same at every height and order to 3.1e-14: pinned at the values of
+    the solver at the bottom shift, so that a shift moves lambda1 only by
+    rounding.  lambda_exact = 2 p_r(s0) / cosh(s0)^2, p_0 = 1, p_1 = tanh."""
+
+    ERROR = {3: 1.8977184101287e-3, 4: 4.747449660213e-4, 5: 1.187184994257e-4, 6: 2.9682411934e-5}
+
+    @pytest.mark.parametrize("level, s0, r", [
+        *((level, s0, r) for level in (3, 4, 5) for s0 in (0.3, 1.0, 2.0, 5.0) for r in (0, 1)),
+        (6, 1.0, 1),
+    ])
+    def test_pinned(self, slice_mesh, level, s0, r):
+        exact = 2.0 * (np.tanh(s0) if r else 1.0) / np.cosh(s0) ** 2
+        ratio = solve(assemble(slice_mesh(s0, level), r)).lambda1 / exact
+        assert ratio == pytest.approx(1.0 + self.ERROR[level], rel=0.0, abs=1e-12)
 
 
 class TestSharedFactor:
@@ -469,3 +535,12 @@ class TestEllipticityBookkeeping:
             x = rng.normal(size=past.stiffness.shape[0])
             assert x @ (past.stiffness @ x) <= 1e-10
 
+    def test_a_stiffness_not_semidefinite_raises(self, factors):
+        """Given the past slice's negative semidefinite K anyway, the solver
+        raises instead of returning the eigenvalue nearest its shift (-0.64):
+        K + shift M has 641 negative pivots of 642 at the bottom shift."""
+        past = assemble(build_slice(-1.0, level=3), 1)
+        with pytest.raises(SolverError, match="has 641 negative pivots, not 0") as err:
+            solve(past)
+        assert err.value.residual is None
+        assert len(factors) == 1
