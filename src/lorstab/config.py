@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .harmonics import _L_MAX
+
 __all__ = [
     "ConfigError", "ScenarioConfig", "parse_config", "parse_reals", "load_config", "check_level",
 ]
@@ -93,8 +95,8 @@ def _parse_perturbations(key: str, raw: str) -> tuple[tuple[int, int, float], ..
             l, m = int(parts[0]), int(parts[1])
         except ValueError as err:
             raise ConfigError(f"key '{key}': bad triple '{chunk}'", key=key) from err
-        if not abs(m) <= l:
-            raise ConfigError(f"key '{key}': need |m| <= l in '{chunk}'", key=key)
+        if not abs(m) <= l <= _L_MAX:
+            raise ConfigError(f"key '{key}': need |m| <= l <= {_L_MAX} in '{chunk}'", key=key)
         out.append((l, m, _parse_real(key, parts[2])))
     return tuple(out)
 

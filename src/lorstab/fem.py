@@ -95,7 +95,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .curvature import batched_eigvalsh2, batched_newton
-from .surfaces import SIGNATURE, GraphSurface, _hat_gradients, scatter_p1
+from .surfaces import SIGNATURE, GraphSurface, _hat_gradients, _weighted_mean, scatter_p1
 
 __all__ = [
     "OperatorPair",
@@ -255,7 +255,7 @@ def assemble(surface: GraphSurface, r: int) -> OperatorPair:
     k = scatter_p1(surface.mesh, k_local)
     pair = OperatorPair(
         stiffness=k, mass=mass, lam_field=lam_field,
-        lam_mean=float(np.sum(lam_field * surface.weights) / np.sum(surface.weights)),
+        lam_mean=_weighted_mean(lam_field, surface.weights),
         min_newton_eig=min_eig, order=surface.mesh.order,
     )
     surface._memo[r] = pair

@@ -25,6 +25,12 @@ import numpy as np
 
 __all__ = ["HarmonicField"]
 
+# the largest degree a field takes.  The monomial basis is ill-conditioned:
+# against scipy.special.lpmv, relative to sup |Y_l0|, the error is 4.2e-13
+# at l = 30, 1.2e-11 at 40, 2.5e-9 at 56 and about 3e-5 at 80, and the
+# normalization's factorial(l + |m|) overflows a float from l + |m| = 171 on
+_L_MAX = 40
+
 
 class _Poly:
     """Polynomial in three variables: exponent rows (i, j, k) and coefficients."""
@@ -151,8 +157,8 @@ class HarmonicField:
             tuple((int(l), int(m), float(a)) for l, m, a in self.terms),
         )
         for l, m, _ in self.terms:
-            if not (0 <= abs(m) <= l):
-                raise ValueError(f"invalid harmonic order (l={l}, m={m})")
+            if not (0 <= abs(m) <= l <= _L_MAX):
+                raise ValueError(f"invalid harmonic order (l={l}, m={m}): need |m| <= l <= {_L_MAX}")
 
     def plus(self, other: "HarmonicField", factor: float = 1.0) -> "HarmonicField":
         return HarmonicField(

@@ -2,13 +2,19 @@
 the second-variation quadratic form, and the field identity checks.
 
 The verdict is three-valued.  The eigenvalue criterion is an equivalence
-only under its hypotheses (positive constant next-order mean curvature,
-constant comparison field, surface on one side of the equator, conformal
-divergence nonvanishing, P_r positive definite), so hypothesis failure is
-reported as its own outcome rather than mapped to "unstable".  The spectrum
-is computed only where P_r is positive definite: without ellipticity the
-discrete bottom eigenvalue of div(P_r grad) falls without bound as the mesh
-is refined, so lambda1 and the gap are nan there and nothing is solved.
+only under its hypotheses, so their failure is reported as its own outcome
+rather than mapped to "unstable".  ``analyze`` tests five, as ``Hypothesis``
+records read by the one rule ``verdict``: ``h_next_positive`` and
+``h_next_constant`` (H_{r+1} > 0 and constant), ``lambda_constant`` (the
+comparison field constant), ``one_side_of_equator`` (psi = p4 of one sign,
+as Barbosa & Colares, Ann. Global Anal. Geom. 15, 1997, assume; psi
+nonvanishing is the same hypothesis, and ``chronology`` names the side) and
+``elliptic`` (P_r positive definite).  ``psi_min_abs``, ``h2_positive`` and
+``has_elliptic_point`` are diagnostics that no hypothesis reads.  The
+spectrum is computed only where P_r is positive definite: without
+ellipticity the discrete bottom eigenvalue of div(P_r grad) falls without
+bound as the mesh is refined, so lambda1 and the gap are nan there and
+nothing is solved.
 
 The Killing check reads the support function eta of the one boost
 W(p) = p4 e1 + p1 e4 (see ``surfaces``), a Jacobi field at the comparison
@@ -30,7 +36,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .fem import assemble, first_eigenvalue_meanzero, weak_residual
-from .surfaces import GraphSurface, _consistent_mass, mdot, tangential_gradient
+from .surfaces import GraphSurface, _consistent_mass, _weighted_mean, mdot, tangential_gradient
 
 __all__ = [
     "StabilityReport",
@@ -76,8 +82,23 @@ class StabilityReport:
     tol_solver: float
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(values * weights) / np.sum(weights))
+@dataclass(frozen=True)
+class Hypothesis:
+    """One hypothesis of the characterization: the number tested, the bound
+    it is tested against, and whether it holds."""
+
+    name: str
+    value: float
+    bound: float
+    holds: bool
+
+
+def verdict(hypotheses: tuple[Hypothesis, ...], lam_mean: float, lambda1: float, budget: float) -> str:
+    """``hypotheses-violated`` unless every hypothesis holds, else ``stable`` if
+    |lam_mean - lambda1| <= budget * max(1, |lam_mean|) (never for a nan lambda1)."""
+    if not all(h.holds for h in hypotheses):
+        return "hypotheses-violated"
+    return "stable" if abs(lam_mean - lambda1) <= budget * max(1.0, abs(lam_mean)) else "unstable"
 
 
 def _mean_fraction(surface: GraphSurface, values: np.ndarray) -> float:
@@ -89,17 +110,6 @@ def _constancy_residual(values: np.ndarray, mean: float) -> float:
     return float(np.abs(values - mean).max() / max(abs(mean), 1e-30))
 
 
-def _chronology(surface: GraphSurface) -> tuple[str, np.ndarray]:
-    """The side of the equator p4 = 0 the surface lies on, and the conformal
-    factor psi = p4 per vertex."""
-    psi = surface.vertices[:, 3]
-    if (psi > _PSI_FLOOR).all():
-        return "future", psi
-    if (psi < -_PSI_FLOOR).all():
-        return "past", psi
-    return "mixed", psi
-
-
 def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
     """Full stability analysis of a built surface (ambient c = 1) at the
     config's order r, gap budget and solver seed."""
@@ -109,6 +119,7 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
 
     h_next = surface.mean[:, r + 1]
     h_next_mean = _weighted_mean(h_next, surface.weights)
+    h_next_min = float(h_next.min())
     h_next_residual = _constancy_residual(h_next, h_next_mean)
 
     pair = assemble(surface, r)
@@ -119,50 +130,40 @@ def analyze(surface: GraphSurface, config: ScenarioConfig) -> StabilityReport:
         lambda1, iterations, residual = eigen.lambda1, eigen.iterations, eigen.residual
     else:
         lambda1, iterations, residual = np.nan, 0, np.nan
-    gap = lam_mean - lambda1
 
-    h2 = surface.mean[:, 2]
     eigs = surface.shape_eigs
     definite = np.logical_or((eigs > 0).all(axis=1), (eigs < 0).all(axis=1))
-    chronology, psi = _chronology(surface)
-    psi_min_abs = float(np.abs(psi).min())
-
+    psi = surface.vertices[:, 3]                 # the conformal factor of V = e4 + p4 p
+    side = max(float(psi.min()), float(-psi.max()))     # > 0 exactly when psi has one sign
+    hypotheses = (
+        Hypothesis("h_next_positive", h_next_min, 0.0, h_next_min > 0.0),
+        Hypothesis("h_next_constant", h_next_residual, _TOL_CONSTANCY, h_next_residual <= _TOL_CONSTANCY),
+        Hypothesis("lambda_constant", lam_residual, _TOL_CONSTANCY, lam_residual <= _TOL_CONSTANCY),
+        Hypothesis("one_side_of_equator", side, _PSI_FLOOR, side > _PSI_FLOOR),
+        Hypothesis("elliptic", pair.min_newton_eig, 0.0, pair.min_newton_eig > 0.0),
+    )
     level = surface.mesh.level
     tol_gap_eff = config.tol_gap * 2.0 ** (5 - level)
-    hypotheses_ok = (
-        h_next.min() > 0.0
-        and h_next_residual <= _TOL_CONSTANCY
-        and lam_residual <= _TOL_CONSTANCY
-        and chronology in ("future", "past")
-        and psi_min_abs > _PSI_FLOOR
-        and pair.min_newton_eig > 0.0
-    )
-    if not hypotheses_ok:
-        verdict = "hypotheses-violated"
-    elif abs(gap) <= tol_gap_eff * max(1.0, abs(lam_mean)):
-        verdict = "stable"
-    else:
-        verdict = "unstable"
 
     return StabilityReport(
-        verdict=verdict,
+        verdict=verdict(hypotheses, lam_mean, lambda1, tol_gap_eff),
         r=r,
         level=level,
         h_next_mean=h_next_mean,
-        h_next_min=float(h_next.min()),
+        h_next_min=h_next_min,
         h_next_max=float(h_next.max()),
         h_next_residual=h_next_residual,
         lambda_mean=lam_mean,
         lambda_residual=lam_residual,
         lambda1=lambda1,
-        gap=gap,
+        gap=lam_mean - lambda1,
         eigen_iterations=iterations,
         eigen_residual=residual,
         min_newton_eig=pair.min_newton_eig,
-        h2_positive=bool(h2.min() > 0.0),
+        h2_positive=bool(surface.mean[:, 2].min() > 0.0),
         has_elliptic_point=bool(definite.any()),
-        psi_min_abs=psi_min_abs,
-        chronology=chronology,
+        psi_min_abs=float(np.abs(psi).min()),
+        chronology=("future" if psi.min() > 0.0 else "past") if side > _PSI_FLOOR else "mixed",
         tol_gap=config.tol_gap,
         tol_gap_effective=tol_gap_eff,
         tol_constancy=_TOL_CONSTANCY,

@@ -62,6 +62,10 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3]
 
 
+def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.sum(values * weights) / np.sum(weights))
+
+
 class GraphConstructionError(ValueError):
     """Construction failed; carries the worst offending vertex."""
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .fem import assemble
 from .harmonics import HarmonicField
-from .stability import _mean_fraction, _weighted_mean, jacobi_second_variation
-from .surfaces import GraphConstructionError, GraphSurface, build_graph
+from .stability import _mean_fraction, jacobi_second_variation
+from .surfaces import GraphConstructionError, GraphSurface, _weighted_mean, build_graph
 
 __all__ = [
     "FlowError",

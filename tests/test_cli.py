@@ -264,6 +264,7 @@ CONFIG_ERRORS = {
     "perturbations-not-finite": ("perturbations", PLAIN_GRAPH + "perturbations = 2,0,inf\n"),
     "perturbations-m-above-l": ("perturbations", PLAIN_GRAPH + "perturbations = 2,5,0.1\n"),
     "perturbations-l-negative": ("perturbations", PLAIN_GRAPH + "perturbations = -1,0,0.1\n"),
+    "perturbations-l-above-bound": ("perturbations", PLAIN_GRAPH + "perturbations = 41,0,0.1\n"),
     "perturbations-on-slice": ("perturbations", SLICE + "perturbations = 2,0,0.05\n"),
     "level-out-of-range": ("level", NO_LEVEL + "level = 7\n"),
     "level-not-integer": ("level", NO_LEVEL + "level = 4.5\n"),

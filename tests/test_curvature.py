@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from lorstab.cli import _FD_H
 from lorstab.curvature import batched_eigvalsh2, batched_elementary, batched_newton
 from lorstab.fem import assemble
-from lorstab.stability import _chronology
 from lorstab.surfaces import mdot
 from lorstab.variation import NormalVariation, _lagrange_constant, r_area, verify_first_variation
 
@@ -384,7 +383,7 @@ class TestClosedFormsBitwise:
         # with e4; psi may differ from -<p, e4> in the sign of a zero, which
         # only |psi| and products with psi read
         p, normal = surface.vertices, surface.normal
-        _, psi = _chronology(surface)
+        psi = surface.vertices[:, 3]
         nonzero = p[:, 3] != 0.0
         assert np.array_equal(bits(psi[nonzero]), bits(-mdot(p, E4)[nonzero]))
         assert np.array_equal(bits(np.abs(psi)), bits(np.abs(mdot(p, E4))))

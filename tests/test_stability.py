@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import lorstab.stability
 from lorstab.config import ScenarioConfig
 from lorstab.fem import assemble, weak_residual
 from lorstab.stability import (
     _TOL_CONSTANCY,
     _TOL_SOLVER,
+    Hypothesis,
     analyze,
     conformal_identity_check,
     jacobi_second_variation,
     killing_eigen_check,
+    verdict,
     weighted_mass_matrix,
 )
 from lorstab.surfaces import build_graph, build_slice
@@ -110,6 +113,84 @@ class TestAnalyze:
             assert abs(np.sum(surf.weights * eta)) < 1e-10 * surf.area
             report = analyze(surf, at_order(1))
             assert report.lambda1 <= report.lambda_mean + report.tol_gap_effective
+
+
+HYPOTHESES = ("h_next_positive", "h_next_constant", "lambda_constant", "one_side_of_equator", "elliptic")
+
+
+def hypotheses(failing=None):
+    """The five hypotheses, all holding but the one named ``failing``."""
+    return tuple(Hypothesis(name, 1.0, 0.0, name != failing) for name in HYPOTHESES)
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """The hypotheses of every ``analyze`` call, with the verdict read from them."""
+    calls = []
+    rule = lorstab.stability.verdict
+
+    def spy(found, *args):
+        calls.append((found, rule(found, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lorstab.stability, "verdict", spy)
+    return calls
+
+
+class TestVerdictRule:
+    """``verdict`` on hand-made hypotheses and gaps: lam_mean = 2 and budget
+    0.25 put the gap's bound at 0.5, which 2 - 1.5 and 2 - 2.5 reach exactly."""
+
+    @pytest.mark.parametrize("failing", HYPOTHESES)
+    def test_each_failing_hypothesis_alone(self, failing):
+        assert verdict(hypotheses(failing), 2.0, 2.0, 0.25) == "hypotheses-violated"
+
+    @pytest.mark.parametrize("lam_mean, lambda1, want", [
+        (2.0, 2.0, "stable"),
+        (2.0, 1.5, "stable"),
+        (2.0, 2.5, "stable"),
+        (2.0, np.nextafter(1.5, 0.0), "unstable"),
+        (2.0, np.nextafter(2.5, 3.0), "unstable"),
+        (0.75, 0.5, "stable"),              # below |lam_mean| = 1 the bound is the budget itself
+        (0.75, np.nextafter(0.5, 0.0), "unstable"),
+        (2.0, np.nan, "unstable"),
+    ], ids=["no-gap", "plus-budget", "minus-budget", "beyond-plus", "beyond-minus",
+            "small-mean-at-budget", "small-mean-beyond", "nan-lambda1"])
+    def test_gap_against_the_budget(self, lam_mean, lambda1, want):
+        assert verdict(hypotheses(), lam_mean, lambda1, 0.25) == want
+
+    def test_nan_lambda1_without_ellipticity(self):
+        """The solve is skipped where P_r is not definite, so a nan lambda1
+        comes with a failed hypothesis."""
+        assert verdict(hypotheses("elliptic"), 2.0, np.nan, 0.25) == "hypotheses-violated"
+
+    @pytest.mark.parametrize("s0, perturbations, chronology", [
+        (-1.0, (), "past"), (0.0, (), "mixed"), (1.0, (), "future"),
+        (1.0, ((2, 0, 0.05),), "future"), (0.01, ((2, 0, 0.05),), "mixed"),
+    ], ids=["past-slice", "equator", "future-slice", "graph", "graph-across-the-equator"])
+    def test_one_side_of_equator_is_the_chronology(self, spied, s0, perturbations, chronology):
+        report = analyze(build_graph(s0, perturbations=perturbations, level=3), at_order(0))
+        (found, _), = spied
+        one_side = found[HYPOTHESES.index("one_side_of_equator")]
+        assert report.chronology == chronology
+        assert one_side.holds == (chronology in ("future", "past"))
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_every_violated_verdict_names_a_failed_hypothesis(self, spied, graph_mesh, r):
+        """Level-3 slices on both sides of the equator and on it, and the
+        near-umbilical level-4 graphs of the output comparison's matrix."""
+        surfaces = [build_slice(s0, level=3) for s0 in (-1.0, 0.0, 0.3, 1.0)]
+        surfaces += [graph_mesh(s0, ((2, 0, 0.002), (3, 1, 0.0008)), 4) for s0 in (1.0, -1.0)]
+        reports = [analyze(surface, at_order(r)) for surface in surfaces]
+        failed = [{h.name for h in found if not h.holds} for found, _ in spied]
+        assert [h.name for h in spied[0][0]] == list(HYPOTHESES)
+        assert [report.verdict for report in reports] == [rule for _, rule in spied]
+        for report, names in zip(reports, failed):
+            assert (report.verdict == "hypotheses-violated") == bool(names)
+        past = {"h_next_positive"} if r == 0 else {"elliptic"}      # H_1 < 0, or P_1 negative definite
+        graph = {"h_next_constant", "lambda_constant"}
+        equator = {"one_side_of_equator", "h_next_positive"} | ({"elliptic"} if r == 1 else set())
+        assert failed == [past, equator, set(), set(), graph, graph | past]
 
 
 class TestJacobiForm:

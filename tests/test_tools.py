@@ -152,3 +152,30 @@ class TestSummaryLine:
         paths[1].unlink()
         assert compare_outputs.summary_line({"parent": 0, "change": 1}, *paths) == (
             "  summary: exit 0 -> 1; verdict stable,stable -> -; lambda1 0.641,0.640 -> -")
+
+
+class TestMain:
+    def test_last_line_counts_equal_files(self, compare_outputs, tmp_path, monkeypatch, capsys):
+        """Two configs on two hand-made trees whose stand-in runs write one
+        report each: equal bytes for the first config, a moved gap for the
+        second.  The tool passes and its last line counts one equal file of two."""
+        trees = [tmp_path / side for side in ("parent", "change")]
+        for tree in trees:
+            (tree / "lorstab").mkdir(parents=True)
+            (tree / "lorstab" / "cli.py").touch()
+
+        def run(src, argv):
+            config, out = Path(argv[1]).read_text(encoding="utf-8"), Path(argv[-1])
+            out.mkdir()
+            gap = "0.5" if config == "moved" and src.name == "change" else "0.25"
+            (out / "report.txt").write_text(report() + f"  gap = {gap}\n", encoding="utf-8")
+            return 0
+
+        monkeypatch.setattr(compare_outputs, "run", run)
+        monkeypatch.setattr(compare_outputs, "WORKLOADS", {})
+        monkeypatch.setattr(compare_outputs, "MATRIX", (
+            compare_outputs.MatrixCase("same", "same"), compare_outputs.MatrixCase("moved", "moved")))
+        assert compare_outputs.main([str(tree) for tree in trees]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "    stability.gap: max relative difference 0.5 (largest |value| 0.25 -> 0.5)" in lines
+        assert lines[-1] == "output files with equal bytes: 1 of 2"

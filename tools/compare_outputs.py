@@ -32,6 +32,8 @@ Exit status 1 if an exit code or a verdict differs, if a first eigenvalue
 more than ``LAMBDA1_RTOL`` relative, or if a change-side eigen_residual, in
 ``report.txt`` or in a ``sweep.csv`` row, is at or above its tolerance (a
 change-side ``sweep.csv`` without the ``eigen_residual`` column fails too).
+The last line counts the output files whose bytes are equal, so that a
+refactor's acceptance reads from one line.
 """
 
 from __future__ import annotations
@@ -160,13 +162,17 @@ def largest_magnitude(values: list[str]) -> float:
     return max(magnitudes, default=math.nan)
 
 
+def same_bytes(parent: Path, change: Path) -> bool:
+    return parent.is_file() and change.is_file() and parent.read_bytes() == change.read_bytes()
+
+
 def compare_file(parent: Path, change: Path) -> bool:
     """Print how one output file differs; True if a verdict changed or a
     lambda1 moved beyond ``LAMBDA1_RTOL``."""
     if not parent.is_file() or not change.is_file():
         print(f"  {parent.name}: missing on the {'parent' if not parent.is_file() else 'change'} side")
         return True
-    if parent.read_bytes() == change.read_bytes():
+    if same_bytes(parent, change):
         print(f"  {parent.name}: bytes equal")
         return False
     print(f"  {parent.name}: bytes differ")
@@ -243,6 +249,7 @@ def main(argv: list[str]) -> int:
     reports = dict.fromkeys(trees, 0)       # the workloads' applications summed over report.txt
     sweeps: dict[str, int | None] = dict.fromkeys(trees, 0)     # and over sweep.csv
     worst_ratio = 0.0
+    equal, compared = 0, 0          # output files with equal bytes, of all compared
     # (label, case, whether its applications count in the sums)
     runs = [(f"{workload} seed {seed}", make_case(workload, seed), True) for workload in WORKLOADS for seed in SEEDS]
     runs += [(case.name, case, False) for case in MATRIX]
@@ -258,6 +265,8 @@ def main(argv: list[str]) -> int:
             failed |= not same
             for name in case.outputs:
                 failed |= compare_file(base / "parent" / name, base / "change" / name)
+                equal += same_bytes(base / "parent" / name, base / "change" / name)
+                compared += 1
             print(summary_line(codes, base / "parent" / case.outputs[0], base / "change" / case.outputs[0]))
             for side in trees:
                 count, ratios = solver_fields(base / side)
@@ -283,6 +292,7 @@ def main(argv: list[str]) -> int:
           f"{LAMBDA1_RTOL:g}, or an eigen_residual is missing or not below its tolerance" if failed
           else f"OK: exit codes and verdicts agree, every lambda1 within {LAMBDA1_RTOL:g}, "
           "and every eigen_residual below its tolerance")
+    print(f"output files with equal bytes: {equal} of {compared}")
     return 1 if failed else 0
 
 
